@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from .experiments import (
     COMPARE_COLUMNS,
@@ -78,8 +79,7 @@ def main(argv=None) -> int:
     try:
         spec = ExperimentSpec.from_json(args.config, _overrides(args))
         if args.command == "run":
-            spec.sweep_axis = "none"
-            spec.validate()
+            spec = replace(spec, sweep_axis="none")
             metadata, rows = run_experiment(spec)
             columns = RESULT_COLUMNS
         elif args.command == "sweep":

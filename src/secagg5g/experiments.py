@@ -1,9 +1,9 @@
 """Experiment orchestration: single runs, dropout sweeps, mode comparisons.
 
-An ExperimentSpec is a flat bag of knobs loaded from a JSON file (CLI flags
-override file keys). Results come back as one row per (sweep point, seed,
-iteration) plus a metadata dict echoing every knob that affects them, and
-are written as CSV (.-decimal, comma-separated, metadata as leading
+An ExperimentSpec is loaded from a flat JSON file (CLI flags override file
+keys); the protocol knobs among the keys become its SimConfig. Results come
+back as one row per (sweep point, seed, iteration) plus a metadata dict
+echoing every knob that affects them, and are written as CSV (.-decimal, comma-separated, metadata as leading
 ``# key=value`` lines) or JSON. Row order is deterministic; only the
 wall-clock timing columns vary between identical runs.
 """
@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
 from .fltask import generate_data
-from .messages import MaskShareMode
+from .messages import HEADER_LEN, MaskShareMode
 from .simnet import DropoutSchedule, SimConfig, SimResult, run_simulation
 
 logger = logging.getLogger(__name__)
@@ -54,21 +54,20 @@ COMPARE_COLUMNS = [
 TIMING_COLUMNS = ("time_setup_ms", "time_aggregation_ms")
 
 
+# Protocol knobs a config file sets directly. model_dim follows feature_dim and
+# rng_seed is each run's seed, so neither is a config key.
+SIM_KEYS = tuple(f.name for f in fields(SimConfig) if f.name not in ("model_dim", "rng_seed"))
+
+
 @dataclass
 class ExperimentSpec:
-    # protocol / simulator
-    n_ues: int = 8
-    n_bss: int = 4
-    bs_threshold: int = 3
-    min_online_fraction: float = 1.0 / 3.0
-    iterations: int = 10
-    latency_base_ms: float = 5.0
-    latency_jitter_ms: float = 5.0
-    deadline_ms: float = 50.0
-    mask_share_mode: str = "evaluated"
-    frac_bits: int = 16
-    magnitude_bound: float = 1.0
-    max_summands: int = 1024
+    """Training task and experiment shape around one protocol config.
+
+    ``sim`` holds every protocol / simulator knob; its ``model_dim`` is always
+    ``feature_dim + 1`` and each run replaces its ``rng_seed`` with the seed.
+    The spec is validated on construction.
+    """
+
     # training task
     feature_dim: int = 9
     samples_per_shard: int = 40
@@ -85,38 +84,43 @@ class ExperimentSpec:
     bs_dropout: int = 0
     output: str = "results.csv"
     format: str = "csv"
+    sim: SimConfig = dc_field(default_factory=SimConfig)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ExperimentSpec":
+        """Build a spec from flat config keys: ``SIM_KEYS`` go to ``sim``."""
+        own = {f.name for f in fields(cls)} - {"sim"}
+        unknown = set(raw) - own - set(SIM_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        sim = {k: v for k, v in raw.items() if k in SIM_KEYS}
+        if "mask_share_mode" in sim:
+            mode = sim["mask_share_mode"]
+            if not isinstance(mode, str) or mode.upper() not in MaskShareMode.__members__:
+                raise ValueError("mask_share_mode must be evaluated or compact")
+            sim["mask_share_mode"] = MaskShareMode[mode.upper()]
+        return cls(**{k: v for k, v in raw.items() if k in own}, sim=SimConfig(**sim))
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentSpec":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if overrides:
             raw.update({k: v for k, v in overrides.items() if v is not None})
-        spec = cls(**raw)
-        spec.validate()
-        return spec
+        return cls.from_dict(raw)
 
-    @property
-    def model_dim(self) -> int:
-        return self.feature_dim + 1
-
-    def validate(self) -> None:
+    def __post_init__(self):
+        self.sim = replace(self.sim, model_dim=self.feature_dim + 1)
         if not self.seeds:
             raise ValueError("need at least one seed")
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        if self.mask_share_mode.upper() not in MaskShareMode.__members__:
-            raise ValueError("mask_share_mode must be evaluated or compact")
-        if not 0 <= self.ue_dropout <= self.n_ues:
+        if not 0 <= self.ue_dropout <= self.sim.n_ues:
             raise ValueError("ue_dropout outside [0, n_ues]")
-        if not 0 <= self.bs_dropout <= self.n_bss:
+        if not 0 <= self.bs_dropout <= self.sim.n_bss:
             raise ValueError("bs_dropout outside [0, n_bss]")
         if self.sweep_axis != "none":
             hi = self.sweep_cap()
@@ -124,15 +128,13 @@ class ExperimentSpec:
                 raise ValueError(f"sweep_max outside [0, {hi}]")
             if not 0 <= self.sweep_min <= (self.sweep_max if self.sweep_max is not None else hi):
                 raise ValueError("sweep_min outside sweep range")
-        # surfaces invalid combinations (threshold, deadline, codec) early
-        self.sim_config(self.seeds[0])
 
     def sweep_cap(self) -> int:
         """Largest dropout count on the active axis, leaving two entities."""
         if self.sweep_axis == "ue_dropout":
-            return max(self.n_ues - 2, 0)
+            return max(self.sim.n_ues - 2, 0)
         if self.sweep_axis == "bs_dropout":
-            return max(self.n_bss - 2, 0)
+            return max(self.sim.n_bss - 2, 0)
         return 0
 
     def sweep_values(self) -> list[int]:
@@ -141,51 +143,33 @@ class ExperimentSpec:
         hi = self.sweep_max if self.sweep_max is not None else self.sweep_cap()
         return list(range(self.sweep_min, hi + 1))
 
-    def mode(self) -> MaskShareMode:
-        return MaskShareMode[self.mask_share_mode.upper()]
-
-    def sim_config(self, seed: int, mode: MaskShareMode | None = None) -> SimConfig:
-        return SimConfig(
-            n_ues=self.n_ues,
-            n_bss=self.n_bss,
-            bs_threshold=self.bs_threshold,
-            min_online_fraction=self.min_online_fraction,
-            model_dim=self.model_dim,
-            iterations=self.iterations,
-            rng_seed=seed,
-            latency_base_ms=self.latency_base_ms,
-            latency_jitter_ms=self.latency_jitter_ms,
-            deadline_ms=self.deadline_ms,
-            mask_share_mode=mode if mode is not None else self.mode(),
-            frac_bits=self.frac_bits,
-            magnitude_bound=self.magnitude_bound,
-            max_summands=self.max_summands,
-        )
-
     def task(self, seed: int):
         # each run seed draws its own data so per-seed accuracies vary
         return generate_data(
             seed=self.data_seed * 1_000_003 + seed,
-            n_ues=self.n_ues,
+            n_ues=self.sim.n_ues,
             feature_dim=self.feature_dim,
             samples_per_shard=self.samples_per_shard,
             test_samples=self.test_samples,
             learning_rate=self.learning_rate,
             local_epochs=self.local_epochs,
-            clip_bound=self.magnitude_bound,
+            clip_bound=self.sim.magnitude_bound,
         )
 
     def schedule(self, ue_drop: int, bs_drop: int) -> DropoutSchedule:
         """Drop the highest-indexed entities for the whole run, shrinking the
         active population exactly as a sustained outage would."""
         return DropoutSchedule.constant(
-            ue_ids=range(self.n_ues - ue_drop + 1, self.n_ues + 1),
-            bs_ids=range(self.n_bss - bs_drop + 1, self.n_bss + 1),
+            ue_ids=range(self.sim.n_ues - ue_drop + 1, self.sim.n_ues + 1),
+            bs_ids=range(self.sim.n_bss - bs_drop + 1, self.sim.n_bss + 1),
         )
 
     def metadata(self) -> dict:
-        out = asdict(self)
-        out["model_dim"] = self.model_dim
+        """Flat config keys and values, then ``model_dim``."""
+        out = {k: getattr(self.sim, k) for k in SIM_KEYS}
+        out["mask_share_mode"] = self.sim.mask_share_mode.name.lower()
+        out.update((k, v) for k, v in asdict(self).items() if k != "sim")
+        out["model_dim"] = self.sim.model_dim
         return out
 
 
@@ -216,7 +200,6 @@ def _result_rows(
 
 def run_experiment(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     """One row per (sweep point, seed, iteration), deterministically ordered."""
-    spec.validate()
     rows: list[dict] = []
     for value in spec.sweep_values():
         ue_drop = value if spec.sweep_axis == "ue_dropout" else spec.ue_dropout
@@ -224,7 +207,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         schedule = spec.schedule(ue_drop, bs_drop)
         for seed in spec.seeds:
             logger.info("sweep=%s value=%d seed=%d", spec.sweep_axis, value, seed)
-            result = run_simulation(spec.sim_config(seed), schedule, spec.task(seed))
+            result = run_simulation(replace(spec.sim, rng_seed=seed), schedule, spec.task(seed))
             rows.extend(_result_rows(spec, result, value, seed))
     rows.sort(key=lambda r: (r["sweep_value"], r["seed"], r["iteration"]))
     return spec.metadata(), rows
@@ -237,13 +220,13 @@ def compare_modes(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     identical field vectors); a mismatch means the protocol is broken, so it
     raises rather than reporting.
     """
-    spec.validate()
     schedule = spec.schedule(spec.ue_dropout, spec.bs_dropout)
     rows: list[dict] = []
     accuracies: dict[tuple, dict[str, float]] = {}
     for mode in (MaskShareMode.EVALUATED, MaskShareMode.COMPACT):
         for seed in spec.seeds:
-            result = run_simulation(spec.sim_config(seed, mode), schedule, spec.task(seed))
+            sim = replace(spec.sim, rng_seed=seed, mask_share_mode=mode)
+            result = run_simulation(sim, schedule, spec.task(seed))
             for rm in result.rounds:
                 per_msg = rm.bytes_bs_sent / rm.msgs_bs_to_af if rm.msgs_bs_to_af else 0.0
                 rows.append(
@@ -255,7 +238,7 @@ def compare_modes(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
                         "accuracy": rm.accuracy,
                         "bytes_bs_sent": rm.bytes_bs_sent,
                         "msgs_bs_to_af": rm.msgs_bs_to_af,
-                        "bs_payload_bytes": per_msg - 17 if per_msg else 0.0,
+                        "bs_payload_bytes": per_msg - HEADER_LEN if per_msg else 0.0,
                     }
                 )
                 accuracies.setdefault((seed, rm.iteration), {})[mode.name] = rm.accuracy

@@ -127,16 +127,6 @@ def route_setup_shares(
     return delivery
 
 
-def admitted_ues(delivered: dict[int, set[int]], total_bs: int) -> set[int]:
-    """Devices whose shares reached every base station.
-
-    Partial setup is treated as no setup at all: a base station missing one
-    share would poison its aggregated mask share for any list containing
-    that device.
-    """
-    return {ue for ue, bss in delivered.items() if len(bss) == total_bs}
-
-
 @dataclass
 class BaseStation:
     """Regional relay: holds one key share per registered device."""

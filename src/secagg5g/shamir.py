@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import field
 from .field import P
 
 
@@ -95,10 +94,8 @@ def recover(shares: Iterable[SecretShare], acc: AccessStructure, prime: int = P)
     return sum(lam * s.y for lam, s in zip(coeffs, shares)) % prime
 
 
-def combine_linear(
-    payloads: Sequence[list[int]], coeffs: Sequence[int], prime: int = P
-) -> list[int]:
-    """Componentwise sum(coeffs[j] * payloads[j]) mod prime.
+def combine_linear(payloads: Sequence[list[int]], coeffs: Sequence[int]) -> list[int]:
+    """Componentwise sum(coeffs[j] * payloads[j]) mod P.
 
     Applied to per-share mask vectors with Lagrange coefficients this
     performs vector-valued reconstruction.
@@ -110,13 +107,7 @@ def combine_linear(
     dim = len(payloads[0])
     if any(len(p) != dim for p in payloads):
         raise ValueError("payload dimensions differ")
-    if prime == P:
-        out = [0] * dim
-        for lam, payload in zip(coeffs, payloads):
-            for i, v in enumerate(payload):
-                out[i] = field.add(out[i], field.mul(lam, v))
-        return out
-    return [
-        sum(lam * payload[i] for lam, payload in zip(coeffs, payloads)) % prime
-        for i in range(dim)
-    ]
+    acc = [0] * dim
+    for lam, payload in zip(coeffs, payloads):
+        acc = [a + lam * v for a, v in zip(acc, payload)]
+    return [a % P for a in acc]

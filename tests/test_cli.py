@@ -9,6 +9,8 @@ import pytest
 from secagg5g.cli import main
 from secagg5g.experiments import ExperimentSpec, compare_modes, run_experiment
 
+ROOT = Path(__file__).resolve().parent.parent
+
 FAST = {
     "n_ues": 8,
     "n_bss": 4,
@@ -154,6 +156,22 @@ def test_output_deterministic_modulo_timings(tmp_path):
     assert [drop(r) for r in rows1] == [drop(r) for r in rows2]
 
 
+@pytest.mark.parametrize("name, command", [
+    ("bs_sweep", "sweep"), ("ue_sweep", "sweep"), ("bandwidth", "compare-modes"),
+])
+def test_committed_results_reproduce(tmp_path, name, command):
+    # results/*.csv are the reproduced figures: everything but wall-clock
+    # timings and the output path must come out the same from the config
+    out = tmp_path / f"{name}.csv"
+    assert main([command, str(ROOT / "configs" / f"{name}.json"), "-o", str(out)]) == 0
+    meta, rows = read_csv(out)
+    golden_meta, golden_rows = read_csv(ROOT / "results" / f"{name}.csv")
+    drop = lambda r: {k: v for k, v in r.items() if not k.startswith("time_")}
+    keep = lambda m: [line for line in m if not line.startswith("# output=")]
+    assert keep(meta) == keep(golden_meta)
+    assert [drop(r) for r in rows] == [drop(r) for r in golden_rows]
+
+
 def test_bad_configs_exit_nonzero(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["run", str(missing)]) == 1
@@ -170,6 +188,12 @@ def test_bad_configs_exit_nonzero(tmp_path):
     not_json.write_text("{{{", encoding="utf-8")
     assert main(["run", str(not_json)]) == 1
 
+    # a non-string mode is a bad value; model_dim and rng_seed are not config keys
+    for bad in ({"mask_share_mode": 1}, {"model_dim": 12}, {"rng_seed": 1}):
+        path = tmp_path / "bad_sim.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["run", str(path)]) == 1
+
 
 def test_log_env_var_accepted(tmp_path, monkeypatch):
     monkeypatch.setenv("SECAGG5G_LOG", "DEBUG")
@@ -179,28 +203,27 @@ def test_log_env_var_accepted(tmp_path, monkeypatch):
 
 
 def test_spec_validation_direct():
-    spec = ExperimentSpec(**FAST)
-    spec.validate()
+    ExperimentSpec.from_dict(FAST)
     with pytest.raises(ValueError):
-        ExperimentSpec(**{**FAST, "seeds": []}).validate()
+        ExperimentSpec.from_dict({**FAST, "seeds": []})
     with pytest.raises(ValueError):
-        ExperimentSpec(**{**FAST, "sweep_axis": "latency"}).validate()
+        ExperimentSpec.from_dict({**FAST, "sweep_axis": "latency"})
     with pytest.raises(ValueError):
-        ExperimentSpec(**{**FAST, "format": "xml"}).validate()
+        ExperimentSpec.from_dict({**FAST, "format": "xml"})
     with pytest.raises(ValueError):
-        ExperimentSpec(**{**FAST, "sweep_axis": "ue_dropout", "sweep_max": 7}).validate()
+        ExperimentSpec.from_dict({**FAST, "sweep_axis": "ue_dropout", "sweep_max": 7})
 
 
 def test_rows_ordered_deterministically():
-    spec = ExperimentSpec(**{**FAST, "sweep_axis": "ue_dropout", "sweep_max": 1})
+    spec = ExperimentSpec.from_dict({**FAST, "sweep_axis": "ue_dropout", "sweep_max": 1})
     _, rows = run_experiment(spec)
     keys = [(r["sweep_value"], r["seed"], r["iteration"]) for r in rows]
     assert keys == sorted(keys)
 
 
 def test_compare_modes_ratio_metadata():
-    spec = ExperimentSpec(**{**FAST, "feature_dim": 999, "seeds": [0],
-                             "iterations": 1, "samples_per_shard": 6,
-                             "test_samples": 20})
+    spec = ExperimentSpec.from_dict({**FAST, "feature_dim": 999, "seeds": [0],
+                                     "iterations": 1, "samples_per_shard": 6,
+                                     "test_samples": 20})
     meta, _ = compare_modes(spec)
     assert meta["bs_payload_ratio"] >= 400

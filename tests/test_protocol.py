@@ -20,7 +20,6 @@ from secagg5g.protocol import (
     MissingShareError,
     ProtocolError,
     UserEquipment,
-    admitted_ues,
     alpha_summation_oracle,
     generate_key,
     route_setup_shares,
@@ -120,12 +119,6 @@ def test_route_shares_rejects_duplicates_and_unknown_bs():
         route_setup_shares(msgs + [msgs[0]], {1, 2, 3, 4})
     with pytest.raises(ValueError):
         route_setup_shares(msgs, {1, 2, 3})
-
-
-def test_partial_setup_means_no_admission():
-    # shares reached only 2 of 4 stations: the device never registers
-    delivered = {1: {1, 2, 3, 4}, 2: {1, 3}}
-    assert admitted_ues(delivered, total_bs=4) == {1}
 
 
 def test_bs_rejects_misrouted_or_duplicate_shares():

@@ -191,12 +191,17 @@ def test_combine_linear_shape_errors():
         combine_linear([], [])
 
 
-def test_combine_linear_matches_bigint_oracle():
-    rng = random.Random(14)
-    payloads = [[rng.randrange(P) for _ in range(6)] for _ in range(4)]
-    coeffs = [rng.randrange(P) for _ in range(4)]
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_combine_linear_matches_bigint_oracle(data):
+    t = data.draw(st.integers(min_value=1, max_value=5))
+    d = data.draw(st.integers(min_value=1, max_value=64))
+    element = st.sampled_from([0, P - 1]) | st.integers(min_value=0, max_value=P - 1)
+    payloads = data.draw(st.lists(st.lists(element, min_size=d, max_size=d),
+                                  min_size=t, max_size=t))
+    coeffs = data.draw(st.lists(element, min_size=t, max_size=t))
     expected = [
-        sum(c * payloads[j][i] for j, c in enumerate(coeffs)) % P for i in range(6)
+        sum(c * payloads[j][i] for j, c in enumerate(coeffs)) % P for i in range(d)
     ]
     assert combine_linear(payloads, coeffs) == expected
 
