@@ -40,12 +40,9 @@ class FlTask:
     def n_shards(self) -> int:
         return len(self.shards)
 
-    def local_update(self, ue_index: int, model: list[float]) -> list[float]:
+    def local_update(self, ue_index: int, model) -> np.ndarray:
         x, y = self.shards[ue_index]
-        delta = local_train(
-            model, x, y, self.learning_rate, self.local_epochs, self.clip_bound
-        )
-        return delta.tolist()
+        return local_train(model, x, y, self.learning_rate, self.local_epochs, self.clip_bound)
 
     def accuracy(self, model: list[float]) -> float:
         return evaluate(model, self.test_x, self.test_y)

@@ -10,14 +10,22 @@ the unit of bandwidth accounting, so nothing here may be approximate.
     MASK_SHARE    mode(1) || dim(4) + elements   (EVALUATED)
                   mode(1) || scalar(8)           (COMPACT)
     GLOBAL_MODEL  dim(4) || float64 weights(8 each)
+
+Field vectors and model weights are numpy arrays (uint64 and float64) and
+go on the wire as their little-endian bytes. Decoding is strict: a message
+must have exactly the length its type and count imply, and every field
+element must lie in [0, p); anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
+import numpy as np
+
+from .field import P, require_canonical
 from .shamir import SecretShare
 
 SETUP_SHARE = 1
@@ -28,6 +36,12 @@ GLOBAL_MODEL = 5
 
 HEADER_LEN = 17
 _HEADER = struct.Struct("<BQQ")
+_COUNT = struct.Struct("<I")
+_WORD = struct.Struct("<Q")
+_SETUP = struct.Struct("<QQQ")
+
+_U64 = np.dtype("<u8")
+_F64 = np.dtype("<f8")
 
 
 class MaskShareMode(IntEnum):
@@ -42,51 +56,78 @@ def _pack_header(msg_type: int, sender: int, iteration: int) -> bytes:
     return _HEADER.pack(msg_type, sender, iteration)
 
 
-@dataclass(frozen=True)
-class SetupShareMsg:
+def _pack_array(values: np.ndarray) -> bytes:
+    return _COUNT.pack(len(values)) + values.tobytes()
+
+
+class _Message:
+    """Exact field-by-field equality; array fields compare element-wise."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                if a is None or b is None or not np.array_equal(a, b):
+                    return False
+            elif a != b:
+                return False
+        return True
+
+
+def _as_array(msg, name: str, dtype: np.dtype) -> None:
+    """Store a frozen message's sequence field as a 1-d array of ``dtype``."""
+    object.__setattr__(msg, name, np.asarray(getattr(msg, name), dtype=dtype))
+
+
+@dataclass(frozen=True, eq=False)
+class SetupShareMsg(_Message):
     sender: int
     iteration: int
     target_bs: int
     share: SecretShare
 
     def to_bytes(self) -> bytes:
-        return _pack_header(SETUP_SHARE, self.sender, self.iteration) + struct.pack(
-            "<QQQ", self.target_bs, self.share.x, self.share.y
+        return _pack_header(SETUP_SHARE, self.sender, self.iteration) + _SETUP.pack(
+            self.target_bs, self.share.x, self.share.y
         )
 
 
-@dataclass(frozen=True)
-class MaskedUpdateMsg:
+@dataclass(frozen=True, eq=False)
+class MaskedUpdateMsg(_Message):
     sender: int
     iteration: int
-    payload: tuple[int, ...]  # encoded update + mask, in Z_p
+    payload: np.ndarray  # uint64: encoded update + mask, in Z_p
+
+    def __post_init__(self):
+        _as_array(self, "payload", _U64)
 
     def to_bytes(self) -> bytes:
-        head = _pack_header(MASKED_UPDATE, self.sender, self.iteration)
-        return head + struct.pack("<I", len(self.payload)) + struct.pack(
-            f"<{len(self.payload)}Q", *self.payload
+        return _pack_header(MASKED_UPDATE, self.sender, self.iteration) + _pack_array(
+            self.payload
         )
 
 
-@dataclass(frozen=True)
-class OnlineListMsg:
+@dataclass(frozen=True, eq=False)
+class OnlineListMsg(_Message):
     sender: int
     iteration: int
     ue_ids: tuple[int, ...]  # sorted ascending
 
     def to_bytes(self) -> bytes:
         head = _pack_header(ONLINE_LIST, self.sender, self.iteration)
-        return head + struct.pack("<I", len(self.ue_ids)) + struct.pack(
+        return head + _COUNT.pack(len(self.ue_ids)) + struct.pack(
             f"<{len(self.ue_ids)}Q", *self.ue_ids
         )
 
 
-@dataclass(frozen=True)
-class MaskShareMsg:
+@dataclass(frozen=True, eq=False)
+class MaskShareMsg(_Message):
     sender: int
     iteration: int
     mode: MaskShareMode
-    vector: tuple[int, ...] | None = None  # EVALUATED payload
+    vector: np.ndarray | None = None  # EVALUATED payload, uint64
     scalar: int | None = None  # COMPACT payload
 
     def __post_init__(self):
@@ -94,60 +135,96 @@ class MaskShareMsg:
             raise ValueError("EVALUATED mask share needs a vector payload")
         if self.mode is MaskShareMode.COMPACT and self.scalar is None:
             raise ValueError("COMPACT mask share needs a scalar payload")
+        if self.vector is not None:
+            _as_array(self, "vector", _U64)
 
     def to_bytes(self) -> bytes:
         head = _pack_header(MASK_SHARE, self.sender, self.iteration)
         if self.mode is MaskShareMode.EVALUATED:
-            body = struct.pack("<I", len(self.vector)) + struct.pack(
-                f"<{len(self.vector)}Q", *self.vector
-            )
+            body = _pack_array(self.vector)
         else:
-            body = struct.pack("<Q", self.scalar)
+            body = _WORD.pack(self.scalar)
         return head + bytes([self.mode]) + body
 
 
-@dataclass(frozen=True)
-class GlobalModelMsg:
+@dataclass(frozen=True, eq=False)
+class GlobalModelMsg(_Message):
     sender: int
     iteration: int
-    weights: tuple[float, ...]
+    weights: np.ndarray  # float64
+
+    def __post_init__(self):
+        _as_array(self, "weights", _F64)
 
     def to_bytes(self) -> bytes:
-        head = _pack_header(GLOBAL_MODEL, self.sender, self.iteration)
-        return head + struct.pack("<I", len(self.weights)) + struct.pack(
-            f"<{len(self.weights)}d", *self.weights
+        return _pack_header(GLOBAL_MODEL, self.sender, self.iteration) + _pack_array(
+            self.weights
         )
 
 
 Message = SetupShareMsg | MaskedUpdateMsg | OnlineListMsg | MaskShareMsg | GlobalModelMsg
 
 
+def _counted(body: bytes, offset: int, dtype: np.dtype) -> np.ndarray:
+    """The count-prefixed array at ``offset``, which must end the body exactly."""
+    if len(body) < offset + _COUNT.size:
+        raise ValueError("truncated element count")
+    (count,) = _COUNT.unpack_from(body, offset)
+    start = offset + _COUNT.size
+    _expect_length(body, start + count * dtype.itemsize)
+    return np.frombuffer(body, dtype=dtype, count=count, offset=start)
+
+
+def _expect_length(body: bytes, length: int) -> None:
+    if len(body) < length:
+        raise ValueError(f"truncated body: {len(body)} bytes, expected {length}")
+    if len(body) > length:
+        raise ValueError(f"{len(body) - length} trailing bytes after the message")
+
+
+def _field_scalar(value: int) -> int:
+    if value >= P:
+        raise ValueError(f"field element {value} is not below p = {P}")
+    return value
+
+
+def _field_vector(body: bytes, offset: int) -> np.ndarray:
+    vec = _counted(body, offset, _U64)
+    require_canonical(vec)
+    return vec
+
+
 def from_bytes(data: bytes) -> Message:
-    """Decode a serialized message; inverse of ``to_bytes`` bit for bit."""
+    """Decode a serialized message; inverse of ``to_bytes`` bit for bit.
+
+    Raises ValueError for an unknown type or mode, a length other than the
+    one the type and count imply, or a field element >= p. Arrays in the
+    result are read-only views of the received bytes.
+    """
     if len(data) < HEADER_LEN:
         raise ValueError("truncated header")
     msg_type, sender, iteration = _HEADER.unpack_from(data)
     body = data[HEADER_LEN:]
     if msg_type == SETUP_SHARE:
-        target_bs, x, y = struct.unpack("<QQQ", body)
-        return SetupShareMsg(sender, iteration, target_bs, SecretShare(x, y))
+        _expect_length(body, _SETUP.size)
+        target_bs, x, y = _SETUP.unpack(body)
+        return SetupShareMsg(sender, iteration, target_bs, SecretShare(x, _field_scalar(y)))
     if msg_type == MASKED_UPDATE:
-        (dim,) = struct.unpack_from("<I", body)
-        return MaskedUpdateMsg(sender, iteration, struct.unpack_from(f"<{dim}Q", body, 4))
+        return MaskedUpdateMsg(sender, iteration, _field_vector(body, 0))
     if msg_type == ONLINE_LIST:
-        (count,) = struct.unpack_from("<I", body)
-        return OnlineListMsg(sender, iteration, struct.unpack_from(f"<{count}Q", body, 4))
+        ids = _counted(body, 0, _U64)
+        return OnlineListMsg(sender, iteration, tuple(ids.tolist()))
     if msg_type == MASK_SHARE:
+        if not body:
+            raise ValueError("truncated mask share mode")
         mode = MaskShareMode(body[0])
         if mode is MaskShareMode.EVALUATED:
-            (dim,) = struct.unpack_from("<I", body, 1)
-            vec = struct.unpack_from(f"<{dim}Q", body, 5)
-            return MaskShareMsg(sender, iteration, mode, vector=vec)
-        (scalar,) = struct.unpack_from("<Q", body, 1)
-        return MaskShareMsg(sender, iteration, mode, scalar=scalar)
+            return MaskShareMsg(sender, iteration, mode, vector=_field_vector(body, 1))
+        _expect_length(body, 1 + _WORD.size)
+        (scalar,) = _WORD.unpack_from(body, 1)
+        return MaskShareMsg(sender, iteration, mode, scalar=_field_scalar(scalar))
     if msg_type == GLOBAL_MODEL:
-        (dim,) = struct.unpack_from("<I", body)
-        return GlobalModelMsg(sender, iteration, struct.unpack_from(f"<{dim}d", body, 4))
+        return GlobalModelMsg(sender, iteration, _counted(body, 0, _F64))
     raise ValueError(f"unknown message type {msg_type}")
 
 

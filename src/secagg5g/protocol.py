@@ -14,8 +14,8 @@ Entities are passive state machines: a message in causes a state change and
 zero or more messages out. The discrete-event harness in ``simnet`` drives
 them; tests may also drive them directly.
 
-``alpha_summation_oracle`` is the ideal behavior the protocol is checked
-against in tests: release plaintext sums only for sufficiently large sets.
+Field vectors (masked updates, masks) are canonical uint64 arrays
+(``field``); the server's model is a float64 array.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import logging
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+
+import numpy as np
 
 from . import field, khprf, shamir
 from .field import FixedPointCodec
@@ -69,8 +71,8 @@ class UserEquipment:
     key: int
     codec: FixedPointCodec
     dim: int
-    current_model: list[float] = dc_field(default_factory=list)
-    precomputed_masks: list[list[int]] | None = None
+    current_model: list[float] | np.ndarray = dc_field(default_factory=list)
+    precomputed_masks: np.ndarray | None = None  # read-only (iterations, dim)
     _setup_done: bool = False
     _used_iterations: set[int] = dc_field(default_factory=set)
 
@@ -104,9 +106,9 @@ class UserEquipment:
             mask = self.precomputed_masks[t]
         else:
             mask = khprf.evaluate(self.key, t, self.dim)
-        payload = field.vec_add(field.encode_update(w, self.codec), mask)
+        payload = field.encode_masked(w, self.codec, mask)
         self._used_iterations.add(t)
-        return MaskedUpdateMsg(sender=self.ue_id, iteration=t, payload=tuple(payload))
+        return MaskedUpdateMsg(sender=self.ue_id, iteration=t, payload=payload)
 
 
 def route_setup_shares(
@@ -172,7 +174,7 @@ class BaseStation:
         if mode is MaskShareMode.EVALUATED:
             return MaskShareMsg(
                 sender=self.bs_id, iteration=t, mode=mode,
-                vector=tuple(khprf.evaluate(summed, t, d)),
+                vector=khprf.evaluate(summed, t, d),
             )
         return MaskShareMsg(sender=self.bs_id, iteration=t, mode=mode, scalar=summed)
 
@@ -187,14 +189,14 @@ class Aggregator:
     codec: FixedPointCodec
     dim: int
     iteration: int = 0
-    global_model: list[float] = dc_field(default_factory=list)
-    masked_updates: dict[int, tuple[int, ...]] = dc_field(default_factory=dict)
+    global_model: np.ndarray | None = None  # float64, zeros until the first update
+    masked_updates: dict[int, np.ndarray] = dc_field(default_factory=dict)
     online_ids: tuple[int, ...] | None = None
     _warned_compact: bool = False
 
     def __post_init__(self):
-        if not self.global_model:
-            self.global_model = [0.0] * self.dim
+        if self.global_model is None:
+            self.global_model = np.zeros(self.dim)
 
     def begin_round(self, t: int) -> None:
         self.iteration = t
@@ -202,7 +204,11 @@ class Aggregator:
         self.online_ids = None
 
     def collect_update(self, msg: MaskedUpdateMsg) -> CollectStatus:
-        """Log the sender as online; reject duplicates, drop stale rounds."""
+        """Log the sender as online; reject duplicates, drop stale rounds.
+
+        Raises ValueError for a payload of the wrong dimension or with an
+        element outside [0, p).
+        """
         if msg.iteration != self.iteration:
             return CollectStatus.STALE
         if msg.sender in self.masked_updates:
@@ -211,6 +217,7 @@ class Aggregator:
             raise ValueError(
                 f"masked update dim {len(msg.payload)} != model dim {self.dim}"
             )
+        field.require_canonical(msg.payload)
         self.masked_updates[msg.sender] = msg.payload
         return CollectStatus.ACCEPTED
 
@@ -232,7 +239,7 @@ class Aggregator:
 
     def recover_mask(
         self, shares: dict[int, MaskShareMsg], mode: MaskShareMode, d: int
-    ) -> list[int] | None:
+    ) -> np.ndarray | None:
         """Reconstruct the sum of online devices' masks from BS shares.
 
         Uses the threshold-many lowest-indexed responding stations, for
@@ -257,10 +264,9 @@ class Aggregator:
             for lam, j in zip(coeffs, chosen):
                 summed_key = field.add(summed_key, field.mul(lam, shares[j].scalar))
             return khprf.evaluate(summed_key, self.iteration, d)
-        payloads = [list(shares[j].vector) for j in chosen]
-        return shamir.combine_linear(payloads, coeffs)
+        return shamir.combine_linear([shares[j].vector for j in chosen], coeffs)
 
-    def unmask_and_aggregate(self, agg_mask: list[int]) -> list[float]:
+    def unmask_and_aggregate(self, agg_mask: np.ndarray) -> np.ndarray:
         """Subtract the mask sum, decode, average, and fold into the model.
 
         Returns the global update (uniform average over the online list).
@@ -268,53 +274,21 @@ class Aggregator:
         """
         if self.online_ids is None:
             raise ProtocolError("online list not finalized")
-        masked_sum = [0] * self.dim
-        for ue in self.online_ids:
-            masked_sum = field.vec_add(masked_sum, list(self.masked_updates[ue]))
-        encoded_sum = field.vec_sub(masked_sum, agg_mask)
+        masked = np.stack([self.masked_updates[ue] for ue in self.online_ids])
+        encoded_sum = field.vec_sub(field.vec_sum(masked), agg_mask)
         count = len(self.online_ids)
-        decoded = field.decode_sum(encoded_sum, self.codec, count)
-        update = [x / count for x in decoded]
-        self.global_model = [m + u for m, u in zip(self.global_model, update)]
+        update = field.decode_sum(encoded_sum, self.codec, count) / count
+        self.global_model = self.global_model + update
         return update
 
     def global_model_message(self) -> GlobalModelMsg:
         return GlobalModelMsg(
             sender=AF_SENDER_ID,
             iteration=self.iteration,
-            weights=tuple(self.global_model),
+            weights=self.global_model,
         )
 
     def fallback(self) -> GlobalModelMsg:
         """Halt this round: redistribute the previous model unchanged."""
         return self.global_model_message()
 
-
-def alpha_summation_oracle(
-    partition: list[set[int]],
-    updates: dict[int, list[int]],
-    alpha: float,
-    n: int,
-) -> list[list[int] | None]:
-    """Ideal summation: per disjoint set, the plaintext field sum if the set
-    clears the participation floor ceil(alpha * n), else None.
-
-    Test oracle only; the protocol's end-to-end output must match it.
-    """
-    seen: set[int] = set()
-    for group in partition:
-        if seen & group:
-            raise ValueError("partition sets overlap")
-        seen |= group
-    floor = math.ceil(alpha * n)
-    results: list[list[int] | None] = []
-    for group in partition:
-        if len(group) < floor:
-            results.append(None)
-            continue
-        members = sorted(group)
-        total = list(updates[members[0]])
-        for ue in members[1:]:
-            total = field.vec_add(total, updates[ue])
-        results.append(total)
-    return results

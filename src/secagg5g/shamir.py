@@ -15,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from . import field
 from .field import P
 
 
@@ -94,11 +97,13 @@ def recover(shares: Iterable[SecretShare], acc: AccessStructure, prime: int = P)
     return sum(lam * s.y for lam, s in zip(coeffs, shares)) % prime
 
 
-def combine_linear(payloads: Sequence[list[int]], coeffs: Sequence[int]) -> list[int]:
+def combine_linear(payloads: Sequence, coeffs: Sequence[int]) -> np.ndarray:
     """Componentwise sum(coeffs[j] * payloads[j]) mod P.
 
     Applied to per-share mask vectors with Lagrange coefficients this
-    performs vector-valued reconstruction.
+    performs vector-valued reconstruction. Payloads are equal-length
+    sequences or uint64 arrays of canonical elements; coefficients are
+    canonical ints.
     """
     if len(payloads) != len(coeffs):
         raise ValueError(f"{len(payloads)} payloads vs {len(coeffs)} coefficients")
@@ -107,7 +112,6 @@ def combine_linear(payloads: Sequence[list[int]], coeffs: Sequence[int]) -> list
     dim = len(payloads[0])
     if any(len(p) != dim for p in payloads):
         raise ValueError("payload dimensions differ")
-    acc = [0] * dim
-    for lam, payload in zip(coeffs, payloads):
-        acc = [a + lam * v for a, v in zip(acc, payload)]
-    return [a % P for a in acc]
+    rows = np.array(payloads, dtype=np.uint64)
+    lams = np.array(coeffs, dtype=np.uint64)[:, None]
+    return field.vec_sum(field.mulmod(lams, rows))

@@ -422,7 +422,7 @@ class _Simulation:
             return
         if isinstance(msg, GlobalModelMsg):
             account_message(metrics, msg, "af", "ue")
-            self.ues[dst_id].current_model = list(msg.weights)
+            self.ues[dst_id].current_model = msg.weights
             return
         raise RuntimeError(f"unroutable message {msg!r}")
 
@@ -449,7 +449,7 @@ class _Simulation:
     def _close_round(self, state: _RoundState) -> None:
         state.done = True
         state.metrics.accuracy = self.task.accuracy(self.af.global_model)
-        self.model_history.append(list(self.af.global_model))
+        self.model_history.append(self.af.global_model.tolist())
         model_msg = self.af.global_model_message()
         last_arrival = self.now
         for i in state.online_ues:
@@ -482,7 +482,7 @@ class _Simulation:
             config=self.cfg,
             setup=self.setup_metrics,
             rounds=rounds,
-            final_model=list(self.af.global_model),
+            final_model=self.af.global_model.tolist(),
             model_history=self.model_history,
         )
 

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from oracles import EDGE_ELEMENTS
 from secagg5g import khprf
 from secagg5g.field import P
 from secagg5g.shamir import AccessStructure, lagrange_coeffs_at_zero, split
 
 keys = st.integers(min_value=0, max_value=P - 1)
+edge_keys = st.sampled_from(EDGE_ELEMENTS) | keys
 
 # sha256sum over the 27-byte input b"STANDFIRM-H" + two LE64 zeros gives
 # f621cfd81b157ef287d08dec234a38af...; first 16 digest bytes little-endian,
@@ -52,13 +54,13 @@ def test_hash_to_field_uniformity():
 
 
 def test_evaluate_zero_key_is_zero_mask():
-    assert khprf.evaluate(0, 4, 6) == [0] * 6
+    assert khprf.evaluate(0, 4, 6).tolist() == [0] * 6
 
 
 def test_evaluate_identity_key_returns_coefficients():
     d = 5
     expected = [khprf.hash_to_field(khprf.DOMAIN_TAG, 9, i) for i in range(d)]
-    assert khprf.evaluate(1, 9, d) == expected
+    assert khprf.evaluate(1, 9, d).tolist() == expected
 
 
 def test_evaluate_rejects_empty_dimension():
@@ -69,8 +71,9 @@ def test_evaluate_rejects_empty_dimension():
 @settings(max_examples=200)
 @given(keys, keys, st.integers(min_value=0, max_value=1000))
 def test_key_homomorphism(k1, k2, t):
-    lhs = khprf.evaluate((k1 + k2) % P, t, 8)
-    rhs = [(a + b) % P for a, b in zip(khprf.evaluate(k1, t, 8), khprf.evaluate(k2, t, 8))]
+    lhs = khprf.evaluate((k1 + k2) % P, t, 8).tolist()
+    rhs = [(a + b) % P for a, b in zip(khprf.evaluate(k1, t, 8).tolist(),
+                                       khprf.evaluate(k2, t, 8).tolist())]
     assert lhs == rhs
 
 
@@ -79,10 +82,10 @@ def test_homomorphism_extends_to_eight_key_sums():
     for count in range(2, 9):
         ks = [rng.randrange(P) for _ in range(count)]
         t = rng.randrange(100)
-        summed = khprf.evaluate(sum(ks) % P, t, 16)
+        summed = khprf.evaluate(sum(ks) % P, t, 16).tolist()
         acc = [0] * 16
         for k in ks:
-            acc = [(a + b) % P for a, b in zip(acc, khprf.evaluate(k, t, 16))]
+            acc = [(a + b) % P for a, b in zip(acc, khprf.evaluate(k, t, 16).tolist())]
         assert summed == acc
 
 
@@ -94,19 +97,19 @@ def test_lagrange_compatibility_all_subsets():
         key = rng.randrange(P)
         t = rng.randrange(50)
         shares = split(key, acc, rng)
-        reference = khprf.evaluate(key, t, 10)
+        reference = khprf.evaluate(key, t, 10).tolist()
         for subset in combinations(shares, 3):
             lams = lagrange_coeffs_at_zero([s.x for s in subset])
             acc_vec = [0] * 10
             for lam, s in zip(lams, subset):
-                vec = khprf.evaluate(s.y, t, 10)
+                vec = khprf.evaluate(s.y, t, 10).tolist()
                 acc_vec = [(a + lam * v) % P for a, v in zip(acc_vec, vec)]
             assert acc_vec == reference
 
 
 def test_precompute_single_iteration():
     key = 321
-    assert khprf.precompute_masks(key, 1, 7) == [khprf.evaluate(key, 0, 7)]
+    assert khprf.precompute_masks(key, 1, 7).tolist() == [khprf.evaluate(key, 0, 7).tolist()]
 
 
 def test_precompute_matches_on_the_fly():
@@ -114,7 +117,7 @@ def test_precompute_matches_on_the_fly():
     key = rng.randrange(P)
     table = khprf.precompute_masks(key, 20, 9)
     for t in range(20):
-        assert table[t] == khprf.evaluate(key, t, 9)
+        assert table[t].tolist() == khprf.evaluate(key, t, 9).tolist()
 
 
 def test_precompute_rejects_zero_iterations():
@@ -133,3 +136,46 @@ def test_precompute_cost_scales_roughly_linearly():
     khprf.precompute_masks(123, 40, 64)
     large = time.perf_counter() - start
     assert large < max(small, 1e-4) * 200
+
+
+# -- uint64 evaluation against the plain-int reference -------------------------
+
+
+@pytest.mark.parametrize("t,d", [(0, 1), (0, 5), (3, 17), (99, 64), (2**40, 3)])
+def test_coefficient_vector_matches_hash_to_field(t, d):
+    want = [khprf.hash_to_field(khprf.DOMAIN_TAG, t, i) for i in range(d)]
+    assert khprf.coefficient_vector(t, d).tolist() == want
+
+
+def test_coefficient_vector_keeps_the_golden_value():
+    assert khprf.coefficient_vector(0, 1).tolist() == [GOLDEN_H_0_0]
+
+
+@settings(max_examples=200)
+@given(edge_keys, st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=24))
+def test_evaluate_matches_plain_ints(key, t, d):
+    want = [key * khprf.hash_to_field(khprf.DOMAIN_TAG, t, i) % P for i in range(d)]
+    assert khprf.evaluate(key, t, d).tolist() == want
+
+
+@settings(max_examples=50)
+@given(edge_keys, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=9))
+def test_precompute_rows_equal_evaluate(key, iterations, d):
+    table = khprf.precompute_masks(key, iterations, d)
+    assert table.shape == (iterations, d)
+    assert [row.tolist() for row in table] == [
+        khprf.evaluate(key, t, d).tolist() for t in range(iterations)]
+
+
+def test_cached_coefficients_and_mask_rows_are_read_only():
+    # an in-place write would silently corrupt every later mask of that
+    # iteration, for every key, since the arrays are shared
+    coeffs = khprf.coefficient_vector(4, 6)
+    before = coeffs.tolist()
+    with pytest.raises(ValueError):
+        coeffs += 1
+    table = khprf.precompute_masks(7, 3, 6)
+    with pytest.raises(ValueError):
+        table[1] += 1
+    assert khprf.coefficient_vector(4, 6).tolist() == before
+    assert table[1].tolist() == khprf.evaluate(7, 1, 6).tolist()

@@ -1,5 +1,9 @@
-"""Wire-format tests: bit-exact round trips and exact byte lengths."""
+"""Wire-format tests: bit-exact round trips, exact byte lengths, and strict
+decoding of malformed, truncated and over-long input."""
 
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,3 +96,86 @@ def test_message_tags_are_fixed():
     assert messages.MASK_SHARE == 4
     assert messages.GLOBAL_MODEL == 5
     assert messages.HEADER_LEN == 17
+
+
+# -- strict decoding -----------------------------------------------------------
+
+messages_st = st.one_of(
+    st.builds(lambda s, t, x, y: SetupShareMsg(s, t, x, SecretShare(x, y)),
+              ids, ids, st.integers(min_value=1, max_value=100), elements),
+    st.builds(lambda s, t, v: MaskedUpdateMsg(s, t, v), ids, ids,
+              st.lists(elements, min_size=0, max_size=20)),
+    st.builds(lambda t, v: OnlineListMsg(0, t, tuple(sorted(v))), ids,
+              st.lists(ids, max_size=10, unique=True)),
+    st.builds(lambda s, v: MaskShareMsg(s, 1, MaskShareMode.EVALUATED, vector=v), ids,
+              st.lists(elements, min_size=0, max_size=20)),
+    st.builds(lambda s, k: MaskShareMsg(s, 1, MaskShareMode.COMPACT, scalar=k), ids, elements),
+    st.builds(lambda t, w: GlobalModelMsg(0, t, w), ids,
+              st.lists(st.floats(width=64, allow_nan=False), max_size=20)),
+)
+
+
+@given(messages_st)
+def test_every_message_round_trips_bit_for_bit(msg):
+    raw = msg.to_bytes()
+    back = from_bytes(raw)
+    assert back == msg
+    assert back.to_bytes() == raw
+
+
+@given(messages_st, st.data())
+def test_truncated_message_raises_value_error(msg, data):
+    raw = msg.to_bytes()
+    cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+    with pytest.raises(ValueError):
+        from_bytes(raw[:cut])
+
+
+@given(messages_st, st.binary(min_size=1, max_size=24))
+def test_trailing_bytes_raise_value_error(msg, extra):
+    with pytest.raises(ValueError):
+        from_bytes(msg.to_bytes() + extra)
+
+
+@given(st.integers(min_value=0, max_value=7), st.binary(max_size=80))
+def test_arbitrary_bytes_decode_canonically_or_raise(msg_type, tail):
+    # whatever decodes must be the unique encoding of its message
+    raw = bytes([msg_type]) + tail
+    try:
+        msg = from_bytes(raw)
+    except ValueError:
+        return
+    assert msg.to_bytes() == raw
+
+
+@pytest.mark.parametrize("bad", [P, P + 1, 2**64 - 1])
+def test_out_of_field_elements_rejected(bad):
+    head = struct.pack("<QQ", 7, 0)
+    cases = [
+        bytes([messages.SETUP_SHARE]) + head + struct.pack("<QQQ", 2, 2, bad),
+        bytes([messages.MASKED_UPDATE]) + head + struct.pack("<I3Q", 3, 1, bad, 2),
+        bytes([messages.MASK_SHARE]) + head + bytes([0]) + struct.pack("<I2Q", 2, bad, 0),
+        bytes([messages.MASK_SHARE]) + head + bytes([1]) + struct.pack("<Q", bad),
+    ]
+    for raw in cases:
+        with pytest.raises(ValueError):
+            from_bytes(raw)
+
+
+def test_vectors_decode_as_arrays():
+    msg = from_bytes(MaskedUpdateMsg(1, 0, (P - 1, 0, 5)).to_bytes())
+    assert msg.payload.dtype == np.uint64
+    assert msg.payload.tolist() == [P - 1, 0, 5]
+    model = from_bytes(GlobalModelMsg(0, 0, (0.5, -0.0)).to_bytes())
+    assert model.weights.dtype == np.float64
+    assert model.weights.tobytes() == struct.pack("<2d", 0.5, -0.0)
+
+
+def test_array_fields_compare_exactly():
+    a = MaskedUpdateMsg(1, 0, (1, 2, 3))
+    assert a == MaskedUpdateMsg(1, 0, np.array([1, 2, 3], dtype=np.uint64))
+    assert a != MaskedUpdateMsg(1, 0, (1, 2, 4))
+    assert a != MaskedUpdateMsg(1, 0, (1, 2))
+    assert a != MaskedUpdateMsg(2, 0, (1, 2, 3))
+    evaluated = MaskShareMsg(1, 0, MaskShareMode.EVALUATED, vector=(5,))
+    assert evaluated != MaskShareMsg(1, 0, MaskShareMode.COMPACT, scalar=5)

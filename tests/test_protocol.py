@@ -12,7 +12,7 @@ import pytest
 
 from secagg5g import field, khprf
 from secagg5g.field import P, FixedPointCodec, decode_sum, encode_update
-from secagg5g.messages import MaskShareMode, OnlineListMsg, payload_length
+from secagg5g.messages import MaskedUpdateMsg, MaskShareMode, OnlineListMsg, payload_length
 from secagg5g.protocol import (
     Aggregator,
     BaseStation,
@@ -20,10 +20,10 @@ from secagg5g.protocol import (
     MissingShareError,
     ProtocolError,
     UserEquipment,
-    alpha_summation_oracle,
     generate_key,
     route_setup_shares,
 )
+from oracles import alpha_summation_oracle
 from secagg5g.shamir import AccessStructure
 
 CODEC = FixedPointCodec(frac_bits=16, magnitude_bound=1.0, max_summands=1024)
@@ -140,7 +140,7 @@ def test_zero_update_payload_is_the_mask():
     ues, *_ = make_fleet(seed=10)
     ue = ues[1]
     msg = ue.masked_update([0.0] * ue.dim, t=0)
-    assert list(msg.payload) == khprf.evaluate(ue.key, 0, ue.dim)
+    assert msg.payload.tolist() == khprf.evaluate(ue.key, 0, ue.dim).tolist()
 
 
 def test_unmasking_recovers_the_update():
@@ -158,7 +158,7 @@ def test_distinct_keys_give_distinct_masks():
     ues, *_ = make_fleet(seed=12)
     m1 = ues[1].masked_update([0.0] * 12, t=0)
     m2 = ues[2].masked_update([0.0] * 12, t=0)
-    assert m1.payload != m2.payload
+    assert m1.payload.tolist() != m2.payload.tolist()
 
 
 def test_mask_reuse_rejected():
@@ -181,7 +181,7 @@ def test_precomputed_masks_bitwise_equal_on_the_fly():
     ues[2].key = ues[1].key  # same key, precomputed path
     ues[2].precompute(10)
     precomputed = ues[2].masked_update(w, t=5)
-    assert spontaneous.payload == precomputed.payload
+    assert spontaneous.payload.tolist() == precomputed.payload.tolist()
 
 
 # -- collection and the online list ------------------------------------------
@@ -203,6 +203,30 @@ def test_duplicate_update_rejected():
     assert af.collect_update(msg) is CollectStatus.ACCEPTED
     assert af.collect_update(msg) is CollectStatus.DUPLICATE
     assert len(af.masked_updates) == 1
+
+
+def test_out_of_field_update_rejected():
+    # a uint64 >= p would wrap mod 2^64 inside the kernels, not mod p
+    ues, bss, af, *_ = make_fleet(seed=25)
+    af.begin_round(0)
+    good = ues[1].masked_update([0.0] * 12, 0).payload.tolist()
+    for bad in (P, 2**64 - 1):
+        with pytest.raises(ValueError):
+            af.collect_update(MaskedUpdateMsg(2, 0, good[:5] + [bad] + good[6:]))
+    assert not af.masked_updates
+
+
+def test_masked_update_matches_plain_ints():
+    ues, *_ = make_fleet(seed=16)
+    ue = ues[3]
+    rng = random.Random(4)
+    w = [rng.uniform(-1, 1) for _ in range(10)] + [1.0, -1.0]
+    mask = [ue.key * khprf.hash_to_field(khprf.DOMAIN_TAG, 6, i) % P for i in range(12)]
+    want = [(round(x * 2**16) + m) % P for x, m in zip(w, mask)]
+    assert ue.masked_update(w, 6).payload.tolist() == want
+    ue.precompute(8)
+    ue._used_iterations.clear()
+    assert ue.masked_update(w, 6).payload.tolist() == want
 
 
 def test_stale_update_dropped():
@@ -243,7 +267,7 @@ def test_single_ue_list_share_is_plain_evaluation():
     ues, bss, af, *_ = make_fleet(seed=30)
     online = OnlineListMsg(0, 2, (5,))
     share = bss[1].mask_share(online, 2, MaskShareMode.EVALUATED, 12)
-    assert list(share.vector) == khprf.evaluate(bss[1].stored_shares[5].y, 2, 12)
+    assert share.vector.tolist() == khprf.evaluate(bss[1].stored_shares[5].y, 2, 12).tolist()
 
 
 def test_evaluated_share_equals_sum_of_per_ue_evaluations():
@@ -290,7 +314,7 @@ def test_recovery_with_all_stations(mode):
     rng = random.Random(1)
     updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in ues}
     online, mask = run_round(ues, bss, af, 0, list(ues), list(bss), mode, 12, updates)
-    assert mask == per_ue_mask_sum_oracle(ues, online.ue_ids, 0, 12)
+    assert mask.tolist() == per_ue_mask_sum_oracle(ues, online.ue_ids, 0, 12)
 
 
 def test_recovery_with_exactly_three_stations_identical():
@@ -301,7 +325,7 @@ def test_recovery_with_exactly_three_stations_identical():
     ues2, bss2, af2, *_ = make_fleet(seed=41)
     _, mask_three = run_round(ues2, bss2, af2, 0, list(ues2), [2, 3, 4],
                               MaskShareMode.EVALUATED, 12, updates)
-    assert mask_all == mask_three
+    assert mask_all.tolist() == mask_three.tolist()
 
 
 def test_recovery_fails_with_two_stations():
@@ -321,7 +345,7 @@ def test_mode_equivalence_bitwise():
         updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in ues}
         _, mask = run_round(ues, bss, af, 0, list(ues), [1, 2, 3], mode, 12, updates)
         results.append(mask)
-    assert results[0] == results[1]
+    assert results[0].tolist() == results[1].tolist()
 
 
 def test_unmask_average_of_one():
@@ -345,6 +369,27 @@ def test_unmask_matches_plaintext_average_oracle():
     assert max(abs(u - o) for u, o in zip(update, oracle)) <= 2.0**-17
 
 
+def test_unmask_is_bit_identical_to_plain_float_ops():
+    # plain ints for the field, then the same float64 operations in the same
+    # order: decode each sum component, divide by the count, add to the model
+    ues, bss, af, *_ = make_fleet(seed=50)
+    rng = random.Random(5)
+    af.global_model = [rng.uniform(-4, 4) for _ in range(12)]
+    model = list(af.global_model)
+    online_ids = [1, 2, 4, 6, 7]
+    updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in ues}
+    online, mask = run_round(ues, bss, af, 0, online_ids, list(bss),
+                             MaskShareMode.EVALUATED, 12, updates)
+    encoded_sum = [
+        (sum(int(af.masked_updates[i][c]) for i in online_ids) - int(mask[c])) % P
+        for c in range(12)
+    ]
+    want = [(x - P if x > P // 2 else x) / 2**16 / 5 for x in encoded_sum]
+    update = af.unmask_and_aggregate(mask)
+    assert update.tolist() == want
+    assert af.global_model.tolist() == [m + u for m, u in zip(model, want)]
+
+
 def test_unmask_identical_updates_is_fixed_point():
     ues, bss, af, *_ = make_fleet(seed=46)
     w = [(-1) ** c * 0.125 for c in range(12)]
@@ -363,7 +408,7 @@ def test_dropped_ue_contributes_nothing():
     online, mask = run_round(ues, bss, af, 0, online_ids, list(bss),
                              MaskShareMode.EVALUATED, 12, updates)
     assert online.ue_ids == tuple(online_ids)
-    assert mask == per_ue_mask_sum_oracle(ues, online_ids, 0, 12)
+    assert mask.tolist() == per_ue_mask_sum_oracle(ues, online_ids, 0, 12)
     update = af.unmask_and_aggregate(mask)
     assert max(abs(u - 0.25) for u in update) <= 2.0**-17
 
@@ -394,7 +439,7 @@ def test_threshold_privacy_surrogate():
     # no pair of stations' payloads equals any device's individual mask
     for j in (1, 2):
         for i in ues:
-            assert list(shares[j].vector) != khprf.evaluate(ues[i].key, 0, 12)
+            assert shares[j].vector.tolist() != khprf.evaluate(ues[i].key, 0, 12).tolist()
 
 
 # -- ideal-functionality oracle ----------------------------------------------
@@ -433,4 +478,4 @@ def test_protocol_output_matches_alpha_oracle():
         encoded = {i: encode_update(updates[i], CODEC) for i in online_ids}
         [oracle_sum] = alpha_summation_oracle([set(online_ids)], encoded,
                                               alpha=1.0 / 3.0, n=8)
-        assert protocol_sum == oracle_sum
+        assert protocol_sum.tolist() == oracle_sum

@@ -142,6 +142,13 @@ def test_identical_seed_identical_run():
     assert a.final_model == b.final_model
 
 
+def test_result_models_are_lists_of_python_floats():
+    result = run_simulation(small_cfg(iterations=3), DropoutSchedule.none(), small_task())
+    for model in (result.final_model, *result.model_history):
+        assert type(model) is list and len(model) == 10
+        assert all(type(x) is float for x in model)
+
+
 def test_protocol_seed_never_perturbs_models():
     # masks cancel field-exactly, so fresh keys and latencies leave the
     # model trajectory bitwise unchanged; only the task data moves it
