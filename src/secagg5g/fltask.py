@@ -20,11 +20,15 @@ class FlTask:
     The model is a linear classifier with bias, dimension feature_dim + 1.
     Local updates are parameter deltas clipped componentwise to clip_bound
     so they always fit the protocol's fixed-point codec.
+
+    Feature matrices are stored once, with the bias column of ones already
+    appended (``biased_shards``, ``test_xb``); ``shards`` and ``test_x`` are
+    views of them without that column.
     """
 
     feature_dim: int
-    shards: list[tuple[np.ndarray, np.ndarray]]
-    test_x: np.ndarray
+    biased_shards: list[tuple[np.ndarray, np.ndarray]]
+    test_xb: np.ndarray
     test_y: np.ndarray
     learning_rate: float
     local_epochs: int
@@ -38,14 +42,22 @@ class FlTask:
 
     @property
     def n_shards(self) -> int:
-        return len(self.shards)
+        return len(self.biased_shards)
+
+    @property
+    def shards(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(xb[:, :-1], y) for xb, y in self.biased_shards]
+
+    @property
+    def test_x(self) -> np.ndarray:
+        return self.test_xb[:, :-1]
 
     def local_update(self, ue_index: int, model) -> np.ndarray:
-        x, y = self.shards[ue_index]
-        return local_train(model, x, y, self.learning_rate, self.local_epochs, self.clip_bound)
+        xb, y = self.biased_shards[ue_index]
+        return _train(model, xb, y, self.learning_rate, self.local_epochs, self.clip_bound)
 
     def accuracy(self, model: list[float]) -> float:
-        return evaluate(model, self.test_x, self.test_y)
+        return _accuracy(model, self.test_xb, self.test_y)
 
 
 def generate_data(
@@ -72,27 +84,29 @@ def generate_data(
     mean = (blob_separation / 2.0) * direction
 
     def draw(count):
+        # features are drawn straight into the biased matrix: no unbiased copy
         half = count // 2
-        pos = rng.normal(size=(half, feature_dim)) + mean
-        negative = rng.normal(size=(count - half, feature_dim)) - mean
-        x = np.concatenate([pos, negative])
+        xb = np.empty((count, feature_dim + 1))
+        np.add(rng.normal(size=(half, feature_dim)), mean, out=xb[:half, :-1])
+        np.subtract(rng.normal(size=(count - half, feature_dim)), mean, out=xb[half:, :-1])
+        xb[:, -1] = 1.0
         y = np.concatenate([np.ones(half), -np.ones(count - half)])
         order = rng.permutation(count)
-        return x[order], y[order]
+        return xb[order], y[order]
 
-    train_x, train_y = draw(n_ues * samples_per_shard)
-    shards = [
+    train_xb, train_y = draw(n_ues * samples_per_shard)
+    biased_shards = [
         (
-            train_x[i * samples_per_shard : (i + 1) * samples_per_shard],
+            train_xb[i * samples_per_shard : (i + 1) * samples_per_shard],
             train_y[i * samples_per_shard : (i + 1) * samples_per_shard],
         )
         for i in range(n_ues)
     ]
-    test_x, test_y = draw(test_samples)
+    test_xb, test_y = draw(test_samples)
     return FlTask(
         feature_dim=feature_dim,
-        shards=shards,
-        test_x=test_x,
+        biased_shards=biased_shards,
+        test_xb=test_xb,
         test_y=test_y,
         learning_rate=learning_rate,
         local_epochs=local_epochs,
@@ -126,9 +140,14 @@ def local_train(
 ) -> np.ndarray:
     """Full-batch gradient descent on the logistic loss; returns the clipped
     parameter delta. Zero epochs gives a zero update."""
+    return _train(model, _with_bias(x), y, lr, epochs, clip_bound)
+
+
+def _train(model, xb: np.ndarray, y: np.ndarray, lr: float, epochs: int,
+           clip_bound: float) -> np.ndarray:
+    """``local_train`` on features that already carry the bias column."""
     w = np.asarray(model, dtype=np.float64).copy()
     start = w.copy()
-    xb = _with_bias(x)
     for _ in range(epochs):
         z = xb @ w
         grad = -(xb.T @ (y * _sigmoid(-y * z))) / len(y)
@@ -138,6 +157,11 @@ def local_train(
 
 def evaluate(model, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of test points whose predicted sign matches the label."""
-    z = _with_bias(x) @ np.asarray(model, dtype=np.float64)
+    return _accuracy(model, _with_bias(x), y)
+
+
+def _accuracy(model, xb: np.ndarray, y: np.ndarray) -> float:
+    """``evaluate`` on features that already carry the bias column."""
+    z = xb @ np.asarray(model, dtype=np.float64)
     predictions = np.where(z >= 0.0, 1.0, -1.0)
     return float(np.mean(predictions == y))

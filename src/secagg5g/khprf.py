@@ -1,10 +1,20 @@
 """Key-homomorphic pseudorandom masks: F(key, t)[i] = key * H(t, i) mod p.
 
-H derives public per-(iteration, index) coefficients from SHA-256, so the
-construction is exactly additive in the key: F(k1 + k2, t) = F(k1, t) +
-F(k2, t), componentwise in Z_p, and Lagrange combinations of evaluations on
-Shamir shares of a key equal the evaluation on the key itself. Those two
-identities are what the aggregation protocol stands on.
+H derives public per-(iteration, index) coefficients from SHAKE-256 (FIPS
+202) in counter mode, so the construction is exactly additive in the key:
+F(k1 + k2, t) = F(k1, t) + F(k2, t), componentwise in Z_p, and Lagrange
+combinations of evaluations on Shamir shares of a key equal the evaluation
+on the key itself. Those two identities are what the aggregation protocol
+stands on.
+
+Coefficients come in blocks of BLOCK = 64: H(t, i) is read from the 16
+output bytes at offset 16 * (i mod 64) of
+
+    SHAKE-256(DOMAIN_TAG || t_le64 || (i // 64)_le64)
+
+as a little-endian integer lo + 2^64 * hi, reduced mod p. An XOF's shorter
+output is a prefix of its longer output, so H(t, i) does not depend on how
+many coefficients are asked for.
 
 SECURITY WARNING: this default backend is NOT a standalone PRF. The
 coefficients H(t, i) are public, so a single output component reveals the
@@ -24,16 +34,21 @@ import numpy as np
 from . import field
 from .field import P
 
-DOMAIN_TAG = b"STANDFIRM-H"  # protocol constant; keeps H out of other contexts
+# protocol constant: keeps H out of other contexts, and names the derivation
+DOMAIN_TAG = b"STANDFIRM-H/v2/SHAKE256-CTR64"
+BLOCK = 64  # coefficients per XOF call
+_COEFF_BYTES = 16
 
-_TAGGED = hashlib.sha256(DOMAIN_TAG)  # hash state after the tag, copied per index
-_INDEX = struct.Struct("<QQ")
+_TAGGED = hashlib.shake_256(DOMAIN_TAG)  # XOF state after the tag, copied per block
+_BLOCK_INDEX = struct.Struct("<QQ")
 
 
 def hash_to_field(domain_tag: bytes, t: int, i: int) -> int:
-    """SHA-256(tag || t_le64 || i_le64), first 16 digest bytes LE, mod p."""
-    digest = hashlib.sha256(domain_tag + struct.pack("<QQ", t, i)).digest()
-    return int.from_bytes(digest[:16], "little") % P
+    """H(t, i) under ``domain_tag``, one index at a time: the plain-int
+    reference that ``coefficient_vector`` is checked against."""
+    block, offset = divmod(i, 64)
+    xof = hashlib.shake_256(domain_tag + t.to_bytes(8, "little") + block.to_bytes(8, "little"))
+    return int.from_bytes(xof.digest(16 * (offset + 1))[-16:], "little") % P
 
 
 @lru_cache(maxsize=256)
@@ -41,16 +56,17 @@ def coefficient_vector(t: int, d: int) -> np.ndarray:
     """Public coefficients (H(t, 0), ..., H(t, d-1)) as a read-only uint64 array.
 
     Cached, since every key evaluated at iteration t shares them; read-only,
-    since a write would corrupt every later mask of that iteration. Equal to
-    ``hash_to_field(DOMAIN_TAG, t, i)`` for each i: the 16-byte digest prefix
-    lo + 2^64 * hi is reduced as lo + 8 * (hi mod p), since 2^64 = 8 (mod p).
+    since a write would corrupt every later mask of that iteration. One XOF
+    call per block of BLOCK coefficients; the last block asks only for the
+    bytes it needs. Each 16-byte word lo + 2^64 * hi is reduced as
+    lo + 8 * (hi mod p), since 2^64 = 8 (mod p).
     """
-    digests = bytearray()
-    for i in range(d):
-        h = _TAGGED.copy()
-        h.update(_INDEX.pack(t, i))
-        digests += h.digest()[:16]
-    words = np.frombuffer(digests, dtype="<u8").reshape(d, 2)
+    stream = bytearray()
+    for block, start in enumerate(range(0, d, BLOCK)):
+        xof = _TAGGED.copy()
+        xof.update(_BLOCK_INDEX.pack(t, block))
+        stream += xof.digest(_COEFF_BYTES * min(BLOCK, d - start))
+    words = np.frombuffer(stream, dtype="<u8").reshape(d, 2)
     lo, hi = field.fold(words[:, 0]), field.fold(words[:, 1])
     coeffs = field.vec_add(lo, field.fold(hi << 3))
     coeffs.setflags(write=False)

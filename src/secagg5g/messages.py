@@ -6,15 +6,16 @@ the unit of bandwidth accounting, so nothing here may be approximate.
 
     SETUP_SHARE   target BS id(8) || share x(8) || share y(8)
     MASKED_UPDATE dim(4) || field elements(8 each)
-    ONLINE_LIST   count(4) || sorted UE ids(8 each)
+    ONLINE_LIST   count(4) || strictly increasing UE ids(8 each)
     MASK_SHARE    mode(1) || dim(4) + elements   (EVALUATED)
                   mode(1) || scalar(8)           (COMPACT)
     GLOBAL_MODEL  dim(4) || float64 weights(8 each)
 
 Field vectors and model weights are numpy arrays (uint64 and float64) and
 go on the wire as their little-endian bytes. Decoding is strict: a message
-must have exactly the length its type and count imply, and every field
-element must lie in [0, p); anything else raises ValueError.
+must have exactly the length its type and count imply, every field
+element must lie in [0, p), and the ids of an online list must be strictly
+increasing; anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class MaskedUpdateMsg(_Message):
 class OnlineListMsg(_Message):
     sender: int
     iteration: int
-    ue_ids: tuple[int, ...]  # sorted ascending
+    ue_ids: tuple[int, ...]  # strictly increasing
 
     def to_bytes(self) -> bytes:
         head = _pack_header(ONLINE_LIST, self.sender, self.iteration)
@@ -198,7 +199,8 @@ def from_bytes(data: bytes) -> Message:
     """Decode a serialized message; inverse of ``to_bytes`` bit for bit.
 
     Raises ValueError for an unknown type or mode, a length other than the
-    one the type and count imply, or a field element >= p. Arrays in the
+    one the type and count imply, a field element >= p, or an online list
+    whose ids are not strictly increasing. Arrays in the
     result are read-only views of the received bytes.
     """
     if len(data) < HEADER_LEN:
@@ -213,6 +215,8 @@ def from_bytes(data: bytes) -> Message:
         return MaskedUpdateMsg(sender, iteration, _field_vector(body, 0))
     if msg_type == ONLINE_LIST:
         ids = _counted(body, 0, _U64)
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("online list ids are not strictly increasing")
         return OnlineListMsg(sender, iteration, tuple(ids.tolist()))
     if msg_type == MASK_SHARE:
         if not body:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
@@ -160,9 +161,14 @@ class BaseStation:
         the summed share itself, leaving expansion to the server. Both carry
         the same information by key-homomorphism.
 
-        Raises MissingShareError if any listed device never registered here;
-        the station must abstain rather than emit a wrong share.
+        Raises ProtocolError if the listed ids are not strictly increasing
+        (a repeated device would have its share added twice), and
+        MissingShareError if any listed device never registered here; the
+        station must abstain rather than emit a wrong share.
         """
+        ids = online.ue_ids
+        if any(map(operator.ge, ids, ids[1:])):
+            raise ProtocolError(f"online list {ids} is not strictly increasing")
         missing = [ue for ue in online.ue_ids if ue not in self.stored_shares]
         if missing:
             raise MissingShareError(

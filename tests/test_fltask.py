@@ -108,3 +108,20 @@ def test_centralized_training_converges():
 def test_generate_rejects_zero_ues():
     with pytest.raises(ValueError):
         fltask.generate_data(seed=0, n_ues=0)
+
+
+def test_features_are_stored_once_with_the_bias_column():
+    task = fltask.generate_data(seed=13, n_ues=3, feature_dim=5)
+    for (x, y), (xb, yb) in zip(task.shards, task.biased_shards):
+        assert np.shares_memory(x, xb) and y is yb
+        assert np.all(xb[:, -1] == 1.0)
+    assert np.shares_memory(task.test_x, task.test_xb)
+    assert np.all(task.test_xb[:, -1] == 1.0)
+    # the task's biased path and the public wrappers compute bit for bit alike
+    model = np.linspace(-1.0, 1.0, task.dim)
+    x, y = task.shards[2]
+    np.testing.assert_array_equal(
+        task.local_update(2, model),
+        fltask.local_train(model, x, y, task.learning_rate, task.local_epochs,
+                           task.clip_bound))
+    assert task.accuracy(model) == fltask.evaluate(model, task.test_x, task.test_y)

@@ -17,10 +17,12 @@ from secagg5g.shamir import AccessStructure, lagrange_coeffs_at_zero, split
 keys = st.integers(min_value=0, max_value=P - 1)
 edge_keys = st.sampled_from(EDGE_ELEMENTS) | keys
 
-# sha256sum over the 27-byte input b"STANDFIRM-H" + two LE64 zeros gives
-# f621cfd81b157ef287d08dec234a38af...; first 16 digest bytes little-endian,
-# reduced mod p:
-GOLDEN_H_0_0 = 882817931581171297
+# SHAKE-256 over the 45-byte input b"STANDFIRM-H/v2/SHAKE256-CTR64" + two LE64
+# zeros (t = 0, block 0), i.e. hex 5354414e444649524d2d482f76322f5348414b45
+# 3235362d435452363400000000000000000000000000000000, with 16 output bytes
+# (`openssl dgst -shake256 -xoflen 16`) gives 098e9c2b3ddb194c099ccf8d007c0be9;
+# read little-endian and reduced mod p:
+GOLDEN_H_0_0 = 1474290343466331789
 
 
 def test_hash_to_field_deterministic():
@@ -141,10 +143,25 @@ def test_precompute_cost_scales_roughly_linearly():
 # -- uint64 evaluation against the plain-int reference -------------------------
 
 
-@pytest.mark.parametrize("t,d", [(0, 1), (0, 5), (3, 17), (99, 64), (2**40, 3)])
+@pytest.mark.parametrize("t,d", [
+    (0, 1), (0, 5), (3, 17), (99, 64), (2**40, 3),
+    # around the 64-coefficient XOF blocks, with t below and above 2^32
+    (0, 63), (0, 64), (0, 65), (5, 128), (5, 129),
+    (2**32, 63), (2**32 + 1, 65), (2**63 + 7, 129),
+])
 def test_coefficient_vector_matches_hash_to_field(t, d):
     want = [khprf.hash_to_field(khprf.DOMAIN_TAG, t, i) for i in range(d)]
     assert khprf.coefficient_vector(t, d).tolist() == want
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=300))
+def test_coefficients_do_not_depend_on_dimension(t, d, d_prefix):
+    # H(t, i) is the same for every d > i, so a shorter vector is a prefix
+    d_prefix = min(d, d_prefix)
+    assert (khprf.coefficient_vector(t, d)[:d_prefix].tolist()
+            == khprf.coefficient_vector(t, d_prefix).tolist())
 
 
 def test_coefficient_vector_keeps_the_golden_value():

@@ -52,6 +52,20 @@ def test_online_list_round_trip(iteration, ue_ids):
     assert wire_length(msg) == 17 + 4 + 8 * len(ue_ids)
 
 
+def online_list_bytes(ue_ids):
+    return bytes([messages.ONLINE_LIST]) + struct.pack(
+        f"<QQI{len(ue_ids)}Q", 0, 0, len(ue_ids), *ue_ids)
+
+
+@pytest.mark.parametrize("forged", [(1, 1, 2, 3), (2, 1, 3)])
+def test_repeated_or_unsorted_online_list_rejected(forged):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        from_bytes(online_list_bytes(forged))
+    honest = tuple(sorted(set(forged)))
+    assert OnlineListMsg(0, 0, honest).to_bytes() == online_list_bytes(honest)
+    assert from_bytes(online_list_bytes(honest)) == OnlineListMsg(0, 0, honest)
+
+
 @given(ids, st.lists(elements, min_size=1, max_size=30))
 def test_mask_share_evaluated_round_trip(sender, vector):
     msg = MaskShareMsg(sender, 3, MaskShareMode.EVALUATED, vector=tuple(vector))

@@ -298,6 +298,17 @@ def test_missing_share_forces_abstention():
         bss[1].mask_share(online, 0, MaskShareMode.EVALUATED, 12)
 
 
+@pytest.mark.parametrize("forged", [(1, 1, 2, 3), (2, 1, 3)])
+@pytest.mark.parametrize("mode", list(MaskShareMode))
+def test_repeated_or_unsorted_online_list_is_refused(forged, mode):
+    # a repeated id would add that device's key share twice and the round
+    # would unmask to garbage; the station refuses instead of abstaining
+    ues, bss, af, *_ = make_fleet(seed=34)
+    with pytest.raises(ProtocolError) as err:
+        bss[1].mask_share(OnlineListMsg(0, 0, forged), 0, mode, 12)
+    assert not isinstance(err.value, MissingShareError)
+
+
 # -- recovery and unmasking ---------------------------------------------------
 
 
