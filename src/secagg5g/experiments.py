@@ -51,9 +51,6 @@ COMPARE_COLUMNS = [
     "bs_payload_bytes",
 ]
 
-TIMING_COLUMNS = ("time_setup_ms", "time_aggregation_ms")
-
-
 # Protocol knobs a config file sets directly. model_dim follows feature_dim and
 # rng_seed is each run's seed, so neither is a config key.
 SIM_KEYS = tuple(f.name for f in fields(SimConfig) if f.name not in ("model_dim", "rng_seed"))

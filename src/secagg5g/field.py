@@ -52,10 +52,6 @@ def mul(a: int, b: int) -> int:
     return reduce(a * b)
 
 
-def neg(a: int) -> int:
-    return P - a if a else 0
-
-
 def inv(a: int) -> int:
     """Multiplicative inverse via Fermat: a^(p-2) mod p."""
     if a == 0:

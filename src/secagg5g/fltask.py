@@ -22,8 +22,8 @@ class FlTask:
     so they always fit the protocol's fixed-point codec.
 
     Feature matrices are stored once, with the bias column of ones already
-    appended (``biased_shards``, ``test_xb``); ``shards`` and ``test_x`` are
-    views of them without that column.
+    appended as their last column (``biased_shards``, ``test_xb``). The
+    module's training and evaluation functions take such biased matrices.
     """
 
     feature_dim: int
@@ -44,20 +44,13 @@ class FlTask:
     def n_shards(self) -> int:
         return len(self.biased_shards)
 
-    @property
-    def shards(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(xb[:, :-1], y) for xb, y in self.biased_shards]
-
-    @property
-    def test_x(self) -> np.ndarray:
-        return self.test_xb[:, :-1]
-
     def local_update(self, ue_index: int, model) -> np.ndarray:
         xb, y = self.biased_shards[ue_index]
-        return _train(model, xb, y, self.learning_rate, self.local_epochs, self.clip_bound)
+        return local_train(model, xb, y, self.learning_rate, self.local_epochs,
+                           self.clip_bound)
 
     def accuracy(self, model: list[float]) -> float:
-        return _accuracy(model, self.test_xb, self.test_y)
+        return evaluate(model, self.test_xb, self.test_y)
 
 
 def generate_data(
@@ -116,12 +109,9 @@ def generate_data(
     )
 
 
-def _with_bias(x: np.ndarray) -> np.ndarray:
-    return np.hstack([x, np.ones((x.shape[0], 1))])
-
-
-def logistic_loss(model, x: np.ndarray, y: np.ndarray) -> float:
-    z = _with_bias(x) @ np.asarray(model, dtype=np.float64)
+def logistic_loss(model, xb: np.ndarray, y: np.ndarray) -> float:
+    """Mean logistic loss; ``xb`` carries the bias column last."""
+    z = xb @ np.asarray(model, dtype=np.float64)
     return float(np.mean(np.logaddexp(0.0, -y * z)))
 
 
@@ -136,16 +126,14 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 def local_train(
-    model, x: np.ndarray, y: np.ndarray, lr: float, epochs: int, clip_bound: float
+    model, xb: np.ndarray, y: np.ndarray, lr: float, epochs: int, clip_bound: float
 ) -> np.ndarray:
     """Full-batch gradient descent on the logistic loss; returns the clipped
-    parameter delta. Zero epochs gives a zero update."""
-    return _train(model, _with_bias(x), y, lr, epochs, clip_bound)
+    parameter delta. Zero epochs gives a zero update.
 
-
-def _train(model, xb: np.ndarray, y: np.ndarray, lr: float, epochs: int,
-           clip_bound: float) -> np.ndarray:
-    """``local_train`` on features that already carry the bias column."""
+    ``xb`` is the biased (samples, dim) matrix, bias column last; a matrix
+    without it does not match the model's dimension and numpy raises.
+    """
     w = np.asarray(model, dtype=np.float64).copy()
     start = w.copy()
     for _ in range(epochs):
@@ -155,13 +143,9 @@ def _train(model, xb: np.ndarray, y: np.ndarray, lr: float, epochs: int,
     return np.clip(w - start, -clip_bound, clip_bound)
 
 
-def evaluate(model, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of test points whose predicted sign matches the label."""
-    return _accuracy(model, _with_bias(x), y)
-
-
-def _accuracy(model, xb: np.ndarray, y: np.ndarray) -> float:
-    """``evaluate`` on features that already carry the bias column."""
+def evaluate(model, xb: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of test points whose predicted sign matches the label;
+    ``xb`` carries the bias column last."""
     z = xb @ np.asarray(model, dtype=np.float64)
     predictions = np.where(z >= 0.0, 1.0, -1.0)
     return float(np.mean(predictions == y))

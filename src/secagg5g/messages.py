@@ -53,10 +53,6 @@ class MaskShareMode(IntEnum):
     COMPACT = 1
 
 
-def _pack_header(msg_type: int, sender: int, iteration: int) -> bytes:
-    return _HEADER.pack(msg_type, sender, iteration)
-
-
 def _pack_array(values: np.ndarray) -> bytes:
     return _COUNT.pack(len(values)) + values.tobytes()
 
@@ -90,7 +86,7 @@ class SetupShareMsg(_Message):
     share: SecretShare
 
     def to_bytes(self) -> bytes:
-        return _pack_header(SETUP_SHARE, self.sender, self.iteration) + _SETUP.pack(
+        return _HEADER.pack(SETUP_SHARE, self.sender, self.iteration) + _SETUP.pack(
             self.target_bs, self.share.x, self.share.y
         )
 
@@ -105,7 +101,7 @@ class MaskedUpdateMsg(_Message):
         _as_array(self, "payload", _U64)
 
     def to_bytes(self) -> bytes:
-        return _pack_header(MASKED_UPDATE, self.sender, self.iteration) + _pack_array(
+        return _HEADER.pack(MASKED_UPDATE, self.sender, self.iteration) + _pack_array(
             self.payload
         )
 
@@ -117,7 +113,7 @@ class OnlineListMsg(_Message):
     ue_ids: tuple[int, ...]  # strictly increasing
 
     def to_bytes(self) -> bytes:
-        head = _pack_header(ONLINE_LIST, self.sender, self.iteration)
+        head = _HEADER.pack(ONLINE_LIST, self.sender, self.iteration)
         return head + _COUNT.pack(len(self.ue_ids)) + struct.pack(
             f"<{len(self.ue_ids)}Q", *self.ue_ids
         )
@@ -140,7 +136,7 @@ class MaskShareMsg(_Message):
             _as_array(self, "vector", _U64)
 
     def to_bytes(self) -> bytes:
-        head = _pack_header(MASK_SHARE, self.sender, self.iteration)
+        head = _HEADER.pack(MASK_SHARE, self.sender, self.iteration)
         if self.mode is MaskShareMode.EVALUATED:
             body = _pack_array(self.vector)
         else:
@@ -158,7 +154,7 @@ class GlobalModelMsg(_Message):
         _as_array(self, "weights", _F64)
 
     def to_bytes(self) -> bytes:
-        return _pack_header(GLOBAL_MODEL, self.sender, self.iteration) + _pack_array(
+        return _HEADER.pack(GLOBAL_MODEL, self.sender, self.iteration) + _pack_array(
             self.weights
         )
 

@@ -252,7 +252,13 @@ class Aggregator:
         reproducibility. Returns None when fewer than threshold responded;
         below threshold the mask sum is information-theoretically out of
         reach, which is exactly the privacy guarantee.
+
+        Raises ProtocolError unless every share comes from a known station,
+        under that station's key, for this round, in ``mode``, and carries a
+        canonical payload (a length-d vector, or a scalar below p).
         """
+        for j, msg in shares.items():
+            self._check_share(j, msg, mode, d)
         t_needed = self.bs_threshold.threshold
         if len(shares) < t_needed:
             return None
@@ -271,6 +277,26 @@ class Aggregator:
                 summed_key = field.add(summed_key, field.mul(lam, shares[j].scalar))
             return khprf.evaluate(summed_key, self.iteration, d)
         return shamir.combine_linear([shares[j].vector for j in chosen], coeffs)
+
+    def _check_share(self, j: int, msg: MaskShareMsg, mode: MaskShareMode, d: int) -> None:
+        if msg.sender != j:
+            raise ProtocolError(f"share from BS {msg.sender} stored under BS {j}")
+        if not 1 <= j <= self.bs_threshold.total:
+            raise ProtocolError(f"no base station {j} among {self.bs_threshold.total}")
+        if msg.iteration != self.iteration:
+            raise ProtocolError(f"BS {j} share is for round {msg.iteration}, not {self.iteration}")
+        if msg.mode is not mode:
+            raise ProtocolError(f"BS {j} share mode {msg.mode!r}, expected {mode.name}")
+        if mode is MaskShareMode.COMPACT:
+            if not 0 <= msg.scalar < field.P:
+                raise ProtocolError(f"BS {j} scalar share {msg.scalar} is not below p")
+            return
+        if len(msg.vector) != d:
+            raise ProtocolError(f"BS {j} share dim {len(msg.vector)} != {d}")
+        try:
+            field.require_canonical(msg.vector)
+        except ValueError as err:
+            raise ProtocolError(f"BS {j} share: {err}") from None
 
     def unmask_and_aggregate(self, agg_mask: np.ndarray) -> np.ndarray:
         """Subtract the mask sum, decode, average, and fold into the model.

@@ -45,33 +45,33 @@ class AccessStructure:
             )
 
 
-def _poly_eval(coeffs: Sequence[int], x: int, prime: int) -> int:
+def _poly_eval(coeffs: Sequence[int], x: int) -> int:
     """Horner evaluation; coeffs ordered constant term first."""
     acc = 0
     for c in reversed(coeffs):
-        acc = (acc * x + c) % prime
+        acc = (acc * x + c) % P
     return acc
 
 
-def split(secret: int, acc: AccessStructure, rng, prime: int = P) -> list[SecretShare]:
+def split(secret: int, acc: AccessStructure, rng) -> list[SecretShare]:
     """Split a secret into ``acc.total`` shares at x = 1..total.
 
     The polynomial has constant term ``secret`` and uniformly random higher
     coefficients drawn from the injected rng, so runs are reproducible.
     """
-    coeffs = [secret % prime]
-    coeffs += [rng.randrange(prime) for _ in range(acc.threshold - 1)]
-    return [SecretShare(j, _poly_eval(coeffs, j, prime)) for j in range(1, acc.total + 1)]
+    coeffs = [secret % P]
+    coeffs += [rng.randrange(P) for _ in range(acc.threshold - 1)]
+    return [SecretShare(j, _poly_eval(coeffs, j)) for j in range(1, acc.total + 1)]
 
 
-def lagrange_coeffs_at_zero(xs: Sequence[int], prime: int = P) -> list[int]:
+def lagrange_coeffs_at_zero(xs: Sequence[int]) -> list[int]:
     """Coefficients lambda_j with sum(lambda_j * f(x_j)) = f(0) for deg f < len(xs).
 
     Points must be distinct and nonzero.
     """
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate evaluation points")
-    if any(x % prime == 0 for x in xs):
+    if any(x % P == 0 for x in xs):
         raise ValueError("x = 0 is not a valid share point")
     coeffs = []
     for j, xj in enumerate(xs):
@@ -79,13 +79,13 @@ def lagrange_coeffs_at_zero(xs: Sequence[int], prime: int = P) -> list[int]:
         for m, xm in enumerate(xs):
             if m == j:
                 continue
-            num = num * xm % prime
-            den = den * (xm - xj) % prime
-        coeffs.append(num * pow(den, prime - 2, prime) % prime)
+            num = num * xm % P
+            den = den * (xm - xj) % P
+        coeffs.append(field.mul(num, field.inv(den)))
     return coeffs
 
 
-def recover(shares: Iterable[SecretShare], acc: AccessStructure, prime: int = P) -> int | None:
+def recover(shares: Iterable[SecretShare], acc: AccessStructure) -> int | None:
     """Interpolate the secret at x = 0, or None when below threshold."""
     shares = list(shares)
     xs = [s.x for s in shares]
@@ -93,8 +93,8 @@ def recover(shares: Iterable[SecretShare], acc: AccessStructure, prime: int = P)
         raise ValueError("duplicate share x values")
     if len(shares) < acc.threshold:
         return None
-    coeffs = lagrange_coeffs_at_zero(xs, prime)
-    return sum(lam * s.y for lam, s in zip(coeffs, shares)) % prime
+    coeffs = lagrange_coeffs_at_zero(xs)
+    return sum(lam * s.y for lam, s in zip(coeffs, shares)) % P
 
 
 def combine_linear(payloads: Sequence, coeffs: Sequence[int]) -> np.ndarray:

@@ -19,9 +19,10 @@ timers cover the aggregation protocol's own work only.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 
 from .field import FixedPointCodec
 from .messages import (
@@ -131,16 +132,20 @@ class SimConfig:
     max_summands: int = 1024
 
     def __post_init__(self):
-        if self.n_ues < 1 or self.n_bss < 1:
-            raise ValueError("need at least one UE and one BS")
-        if not 1 <= self.bs_threshold <= self.n_bss:
-            raise ValueError(
-                f"bs_threshold must be in [1, {self.n_bss}], got {self.bs_threshold}"
-            )
+        # the station threshold and the codec are checked by their own types
+        self.access_structure()
+        self.codec()
+        if self.n_ues < 1:
+            raise ValueError("need at least one UE")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0.0 < self.min_online_fraction <= 1.0:
             raise ValueError("min_online_fraction must be in (0, 1]")
+        timings = (self.latency_base_ms, self.latency_jitter_ms, self.deadline_ms)
+        if not all(map(math.isfinite, timings)):
+            raise ValueError(f"latencies and deadline must be finite, got {timings}")
+        if self.latency_base_ms < 0:
+            raise ValueError("base latency must be >= 0")
         if self.deadline_ms <= self.latency_base_ms:
             raise ValueError("deadline must exceed the base latency")
         if self.latency_jitter_ms < 0:
@@ -153,11 +158,6 @@ class SimConfig:
 
     def access_structure(self) -> AccessStructure:
         return AccessStructure(self.bs_threshold, self.n_bss)
-
-    def metadata(self) -> dict:
-        out = asdict(self)
-        out["mask_share_mode"] = self.mask_share_mode.name
-        return out
 
 
 @dataclass
@@ -314,14 +314,9 @@ class _Simulation:
         heapq.heappush(self.heap, (when, kind, sender, self.seq, payload))
         self.seq += 1
 
-    def _send(self, msg, dst_role: str, dst_id: int, round_t: int) -> float:
+    def _send(self, msg, dst_id: int, round_t: int) -> float:
         arrival = self.now + self._latency()
-        self._push(
-            arrival,
-            _KIND_DELIVER,
-            msg.sender,
-            (msg.to_bytes(), dst_role, dst_id, round_t),
-        )
+        self._push(arrival, _KIND_DELIVER, msg.sender, (msg.to_bytes(), dst_id, round_t))
         return arrival
 
     # -- setup phase ------------------------------------------------------
@@ -338,7 +333,7 @@ class _Simulation:
             ue.precompute(self.cfg.iterations)
             delivery = route_setup_shares(msgs, set(self.bs_ids))
             for j in sorted(delivery):
-                last_arrival = max(last_arrival, self._send(delivery[j], "bs", j, round_t=-1))
+                last_arrival = max(last_arrival, self._send(delivery[j], j, round_t=-1))
                 self.setup_metrics.msgs_ue_to_bs += 1
         self.setup_metrics.time_setup_ms = (time.perf_counter() - start) * 1e3
         return last_arrival
@@ -361,7 +356,7 @@ class _Simulation:
             w = self.task.local_update(i - 1, ue.current_model)
             with _Timer(state.metrics, "time_ue_ms"):
                 msg = ue.masked_update(w, t)
-            self._send(msg, "af", 0, round_t=t)
+            self._send(msg, 0, round_t=t)
             state.metrics.msgs_ue_to_af += 1
         self._push(self.now + self.cfg.deadline_ms, _KIND_DEADLINE, 0, t)
 
@@ -376,10 +371,10 @@ class _Simulation:
             return
         state.expected_bs = len(state.online_bss)
         for j in state.online_bss:
-            self._send(online_list, "bs", j, round_t=t)
+            self._send(online_list, j, round_t=t)
             state.metrics.msgs_af_to_bs += 1
 
-    def _on_deliver(self, raw: bytes, dst_role: str, dst_id: int, round_t: int) -> None:
+    def _on_deliver(self, raw: bytes, dst_id: int, round_t: int) -> None:
         msg = from_bytes(raw)
         if round_t < 0:
             account_message(self.setup_metrics, msg, "ue", "bs")
@@ -412,7 +407,7 @@ class _Simulation:
                 metrics.bs_abstentions += 1
                 self._maybe_recover(state)
                 return
-            self._send(share, "af", 0, round_t=round_t)
+            self._send(share, 0, round_t=round_t)
             metrics.msgs_bs_to_af += 1
             return
         if isinstance(msg, MaskShareMsg):
@@ -448,17 +443,15 @@ class _Simulation:
 
     def _close_round(self, state: _RoundState) -> None:
         state.done = True
+        # only late updates and model deliveries reach a closed round, and
+        # they touch its metrics alone
+        state.shares.clear()
         state.metrics.accuracy = self.task.accuracy(self.af.global_model)
         self.model_history.append(self.af.global_model.tolist())
         model_msg = self.af.global_model_message()
         last_arrival = self.now
         for i in state.online_ues:
-            arrival = self.now + self._latency()
-            last_arrival = max(last_arrival, arrival)
-            self._push(
-                arrival, _KIND_DELIVER, model_msg.sender,
-                (model_msg.to_bytes(), "ue", i, state.t),
-            )
+            last_arrival = max(last_arrival, self._send(model_msg, i, state.t))
             state.metrics.msgs_af_to_ue += 1
         if state.t + 1 < self.cfg.iterations:
             self._push(last_arrival, _KIND_ROUND_START, 0, state.t + 1)

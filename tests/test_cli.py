@@ -195,6 +195,15 @@ def test_bad_configs_exit_nonzero(tmp_path):
         assert main(["run", str(path)]) == 1
 
 
+@pytest.mark.parametrize("text", ['{"deadline_ms": NaN}', '{"latency_jitter_ms": Infinity}'])
+def test_non_finite_timings_exit_nonzero(tmp_path, text):
+    # json.loads accepts NaN and Infinity; the simulator must not
+    path = tmp_path / "non_finite.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "-o", str(tmp_path / "nf.csv")]) == 1
+    assert not (tmp_path / "nf.csv").exists()
+
+
 def test_log_env_var_accepted(tmp_path, monkeypatch):
     monkeypatch.setenv("SECAGG5G_LOG", "DEBUG")
     out = tmp_path / "log.csv"

@@ -9,24 +9,24 @@ from secagg5g import fltask
 def test_same_seed_identical_shards():
     a = fltask.generate_data(seed=5, n_ues=4)
     b = fltask.generate_data(seed=5, n_ues=4)
-    for (xa, ya), (xb, yb) in zip(a.shards, b.shards):
+    for (xa, ya), (xb, yb) in zip(a.biased_shards, b.biased_shards):
         np.testing.assert_array_equal(xa, xb)
         np.testing.assert_array_equal(ya, yb)
-    np.testing.assert_array_equal(a.test_x, b.test_x)
+    np.testing.assert_array_equal(a.test_xb, b.test_xb)
 
 
 def test_different_seed_different_data():
     a = fltask.generate_data(seed=5, n_ues=4)
     b = fltask.generate_data(seed=6, n_ues=4)
-    assert not np.array_equal(a.test_x, b.test_x)
+    assert not np.array_equal(a.test_xb, b.test_xb)
 
 
 def test_shard_count_and_disjointness():
     task = fltask.generate_data(seed=1, n_ues=8, samples_per_shard=30)
     assert task.n_shards == 8
     rows = set()
-    for x, y in task.shards:
-        assert x.shape == (30, task.feature_dim)
+    for x, y in task.biased_shards:
+        assert x.shape == (30, task.dim)
         assert y.shape == (30,)
         for row in x:
             rows.add(row.tobytes())
@@ -35,8 +35,8 @@ def test_shard_count_and_disjointness():
 
 def test_test_set_disjoint_from_shards():
     task = fltask.generate_data(seed=2, n_ues=4)
-    shard_rows = {row.tobytes() for x, _ in task.shards for row in x}
-    test_rows = {row.tobytes() for row in task.test_x}
+    shard_rows = {row.tobytes() for x, _ in task.biased_shards for row in x}
+    test_rows = {row.tobytes() for row in task.test_xb}
     assert not shard_rows & test_rows
 
 
@@ -47,14 +47,14 @@ def test_labels_are_signs():
 
 def test_zero_epochs_zero_update():
     task = fltask.generate_data(seed=4, n_ues=2)
-    x, y = task.shards[0]
+    x, y = task.biased_shards[0]
     delta = fltask.local_train([0.0] * task.dim, x, y, lr=0.5, epochs=0, clip_bound=1.0)
     assert np.all(delta == 0.0)
 
 
 def test_update_decreases_local_loss():
     task = fltask.generate_data(seed=7, n_ues=2)
-    x, y = task.shards[1]
+    x, y = task.biased_shards[1]
     model = [0.0] * task.dim
     delta = fltask.local_train(model, x, y, lr=0.5, epochs=2, clip_bound=1.0)
     before = fltask.logistic_loss(model, x, y)
@@ -64,14 +64,14 @@ def test_update_decreases_local_loss():
 
 def test_update_clipped_under_huge_lr():
     task = fltask.generate_data(seed=8, n_ues=2)
-    x, y = task.shards[0]
+    x, y = task.biased_shards[0]
     delta = fltask.local_train([0.0] * task.dim, x, y, lr=500.0, epochs=3, clip_bound=1.0)
     assert np.max(np.abs(delta)) <= 1.0
 
 
 def test_local_train_deterministic():
     task = fltask.generate_data(seed=9, n_ues=2)
-    x, y = task.shards[0]
+    x, y = task.biased_shards[0]
     d1 = fltask.local_train([0.1] * task.dim, x, y, 0.5, 2, 1.0)
     d2 = fltask.local_train([0.1] * task.dim, x, y, 0.5, 2, 1.0)
     np.testing.assert_array_equal(d1, d2)
@@ -97,8 +97,8 @@ def test_constructed_separating_hyperplane_scores_high():
 def test_centralized_training_converges():
     # separation of 4 sigma: a converged model clears 95% test accuracy
     task = fltask.generate_data(seed=12, n_ues=4)
-    pooled_x = np.concatenate([x for x, _ in task.shards])
-    pooled_y = np.concatenate([y for _, y in task.shards])
+    pooled_x = np.concatenate([x for x, _ in task.biased_shards])
+    pooled_y = np.concatenate([y for _, y in task.biased_shards])
     model = np.zeros(task.dim)
     for _ in range(50):
         model += fltask.local_train(model, pooled_x, pooled_y, 0.5, 1, 10.0)
@@ -112,16 +112,14 @@ def test_generate_rejects_zero_ues():
 
 def test_features_are_stored_once_with_the_bias_column():
     task = fltask.generate_data(seed=13, n_ues=3, feature_dim=5)
-    for (x, y), (xb, yb) in zip(task.shards, task.biased_shards):
-        assert np.shares_memory(x, xb) and y is yb
+    for xb, _ in task.biased_shards:
         assert np.all(xb[:, -1] == 1.0)
-    assert np.shares_memory(task.test_x, task.test_xb)
     assert np.all(task.test_xb[:, -1] == 1.0)
-    # the task's biased path and the public wrappers compute bit for bit alike
+    # the task's methods and the module functions compute bit for bit alike
     model = np.linspace(-1.0, 1.0, task.dim)
-    x, y = task.shards[2]
+    xb, y = task.biased_shards[2]
     np.testing.assert_array_equal(
         task.local_update(2, model),
-        fltask.local_train(model, x, y, task.learning_rate, task.local_epochs,
+        fltask.local_train(model, xb, y, task.learning_rate, task.local_epochs,
                            task.clip_bound))
-    assert task.accuracy(model) == fltask.evaluate(model, task.test_x, task.test_y)
+    assert task.accuracy(model) == fltask.evaluate(model, task.test_xb, task.test_y)

@@ -6,13 +6,20 @@ share-mediated path lands on exactly the same field vectors.
 """
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from secagg5g import field, khprf
 from secagg5g.field import P, FixedPointCodec, decode_sum, encode_update
-from secagg5g.messages import MaskedUpdateMsg, MaskShareMode, OnlineListMsg, payload_length
+from secagg5g.messages import (
+    MaskedUpdateMsg,
+    MaskShareMode,
+    MaskShareMsg,
+    OnlineListMsg,
+    payload_length,
+)
 from secagg5g.protocol import (
     Aggregator,
     BaseStation,
@@ -345,6 +352,58 @@ def test_recovery_fails_with_two_stations():
     _, mask = run_round(ues, bss, af, 0, list(ues), [1, 4],
                         MaskShareMode.EVALUATED, 12, updates)
     assert mask is None
+
+
+def round_one_shares(mode, d=12):
+    """Honest shares of all four stations for round 1, after a round 0; the
+    aggregator has recovered round 1 from them."""
+    ues, bss, af, *_ = make_fleet(seed=44)
+    updates = {i: [0.25] * d for i in ues}
+    run_round(ues, bss, af, 0, list(ues), list(bss), mode, d, updates)
+    old = {j: bss[j].mask_share(OnlineListMsg(0, 0, tuple(ues)), 0, mode, d) for j in bss}
+    online, mask = run_round(ues, bss, af, 1, list(ues), list(bss), mode, d, updates)
+    assert mask is not None
+    shares = {j: bss[j].mask_share(online, 1, mode, d) for j in bss}
+    return af, shares, old
+
+
+def forge(shares, old, case):
+    """Replace station 4's share (never among the three used) per case."""
+    s4 = shares[4]
+    if case == "stale":
+        return {**shares, 4: old[4]}
+    if case == "other_station_id":
+        return {**shares, 4: replace(s4, sender=7)}
+    if case == "station_zero":
+        return {**shares, 0: replace(s4, sender=0)}
+    if case == "station_above_total":
+        return {**shares, 5: replace(s4, sender=5)}
+    if case == "wrong_mode":
+        other = MaskShareMode.COMPACT if s4.mode is MaskShareMode.EVALUATED else MaskShareMode.EVALUATED
+        return {**shares, 4: MaskShareMsg(4, 1, other, vector=[0] * 12, scalar=0)}
+    if case == "short_vector":
+        return {**shares, 4: replace(s4, vector=s4.vector[:-1])}
+    if case == "vector_element_p":
+        return {**shares, 4: replace(s4, vector=[P] + s4.vector[1:].tolist())}
+    if case == "scalar_p":
+        return {**shares, 4: replace(s4, scalar=P)}
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("mode, case", [
+    *[(mode, case) for mode in MaskShareMode
+      for case in ("stale", "other_station_id", "station_zero", "station_above_total",
+                   "wrong_mode")],
+    (MaskShareMode.EVALUATED, "short_vector"),
+    (MaskShareMode.EVALUATED, "vector_element_p"),
+    (MaskShareMode.COMPACT, "scalar_p"),
+], ids=lambda v: getattr(v, "name", v))
+def test_recover_mask_rejects_a_bad_share(mode, case):
+    # a round-0 share in round 1 or a share stored under another station's id
+    # used to be combined silently into a wrong mask sum
+    af, shares, old = round_one_shares(mode)
+    with pytest.raises(ProtocolError):
+        af.recover_mask(forge(shares, old, case), mode, 12)
 
 
 def test_mode_equivalence_bitwise():

@@ -1,6 +1,6 @@
 """Secret-sharing tests.
 
-Small-prime cases (p=97) pin the algebra against hand-checkable numbers;
+Small-coefficient cases pin the algebra against hand-checkable numbers;
 the interpolation oracle used here is written out in the test module so it
 shares no code with the implementation under test.
 """
@@ -68,20 +68,21 @@ def test_split_threshold_one_copies_secret():
     assert all(s.y == 42 for s in shares)
 
 
-def test_split_known_polynomial_mod_97():
-    # 42 + 7x over p=97: hand-evaluated shares
-    shares = split(42, AccessStructure(2, 3), FixedCoeffRng([7]), prime=97)
+def test_split_known_polynomial():
+    # 42 + 7x: hand-evaluated shares
+    shares = split(42, AccessStructure(2, 3), FixedCoeffRng([7]))
     assert [(s.x, s.y) for s in shares] == [(1, 49), (2, 56), (3, 63)]
 
 
-def test_recover_known_shares_mod_97():
+def test_recover_known_shares():
     acc = AccessStructure(2, 3)
-    assert recover([SecretShare(1, 49), SecretShare(3, 63)], acc, prime=97) == 42
+    assert recover([SecretShare(1, 49), SecretShare(3, 63)], acc) == 42
 
 
 def test_lagrange_known_values():
     assert lagrange_coeffs_at_zero([1, 2]) == [2, P - 1]
-    assert lagrange_coeffs_at_zero([1, 3], prime=97) == [50, 48]
+    # 3/2 and -1/2 mod p
+    assert lagrange_coeffs_at_zero([1, 3]) == [(P + 3) // 2, (P - 1) // 2]
 
 
 def test_lagrange_rejects_bad_points():

@@ -17,6 +17,7 @@ from secagg5g.simnet import (
     DropoutSchedule,
     RoundMetrics,
     SimConfig,
+    _Simulation,
     account_message,
     apply_dropout,
     run_simulation,
@@ -58,6 +59,38 @@ def test_config_validation():
         SimConfig(min_online_fraction=0.0)
     with pytest.raises(ValueError):
         SimConfig(n_ues=8, max_summands=4)
+
+
+@pytest.mark.parametrize("name", ["latency_base_ms", "latency_jitter_ms", "deadline_ms"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_timings(name, value):
+    # NaN fails every comparison, so range checks alone let it through
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(**{name: value})
+
+
+def test_config_rejects_negative_base_latency():
+    # simulated time would run backwards
+    with pytest.raises(ValueError):
+        SimConfig(latency_base_ms=-1.0)
+
+
+def test_config_checks_threshold_and_codec_through_their_types():
+    with pytest.raises(ValueError, match=r"need 1 <= threshold <= total, got \(5, 4\)"):
+        SimConfig(bs_threshold=5, n_bss=4)
+    with pytest.raises(ValueError):
+        SimConfig(n_bss=0)
+    # an overflowing codec is refused at construction, not on the first run
+    with pytest.raises(ValueError, match="overflows the field"):
+        SimConfig(frac_bits=60)
+
+
+def test_closed_rounds_keep_no_shares():
+    # EVALUATED shares pin their wire bodies; a closed round needs metrics only
+    sim = _Simulation(small_cfg(iterations=4), DropoutSchedule.none(), small_task())
+    result = sim.run()
+    assert [rm.outcome for rm in result.rounds] == [AGGREGATED] * 4
+    assert all(not state.shares for state in sim.round_state.values())
 
 
 def test_apply_dropout_empty_schedule():
@@ -265,9 +298,3 @@ def test_everyone_offline_still_terminates():
     assert [rm.outcome for rm in result.rounds] == [FALLBACK] * 3
     assert all(rm.total_sent() == 0 for rm in result.rounds)
     assert result.final_model == [0.0] * 10
-
-
-def test_metadata_echoes_mode_name():
-    meta = small_cfg(mask_share_mode=MaskShareMode.COMPACT).metadata()
-    assert meta["mask_share_mode"] == "COMPACT"
-    assert meta["n_ues"] == 8
