@@ -22,12 +22,15 @@ class FlTask:
     so they always fit the protocol's fixed-point codec.
 
     Feature matrices are stored once, with the bias column of ones already
-    appended as their last column (``biased_shards``, ``test_xb``). The
-    module's training and evaluation functions take such biased matrices.
+    appended as their last column. The shards are stacked: ``train_xb`` has
+    shape (n_shards, samples, dim) and ``train_y`` (n_shards, samples), and
+    shard i is ``train_xb[i]``, ``train_y[i]``. The module's training and
+    evaluation functions take such biased matrices.
     """
 
     feature_dim: int
-    biased_shards: list[tuple[np.ndarray, np.ndarray]]
+    train_xb: np.ndarray
+    train_y: np.ndarray
     test_xb: np.ndarray
     test_y: np.ndarray
     learning_rate: float
@@ -42,12 +45,19 @@ class FlTask:
 
     @property
     def n_shards(self) -> int:
-        return len(self.biased_shards)
+        return len(self.train_xb)
 
-    def local_update(self, ue_index: int, model) -> np.ndarray:
-        xb, y = self.biased_shards[ue_index]
-        return local_train(model, xb, y, self.learning_rate, self.local_epochs,
-                           self.clip_bound)
+    def local_update(self, ue_index: int | slice, model) -> np.ndarray:
+        """Train from ``model`` on the shards ``ue_index`` selects.
+
+        ``ue_index`` indexes the shard axis as a numpy index does: an int
+        with a (dim,) model gives one (dim,) update; a slice selecting m
+        shards with an (m, dim) stack of models gives m rows, row r trained
+        from model row r. Each row is bit-identical to training that shard
+        alone.
+        """
+        return local_train(model, self.train_xb[ue_index], self.train_y[ue_index],
+                           self.learning_rate, self.local_epochs, self.clip_bound)
 
     def accuracy(self, model: list[float]) -> float:
         return evaluate(model, self.test_xb, self.test_y)
@@ -88,17 +98,11 @@ def generate_data(
         return xb[order], y[order]
 
     train_xb, train_y = draw(n_ues * samples_per_shard)
-    biased_shards = [
-        (
-            train_xb[i * samples_per_shard : (i + 1) * samples_per_shard],
-            train_y[i * samples_per_shard : (i + 1) * samples_per_shard],
-        )
-        for i in range(n_ues)
-    ]
     test_xb, test_y = draw(test_samples)
     return FlTask(
         feature_dim=feature_dim,
-        biased_shards=biased_shards,
+        train_xb=train_xb.reshape(n_ues, samples_per_shard, feature_dim + 1),
+        train_y=train_y.reshape(n_ues, samples_per_shard),
         test_xb=test_xb,
         test_y=test_y,
         learning_rate=learning_rate,
@@ -116,13 +120,9 @@ def logistic_loss(model, xb: np.ndarray, y: np.ndarray) -> float:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # piecewise form avoids exp overflow for large |v|
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # exp of -|v| never overflows; each branch is the stable form for its sign
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def local_train(
@@ -131,14 +131,19 @@ def local_train(
     """Full-batch gradient descent on the logistic loss; returns the clipped
     parameter delta. Zero epochs gives a zero update.
 
-    ``xb`` is the biased (samples, dim) matrix, bias column last; a matrix
-    without it does not match the model's dimension and numpy raises.
+    ``xb`` is the biased (..., samples, dim) matrix, bias column last, ``y``
+    the (..., samples) labels and ``model`` the (..., dim) start; leading
+    axes are a batch of independent problems. Both products are matrix-
+    vector ones per batch item, so each item's delta is bit-identical to
+    training it alone. A matrix without the bias column does not match the
+    model's dimension and numpy raises.
     """
-    w = np.asarray(model, dtype=np.float64).copy()
+    w = np.array(model, dtype=np.float64)
     start = w.copy()
+    xb_t = np.swapaxes(xb, -1, -2)
     for _ in range(epochs):
-        z = xb @ w
-        grad = -(xb.T @ (y * _sigmoid(-y * z))) / len(y)
+        z = (xb @ w[..., None])[..., 0]
+        grad = -(xb_t @ (y * _sigmoid(-y * z))[..., None])[..., 0] / y.shape[-1]
         w -= lr * grad
     return np.clip(w - start, -clip_bound, clip_bound)
 

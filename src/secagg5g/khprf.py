@@ -16,11 +16,13 @@ as a little-endian integer lo + 2^64 * hi, reduced mod p. An XOF's shorter
 output is a prefix of its longer output, so H(t, i) does not depend on how
 many coefficients are asked for.
 
-SECURITY WARNING: this default backend is NOT a standalone PRF. The
-coefficients H(t, i) are public, so a single output component reveals the
-key by division. It is only safe where every evaluation stays secret until
-summed with others, as in the aggregation flow here. A lattice-based
-almost-key-homomorphic PRF can replace it behind the same three functions.
+SECURITY WARNING: this default backend is NOT a PRF. The coefficients
+H(t, i) are public, so a single output component reveals the key by
+division, and a masked small update reveals it by a short search. In the
+aggregation flow an honest-but-curious server learns every round's online
+key sum and, across rounds, individual keys (README, Security caveat). A
+lattice-based almost-key-homomorphic PRF can replace it behind the same
+three functions.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import field
-from .field import P
 
 # protocol constant: keeps H out of other contexts, and names the derivation
 DOMAIN_TAG = b"STANDFIRM-H/v2/SHAKE256-CTR64"
@@ -41,14 +42,6 @@ _COEFF_BYTES = 16
 
 _TAGGED = hashlib.shake_256(DOMAIN_TAG)  # XOF state after the tag, copied per block
 _BLOCK_INDEX = struct.Struct("<QQ")
-
-
-def hash_to_field(domain_tag: bytes, t: int, i: int) -> int:
-    """H(t, i) under ``domain_tag``, one index at a time: the plain-int
-    reference that ``coefficient_vector`` is checked against."""
-    block, offset = divmod(i, 64)
-    xof = hashlib.shake_256(domain_tag + t.to_bytes(8, "little") + block.to_bytes(8, "little"))
-    return int.from_bytes(xof.digest(16 * (offset + 1))[-16:], "little") % P
 
 
 @lru_cache(maxsize=256)

@@ -75,7 +75,7 @@ class UserEquipment:
     current_model: list[float] | np.ndarray = dc_field(default_factory=list)
     precomputed_masks: np.ndarray | None = None  # read-only (iterations, dim)
     _setup_done: bool = False
-    _used_iterations: set[int] = dc_field(default_factory=set)
+    _last_iteration: int = -1  # highest round masked so far
 
     def setup(self, acc: AccessStructure, rng) -> list[SetupShareMsg]:
         """Split the key into one share per base station (share x = BS index).
@@ -99,16 +99,21 @@ class UserEquipment:
         """Encode the local update and add this round's mask.
 
         Each iteration's mask may be used once; reuse would let the server
-        cancel masks across rounds and open individual updates.
+        cancel masks across rounds and open individual updates. Rounds must
+        therefore strictly increase: any ``t`` at or below the last round
+        masked raises ProtocolError.
         """
-        if t in self._used_iterations:
-            raise ProtocolError(f"UE {self.ue_id} already used its mask for iteration {t}")
+        if t <= self._last_iteration:
+            raise ProtocolError(
+                f"UE {self.ue_id} already masked round {self._last_iteration}; "
+                f"round {t} is not later"
+            )
         if self.precomputed_masks is not None and t < len(self.precomputed_masks):
             mask = self.precomputed_masks[t]
         else:
             mask = khprf.evaluate(self.key, t, self.dim)
         payload = field.encode_masked(w, self.codec, mask)
-        self._used_iterations.add(t)
+        self._last_iteration = t
         return MaskedUpdateMsg(sender=self.ue_id, iteration=t, payload=payload)
 
 
@@ -267,9 +272,11 @@ class Aggregator:
         if mode is MaskShareMode.COMPACT:
             if not self._warned_compact:
                 logger.warning(
-                    "COMPACT mask shares reveal the aggregated key of the online "
-                    "set to the server; two rounds whose online lists differ by "
-                    "one device leak that device's key. Prefer EVALUATED."
+                    "COMPACT mask shares hand the server the key sum of the online "
+                    "set; EVALUATED shares reveal the same sum, since the mask "
+                    "coefficients are public. Against an honest-but-curious server "
+                    "neither mode hides a device's key: two rounds whose online "
+                    "lists differ by one device give it (README, Security caveat)."
                 )
                 self._warned_compact = True
             summed_key = 0

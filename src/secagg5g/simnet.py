@@ -12,8 +12,10 @@ updates the global model (or falls back to the previous one), and
 broadcasts it. Dropped entities neither send nor receive that round, and
 their traffic is accounted as never sent.
 
-Local model training is excluded from the per-role compute times; the
-timers cover the aggregation protocol's own work only.
+Each round start trains every device in one ``task.local_update`` call
+over the stacked shards and models; each online device then masks and
+sends its own row. Local model training is excluded from the per-role
+compute times; the timers cover the aggregation protocol's own work only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+
+import numpy as np
 
 from .field import FixedPointCodec
 from .messages import (
@@ -270,13 +274,15 @@ class _Simulation:
         self.latency_rng = random.Random(master.getrandbits(64))
 
         codec = cfg.codec()
+        # row i - 1 is device i's model, so one call trains the whole fleet
+        self.ue_models = np.zeros((cfg.n_ues, cfg.model_dim))
         self.ues = {
             i: UserEquipment(
                 ue_id=i,
                 key=generate_key(self.key_rng),
                 codec=codec,
                 dim=cfg.model_dim,
-                current_model=[0.0] * cfg.model_dim,
+                current_model=self.ue_models[i - 1],
             )
             for i in self.ue_ids
         }
@@ -351,11 +357,13 @@ class _Simulation:
         )
         self.round_state[t] = state
         self.af.begin_round(t)
+        # offline devices' rows are trained too and left unread: gathering
+        # the online shards would copy them every round
+        updates = self.task.local_update(slice(0, self.cfg.n_ues), self.ue_models)
         for i in online_ues:
             ue = self.ues[i]
-            w = self.task.local_update(i - 1, ue.current_model)
             with _Timer(state.metrics, "time_ue_ms"):
-                msg = ue.masked_update(w, t)
+                msg = ue.masked_update(updates[i - 1], t)
             self._send(msg, 0, round_t=t)
             state.metrics.msgs_ue_to_af += 1
         self._push(self.now + self.cfg.deadline_ms, _KIND_DEADLINE, 0, t)
@@ -417,7 +425,7 @@ class _Simulation:
             return
         if isinstance(msg, GlobalModelMsg):
             account_message(metrics, msg, "af", "ue")
-            self.ues[dst_id].current_model = msg.weights
+            self.ues[dst_id].current_model[:] = msg.weights
             return
         raise RuntimeError(f"unroutable message {msg!r}")
 

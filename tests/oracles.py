@@ -1,10 +1,15 @@
-"""Plain-int reference computations the protocol's outputs are checked against.
+"""Reference computations the library's outputs are checked against.
 
-Python ints never overflow, so each oracle is ordinary big-integer
-arithmetic with ``% P``; nothing here calls the numpy field kernels.
+Python ints never overflow, so each field oracle is ordinary big-integer
+arithmetic with ``% P``; nothing here calls the numpy field kernels. The
+training reference is the one-device-at-a-time body that the stacked
+``fltask.local_train`` must match bit for bit.
 """
 
+import hashlib
 import math
+
+import numpy as np
 
 from secagg5g.field import P
 
@@ -40,3 +45,35 @@ def alpha_summation_oracle(
             total = [(a + int(b)) % P for a, b in zip(total, updates[ue])]
         results.append(total)
     return results
+
+
+def hash_to_field(domain_tag: bytes, t: int, i: int) -> int:
+    """H(t, i) under ``domain_tag``, one index at a time: the plain-int
+    reference that ``khprf.coefficient_vector`` is checked against."""
+    block, offset = divmod(i, 64)
+    xof = hashlib.shake_256(domain_tag + t.to_bytes(8, "little") + block.to_bytes(8, "little"))
+    return int.from_bytes(xof.digest(16 * (offset + 1))[-16:], "little") % P
+
+
+def _sigmoid_masked(v: np.ndarray) -> np.ndarray:
+    # piecewise form avoids exp overflow for large |v|
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def local_train_one(
+    model, xb: np.ndarray, y: np.ndarray, lr: float, epochs: int, clip_bound: float
+) -> np.ndarray:
+    """Full-batch logistic-loss gradient descent on one (samples, dim) shard;
+    returns the clipped parameter delta."""
+    w = np.asarray(model, dtype=np.float64).copy()
+    start = w.copy()
+    for _ in range(epochs):
+        z = xb @ w
+        grad = -(xb.T @ (y * _sigmoid_masked(-y * z))) / len(y)
+        w -= lr * grad
+    return np.clip(w - start, -clip_bound, clip_bound)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from oracles import EDGE_ELEMENTS
+from oracles import EDGE_ELEMENTS, hash_to_field
 from secagg5g import khprf
 from secagg5g.field import P
 from secagg5g.shamir import AccessStructure, lagrange_coeffs_at_zero, split
@@ -26,28 +26,28 @@ GOLDEN_H_0_0 = 1474290343466331789
 
 
 def test_hash_to_field_deterministic():
-    a = khprf.hash_to_field(khprf.DOMAIN_TAG, 3, 17)
-    b = khprf.hash_to_field(khprf.DOMAIN_TAG, 3, 17)
+    a = hash_to_field(khprf.DOMAIN_TAG, 3, 17)
+    b = hash_to_field(khprf.DOMAIN_TAG, 3, 17)
     assert a == b
 
 
 def test_hash_to_field_golden_vector():
-    assert khprf.hash_to_field(khprf.DOMAIN_TAG, 0, 0) == GOLDEN_H_0_0
+    assert hash_to_field(khprf.DOMAIN_TAG, 0, 0) == GOLDEN_H_0_0
 
 
 def test_hash_to_field_separates_inputs():
     vals = {
-        khprf.hash_to_field(khprf.DOMAIN_TAG, 0, 0),
-        khprf.hash_to_field(khprf.DOMAIN_TAG, 0, 1),
-        khprf.hash_to_field(khprf.DOMAIN_TAG, 1, 0),
-        khprf.hash_to_field(b"other-tag", 0, 0),
+        hash_to_field(khprf.DOMAIN_TAG, 0, 0),
+        hash_to_field(khprf.DOMAIN_TAG, 0, 1),
+        hash_to_field(khprf.DOMAIN_TAG, 1, 0),
+        hash_to_field(b"other-tag", 0, 0),
     }
     assert len(vals) == 4
 
 
 def test_hash_to_field_uniformity():
     # chi-square over 16 equal-width buckets, 10^4 consecutive indices
-    samples = [khprf.hash_to_field(khprf.DOMAIN_TAG, 7, i) for i in range(10_000)]
+    samples = [hash_to_field(khprf.DOMAIN_TAG, 7, i) for i in range(10_000)]
     counts = [0] * 16
     for s in samples:
         counts[s * 16 // P] += 1
@@ -61,7 +61,7 @@ def test_evaluate_zero_key_is_zero_mask():
 
 def test_evaluate_identity_key_returns_coefficients():
     d = 5
-    expected = [khprf.hash_to_field(khprf.DOMAIN_TAG, 9, i) for i in range(d)]
+    expected = [hash_to_field(khprf.DOMAIN_TAG, 9, i) for i in range(d)]
     assert khprf.evaluate(1, 9, d).tolist() == expected
 
 
@@ -150,7 +150,7 @@ def test_precompute_cost_scales_roughly_linearly():
     (2**32, 63), (2**32 + 1, 65), (2**63 + 7, 129),
 ])
 def test_coefficient_vector_matches_hash_to_field(t, d):
-    want = [khprf.hash_to_field(khprf.DOMAIN_TAG, t, i) for i in range(d)]
+    want = [hash_to_field(khprf.DOMAIN_TAG, t, i) for i in range(d)]
     assert khprf.coefficient_vector(t, d).tolist() == want
 
 
@@ -171,7 +171,7 @@ def test_coefficient_vector_keeps_the_golden_value():
 @settings(max_examples=200)
 @given(edge_keys, st.integers(min_value=0, max_value=50), st.integers(min_value=1, max_value=24))
 def test_evaluate_matches_plain_ints(key, t, d):
-    want = [key * khprf.hash_to_field(khprf.DOMAIN_TAG, t, i) % P for i in range(d)]
+    want = [key * hash_to_field(khprf.DOMAIN_TAG, t, i) % P for i in range(d)]
     assert khprf.evaluate(key, t, d).tolist() == want
 
 

@@ -30,7 +30,7 @@ from secagg5g.protocol import (
     generate_key,
     route_setup_shares,
 )
-from oracles import alpha_summation_oracle
+from oracles import alpha_summation_oracle, hash_to_field
 from secagg5g.shamir import AccessStructure
 
 CODEC = FixedPointCodec(frac_bits=16, magnitude_bound=1.0, max_summands=1024)
@@ -175,6 +175,15 @@ def test_mask_reuse_rejected():
         ues[1].masked_update([0.1] * 12, t=0)
 
 
+def test_mask_for_an_earlier_round_rejected():
+    # masks are used in increasing round order; going back could reuse one
+    ues, *_ = make_fleet(seed=13)
+    ues[1].masked_update([0.0] * 12, t=7)
+    with pytest.raises(ProtocolError):
+        ues[1].masked_update([0.1] * 12, t=5)
+    assert ues[1].masked_update([0.1] * 12, t=8).iteration == 8
+
+
 def test_masking_bound_violation_rejected():
     ues, *_ = make_fleet(seed=14)
     with pytest.raises(ValueError):
@@ -228,12 +237,14 @@ def test_masked_update_matches_plain_ints():
     ue = ues[3]
     rng = random.Random(4)
     w = [rng.uniform(-1, 1) for _ in range(10)] + [1.0, -1.0]
-    mask = [ue.key * khprf.hash_to_field(khprf.DOMAIN_TAG, 6, i) % P for i in range(12)]
+    mask = [ue.key * hash_to_field(khprf.DOMAIN_TAG, 6, i) % P for i in range(12)]
     want = [(round(x * 2**16) + m) % P for x, m in zip(w, mask)]
     assert ue.masked_update(w, 6).payload.tolist() == want
-    ue.precompute(8)
-    ue._used_iterations.clear()
-    assert ue.masked_update(w, 6).payload.tolist() == want
+    # round 6's mask is spent on ue, so the precomputed path needs a fresh
+    # device with the same key
+    twin = UserEquipment(ue_id=ue.ue_id, key=ue.key, codec=CODEC, dim=ue.dim)
+    twin.precompute(8)
+    assert twin.masked_update(w, 6).payload.tolist() == want
 
 
 def test_stale_update_dropped():

@@ -175,6 +175,30 @@ def test_identical_seed_identical_run():
     assert a.final_model == b.final_model
 
 
+class CountingTask:
+    """Passes every call to the task and records each ``local_update`` index."""
+
+    def __init__(self, task):
+        self._task = task
+        self.indices = []
+
+    def __getattr__(self, name):
+        return getattr(self._task, name)
+
+    def local_update(self, ue_index, model):
+        self.indices.append(ue_index)
+        return self._task.local_update(ue_index, model)
+
+
+def test_each_round_trains_the_fleet_in_one_call():
+    # a spare shard beyond the 8 devices, and rounds with devices offline
+    sched = DropoutSchedule(ue_rounds={1: frozenset({2, 7}), 3: frozenset({1})}, ue_prob=0.3,
+                            prob_seed=5, prob_ue_ids=tuple(range(1, 9)))
+    task = CountingTask(small_task(n_ues=9))
+    run_simulation(small_cfg(), sched, task)
+    assert task.indices == [slice(0, 8)] * 10
+
+
 def test_result_models_are_lists_of_python_floats():
     result = run_simulation(small_cfg(iterations=3), DropoutSchedule.none(), small_task())
     for model in (result.final_model, *result.model_history):
