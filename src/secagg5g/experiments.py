@@ -170,11 +170,11 @@ class ExperimentSpec:
         return out
 
 
-def _result_rows(
-    spec: ExperimentSpec, result: SimResult, sweep_value: int, seed: int
-) -> list[dict]:
+def _result_rows(result: SimResult, sweep_value: int, seed: int) -> list[dict]:
+    """Every column any command writes; ``write_results`` keeps the command's own."""
     rows = []
     for rm in result.rounds:
+        per_msg = rm.bytes_bs_sent / rm.msgs_bs_to_af if rm.msgs_bs_to_af else 0.0
         rows.append(
             {
                 "sweep_value": sweep_value,
@@ -190,6 +190,8 @@ def _result_rows(
                 "time_setup_ms": result.setup.time_setup_ms,
                 "time_aggregation_ms": rm.time_ue_ms + rm.time_bs_ms + rm.time_af_ms,
                 "mode": result.config.mask_share_mode.name,
+                "msgs_bs_to_af": rm.msgs_bs_to_af,
+                "bs_payload_bytes": per_msg - HEADER_LEN if per_msg else 0.0,
             }
         )
     return rows
@@ -205,52 +207,36 @@ def run_experiment(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         for seed in spec.seeds:
             logger.info("sweep=%s value=%d seed=%d", spec.sweep_axis, value, seed)
             result = run_simulation(replace(spec.sim, rng_seed=seed), schedule, spec.task(seed))
-            rows.extend(_result_rows(spec, result, value, seed))
+            rows.extend(_result_rows(result, value, seed))
     rows.sort(key=lambda r: (r["sweep_value"], r["seed"], r["iteration"]))
     return spec.metadata(), rows
 
 
 def compare_modes(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
-    """Run identical seeds under both mask-share modes.
+    """Run identical seeds under both mask-share modes, without a sweep.
 
     Accuracies must agree exactly between modes (the recovered masks are
     identical field vectors); a mismatch means the protocol is broken, so it
     raises rather than reporting.
     """
-    schedule = spec.schedule(spec.ue_dropout, spec.bs_dropout)
-    rows: list[dict] = []
-    accuracies: dict[tuple, dict[str, float]] = {}
-    for mode in (MaskShareMode.EVALUATED, MaskShareMode.COMPACT):
-        for seed in spec.seeds:
-            sim = replace(spec.sim, rng_seed=seed, mask_share_mode=mode)
-            result = run_simulation(sim, schedule, spec.task(seed))
-            for rm in result.rounds:
-                per_msg = rm.bytes_bs_sent / rm.msgs_bs_to_af if rm.msgs_bs_to_af else 0.0
-                rows.append(
-                    {
-                        "mode": mode.name,
-                        "seed": seed,
-                        "iteration": rm.iteration,
-                        "outcome": rm.outcome,
-                        "accuracy": rm.accuracy,
-                        "bytes_bs_sent": rm.bytes_bs_sent,
-                        "msgs_bs_to_af": rm.msgs_bs_to_af,
-                        "bs_payload_bytes": per_msg - HEADER_LEN if per_msg else 0.0,
-                    }
-                )
-                accuracies.setdefault((seed, rm.iteration), {})[mode.name] = rm.accuracy
-    for key, by_mode in accuracies.items():
-        if by_mode["EVALUATED"] != by_mode["COMPACT"]:
+    runs = {
+        mode.name: run_experiment(
+            replace(spec, sweep_axis="none", sim=replace(spec.sim, mask_share_mode=mode))
+        )[1]
+        for mode in MaskShareMode
+    }
+    for ev, cp in zip(runs["EVALUATED"], runs["COMPACT"]):
+        if ev["accuracy"] != cp["accuracy"]:
+            key = (ev["seed"], ev["iteration"])
             raise RuntimeError(f"mode accuracies diverge at (seed, iteration)={key}")
-    rows.sort(key=lambda r: (r["mode"], r["seed"], r["iteration"]))
     meta = spec.metadata()
-    evaluated = [r["bs_payload_bytes"] for r in rows if r["mode"] == "EVALUATED" and r["bs_payload_bytes"]]
-    compact = [r["bs_payload_bytes"] for r in rows if r["mode"] == "COMPACT" and r["bs_payload_bytes"]]
+    evaluated, compact = ([r["bs_payload_bytes"] for r in runs[name] if r["bs_payload_bytes"]]
+                          for name in ("EVALUATED", "COMPACT"))
     if evaluated and compact:
         meta["bs_payload_ratio"] = (sum(evaluated) / len(evaluated)) / (
             sum(compact) / len(compact)
         )
-    return meta, rows
+    return meta, sorted(runs["EVALUATED"] + runs["COMPACT"], key=lambda r: r["mode"])
 
 
 def write_csv(path, metadata: dict, rows: list[dict], columns: list[str]) -> None:
@@ -269,6 +255,7 @@ def write_json(path, metadata: dict, rows: list[dict]) -> None:
 
 
 def write_results(spec: ExperimentSpec, metadata: dict, rows: list[dict], columns) -> None:
+    rows = [{c: row[c] for c in columns} for row in rows]
     if spec.format == "csv":
         write_csv(spec.output, metadata, rows, columns)
     else:

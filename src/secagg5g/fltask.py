@@ -35,7 +35,6 @@ class FlTask:
     test_y: np.ndarray
     learning_rate: float
     local_epochs: int
-    data_seed: int
     clip_bound: float = 1.0
     separation_direction: np.ndarray | None = None  # true blob axis, for oracles
 
@@ -107,7 +106,6 @@ def generate_data(
         test_y=test_y,
         learning_rate=learning_rate,
         local_epochs=local_epochs,
-        data_seed=seed,
         clip_bound=clip_bound,
         separation_direction=direction,
     )

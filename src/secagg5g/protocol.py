@@ -166,11 +166,17 @@ class BaseStation:
         the summed share itself, leaving expansion to the server. Both carry
         the same information by key-homomorphism.
 
-        Raises ProtocolError if the listed ids are not strictly increasing
-        (a repeated device would have its share added twice), and
-        MissingShareError if any listed device never registered here; the
-        station must abstain rather than emit a wrong share.
+        Raises ProtocolError if the list is stamped for a round other than
+        t (its devices masked for that round, not this one) or its ids are
+        not strictly increasing (a repeated device would have its share
+        added twice), and MissingShareError if any listed device never
+        registered here; the station must abstain rather than emit a wrong
+        share.
         """
+        if online.iteration != t:
+            raise ProtocolError(
+                f"online list for round {online.iteration} asked to answer round {t}"
+            )
         ids = online.ue_ids
         if any(map(operator.ge, ids, ids[1:])):
             raise ProtocolError(f"online list {ids} is not strictly increasing")

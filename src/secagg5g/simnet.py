@@ -9,8 +9,13 @@ Per round: online devices send one masked update each; at the deadline the
 server fixes the online list and sends it to online base stations, which
 answer with one mask share each; the server reconstructs the mask sum,
 updates the global model (or falls back to the previous one), and
-broadcasts it. Dropped entities neither send nor receive that round, and
-their traffic is accounted as never sent.
+broadcasts it. Dropped entities neither send nor receive that round.
+
+Traffic is charged per delivered message, from one table (``_LEDGER``):
+one to its link's message count and its exact wire length to the sender's
+and the receiver's bytes, in ``SetupMetrics`` for setup shares and in the
+``RoundMetrics`` of the round it carries otherwise. Late updates are
+delivered, charged, then dropped.
 
 Each round start trains every device in one ``task.local_update`` call
 over the stacked shards and models; each online device then masks and
@@ -35,6 +40,7 @@ from .messages import (
     MaskShareMsg,
     MaskShareMode,
     OnlineListMsg,
+    SetupShareMsg,
     from_bytes,
     wire_length,
 )
@@ -88,8 +94,17 @@ class DropoutSchedule:
         """The given entities are offline for every round."""
         return cls(ue_always=frozenset(ue_ids), bs_always=frozenset(bs_ids))
 
+    def __post_init__(self):
+        for role, prob, ids in (("ue", self.ue_prob, self.prob_ue_ids),
+                                ("bs", self.bs_prob, self.prob_bs_ids)):
+            # NaN fails both comparisons
+            if not 0.0 <= prob <= 1.0:
+                raise ValueError(f"{role}_prob must be in [0, 1], got {prob}")
+            if prob > 0.0 and not ids:
+                raise ValueError(f"{role}_prob={prob} needs prob_{role}_ids to drop from")
+
     def _sampled(self, prefix: str, prob: float, ids, t: int) -> frozenset[int]:
-        if prob <= 0.0 or not ids:
+        if prob == 0.0:
             return frozenset()
         rng = random.Random(f"{prefix}:{self.prob_seed}:{t}")
         return frozenset(i for i in ids if rng.random() < prob)
@@ -133,14 +148,13 @@ class SimConfig:
     mask_share_mode: MaskShareMode = MaskShareMode.EVALUATED
     frac_bits: int = 16
     magnitude_bound: float = 1.0
-    max_summands: int = 1024
 
     def __post_init__(self):
+        if self.n_ues < 1:
+            raise ValueError("need at least one UE")
         # the station threshold and the codec are checked by their own types
         self.access_structure()
         self.codec()
-        if self.n_ues < 1:
-            raise ValueError("need at least one UE")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0.0 < self.min_online_fraction <= 1.0:
@@ -154,11 +168,10 @@ class SimConfig:
             raise ValueError("deadline must exceed the base latency")
         if self.latency_jitter_ms < 0:
             raise ValueError("latency jitter must be >= 0")
-        if self.max_summands < self.n_ues:
-            raise ValueError("codec max_summands must cover all UEs")
 
     def codec(self) -> FixedPointCodec:
-        return FixedPointCodec(self.frac_bits, self.magnitude_bound, self.max_summands)
+        # the server never decodes a sum of more than every registered device
+        return FixedPointCodec(self.frac_bits, self.magnitude_bound, self.n_ues)
 
     def access_structure(self) -> AccessStructure:
         return AccessStructure(self.bs_threshold, self.n_bss)
@@ -205,13 +218,25 @@ class RoundMetrics:
         return self.bytes_ue_recv + self.bytes_bs_recv + self.bytes_af_recv
 
 
-def account_message(metrics, msg, sender_role: str, receiver_role: str) -> None:
-    """Charge one delivered message's exact wire length to both roles."""
+# per message type: its link's message count, the sender's bytes and the
+# receiver's bytes, as SetupMetrics (setup shares) or RoundMetrics fields
+_LEDGER = {
+    SetupShareMsg: ("msgs_ue_to_bs", "bytes_ue_sent", "bytes_bs_recv"),
+    MaskedUpdateMsg: ("msgs_ue_to_af", "bytes_ue_sent", "bytes_af_recv"),
+    OnlineListMsg: ("msgs_af_to_bs", "bytes_af_sent", "bytes_bs_recv"),
+    MaskShareMsg: ("msgs_bs_to_af", "bytes_bs_sent", "bytes_af_recv"),
+    GlobalModelMsg: ("msgs_af_to_ue", "bytes_af_sent", "bytes_ue_recv"),
+}
+
+
+def account_message(metrics, msg) -> None:
+    """Count one delivered message on its link and charge its exact wire
+    length to the sender and the receiver."""
     nbytes = wire_length(msg)
-    setattr(metrics, f"bytes_{sender_role}_sent",
-            getattr(metrics, f"bytes_{sender_role}_sent", 0) + nbytes)
-    setattr(metrics, f"bytes_{receiver_role}_recv",
-            getattr(metrics, f"bytes_{receiver_role}_recv", 0) + nbytes)
+    count, sent, recv = _LEDGER[type(msg)]
+    setattr(metrics, count, getattr(metrics, count) + 1)
+    setattr(metrics, sent, getattr(metrics, sent) + nbytes)
+    setattr(metrics, recv, getattr(metrics, recv) + nbytes)
 
 
 @dataclass
@@ -230,10 +255,7 @@ class _RoundState:
     online_bss: tuple[int, ...]
     metrics: RoundMetrics
     finalized: bool = False
-    expected_bs: int = 0
     shares: dict[int, MaskShareMsg] = dc_field(default_factory=dict)
-    abstained: int = 0
-    done: bool = False
 
 
 class _Timer:
@@ -320,9 +342,9 @@ class _Simulation:
         heapq.heappush(self.heap, (when, kind, sender, self.seq, payload))
         self.seq += 1
 
-    def _send(self, msg, dst_id: int, round_t: int) -> float:
+    def _send(self, msg, dst_id: int) -> float:
         arrival = self.now + self._latency()
-        self._push(arrival, _KIND_DELIVER, msg.sender, (msg.to_bytes(), dst_id, round_t))
+        self._push(arrival, _KIND_DELIVER, msg.sender, (msg.to_bytes(), dst_id))
         return arrival
 
     # -- setup phase ------------------------------------------------------
@@ -339,8 +361,7 @@ class _Simulation:
             ue.precompute(self.cfg.iterations)
             delivery = route_setup_shares(msgs, set(self.bs_ids))
             for j in sorted(delivery):
-                last_arrival = max(last_arrival, self._send(delivery[j], j, round_t=-1))
-                self.setup_metrics.msgs_ue_to_bs += 1
+                last_arrival = max(last_arrival, self._send(delivery[j], j))
         self.setup_metrics.time_setup_ms = (time.perf_counter() - start) * 1e3
         return last_arrival
 
@@ -364,8 +385,7 @@ class _Simulation:
             ue = self.ues[i]
             with _Timer(state.metrics, "time_ue_ms"):
                 msg = ue.masked_update(updates[i - 1], t)
-            self._send(msg, 0, round_t=t)
-            state.metrics.msgs_ue_to_af += 1
+            self._send(msg, 0)
         self._push(self.now + self.cfg.deadline_ms, _KIND_DEADLINE, 0, t)
 
     def _on_deadline(self, t: int) -> None:
@@ -377,21 +397,18 @@ class _Simulation:
         if online_list is None or not state.online_bss:
             self._fallback(state)
             return
-        state.expected_bs = len(state.online_bss)
         for j in state.online_bss:
-            self._send(online_list, j, round_t=t)
-            state.metrics.msgs_af_to_bs += 1
+            self._send(online_list, j)
 
-    def _on_deliver(self, raw: bytes, dst_id: int, round_t: int) -> None:
+    def _on_deliver(self, raw: bytes, dst_id: int) -> None:
         msg = from_bytes(raw)
-        if round_t < 0:
-            account_message(self.setup_metrics, msg, "ue", "bs")
+        setup = isinstance(msg, SetupShareMsg)
+        state = None if setup else self.round_state[msg.iteration]
+        metrics = self.setup_metrics if setup else state.metrics
+        account_message(metrics, msg)
+        if setup:
             self.bss[dst_id].receive_share(msg)
-            return
-        state = self.round_state[round_t]
-        metrics = state.metrics
-        if isinstance(msg, MaskedUpdateMsg):
-            account_message(metrics, msg, "ue", "af")
+        elif isinstance(msg, MaskedUpdateMsg):
             if state.finalized:
                 metrics.late_drops += 1
                 return
@@ -401,36 +418,25 @@ class _Simulation:
                 metrics.stale_drops += 1
             elif status is CollectStatus.DUPLICATE:
                 metrics.duplicate_drops += 1
-            return
-        if isinstance(msg, OnlineListMsg):
-            account_message(metrics, msg, "af", "bs")
-            bs = self.bss[dst_id]
+        elif isinstance(msg, OnlineListMsg):
             try:
                 with _Timer(metrics, "time_bs_ms"):
-                    share = bs.mask_share(
-                        msg, round_t, self.cfg.mask_share_mode, self.cfg.model_dim
+                    share = self.bss[dst_id].mask_share(
+                        msg, msg.iteration, self.cfg.mask_share_mode, self.cfg.model_dim
                     )
             except MissingShareError:
-                state.abstained += 1
                 metrics.bs_abstentions += 1
                 self._maybe_recover(state)
                 return
-            self._send(share, 0, round_t=round_t)
-            metrics.msgs_bs_to_af += 1
-            return
-        if isinstance(msg, MaskShareMsg):
-            account_message(metrics, msg, "bs", "af")
+            self._send(share, 0)
+        elif isinstance(msg, MaskShareMsg):
             state.shares[msg.sender] = msg
             self._maybe_recover(state)
-            return
-        if isinstance(msg, GlobalModelMsg):
-            account_message(metrics, msg, "af", "ue")
+        else:
             self.ues[dst_id].current_model[:] = msg.weights
-            return
-        raise RuntimeError(f"unroutable message {msg!r}")
 
     def _maybe_recover(self, state: _RoundState) -> None:
-        if state.done or len(state.shares) + state.abstained < state.expected_bs:
+        if len(state.shares) + state.metrics.bs_abstentions < len(state.online_bss):
             return
         with _Timer(state.metrics, "time_af_ms"):
             agg_mask = self.af.recover_mask(
@@ -450,7 +456,6 @@ class _Simulation:
         self._close_round(state)
 
     def _close_round(self, state: _RoundState) -> None:
-        state.done = True
         # only late updates and model deliveries reach a closed round, and
         # they touch its metrics alone
         state.shares.clear()
@@ -459,8 +464,7 @@ class _Simulation:
         model_msg = self.af.global_model_message()
         last_arrival = self.now
         for i in state.online_ues:
-            last_arrival = max(last_arrival, self._send(model_msg, i, state.t))
-            state.metrics.msgs_af_to_ue += 1
+            last_arrival = max(last_arrival, self._send(model_msg, i))
         if state.t + 1 < self.cfg.iterations:
             self._push(last_arrival, _KIND_ROUND_START, 0, state.t + 1)
 

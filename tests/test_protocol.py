@@ -327,6 +327,16 @@ def test_repeated_or_unsorted_online_list_is_refused(forged, mode):
     assert not isinstance(err.value, MissingShareError)
 
 
+@pytest.mark.parametrize("mode", list(MaskShareMode))
+def test_online_list_for_another_round_is_refused(mode):
+    # a round-1 share answering a round-0 list would unmask round 1 with the
+    # wrong online set; the station refuses instead of abstaining
+    ues, bss, af, *_ = make_fleet(seed=35)
+    with pytest.raises(ProtocolError, match="round 0 asked to answer round 1") as err:
+        bss[1].mask_share(OnlineListMsg(0, 0, (1, 2, 3)), 1, mode, 12)
+    assert not isinstance(err.value, MissingShareError)
+
+
 # -- recovery and unmasking ---------------------------------------------------
 
 

@@ -4,6 +4,8 @@ Wall-clock timing fields are excluded from every equality check; simulated
 outcomes and byte counts are the deterministic contract.
 """
 
+import hashlib
+import json
 import math
 from dataclasses import asdict
 
@@ -57,8 +59,6 @@ def test_config_validation():
         SimConfig(deadline_ms=1.0, latency_base_ms=5.0)
     with pytest.raises(ValueError):
         SimConfig(min_online_fraction=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(n_ues=8, max_summands=4)
 
 
 @pytest.mark.parametrize("name", ["latency_base_ms", "latency_jitter_ms", "deadline_ms"])
@@ -91,6 +91,36 @@ def test_closed_rounds_keep_no_shares():
     result = sim.run()
     assert [rm.outcome for rm in result.rounds] == [AGGREGATED] * 4
     assert all(not state.shares for state in sim.round_state.values())
+
+
+def test_config_needs_a_device_before_building_its_codec():
+    # the codec's summand limit is n_ues, so zero must fail as a population
+    with pytest.raises(ValueError, match="need at least one UE"):
+        SimConfig(n_ues=0)
+
+
+def test_codec_covers_exactly_the_registered_devices():
+    assert SimConfig(n_ues=5).codec().max_summands == 5
+
+
+@pytest.mark.parametrize("prob", [1.5, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("role", ["ue", "bs"])
+def test_schedule_rejects_probability_outside_unit_interval(role, prob):
+    with pytest.raises(ValueError, match=f"{role}_prob must be in"):
+        DropoutSchedule(**{f"{role}_prob": prob, f"prob_{role}_ids": (1, 2, 3)})
+
+
+@pytest.mark.parametrize("role", ["ue", "bs"])
+def test_schedule_rejects_probability_without_ids(role):
+    # a positive rate over no ids would silently drop no one
+    with pytest.raises(ValueError, match=f"prob_{role}_ids"):
+        DropoutSchedule(**{f"{role}_prob": 0.9})
+
+
+def test_schedule_accepts_the_unit_interval_ends():
+    sched = DropoutSchedule(ue_prob=1.0, bs_prob=0.0, prob_ue_ids=(1, 2), prob_bs_ids=())
+    assert sched.dropped_ues(0) == {1, 2}
+    assert sched.dropped_bss(0) == frozenset()
 
 
 def test_apply_dropout_empty_schedule():
@@ -138,7 +168,7 @@ def test_task_dimension_must_match():
 def test_account_message_masked_update_d1000():
     metrics = RoundMetrics(iteration=0, online_ues=0, online_bss=0)
     msg = MaskedUpdateMsg(1, 0, tuple(range(1000)))
-    account_message(metrics, msg, "ue", "af")
+    account_message(metrics, msg)
     assert metrics.bytes_ue_sent == 17 + 4 + 8000
     assert metrics.bytes_af_recv == 17 + 4 + 8000
 
@@ -146,7 +176,7 @@ def test_account_message_masked_update_d1000():
 def test_account_message_compact_share():
     metrics = RoundMetrics(iteration=0, online_ues=0, online_bss=0)
     msg = MaskShareMsg(2, 0, MaskShareMode.COMPACT, scalar=7)
-    account_message(metrics, msg, "bs", "af")
+    account_message(metrics, msg)
     assert metrics.bytes_bs_sent == 17 + 1 + 8
     assert metrics.bytes_af_recv == 26
 
@@ -155,6 +185,94 @@ def test_zero_messages_zero_bytes():
     metrics = RoundMetrics(iteration=0, online_ues=0, online_bss=0)
     assert metrics.total_sent() == 0
     assert metrics.total_received() == 0
+
+
+# -- golden counters ---------------------------------------------------------------
+
+# Every integer counter and outcome of three scenarios per mode, recorded when
+# message counts were charged where each message was sent. Totals name the
+# counter that moved; the digest covers every round's values. No float enters,
+# so these hold across BLAS builds.
+GOLDEN_SCENARIOS = {
+    "late": (dict(latency_base_ms=5.0, latency_jitter_ms=200.0, deadline_ms=30.0),
+             DropoutSchedule.none()),
+    "bernoulli": ({}, DropoutSchedule(ue_prob=0.4, bs_prob=0.35, prob_seed=11,
+                                      prob_ue_ids=tuple(range(1, 9)),
+                                      prob_bs_ids=(1, 2, 3, 4))),
+    "bs_3_4_off": ({}, DropoutSchedule.constant(bs_ids=(3, 4))),
+}
+GOLDEN_SETUP = {"bytes_ue_sent": 1312, "bytes_bs_recv": 1312, "msgs_ue_to_bs": 32}
+GOLDEN_ROUNDS = {
+    ("EVALUATED", "late"): (
+        dict(online_ues=80, online_bss=40, online_list_size=5, bytes_ue_sent=8080,
+             bytes_ue_recv=8080, bytes_bs_sent=408, bytes_bs_recv=180, bytes_af_sent=8260,
+             bytes_af_recv=8488, msgs_ue_to_af=80, msgs_af_to_bs=4, msgs_bs_to_af=4,
+             msgs_af_to_ue=80, late_drops=75, stale_drops=0, duplicate_drops=0,
+             bs_abstentions=0, outcome="FFFAFFFFFF"),
+        "7840a109fb7815df281264c3cf7d9be079fb66969352685bcd1776430ba9a2c2",
+    ),
+    ("EVALUATED", "bernoulli"): (
+        dict(online_ues=50, online_bss=25, online_list_size=50, bytes_ue_sent=5050,
+             bytes_ue_recv=5050, bytes_bs_sent=2346, bytes_bs_recv=1451, bytes_af_sent=6501,
+             bytes_af_recv=7396, msgs_ue_to_af=50, msgs_af_to_bs=23, msgs_bs_to_af=23,
+             msgs_af_to_ue=50, late_drops=0, stale_drops=0, duplicate_drops=0,
+             bs_abstentions=0, outcome="FAFAAAFFFA"),
+        "8e723cf735e99da2279c98a1d8a7f73a9ade8742c45d724437df43406f29d606",
+    ),
+    ("EVALUATED", "bs_3_4_off"): (
+        dict(online_ues=80, online_bss=20, online_list_size=80, bytes_ue_sent=8080,
+             bytes_ue_recv=8080, bytes_bs_sent=2040, bytes_bs_recv=1700, bytes_af_sent=9780,
+             bytes_af_recv=10120, msgs_ue_to_af=80, msgs_af_to_bs=20, msgs_bs_to_af=20,
+             msgs_af_to_ue=80, late_drops=0, stale_drops=0, duplicate_drops=0,
+             bs_abstentions=0, outcome="FFFFFFFFFF"),
+        "8e2ca1c6ff715cd1659977ad5cf6d28306c74b544e6d5c17cfc4674a2c78f62f",
+    ),
+    ("COMPACT", "late"): (
+        dict(online_ues=80, online_bss=40, online_list_size=5, bytes_ue_sent=8080,
+             bytes_ue_recv=8080, bytes_bs_sent=104, bytes_bs_recv=180, bytes_af_sent=8260,
+             bytes_af_recv=8184, msgs_ue_to_af=80, msgs_af_to_bs=4, msgs_bs_to_af=4,
+             msgs_af_to_ue=80, late_drops=75, stale_drops=0, duplicate_drops=0,
+             bs_abstentions=0, outcome="FFFAFFFFFF"),
+        "bc17d0300e8acfc120b5a7ecf52d719de5888125cf4cf2337d26a012dafa8e14",
+    ),
+    ("COMPACT", "bernoulli"): (
+        dict(online_ues=50, online_bss=25, online_list_size=50, bytes_ue_sent=5050,
+             bytes_ue_recv=5050, bytes_bs_sent=598, bytes_bs_recv=1451, bytes_af_sent=6501,
+             bytes_af_recv=5648, msgs_ue_to_af=50, msgs_af_to_bs=23, msgs_bs_to_af=23,
+             msgs_af_to_ue=50, late_drops=0, stale_drops=0, duplicate_drops=0,
+             bs_abstentions=0, outcome="FAFAAAFFFA"),
+        "f9a8d505ce71dc03a9e74c128e6df05f9cfd20147dde940dacac97f2c22c5e2b",
+    ),
+    ("COMPACT", "bs_3_4_off"): (
+        dict(online_ues=80, online_bss=20, online_list_size=80, bytes_ue_sent=8080,
+             bytes_ue_recv=8080, bytes_bs_sent=520, bytes_bs_recv=1700, bytes_af_sent=9780,
+             bytes_af_recv=8600, msgs_ue_to_af=80, msgs_af_to_bs=20, msgs_bs_to_af=20,
+             msgs_af_to_ue=80, late_drops=0, stale_drops=0, duplicate_drops=0,
+             bs_abstentions=0, outcome="FFFFFFFFFF"),
+        "cac5b23bfe7c0e1cfb9d92e95353b8f9d512b537dfebd954f9fa3bf543ec2641",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode, scenario", sorted(GOLDEN_ROUNDS))
+def test_round_counters_match_golden(mode, scenario):
+    overrides, sched = GOLDEN_SCENARIOS[scenario]
+    cfg = small_cfg(rng_seed=5, mask_share_mode=MaskShareMode[mode], **overrides)
+    result = run_simulation(cfg, sched, small_task())
+    per_round = [
+        {k: v for k, v in asdict(rm).items() if k != "accuracy" and not k.startswith("time_")}
+        for rm in result.rounds
+    ]
+    setup = strip_times(result.setup)
+    totals = {k: sum(r[k] for r in per_round) for k in per_round[0]
+              if k not in ("iteration", "outcome")}
+    totals["outcome"] = "".join(r["outcome"][0] for r in per_round)
+    expected_totals, expected_digest = GOLDEN_ROUNDS[mode, scenario]
+    assert setup == GOLDEN_SETUP
+    assert totals == expected_totals
+    assert [r["iteration"] for r in per_round] == list(range(10))
+    digest = hashlib.sha256(json.dumps([setup, per_round], sort_keys=True).encode()).hexdigest()
+    assert digest == expected_digest
 
 
 # -- full runs -------------------------------------------------------------------
