@@ -219,10 +219,9 @@ def compare_modes(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     identical field vectors); a mismatch means the protocol is broken, so it
     raises rather than reporting.
     """
+    spec = replace(spec, sweep_axis="none")
     runs = {
-        mode.name: run_experiment(
-            replace(spec, sweep_axis="none", sim=replace(spec.sim, mask_share_mode=mode))
-        )[1]
+        mode.name: run_experiment(replace(spec, sim=replace(spec.sim, mask_share_mode=mode)))[1]
         for mode in MaskShareMode
     }
     for ev, cp in zip(runs["EVALUATED"], runs["COMPACT"]):

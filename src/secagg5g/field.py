@@ -182,6 +182,8 @@ def encode_masked(w, codec: FixedPointCodec, mask: np.ndarray) -> np.ndarray:
 
     The signed quantized value plus a canonical mask lies in (-p/2, 3p/2),
     which int64 holds, so one ``% p`` gives the canonical masked update.
+    ``w`` and ``mask`` may also be (m, d) stacks, one update per row: every
+    step is elementwise, so each row is bit-identical to encoding it alone.
     """
     q = _quantize(w, codec)
     if q.shape != mask.shape:

@@ -101,20 +101,53 @@ class UserEquipment:
         Each iteration's mask may be used once; reuse would let the server
         cancel masks across rounds and open individual updates. Rounds must
         therefore strictly increase: any ``t`` at or below the last round
-        masked raises ProtocolError.
+        masked raises ProtocolError. An update outside the codec's magnitude
+        bound raises ValueError and spends no round.
         """
-        if t <= self._last_iteration:
+        return mask_updates([self], [w], t)[0]
+
+    def _round_mask(self, t: int) -> np.ndarray:
+        if self.precomputed_masks is not None and t < len(self.precomputed_masks):
+            return self.precomputed_masks[t]
+        return khprf.evaluate(self.key, t, self.dim)
+
+
+def mask_updates(ues: list[UserEquipment], updates, t: int) -> list[MaskedUpdateMsg]:
+    """Mask row r of the (m, d) ``updates`` with device ``ues[r]``'s round-t
+    mask; one message per row, in the order of ``ues``.
+
+    The masks are gathered into one (m, d) array and one
+    ``field.encode_masked`` call encodes the stack, so each row is
+    bit-identical to masking that device alone.
+
+    All or nothing: raises ProtocolError, and advances no device, if a
+    device is listed twice or has already masked round t or a later one.
+    Raises ValueError if the devices do not share one codec, or if an
+    update has the wrong dimension or exceeds the magnitude bound. An empty
+    fleet gives no messages.
+    """
+    if not ues:
+        return []
+    codec = ues[0].codec
+    # identity first: a fleet normally shares one codec object
+    if any(ue.codec is not codec and ue.codec != codec for ue in ues):
+        raise ValueError("devices masked in one call must share one codec")
+    if len({id(ue) for ue in ues}) < len(ues):
+        raise ProtocolError("a device listed twice would use its round mask twice")
+    for ue in ues:
+        if t <= ue._last_iteration:
             raise ProtocolError(
-                f"UE {self.ue_id} already masked round {self._last_iteration}; "
+                f"UE {ue.ue_id} already masked round {ue._last_iteration}; "
                 f"round {t} is not later"
             )
-        if self.precomputed_masks is not None and t < len(self.precomputed_masks):
-            mask = self.precomputed_masks[t]
-        else:
-            mask = khprf.evaluate(self.key, t, self.dim)
-        payload = field.encode_masked(w, self.codec, mask)
-        self._last_iteration = t
-        return MaskedUpdateMsg(sender=self.ue_id, iteration=t, payload=payload)
+    masks = np.array([ue._round_mask(t) for ue in ues])
+    payloads = field.encode_masked(updates, codec, masks)
+    for ue in ues:
+        ue._last_iteration = t
+    return [
+        MaskedUpdateMsg(sender=ue.ue_id, iteration=t, payload=row)
+        for ue, row in zip(ues, payloads)
+    ]
 
 
 def route_setup_shares(

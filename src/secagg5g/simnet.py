@@ -18,9 +18,10 @@ and the receiver's bytes, in ``SetupMetrics`` for setup shares and in the
 delivered, charged, then dropped.
 
 Each round start trains every device in one ``task.local_update`` call
-over the stacked shards and models; each online device then masks and
-sends its own row. Local model training is excluded from the per-role
-compute times; the timers cover the aggregation protocol's own work only.
+over the stacked shards and models, masks the online devices' rows in one
+``protocol.mask_updates`` call, then sends one message per online device.
+Local model training is excluded from the per-role compute times; the
+timers cover the aggregation protocol's own work only.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .protocol import (
     MissingShareError,
     UserEquipment,
     generate_key,
+    mask_updates,
     route_setup_shares,
 )
 from .shamir import AccessStructure
@@ -381,10 +383,11 @@ class _Simulation:
         # offline devices' rows are trained too and left unread: gathering
         # the online shards would copy them every round
         updates = self.task.local_update(slice(0, self.cfg.n_ues), self.ue_models)
-        for i in online_ues:
-            ue = self.ues[i]
-            with _Timer(state.metrics, "time_ue_ms"):
-                msg = ue.masked_update(updates[i - 1], t)
+        with _Timer(state.metrics, "time_ue_ms"):
+            msgs = mask_updates(
+                [self.ues[i] for i in online_ues], updates[[i - 1 for i in online_ues]], t
+            )
+        for msg in msgs:
             self._send(msg, 0)
         self._push(self.now + self.cfg.deadline_ms, _KIND_DEADLINE, 0, t)
 

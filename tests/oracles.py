@@ -77,3 +77,12 @@ def local_train_one(
         grad = -(xb.T @ (y * _sigmoid_masked(-y * z))) / len(y)
         w -= lr * grad
     return np.clip(w - start, -clip_bound, clip_bound)
+
+
+def masked_update_plain(domain_tag: bytes, key: int, t: int, w, frac_bits: int) -> list[int]:
+    """round(w_i * 2^f) + key * H(t, i) mod p, one Python int per element:
+    the reference for a device's round-t masked update."""
+    return [
+        (round(x * 2**frac_bits) + key * hash_to_field(domain_tag, t, i)) % P
+        for i, x in enumerate(w)
+    ]

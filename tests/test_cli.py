@@ -236,3 +236,12 @@ def test_compare_modes_ratio_metadata():
                                      "test_samples": 20})
     meta, _ = compare_modes(spec)
     assert meta["bs_payload_ratio"] >= 400
+
+
+def test_compare_modes_metadata_records_no_sweep():
+    # compare-modes runs the configured dropouts only, whatever the sweep keys say
+    spec = ExperimentSpec.from_dict({**FAST, "seeds": [0], "iterations": 1,
+                                     "sweep_axis": "bs_dropout", "sweep_max": 2})
+    meta, rows = compare_modes(spec)
+    assert meta["sweep_axis"] == "none"
+    assert {r["sweep_value"] for r in rows} == {0}

@@ -9,7 +9,9 @@ import random
 from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secagg5g import field, khprf
 from secagg5g.field import P, FixedPointCodec, decode_sum, encode_update
@@ -28,9 +30,10 @@ from secagg5g.protocol import (
     ProtocolError,
     UserEquipment,
     generate_key,
+    mask_updates,
     route_setup_shares,
 )
-from oracles import alpha_summation_oracle, hash_to_field
+from oracles import EDGE_ELEMENTS, alpha_summation_oracle, hash_to_field, masked_update_plain
 from secagg5g.shamir import AccessStructure
 
 CODEC = FixedPointCodec(frac_bits=16, magnitude_bound=1.0, max_summands=1024)
@@ -198,6 +201,82 @@ def test_precomputed_masks_bitwise_equal_on_the_fly():
     ues[2].precompute(10)
     precomputed = ues[2].masked_update(w, t=5)
     assert spontaneous.payload.tolist() == precomputed.payload.tolist()
+
+
+# -- masking a fleet in one call ----------------------------------------------
+
+keys = st.sampled_from(EDGE_ELEMENTS) | st.integers(min_value=0, max_value=P - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fleet_masking_matches_each_device_and_plain_ints(data):
+    m = data.draw(st.integers(min_value=1, max_value=8), label="m")
+    d = data.draw(st.integers(min_value=1, max_value=70), label="d")
+    t = data.draw(st.integers(min_value=0, max_value=12), label="t")
+    fleet_keys = data.draw(st.lists(keys, min_size=m, max_size=m), label="keys")
+    # no table, a table that ends at or before t, or one that covers t
+    tables = data.draw(st.lists(st.none() | st.integers(min_value=1, max_value=16),
+                                min_size=m, max_size=m), label="tables")
+    rows = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=d, max_size=d)
+    w = data.draw(st.lists(rows, min_size=m, max_size=m), label="w")
+
+    def fleet():
+        ues = [UserEquipment(ue_id=r + 1, key=k, codec=CODEC, dim=d)
+               for r, k in enumerate(fleet_keys)]
+        for ue, n in zip(ues, tables):
+            if n is not None:
+                ue.precompute(n)
+        return ues
+
+    msgs = mask_updates(fleet(), np.array(w), t)
+    # masks are one-use, so each device alone is a fresh twin
+    alone = [ue.masked_update(row, t) for ue, row in zip(fleet(), w)]
+    assert [(msg.sender, msg.iteration) for msg in msgs] == [(r + 1, t) for r in range(m)]
+    for msg, own, key, row in zip(msgs, alone, fleet_keys, w):
+        want = masked_update_plain(khprf.DOMAIN_TAG, key, t, row, CODEC.frac_bits)
+        assert msg.payload.tolist() == own.payload.tolist() == want
+
+
+def test_fleet_masking_is_all_or_nothing():
+    ues, *_ = make_fleet(seed=17)
+    ues[3].masked_update([0.0] * 12, t=2)
+    fleet = [ues[1], ues[2], ues[3], ues[4]]
+    with pytest.raises(ProtocolError):
+        mask_updates(fleet, np.zeros((4, 12)), 2)
+    assert [ue._last_iteration for ue in fleet] == [-1, -1, 2, -1]
+    # an update beyond the magnitude bound spends no device's round either
+    bad = np.zeros((3, 12))
+    bad[2, 5] = 1.5
+    with pytest.raises(ValueError):
+        mask_updates([ues[1], ues[2], ues[4]], bad, 2)
+    assert [ue._last_iteration for ue in fleet] == [-1, -1, 2, -1]
+    msgs = mask_updates([ues[1], ues[2], ues[4]], np.zeros((3, 12)), 2)
+    assert [msg.sender for msg in msgs] == [1, 2, 4]
+    assert [ue._last_iteration for ue in fleet] == [2, 2, 2, 2]
+
+
+def test_fleet_masking_refuses_a_device_listed_twice():
+    # both rows would carry the same round mask, and their difference would
+    # open the two updates' difference
+    ues, *_ = make_fleet(seed=18)
+    with pytest.raises(ProtocolError):
+        mask_updates([ues[1], ues[2], ues[1]], np.zeros((3, 12)), 0)
+    assert ues[1]._last_iteration == ues[2]._last_iteration == -1
+
+
+def test_fleet_masking_needs_one_codec():
+    ues, *_ = make_fleet(seed=19)
+    ues[2].codec = replace(CODEC, frac_bits=12)
+    with pytest.raises(ValueError):
+        mask_updates([ues[1], ues[2]], np.zeros((2, 12)), 0)
+    assert ues[1]._last_iteration == ues[2]._last_iteration == -1
+    ues[2].codec = replace(CODEC)  # equal, not the same object
+    assert len(mask_updates([ues[1], ues[2]], np.zeros((2, 12)), 0)) == 2
+
+
+def test_fleet_masking_of_no_devices_is_empty():
+    assert mask_updates([], np.zeros((0, 12)), 0) == []
 
 
 # -- collection and the online list ------------------------------------------

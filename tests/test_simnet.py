@@ -11,7 +11,7 @@ from dataclasses import asdict
 
 import pytest
 
-from secagg5g import fltask
+from secagg5g import fltask, protocol, simnet
 from secagg5g.messages import MaskedUpdateMsg, MaskShareMode, MaskShareMsg
 from secagg5g.simnet import (
     AGGREGATED,
@@ -315,6 +315,24 @@ def test_each_round_trains_the_fleet_in_one_call():
     task = CountingTask(small_task(n_ues=9))
     run_simulation(small_cfg(), sched, task)
     assert task.indices == [slice(0, 8)] * 10
+
+
+def test_each_round_masks_the_fleet_in_one_call(monkeypatch):
+    calls = []
+
+    def counting_mask_updates(ues, updates, t):
+        calls.append((t, [ue.ue_id for ue in ues], len(updates)))
+        return protocol.mask_updates(ues, updates, t)
+
+    monkeypatch.setattr(simnet, "mask_updates", counting_mask_updates)
+    sched = DropoutSchedule(ue_rounds={1: frozenset({2, 7}), 3: frozenset({1})}, ue_prob=0.3,
+                            prob_seed=5, prob_ue_ids=tuple(range(1, 9)))
+    run_simulation(small_cfg(), sched, small_task())
+    assert [t for t, *_ in calls] == list(range(10))
+    for t, ids, rows in calls:
+        online, _ = apply_dropout(sched, t, range(1, 9), range(1, 5))
+        assert ids == list(online) and rows == len(ids)
+    assert any(len(ids) < 8 for _, ids, _ in calls)
 
 
 def test_result_models_are_lists_of_python_floats():
