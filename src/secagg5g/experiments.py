@@ -3,9 +3,10 @@
 An ExperimentSpec is loaded from a flat JSON file (CLI flags override file
 keys); the protocol knobs among the keys become its SimConfig. Results come
 back as one row per (sweep point, seed, iteration) plus a metadata dict
-echoing every knob that affects them, and are written as CSV (.-decimal, comma-separated, metadata as leading
-``# key=value`` lines) or JSON. Row order is deterministic; only the
-wall-clock timing columns vary between identical runs.
+echoing every knob that took effect, and are written as CSV (.-decimal,
+comma-separated, metadata as leading ``# key=value`` lines) or JSON. Row
+order is deterministic; only the wall-clock timing columns vary between
+identical runs.
 """
 
 from __future__ import annotations
@@ -162,10 +163,13 @@ class ExperimentSpec:
         )
 
     def metadata(self) -> dict:
-        """Flat config keys and values, then ``model_dim``."""
+        """Flat config keys and values of the knobs that took effect, then
+        ``model_dim``: no sweep bounds without a sweep, and no fixed count
+        for the axis being swept."""
+        unused = ("sweep_min", "sweep_max") if self.sweep_axis == "none" else (self.sweep_axis,)
         out = {k: getattr(self.sim, k) for k in SIM_KEYS}
         out["mask_share_mode"] = self.sim.mask_share_mode.name.lower()
-        out.update((k, v) for k, v in asdict(self).items() if k != "sim")
+        out.update((k, v) for k, v in asdict(self).items() if k != "sim" and k not in unused)
         out["model_dim"] = self.sim.model_dim
         return out
 

@@ -12,14 +12,16 @@ the unit of bandwidth accounting, so nothing here may be approximate.
     GLOBAL_MODEL  dim(4) || float64 weights(8 each)
 
 Field vectors and model weights are numpy arrays (uint64 and float64) and
-go on the wire as their little-endian bytes. Decoding is strict: a message
-must have exactly the length its type and count imply, every field
-element must lie in [0, p), and the ids of an online list must be strictly
-increasing; anything else raises ValueError.
+go on the wire as their little-endian bytes. Each message type checks its
+own fields when built, in process or by ``from_bytes``: every field element
+must lie in [0, p) and the ids of an online list must strictly increase,
+else ValueError. Decoding adds only the length rule: a message must have
+exactly the length its type and count imply.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -85,6 +87,10 @@ class SetupShareMsg(_Message):
     target_bs: int
     share: SecretShare
 
+    def __post_init__(self):
+        if not 0 <= self.share.y < P:
+            raise ValueError(f"share y = {self.share.y} is not in [0, p)")
+
     def to_bytes(self) -> bytes:
         return _HEADER.pack(SETUP_SHARE, self.sender, self.iteration) + _SETUP.pack(
             self.target_bs, self.share.x, self.share.y
@@ -99,6 +105,7 @@ class MaskedUpdateMsg(_Message):
 
     def __post_init__(self):
         _as_array(self, "payload", _U64)
+        require_canonical(self.payload)
 
     def to_bytes(self) -> bytes:
         return _HEADER.pack(MASKED_UPDATE, self.sender, self.iteration) + _pack_array(
@@ -110,7 +117,12 @@ class MaskedUpdateMsg(_Message):
 class OnlineListMsg(_Message):
     sender: int
     iteration: int
-    ue_ids: tuple[int, ...]  # strictly increasing
+    ue_ids: tuple[int, ...]
+
+    def __post_init__(self):
+        # a repeated id would add that device's key share twice at a station
+        if any(map(operator.ge, self.ue_ids, self.ue_ids[1:])):
+            raise ValueError("online list ids are not strictly increasing")
 
     def to_bytes(self) -> bytes:
         head = _HEADER.pack(ONLINE_LIST, self.sender, self.iteration)
@@ -134,6 +146,9 @@ class MaskShareMsg(_Message):
             raise ValueError("COMPACT mask share needs a scalar payload")
         if self.vector is not None:
             _as_array(self, "vector", _U64)
+            require_canonical(self.vector)
+        if self.scalar is not None and not 0 <= self.scalar < P:
+            raise ValueError(f"scalar share {self.scalar} is not in [0, p)")
 
     def to_bytes(self) -> bytes:
         head = _HEADER.pack(MASK_SHARE, self.sender, self.iteration)
@@ -179,25 +194,13 @@ def _expect_length(body: bytes, length: int) -> None:
         raise ValueError(f"{len(body) - length} trailing bytes after the message")
 
 
-def _field_scalar(value: int) -> int:
-    if value >= P:
-        raise ValueError(f"field element {value} is not below p = {P}")
-    return value
-
-
-def _field_vector(body: bytes, offset: int) -> np.ndarray:
-    vec = _counted(body, offset, _U64)
-    require_canonical(vec)
-    return vec
-
-
 def from_bytes(data: bytes) -> Message:
     """Decode a serialized message; inverse of ``to_bytes`` bit for bit.
 
     Raises ValueError for an unknown type or mode, a length other than the
-    one the type and count imply, a field element >= p, or an online list
-    whose ids are not strictly increasing. Arrays in the
-    result are read-only views of the received bytes.
+    one the type and count imply, or any field the message type itself
+    refuses (an element >= p, online ids not strictly increasing). Arrays in
+    the result are read-only views of the received bytes.
     """
     if len(data) < HEADER_LEN:
         raise ValueError("truncated header")
@@ -206,23 +209,20 @@ def from_bytes(data: bytes) -> Message:
     if msg_type == SETUP_SHARE:
         _expect_length(body, _SETUP.size)
         target_bs, x, y = _SETUP.unpack(body)
-        return SetupShareMsg(sender, iteration, target_bs, SecretShare(x, _field_scalar(y)))
+        return SetupShareMsg(sender, iteration, target_bs, SecretShare(x, y))
     if msg_type == MASKED_UPDATE:
-        return MaskedUpdateMsg(sender, iteration, _field_vector(body, 0))
+        return MaskedUpdateMsg(sender, iteration, _counted(body, 0, _U64))
     if msg_type == ONLINE_LIST:
-        ids = _counted(body, 0, _U64)
-        if np.any(ids[1:] <= ids[:-1]):
-            raise ValueError("online list ids are not strictly increasing")
-        return OnlineListMsg(sender, iteration, tuple(ids.tolist()))
+        return OnlineListMsg(sender, iteration, tuple(_counted(body, 0, _U64).tolist()))
     if msg_type == MASK_SHARE:
         if not body:
             raise ValueError("truncated mask share mode")
         mode = MaskShareMode(body[0])
         if mode is MaskShareMode.EVALUATED:
-            return MaskShareMsg(sender, iteration, mode, vector=_field_vector(body, 1))
+            return MaskShareMsg(sender, iteration, mode, vector=_counted(body, 1, _U64))
         _expect_length(body, 1 + _WORD.size)
         (scalar,) = _WORD.unpack_from(body, 1)
-        return MaskShareMsg(sender, iteration, mode, scalar=_field_scalar(scalar))
+        return MaskShareMsg(sender, iteration, mode, scalar=scalar)
     if msg_type == GLOBAL_MODEL:
         return GlobalModelMsg(sender, iteration, _counted(body, 0, _F64))
     raise ValueError(f"unknown message type {msg_type}")

@@ -15,14 +15,16 @@ zero or more messages out. The discrete-event harness in ``simnet`` drives
 them; tests may also drive them directly.
 
 Field vectors (masked updates, masks) are canonical uint64 arrays
-(``field``); the server's model is a float64 array.
+(``field``); the server's model is a float64 array. Each message type checks
+its own fields when it is built (``messages``), so the roles check only what
+depends on their own state: round, sender and station ids, dimension, mode,
+registered devices and one-use masks.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
@@ -73,9 +75,9 @@ class UserEquipment:
     codec: FixedPointCodec
     dim: int
     current_model: list[float] | np.ndarray = dc_field(default_factory=list)
-    precomputed_masks: np.ndarray | None = None  # read-only (iterations, dim)
-    _setup_done: bool = False
-    _last_iteration: int = -1  # highest round masked so far
+    precomputed_masks: np.ndarray | None = dc_field(default=None, init=False)  # (iterations, dim)
+    _setup_done: bool = dc_field(default=False, init=False)
+    _last_iteration: int = dc_field(default=-1, init=False)  # highest round masked so far
 
     def setup(self, acc: AccessStructure, rng) -> list[SetupShareMsg]:
         """Split the key into one share per base station (share x = BS index).
@@ -173,7 +175,7 @@ class BaseStation:
     """Regional relay: holds one key share per registered device."""
 
     bs_id: int
-    stored_shares: dict[int, SecretShare] = dc_field(default_factory=dict)
+    stored_shares: dict[int, SecretShare] = dc_field(default_factory=dict, init=False)
 
     def receive_share(self, msg: SetupShareMsg) -> None:
         if msg.target_bs != self.bs_id:
@@ -200,19 +202,15 @@ class BaseStation:
         the same information by key-homomorphism.
 
         Raises ProtocolError if the list is stamped for a round other than
-        t (its devices masked for that round, not this one) or its ids are
-        not strictly increasing (a repeated device would have its share
-        added twice), and MissingShareError if any listed device never
-        registered here; the station must abstain rather than emit a wrong
-        share.
+        t (its devices masked for that round, not this one), and
+        MissingShareError if any listed device never registered here; the
+        station must abstain rather than emit a wrong share. The list's ids
+        are strictly increasing, because ``OnlineListMsg`` refuses any other.
         """
         if online.iteration != t:
             raise ProtocolError(
                 f"online list for round {online.iteration} asked to answer round {t}"
             )
-        ids = online.ue_ids
-        if any(map(operator.ge, ids, ids[1:])):
-            raise ProtocolError(f"online list {ids} is not strictly increasing")
         missing = [ue for ue in online.ue_ids if ue not in self.stored_shares]
         if missing:
             raise MissingShareError(
@@ -238,15 +236,14 @@ class Aggregator:
     bs_threshold: AccessStructure
     codec: FixedPointCodec
     dim: int
-    iteration: int = 0
-    global_model: np.ndarray | None = None  # float64, zeros until the first update
-    masked_updates: dict[int, np.ndarray] = dc_field(default_factory=dict)
-    online_ids: tuple[int, ...] | None = None
-    _warned_compact: bool = False
+    iteration: int = dc_field(default=0, init=False)
+    global_model: np.ndarray = dc_field(init=False)  # float64, zeros until the first update
+    masked_updates: dict[int, np.ndarray] = dc_field(default_factory=dict, init=False)
+    online_ids: tuple[int, ...] | None = dc_field(default=None, init=False)
+    _warned_compact: bool = dc_field(default=False, init=False)
 
     def __post_init__(self):
-        if self.global_model is None:
-            self.global_model = np.zeros(self.dim)
+        self.global_model = np.zeros(self.dim)
 
     def begin_round(self, t: int) -> None:
         self.iteration = t
@@ -256,8 +253,8 @@ class Aggregator:
     def collect_update(self, msg: MaskedUpdateMsg) -> CollectStatus:
         """Log the sender as online; reject duplicates, drop stale rounds.
 
-        Raises ValueError for a payload of the wrong dimension or with an
-        element outside [0, p).
+        Raises ValueError for a payload of the wrong dimension; its elements
+        are in [0, p), because ``MaskedUpdateMsg`` refuses any other.
         """
         if msg.iteration != self.iteration:
             return CollectStatus.STALE
@@ -267,7 +264,6 @@ class Aggregator:
             raise ValueError(
                 f"masked update dim {len(msg.payload)} != model dim {self.dim}"
             )
-        field.require_canonical(msg.payload)
         self.masked_updates[msg.sender] = msg.payload
         return CollectStatus.ACCEPTED
 
@@ -298,8 +294,9 @@ class Aggregator:
         reach, which is exactly the privacy guarantee.
 
         Raises ProtocolError unless every share comes from a known station,
-        under that station's key, for this round, in ``mode``, and carries a
-        canonical payload (a length-d vector, or a scalar below p).
+        under that station's key, for this round, in ``mode``, and an
+        EVALUATED share has length d. Payload elements are in [0, p), because
+        ``MaskShareMsg`` refuses any other.
         """
         for j, msg in shares.items():
             self._check_share(j, msg, mode, d)
@@ -307,7 +304,6 @@ class Aggregator:
         if len(shares) < t_needed:
             return None
         chosen = sorted(shares)[:t_needed]
-        coeffs = shamir.lagrange_coeffs_at_zero(chosen)
         if mode is MaskShareMode.COMPACT:
             if not self._warned_compact:
                 logger.warning(
@@ -318,10 +314,11 @@ class Aggregator:
                     "lists differ by one device give it (README, Security caveat)."
                 )
                 self._warned_compact = True
-            summed_key = 0
-            for lam, j in zip(coeffs, chosen):
-                summed_key = field.add(summed_key, field.mul(lam, shares[j].scalar))
+            summed_key = shamir.recover(
+                [SecretShare(j, shares[j].scalar) for j in chosen], self.bs_threshold
+            )
             return khprf.evaluate(summed_key, self.iteration, d)
+        coeffs = shamir.lagrange_coeffs_at_zero(chosen)
         return shamir.combine_linear([shares[j].vector for j in chosen], coeffs)
 
     def _check_share(self, j: int, msg: MaskShareMsg, mode: MaskShareMode, d: int) -> None:
@@ -333,16 +330,8 @@ class Aggregator:
             raise ProtocolError(f"BS {j} share is for round {msg.iteration}, not {self.iteration}")
         if msg.mode is not mode:
             raise ProtocolError(f"BS {j} share mode {msg.mode!r}, expected {mode.name}")
-        if mode is MaskShareMode.COMPACT:
-            if not 0 <= msg.scalar < field.P:
-                raise ProtocolError(f"BS {j} scalar share {msg.scalar} is not below p")
-            return
-        if len(msg.vector) != d:
+        if mode is MaskShareMode.EVALUATED and len(msg.vector) != d:
             raise ProtocolError(f"BS {j} share dim {len(msg.vector)} != {d}")
-        try:
-            field.require_canonical(msg.vector)
-        except ValueError as err:
-            raise ProtocolError(f"BS {j} share: {err}") from None
 
     def unmask_and_aggregate(self, agg_mask: np.ndarray) -> np.ndarray:
         """Subtract the mask sum, decode, average, and fold into the model.

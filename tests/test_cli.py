@@ -244,4 +244,21 @@ def test_compare_modes_metadata_records_no_sweep():
                                      "sweep_axis": "bs_dropout", "sweep_max": 2})
     meta, rows = compare_modes(spec)
     assert meta["sweep_axis"] == "none"
+    assert "sweep_min" not in meta and "sweep_max" not in meta
     assert {r["sweep_value"] for r in rows} == {0}
+
+
+@pytest.mark.parametrize("command, absent, present", [
+    ("run", {"sweep_min", "sweep_max"}, {"ue_dropout", "bs_dropout"}),
+    ("sweep", {"bs_dropout"}, {"sweep_min", "sweep_max", "ue_dropout"}),
+], ids=["run", "sweep"])
+def test_metadata_records_only_knobs_that_took_effect(tmp_path, command, absent, present):
+    # run ignores the sweep bounds; a sweep over bs_dropout overrides its fixed count
+    out = tmp_path / "meta.csv"
+    argv = [command, str(ROOT / "configs" / "bs_sweep.json"), "-o", str(out),
+            "--seeds", "0", "--iterations", "1"]
+    assert main(argv) == 0
+    meta, _ = read_csv(out)
+    keys = {line[2:].split("=", 1)[0] for line in meta}
+    assert not keys & absent
+    assert present <= keys

@@ -20,6 +20,8 @@ from secagg5g.messages import (
     MaskShareMode,
     MaskShareMsg,
     OnlineListMsg,
+    SetupShareMsg,
+    from_bytes,
     payload_length,
 )
 from secagg5g.protocol import (
@@ -34,7 +36,7 @@ from secagg5g.protocol import (
     route_setup_shares,
 )
 from oracles import EDGE_ELEMENTS, alpha_summation_oracle, hash_to_field, masked_update_plain
-from secagg5g.shamir import AccessStructure
+from secagg5g.shamir import AccessStructure, SecretShare
 
 CODEC = FixedPointCodec(frac_bits=16, magnitude_bound=1.0, max_summands=1024)
 
@@ -399,11 +401,11 @@ def test_missing_share_forces_abstention():
 @pytest.mark.parametrize("mode", list(MaskShareMode))
 def test_repeated_or_unsorted_online_list_is_refused(forged, mode):
     # a repeated id would add that device's key share twice and the round
-    # would unmask to garbage; the station refuses instead of abstaining
+    # would unmask to garbage; such a list cannot be built, so no station
+    # is ever handed one
     ues, bss, af, *_ = make_fleet(seed=34)
-    with pytest.raises(ProtocolError) as err:
+    with pytest.raises(ValueError, match="strictly increasing"):
         bss[1].mask_share(OnlineListMsg(0, 0, forged), 0, mode, 12)
-    assert not isinstance(err.value, MissingShareError)
 
 
 @pytest.mark.parametrize("mode", list(MaskShareMode))
@@ -502,6 +504,11 @@ def test_recover_mask_rejects_a_bad_share(mode, case):
     # a round-0 share in round 1 or a share stored under another station's id
     # used to be combined silently into a wrong mask sum
     af, shares, old = round_one_shares(mode)
+    if case in ("vector_element_p", "scalar_p"):
+        # an out-of-field share cannot be built, so it never reaches the server
+        with pytest.raises(ValueError):
+            forge(shares, old, case)
+        return
     with pytest.raises(ProtocolError):
         af.recover_mask(forge(shares, old, case), mode, 12)
 
@@ -610,6 +617,73 @@ def test_threshold_privacy_surrogate():
     for j in (1, 2):
         for i in ues:
             assert shares[j].vector.tolist() != khprf.evaluate(ues[i].key, 0, 12).tolist()
+
+
+# -- message well-formedness -------------------------------------------------
+# Each message type checks its own fields when built, so the roles never see
+# an out-of-field element or a disordered online list, however it was made.
+
+
+def test_station_cannot_be_handed_an_out_of_field_share():
+    bs = BaseStation(bs_id=1)
+    with pytest.raises(ValueError):
+        bs.receive_share(SetupShareMsg(3, 0, 1, SecretShare(1, P + 7)))
+    assert not bs.stored_shares
+
+
+EVAL, COMPACT = MaskShareMode.EVALUATED, MaskShareMode.COMPACT
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda e=bad: MaskedUpdateMsg(1, 0, [0, e, 5]) for bad in (P, 2**64 - 1)],
+    *[lambda e=bad: MaskShareMsg(1, 0, EVAL, vector=[e, 0]) for bad in (P, 2**64 - 1)],
+    lambda: MaskShareMsg(1, 0, COMPACT, scalar=P),
+    lambda: SetupShareMsg(1, 0, 2, SecretShare(2, P)),
+    lambda: OnlineListMsg(0, 0, (1, 1, 2, 3)),
+    lambda: OnlineListMsg(0, 0, (2, 1, 3)),
+], ids=["update_p", "update_2^64-1", "vector_p", "vector_2^64-1", "scalar_p",
+        "share_y_p", "repeated_ids", "unsorted_ids"])
+def test_bad_field_refused_where_the_message_is_built(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("mode", list(MaskShareMode))
+def test_honest_messages_of_every_role_round_trip(mode):
+    rng = random.Random(6)
+    acc = AccessStructure(3, 4)
+    ue = UserEquipment(ue_id=1, key=generate_key(rng), codec=CODEC, dim=12)
+    setup = ue.setup(acc, rng)
+    bss = {j: BaseStation(bs_id=j) for j in range(1, 5)}
+    for j, msg in route_setup_shares(setup, set(bss)).items():
+        bss[j].receive_share(msg)
+    af = Aggregator(registered_n=1, min_online_fraction=1.0, bs_threshold=acc,
+                    codec=CODEC, dim=12)
+    af.begin_round(0)
+    update = ue.masked_update([0.5] * 12, 0)
+    af.collect_update(update)
+    online = af.finalize_online_list()
+    shares = {j: bss[j].mask_share(online, 0, mode, 12) for j in bss}
+    af.unmask_and_aggregate(af.recover_mask(shares, mode, 12))
+    for msg in [*setup, update, online, *shares.values(), af.global_model_message()]:
+        assert from_bytes(msg.to_bytes()) == msg
+
+
+def test_role_state_is_not_a_constructor_option():
+    rng = random.Random(7)
+    ue = dict(ue_id=1, key=generate_key(rng), codec=CODEC, dim=4)
+    af = dict(registered_n=8, min_online_fraction=0.5, bs_threshold=AccessStructure(3, 4),
+              codec=CODEC, dim=4)
+    state = [
+        *[(UserEquipment, ue, f) for f in ("precomputed_masks", "_setup_done",
+                                           "_last_iteration")],
+        (BaseStation, {"bs_id": 1}, "stored_shares"),
+        *[(Aggregator, af, f) for f in ("iteration", "global_model", "masked_updates",
+                                        "online_ids", "_warned_compact")],
+    ]
+    for role, args, name in state:
+        with pytest.raises(TypeError, match=name):
+            role(**args, **{name: None})
 
 
 # -- ideal-functionality oracle ----------------------------------------------
