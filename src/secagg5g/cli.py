@@ -34,6 +34,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["csv", "json"], help="output format")
     sub.add_argument("--seeds", type=int, nargs="+", help="run seeds")
     sub.add_argument("--iterations", type=int, help="training iterations per run")
+
+
+def _add_mode_flag(sub: argparse.ArgumentParser) -> None:
+    # compare-modes always runs both modes, so only run and sweep take one
     sub.add_argument(
         "--mode", choices=["evaluated", "compact"], dest="mask_share_mode",
         help="mask share mode",
@@ -49,11 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="single configuration, no sweep")
     _add_common_flags(run_p)
+    _add_mode_flag(run_p)
     run_p.add_argument("--ue-dropout", type=int, dest="ue_dropout")
     run_p.add_argument("--bs-dropout", type=int, dest="bs_dropout")
 
     sweep_p = sub.add_parser("sweep", help="sweep a dropout axis")
     _add_common_flags(sweep_p)
+    _add_mode_flag(sweep_p)
     sweep_p.add_argument(
         "--axis", choices=["ue_dropout", "bs_dropout"], dest="sweep_axis"
     )

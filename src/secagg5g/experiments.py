@@ -233,6 +233,7 @@ def compare_modes(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
             key = (ev["seed"], ev["iteration"])
             raise RuntimeError(f"mode accuracies diverge at (seed, iteration)={key}")
     meta = spec.metadata()
+    del meta["mask_share_mode"]  # both modes ran
     evaluated, compact = ([r["bs_payload_bytes"] for r in runs[name] if r["bs_payload_bytes"]]
                           for name in ("EVALUATED", "COMPACT"))
     if evaluated and compact:

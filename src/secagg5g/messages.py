@@ -13,9 +13,10 @@ the unit of bandwidth accounting, so nothing here may be approximate.
 
 Field vectors and model weights are numpy arrays (uint64 and float64) and
 go on the wire as their little-endian bytes. Each message type checks its
-own fields when built, in process or by ``from_bytes``: every field element
-must lie in [0, p) and the ids of an online list must strictly increase,
-else ValueError. Decoding adds only the length rule: a message must have
+own fields when built, in process or by ``from_bytes``: every integer it
+carries must be an int in [0, 2^64), every field element must lie in
+[0, p) and the ids of an online list must strictly increase, else
+ValueError. Decoding adds only the length rule: a message must have
 exactly the length its type and count imply.
 """
 
@@ -25,6 +26,7 @@ import operator
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from itertools import repeat
 
 import numpy as np
 
@@ -45,6 +47,8 @@ _SETUP = struct.Struct("<QQQ")
 
 _U64 = np.dtype("<u8")
 _F64 = np.dtype("<f8")
+_WORD_END = 1 << 64
+_INTS = (int, np.integer)
 
 
 class MaskShareMode(IntEnum):
@@ -75,9 +79,37 @@ class _Message:
         return True
 
 
+def _require_int(name: str, value, end: int = _WORD_END) -> None:
+    """Refuse an integer field that is not an int in [0, end)."""
+    if not (isinstance(value, _INTS) and 0 <= value < end):
+        bound = "p" if end == P else "2^64"
+        raise ValueError(f"{name} = {value!r} is not an int in [0, {bound})")
+
+
+def _require_header(msg) -> None:
+    # ``_require_int`` for both fields, inlined: every message runs this
+    s, t = msg.sender, msg.iteration
+    if not (isinstance(s, _INTS) and isinstance(t, _INTS)
+            and 0 <= s < _WORD_END and 0 <= t < _WORD_END):
+        raise ValueError(f"sender {s!r} and iteration {t!r} must be ints in [0, 2^64)")
+
+
 def _as_array(msg, name: str, dtype: np.dtype) -> None:
-    """Store a frozen message's sequence field as a 1-d array of ``dtype``."""
-    object.__setattr__(msg, name, np.asarray(getattr(msg, name), dtype=dtype))
+    """Store a frozen message's sequence field as a 1-d array of ``dtype``.
+    An array of ``dtype`` is kept untouched; anything else bound for a uint64
+    field must hold ints in [0, 2^64), else ValueError: nothing is wrapped
+    or truncated into range."""
+    value = getattr(msg, name)
+    if isinstance(value, np.ndarray) and value.dtype == dtype:
+        return
+    if dtype == _U64:
+        if isinstance(value, np.ndarray):
+            ok = value.dtype.kind in "iu" and not (value < 0).any()
+        else:
+            ok = all(isinstance(v, _INTS) and 0 <= v < _WORD_END for v in value)
+        if not ok:
+            raise ValueError(f"{name} must hold ints in [0, 2^64)")
+    object.__setattr__(msg, name, np.asarray(value, dtype=dtype))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +120,10 @@ class SetupShareMsg(_Message):
     share: SecretShare
 
     def __post_init__(self):
-        if not 0 <= self.share.y < P:
-            raise ValueError(f"share y = {self.share.y} is not in [0, p)")
+        _require_header(self)
+        _require_int("target_bs", self.target_bs)
+        _require_int("share x", self.share.x)
+        _require_int("share y", self.share.y, P)
 
     def to_bytes(self) -> bytes:
         return _HEADER.pack(SETUP_SHARE, self.sender, self.iteration) + _SETUP.pack(
@@ -104,6 +138,7 @@ class MaskedUpdateMsg(_Message):
     payload: np.ndarray  # uint64: encoded update + mask, in Z_p
 
     def __post_init__(self):
+        _require_header(self)
         _as_array(self, "payload", _U64)
         require_canonical(self.payload)
 
@@ -120,9 +155,16 @@ class OnlineListMsg(_Message):
     ue_ids: tuple[int, ...]
 
     def __post_init__(self):
+        _require_header(self)
+        ids = self.ue_ids
+        if not all(map(isinstance, ids, repeat(_INTS))):
+            raise ValueError("online list ids must be ints")
         # a repeated id would add that device's key share twice at a station
-        if any(map(operator.ge, self.ue_ids, self.ue_ids[1:])):
+        if any(map(operator.ge, ids, ids[1:])):
             raise ValueError("online list ids are not strictly increasing")
+        # increasing, so the ends bound every id
+        if ids and not (ids[0] >= 0 and ids[-1] < _WORD_END):
+            raise ValueError("online list ids are not in [0, 2^64)")
 
     def to_bytes(self) -> bytes:
         head = _HEADER.pack(ONLINE_LIST, self.sender, self.iteration)
@@ -140,6 +182,7 @@ class MaskShareMsg(_Message):
     scalar: int | None = None  # COMPACT payload
 
     def __post_init__(self):
+        _require_header(self)
         if self.mode is MaskShareMode.EVALUATED and self.vector is None:
             raise ValueError("EVALUATED mask share needs a vector payload")
         if self.mode is MaskShareMode.COMPACT and self.scalar is None:
@@ -147,8 +190,8 @@ class MaskShareMsg(_Message):
         if self.vector is not None:
             _as_array(self, "vector", _U64)
             require_canonical(self.vector)
-        if self.scalar is not None and not 0 <= self.scalar < P:
-            raise ValueError(f"scalar share {self.scalar} is not in [0, p)")
+        if self.scalar is not None:
+            _require_int("scalar share", self.scalar, P)
 
     def to_bytes(self) -> bytes:
         head = _HEADER.pack(MASK_SHARE, self.sender, self.iteration)
@@ -166,6 +209,7 @@ class GlobalModelMsg(_Message):
     weights: np.ndarray  # float64
 
     def __post_init__(self):
+        _require_header(self)
         _as_array(self, "weights", _F64)
 
     def to_bytes(self) -> bytes:

@@ -252,7 +252,6 @@ class SimResult:
 
 @dataclass
 class _RoundState:
-    t: int
     online_ues: tuple[int, ...]
     online_bss: tuple[int, ...]
     metrics: RoundMetrics
@@ -327,13 +326,14 @@ class _Simulation:
         self.model_history: list[list[float]] = []
 
     def _check_schedule(self):
-        ue_set, bs_set = set(self.ue_ids), set(self.bs_ids)
-        for t in range(self.cfg.iterations):
-            unknown = (self.schedule.dropped_ues(t) - ue_set) | (
-                self.schedule.dropped_bss(t) - bs_set
-            )
-            if unknown:
-                raise ValueError(f"dropout schedule references unknown ids {unknown}")
+        """Refuse a schedule that names an id outside the population. Draws
+        nothing: each round's dropout is drawn once, by ``apply_dropout``."""
+        s = self.schedule
+        ues = set(s.ue_always).union(s.prob_ue_ids, *s.ue_rounds.values())
+        bss = set(s.bs_always).union(s.prob_bs_ids, *s.bs_rounds.values())
+        unknown = (ues - set(self.ue_ids)) | (bss - set(self.bs_ids))
+        if unknown:
+            raise ValueError(f"dropout schedule references unknown ids {unknown}")
 
     def _latency(self) -> float:
         return self.cfg.latency_base_ms + self.latency_rng.uniform(
@@ -355,16 +355,15 @@ class _Simulation:
         """Distribute every UE's shares; returns the last delivery time so
         round 0 starts only once every base station is provisioned."""
         acc = self.cfg.access_structure()
-        start = time.perf_counter()
         last_arrival = self.now
-        for i in self.ue_ids:
-            ue = self.ues[i]
-            msgs = ue.setup(acc, self.shamir_rng)
-            ue.precompute(self.cfg.iterations)
-            delivery = route_setup_shares(msgs, set(self.bs_ids))
-            for j in sorted(delivery):
-                last_arrival = max(last_arrival, self._send(delivery[j], j))
-        self.setup_metrics.time_setup_ms = (time.perf_counter() - start) * 1e3
+        with _Timer(self.setup_metrics, "time_setup_ms"):
+            for i in self.ue_ids:
+                ue = self.ues[i]
+                msgs = ue.setup(acc, self.shamir_rng)
+                ue.precompute(self.cfg.iterations)
+                delivery = route_setup_shares(msgs, set(self.bs_ids))
+                for j in sorted(delivery):
+                    last_arrival = max(last_arrival, self._send(delivery[j], j))
         return last_arrival
 
     # -- event handlers ----------------------------------------------------
@@ -372,7 +371,6 @@ class _Simulation:
     def _on_round_start(self, t: int) -> None:
         online_ues, online_bss = apply_dropout(self.schedule, t, self.ue_ids, self.bs_ids)
         state = _RoundState(
-            t=t,
             online_ues=online_ues,
             online_bss=online_bss,
             metrics=RoundMetrics(iteration=t, online_ues=len(online_ues),
@@ -398,7 +396,7 @@ class _Simulation:
             online_list = self.af.finalize_online_list()
         state.metrics.online_list_size = len(self.af.online_ids)
         if online_list is None or not state.online_bss:
-            self._fallback(state)
+            self._close_round(state, FALLBACK)
             return
         for j in state.online_bss:
             self._send(online_list, j)
@@ -445,31 +443,27 @@ class _Simulation:
             agg_mask = self.af.recover_mask(
                 state.shares, self.cfg.mask_share_mode, self.cfg.model_dim
             )
-        if agg_mask is None:
-            self._fallback(state)
-            return
-        with _Timer(state.metrics, "time_af_ms"):
-            self.af.unmask_and_aggregate(agg_mask)
-        state.metrics.outcome = AGGREGATED
-        self._close_round(state)
+            if agg_mask is not None:
+                self.af.unmask_and_aggregate(agg_mask)
+        self._close_round(state, FALLBACK if agg_mask is None else AGGREGATED)
 
-    def _fallback(self, state: _RoundState) -> None:
-        self.af.fallback()
-        state.metrics.outcome = FALLBACK
-        self._close_round(state)
-
-    def _close_round(self, state: _RoundState) -> None:
-        # only late updates and model deliveries reach a closed round, and
-        # they touch its metrics alone
+    def _close_round(self, state: _RoundState, outcome: str) -> None:
+        """The one way out of a round: record its outcome, send the model
+        (the previous one on FALLBACK) to the online devices, and start the
+        next round when the last copy lands. Only late updates and model
+        deliveries reach a closed round, and they touch its metrics alone."""
+        state.metrics.outcome = outcome
+        fallback = outcome == FALLBACK
+        model_msg = self.af.fallback() if fallback else self.af.global_model_message()
         state.shares.clear()
         state.metrics.accuracy = self.task.accuracy(self.af.global_model)
         self.model_history.append(self.af.global_model.tolist())
-        model_msg = self.af.global_model_message()
         last_arrival = self.now
         for i in state.online_ues:
             last_arrival = max(last_arrival, self._send(model_msg, i))
-        if state.t + 1 < self.cfg.iterations:
-            self._push(last_arrival, _KIND_ROUND_START, 0, state.t + 1)
+        t = state.metrics.iteration
+        if t + 1 < self.cfg.iterations:
+            self._push(last_arrival, _KIND_ROUND_START, 0, t + 1)
 
     # -- main loop ---------------------------------------------------------
 
@@ -485,11 +479,10 @@ class _Simulation:
                 self._on_deadline(payload)
             else:
                 self._on_round_start(payload)
-        rounds = [self.round_state[t].metrics for t in sorted(self.round_state)]
         return SimResult(
             config=self.cfg,
             setup=self.setup_metrics,
-            rounds=rounds,
+            rounds=[state.metrics for state in self.round_state.values()],
             final_model=self.af.global_model.tolist(),
             model_history=self.model_history,
         )

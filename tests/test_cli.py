@@ -246,6 +246,16 @@ def test_compare_modes_metadata_records_no_sweep():
     assert meta["sweep_axis"] == "none"
     assert "sweep_min" not in meta and "sweep_max" not in meta
     assert {r["sweep_value"] for r in rows} == {0}
+    assert "mask_share_mode" not in meta
+
+
+def test_compare_modes_takes_no_mode(tmp_path):
+    # it always runs both modes, so a --mode would be ignored and misrecorded
+    argv = ["compare-modes", str(write_config(tmp_path)), "--mode", "compact",
+            "-o", str(tmp_path / "out.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command, absent, present", [

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from secagg5g import field, khprf
 from secagg5g.field import P, FixedPointCodec, decode_sum, encode_update
 from secagg5g.messages import (
+    GlobalModelMsg,
     MaskedUpdateMsg,
     MaskShareMode,
     MaskShareMsg,
@@ -646,6 +647,46 @@ EVAL, COMPACT = MaskShareMode.EVALUATED, MaskShareMode.COMPACT
 def test_bad_field_refused_where_the_message_is_built(build):
     with pytest.raises(ValueError):
         build()
+
+
+# every integer a message carries must be an int in [0, 2^64): nothing is
+# cast into range, and nothing is left for struct to trip over when sending
+@pytest.mark.parametrize("build", [
+    lambda: MaskShareMsg(1, 0, EVAL, vector=[1.5, 2]),
+    lambda: MaskShareMsg(1, 0, EVAL, vector=np.array([3.0, 4.0])),
+    lambda: MaskedUpdateMsg(1, 0, [-1, 2]),
+    lambda: MaskedUpdateMsg(1, 0, np.array([-1, 2])),
+    lambda: MaskedUpdateMsg(1, 0, [2**64, 2]),
+    lambda: MaskedUpdateMsg(1, 0, np.array([1, 2], dtype=object)),
+    lambda: MaskedUpdateMsg(-1, 0, [1, 2]),
+    lambda: GlobalModelMsg(0, 2**64, [1.0]),
+    lambda: OnlineListMsg(0, 0, (-1, 2)),
+    lambda: OnlineListMsg(0, 0, (1, 2**64)),
+    lambda: OnlineListMsg(0, 0, (1.5, 2)),
+    lambda: OnlineListMsg(0, -1, (1, 2)),
+    lambda: SetupShareMsg(1, 0, 2, SecretShare(2, 2.5)),
+    lambda: SetupShareMsg(1, 0, -2, SecretShare(2, 5)),
+    lambda: SetupShareMsg(1, 0, 2, SecretShare(2**64, 5)),
+    lambda: SetupShareMsg(1.0, 0, 2, SecretShare(2, 5)),
+    lambda: MaskShareMsg(2**64, 0, COMPACT, scalar=1),
+    lambda: MaskShareMsg(1, 0, COMPACT, scalar=2.5),
+], ids=["vector_float", "vector_float_array", "update_negative", "update_negative_array",
+        "update_2^64", "update_object_array", "update_sender_negative",
+        "model_iteration_2^64", "list_id_negative", "list_id_2^64", "list_id_float",
+        "list_iteration_negative", "share_y_float", "share_target_negative",
+        "share_x_2^64", "share_sender_float", "mask_share_sender_2^64", "scalar_float"])
+def test_int_field_refused_where_the_message_is_built(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_int_fields_of_any_int_type_still_build():
+    payload = np.array([1, 2], dtype=np.uint64)
+    assert MaskedUpdateMsg(1, 0, payload).payload is payload  # kept, not copied
+    for given_ in ([np.uint64(1), 2], np.array([1, 2]), (1, 2)):
+        assert np.array_equal(MaskedUpdateMsg(1, 0, given_).payload, payload)
+    assert OnlineListMsg(0, 0, (0, 2**64 - 1)).to_bytes()
+    assert SetupShareMsg(np.int64(1), 0, 2, SecretShare(2, 5)).to_bytes()
 
 
 @pytest.mark.parametrize("mode", list(MaskShareMode))

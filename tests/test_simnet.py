@@ -156,6 +156,36 @@ def test_schedule_unknown_ids_rejected():
         run_simulation(cfg, sched, small_task())
 
 
+@pytest.mark.parametrize("sched", [
+    # no draw in 3 rounds drops device 99, and round 7 never runs: the ids
+    # named are checked, not the ones drawn
+    DropoutSchedule(ue_prob=0.01, prob_seed=1, prob_ue_ids=(1, 99)),
+    DropoutSchedule(bs_rounds={7: frozenset({9})}),
+], ids=["bernoulli_candidate", "round_past_the_run"])
+def test_schedule_naming_an_unknown_id_is_refused_though_never_drawn(sched):
+    with pytest.raises(ValueError, match="unknown ids"):
+        run_simulation(small_cfg(iterations=3), sched, small_task())
+
+
+def test_each_rounds_dropout_is_drawn_once():
+    calls = []
+
+    class Counting(DropoutSchedule):
+        def dropped_ues(self, t):
+            calls.append(("ue", t))
+            return super().dropped_ues(t)
+
+        def dropped_bss(self, t):
+            calls.append(("bs", t))
+            return super().dropped_bss(t)
+
+    sched = Counting(ue_prob=0.3, bs_prob=0.2, prob_seed=2,
+                     prob_ue_ids=tuple(range(1, 9)), prob_bs_ids=(1, 2, 3, 4))
+    result = run_simulation(small_cfg(iterations=4), sched, small_task())
+    assert len(result.rounds) == 4
+    assert sorted(calls) == sorted((role, t) for role in ("ue", "bs") for t in range(4))
+
+
 def test_task_dimension_must_match():
     cfg = small_cfg(model_dim=99)
     with pytest.raises(ValueError):
