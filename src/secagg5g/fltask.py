@@ -111,12 +111,6 @@ def generate_data(
     )
 
 
-def logistic_loss(model, xb: np.ndarray, y: np.ndarray) -> float:
-    """Mean logistic loss; ``xb`` carries the bias column last."""
-    z = xb @ np.asarray(model, dtype=np.float64)
-    return float(np.mean(np.logaddexp(0.0, -y * z)))
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     # exp of -|v| never overflows; each branch is the stable form for its sign
     e = np.exp(-np.abs(v))

@@ -15,7 +15,8 @@ Field vectors and model weights are numpy arrays (uint64 and float64) and
 go on the wire as their little-endian bytes. Each message type checks its
 own fields when built, in process or by ``from_bytes``: every integer it
 carries must be an int in [0, 2^64), every field element must lie in
-[0, p) and the ids of an online list must strictly increase, else
+[0, p), array fields must be 1-d, a mask share must carry only its mode's
+payload and the ids of an online list must strictly increase, else
 ValueError. Decoding adds only the length rule: a message must have
 exactly the length its type and count imply.
 """
@@ -96,11 +97,12 @@ def _require_header(msg) -> None:
 
 def _as_array(msg, name: str, dtype: np.dtype) -> None:
     """Store a frozen message's sequence field as a 1-d array of ``dtype``.
-    An array of ``dtype`` is kept untouched; anything else bound for a uint64
-    field must hold ints in [0, 2^64), else ValueError: nothing is wrapped
-    or truncated into range."""
+    A 1-d array of ``dtype`` is kept untouched; anything else bound for a
+    uint64 field must hold ints in [0, 2^64), else ValueError: nothing is
+    wrapped or truncated into range. Any other shape is refused, because the
+    wire carries one count and a flat run of elements."""
     value = getattr(msg, name)
-    if isinstance(value, np.ndarray) and value.dtype == dtype:
+    if isinstance(value, np.ndarray) and value.dtype == dtype and value.ndim == 1:
         return
     if dtype == _U64:
         if isinstance(value, np.ndarray):
@@ -109,7 +111,10 @@ def _as_array(msg, name: str, dtype: np.dtype) -> None:
             ok = all(isinstance(v, _INTS) and 0 <= v < _WORD_END for v in value)
         if not ok:
             raise ValueError(f"{name} must hold ints in [0, 2^64)")
-    object.__setattr__(msg, name, np.asarray(value, dtype=dtype))
+    array = np.asarray(value, dtype=dtype)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be 1-d, got shape {array.shape}")
+    object.__setattr__(msg, name, array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +188,15 @@ class MaskShareMsg(_Message):
 
     def __post_init__(self):
         _require_header(self)
-        if self.mode is MaskShareMode.EVALUATED and self.vector is None:
-            raise ValueError("EVALUATED mask share needs a vector payload")
-        if self.mode is MaskShareMode.COMPACT and self.scalar is None:
-            raise ValueError("COMPACT mask share needs a scalar payload")
+        # the wire carries the one payload the mode names and nothing else
+        if self.mode is MaskShareMode.EVALUATED and (
+            self.vector is None or self.scalar is not None
+        ):
+            raise ValueError("an EVALUATED mask share carries a vector and no scalar")
+        if self.mode is MaskShareMode.COMPACT and (
+            self.scalar is None or self.vector is not None
+        ):
+            raise ValueError("a COMPACT mask share carries a scalar and no vector")
         if self.vector is not None:
             _as_array(self, "vector", _U64)
             require_canonical(self.vector)

@@ -48,8 +48,6 @@ from .messages import (
 from .protocol import (
     Aggregator,
     BaseStation,
-    CollectStatus,
-    MissingShareError,
     UserEquipment,
     generate_key,
     mask_updates,
@@ -206,18 +204,9 @@ class RoundMetrics:
     msgs_bs_to_af: int = 0
     msgs_af_to_ue: int = 0
     late_drops: int = 0
-    stale_drops: int = 0
-    duplicate_drops: int = 0
-    bs_abstentions: int = 0
     time_ue_ms: float = 0.0
     time_bs_ms: float = 0.0
     time_af_ms: float = 0.0
-
-    def total_sent(self) -> int:
-        return self.bytes_ue_sent + self.bytes_bs_sent + self.bytes_af_sent
-
-    def total_received(self) -> int:
-        return self.bytes_ue_recv + self.bytes_bs_recv + self.bytes_af_recv
 
 
 # per message type: its link's message count, the sender's bytes and the
@@ -413,22 +402,16 @@ class _Simulation:
             if state.finalized:
                 metrics.late_drops += 1
                 return
+            # an open round is the server's current one and each device
+            # sends one update per round, so nothing here is stale or repeated
             with _Timer(metrics, "time_af_ms"):
-                status = self.af.collect_update(msg)
-            if status is CollectStatus.STALE:
-                metrics.stale_drops += 1
-            elif status is CollectStatus.DUPLICATE:
-                metrics.duplicate_drops += 1
+                self.af.collect_update(msg)
         elif isinstance(msg, OnlineListMsg):
-            try:
-                with _Timer(metrics, "time_bs_ms"):
-                    share = self.bss[dst_id].mask_share(
-                        msg, msg.iteration, self.cfg.mask_share_mode, self.cfg.model_dim
-                    )
-            except MissingShareError:
-                metrics.bs_abstentions += 1
-                self._maybe_recover(state)
-                return
+            # set-up gave every station a share of every device's key
+            with _Timer(metrics, "time_bs_ms"):
+                share = self.bss[dst_id].mask_share(
+                    msg, msg.iteration, self.cfg.mask_share_mode, self.cfg.model_dim
+                )
             self._send(share, 0)
         elif isinstance(msg, MaskShareMsg):
             state.shares[msg.sender] = msg
@@ -437,7 +420,7 @@ class _Simulation:
             self.ues[dst_id].current_model[:] = msg.weights
 
     def _maybe_recover(self, state: _RoundState) -> None:
-        if len(state.shares) + state.metrics.bs_abstentions < len(state.online_bss):
+        if len(state.shares) < len(state.online_bss):
             return
         with _Timer(state.metrics, "time_af_ms"):
             agg_mask = self.af.recover_mask(

@@ -3,7 +3,8 @@
 Python ints never overflow, so each field oracle is ordinary big-integer
 arithmetic with ``% P``; nothing here calls the numpy field kernels. The
 training reference is the one-device-at-a-time body that the stacked
-``fltask.local_train`` must match bit for bit.
+``fltask.local_train`` must match bit for bit. The loss and the byte totals
+are measurements only tests take.
 """
 
 import hashlib
@@ -53,6 +54,22 @@ def hash_to_field(domain_tag: bytes, t: int, i: int) -> int:
     block, offset = divmod(i, 64)
     xof = hashlib.shake_256(domain_tag + t.to_bytes(8, "little") + block.to_bytes(8, "little"))
     return int.from_bytes(xof.digest(16 * (offset + 1))[-16:], "little") % P
+
+
+def logistic_loss(model, xb: np.ndarray, y: np.ndarray) -> float:
+    """Mean logistic loss; ``xb`` carries the bias column last."""
+    z = xb @ np.asarray(model, dtype=np.float64)
+    return float(np.mean(np.logaddexp(0.0, -y * z)))
+
+
+def total_sent(rm) -> int:
+    """Bytes a round's metrics charge to all senders."""
+    return rm.bytes_ue_sent + rm.bytes_bs_sent + rm.bytes_af_sent
+
+
+def total_received(rm) -> int:
+    """Bytes a round's metrics charge to all receivers."""
+    return rm.bytes_ue_recv + rm.bytes_bs_recv + rm.bytes_af_recv
 
 
 def _sigmoid_masked(v: np.ndarray) -> np.ndarray:

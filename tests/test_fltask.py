@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import local_train_one
+from oracles import local_train_one, logistic_loss
 from secagg5g import fltask
 
 
@@ -58,8 +58,8 @@ def test_update_decreases_local_loss():
     x, y = task.train_xb[1], task.train_y[1]
     model = [0.0] * task.dim
     delta = fltask.local_train(model, x, y, lr=0.5, epochs=2, clip_bound=1.0)
-    before = fltask.logistic_loss(model, x, y)
-    after = fltask.logistic_loss(np.asarray(model) + delta, x, y)
+    before = logistic_loss(model, x, y)
+    after = logistic_loss(np.asarray(model) + delta, x, y)
     assert after < before
 
 

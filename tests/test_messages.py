@@ -88,6 +88,20 @@ def test_mask_share_payload_required():
         MaskShareMsg(1, 0, MaskShareMode.COMPACT)
 
 
+# each would build and pack bytes that do not decode back to it: the wire has
+# one count per array and one payload per mode
+@pytest.mark.parametrize("build", [
+    lambda: MaskedUpdateMsg(1, 0, np.zeros((2, 2), dtype=np.uint64)),
+    lambda: MaskShareMsg(1, 0, MaskShareMode.EVALUATED, vector=np.zeros((2, 2), np.uint64)),
+    lambda: GlobalModelMsg(0, 0, np.zeros((2, 2))),
+    lambda: MaskShareMsg(1, 0, MaskShareMode.EVALUATED, vector=(1, 2), scalar=5),
+    lambda: MaskShareMsg(1, 0, MaskShareMode.COMPACT, vector=(1, 2), scalar=5),
+], ids=["update_2d", "vector_2d", "weights_2d", "evaluated_with_scalar", "compact_with_vector"])
+def test_message_the_wire_cannot_carry_back_is_refused(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 @given(ids, st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                      min_size=1, max_size=40))
 def test_global_model_round_trip(iteration, weights):

@@ -482,8 +482,9 @@ def forge(shares, old, case):
     if case == "station_above_total":
         return {**shares, 5: replace(s4, sender=5)}
     if case == "wrong_mode":
-        other = MaskShareMode.COMPACT if s4.mode is MaskShareMode.EVALUATED else MaskShareMode.EVALUATED
-        return {**shares, 4: MaskShareMsg(4, 1, other, vector=[0] * 12, scalar=0)}
+        if s4.mode is MaskShareMode.EVALUATED:
+            return {**shares, 4: MaskShareMsg(4, 1, MaskShareMode.COMPACT, scalar=0)}
+        return {**shares, 4: MaskShareMsg(4, 1, MaskShareMode.EVALUATED, vector=[0] * 12)}
     if case == "short_vector":
         return {**shares, 4: replace(s4, vector=s4.vector[:-1])}
     if case == "vector_element_p":
