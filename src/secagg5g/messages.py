@@ -11,23 +11,21 @@ the unit of bandwidth accounting, so nothing here may be approximate.
                   mode(1) || scalar(8)           (COMPACT)
     GLOBAL_MODEL  dim(4) || float64 weights(8 each)
 
-Field vectors and model weights are numpy arrays (uint64 and float64) and
-go on the wire as their little-endian bytes. Each message type checks its
-own fields when built, in process or by ``from_bytes``: every integer it
-carries must be an int in [0, 2^64), every field element must lie in
-[0, p), array fields must be 1-d, a mask share must carry only its mode's
-payload and the ids of an online list must strictly increase, else
-ValueError. Decoding adds only the length rule: a message must have
-exactly the length its type and count imply.
+Field vectors and online ids are uint64 numpy arrays, model weights float64
+ones, and each goes on the wire as its little-endian bytes. Each message
+type checks its own fields when built, in process or by ``from_bytes``:
+every integer it carries is an int in [0, 2^64), every field element lies
+in [0, p), every weight is real, arrays are 1-d, a mask share names a
+``MaskShareMode`` and carries only its payload, and online ids strictly
+increase, else ValueError. Decoding adds only the length rule: a message
+must have exactly the length its type and count imply.
 """
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from itertools import repeat
 
 import numpy as np
 
@@ -50,6 +48,7 @@ _U64 = np.dtype("<u8")
 _F64 = np.dtype("<f8")
 _WORD_END = 1 << 64
 _INTS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
 
 class MaskShareMode(IntEnum):
@@ -97,10 +96,11 @@ def _require_header(msg) -> None:
 
 def _as_array(msg, name: str, dtype: np.dtype) -> None:
     """Store a frozen message's sequence field as a 1-d array of ``dtype``.
-    A 1-d array of ``dtype`` is kept untouched; anything else bound for a
-    uint64 field must hold ints in [0, 2^64), else ValueError: nothing is
-    wrapped or truncated into range. Any other shape is refused, because the
-    wire carries one count and a flat run of elements."""
+    A 1-d array of ``dtype`` is kept untouched; anything else must hold ints
+    in [0, 2^64) for uint64 and real numbers for float64, else ValueError:
+    nothing is wrapped, truncated, parsed from a string or stripped of an
+    imaginary part. Any other shape is refused, because the wire carries
+    one count and a flat run of elements."""
     value = getattr(msg, name)
     if isinstance(value, np.ndarray) and value.dtype == dtype and value.ndim == 1:
         return
@@ -111,6 +111,9 @@ def _as_array(msg, name: str, dtype: np.dtype) -> None:
             ok = all(isinstance(v, _INTS) and 0 <= v < _WORD_END for v in value)
         if not ok:
             raise ValueError(f"{name} must hold ints in [0, 2^64)")
+    elif not (value.dtype.kind in "iuf" if isinstance(value, np.ndarray)
+              else all(isinstance(v, _REALS) for v in value)):
+        raise ValueError(f"{name} must hold real numbers")
     array = np.asarray(value, dtype=dtype)
     if array.ndim != 1:
         raise ValueError(f"{name} must be 1-d, got shape {array.shape}")
@@ -157,24 +160,18 @@ class MaskedUpdateMsg(_Message):
 class OnlineListMsg(_Message):
     sender: int
     iteration: int
-    ue_ids: tuple[int, ...]
+    ue_ids: np.ndarray  # uint64, strictly increasing
 
     def __post_init__(self):
         _require_header(self)
-        ids = self.ue_ids
-        if not all(map(isinstance, ids, repeat(_INTS))):
-            raise ValueError("online list ids must be ints")
-        # a repeated id would add that device's key share twice at a station
-        if any(map(operator.ge, ids, ids[1:])):
+        _as_array(self, "ue_ids", _U64)
+        # a duplicate id would add that device's key share twice at a station
+        if (self.ue_ids[1:] <= self.ue_ids[:-1]).any():
             raise ValueError("online list ids are not strictly increasing")
-        # increasing, so the ends bound every id
-        if ids and not (ids[0] >= 0 and ids[-1] < _WORD_END):
-            raise ValueError("online list ids are not in [0, 2^64)")
 
     def to_bytes(self) -> bytes:
-        head = _HEADER.pack(ONLINE_LIST, self.sender, self.iteration)
-        return head + _COUNT.pack(len(self.ue_ids)) + struct.pack(
-            f"<{len(self.ue_ids)}Q", *self.ue_ids
+        return _HEADER.pack(ONLINE_LIST, self.sender, self.iteration) + _pack_array(
+            self.ue_ids
         )
 
 
@@ -188,6 +185,8 @@ class MaskShareMsg(_Message):
 
     def __post_init__(self):
         _require_header(self)
+        if not isinstance(self.mode, MaskShareMode):
+            raise ValueError(f"mode = {self.mode!r} is not a MaskShareMode")
         # the wire carries the one payload the mode names and nothing else
         if self.mode is MaskShareMode.EVALUATED and (
             self.vector is None or self.scalar is not None
@@ -267,7 +266,7 @@ def from_bytes(data: bytes) -> Message:
     if msg_type == MASKED_UPDATE:
         return MaskedUpdateMsg(sender, iteration, _counted(body, 0, _U64))
     if msg_type == ONLINE_LIST:
-        return OnlineListMsg(sender, iteration, tuple(_counted(body, 0, _U64).tolist()))
+        return OnlineListMsg(sender, iteration, _counted(body, 0, _U64))
     if msg_type == MASK_SHARE:
         if not body:
             raise ValueError("truncated mask share mode")

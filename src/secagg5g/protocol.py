@@ -211,13 +211,14 @@ class BaseStation:
             raise ProtocolError(
                 f"online list for round {online.iteration} asked to answer round {t}"
             )
-        missing = [ue for ue in online.ue_ids if ue not in self.stored_shares]
+        ids = online.ue_ids.tolist()
+        missing = [ue for ue in ids if ue not in self.stored_shares]
         if missing:
             raise MissingShareError(
                 f"BS {self.bs_id} holds no share for UEs {missing}"
             )
         summed = 0
-        for ue in online.ue_ids:
+        for ue in ids:
             summed = field.add(summed, self.stored_shares[ue].y)
         if mode is MaskShareMode.EVALUATED:
             return MaskShareMsg(
@@ -239,7 +240,7 @@ class Aggregator:
     iteration: int = dc_field(default=0, init=False)
     global_model: np.ndarray = dc_field(init=False)  # float64, zeros until the first update
     masked_updates: dict[int, np.ndarray] = dc_field(default_factory=dict, init=False)
-    online_ids: tuple[int, ...] | None = dc_field(default=None, init=False)
+    online_ids: np.ndarray | None = dc_field(default=None, init=False)  # uint64, sorted
     _warned_compact: bool = dc_field(default=False, init=False)
 
     def __post_init__(self):
@@ -251,12 +252,13 @@ class Aggregator:
         self.online_ids = None
 
     def collect_update(self, msg: MaskedUpdateMsg) -> CollectStatus:
-        """Log the sender as online; reject duplicates, drop stale rounds.
+        """Log the sender as online; reject duplicates, and refuse as STALE
+        an update for another round or one that comes after the list is fixed.
 
         Raises ValueError for a payload of the wrong dimension; its elements
         are in [0, p), because ``MaskedUpdateMsg`` refuses any other.
         """
-        if msg.iteration != self.iteration:
+        if msg.iteration != self.iteration or self.online_ids is not None:
             return CollectStatus.STALE
         if msg.sender in self.masked_updates:
             return CollectStatus.DUPLICATE
@@ -276,7 +278,7 @@ class Aggregator:
         Returns the broadcast message, or None when participation fell below
         the configured floor (the caller then halts this round).
         """
-        self.online_ids = tuple(sorted(self.masked_updates))
+        self.online_ids = np.array(sorted(self.masked_updates), dtype=np.uint64)
         if len(self.online_ids) < self.min_online_count():
             return None
         return OnlineListMsg(
@@ -341,7 +343,7 @@ class Aggregator:
         """
         if self.online_ids is None:
             raise ProtocolError("online list not finalized")
-        masked = np.stack([self.masked_updates[ue] for ue in self.online_ids])
+        masked = np.stack([self.masked_updates[ue] for ue in self.online_ids.tolist()])
         encoded_sum = field.vec_sub(field.vec_sum(masked), agg_mask)
         count = len(self.online_ids)
         update = field.decode_sum(encoded_sum, self.codec, count) / count

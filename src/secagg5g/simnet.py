@@ -15,7 +15,7 @@ Traffic is charged per delivered message, from one table (``_LEDGER``):
 one to its link's message count and its exact wire length to the sender's
 and the receiver's bytes, in ``SetupMetrics`` for setup shares and in the
 ``RoundMetrics`` of the round it carries otherwise. Late updates are
-delivered, charged, then dropped.
+delivered, charged, and refused by the server as STALE (a late drop).
 
 Each round start trains every device in one ``task.local_update`` call
 over the stacked shards and models, masks the online devices' rows in one
@@ -48,6 +48,7 @@ from .messages import (
 from .protocol import (
     Aggregator,
     BaseStation,
+    CollectStatus,
     UserEquipment,
     generate_key,
     mask_updates,
@@ -244,7 +245,6 @@ class _RoundState:
     online_ues: tuple[int, ...]
     online_bss: tuple[int, ...]
     metrics: RoundMetrics
-    finalized: bool = False
     shares: dict[int, MaskShareMsg] = dc_field(default_factory=dict)
 
 
@@ -380,7 +380,6 @@ class _Simulation:
 
     def _on_deadline(self, t: int) -> None:
         state = self.round_state[t]
-        state.finalized = True
         with _Timer(state.metrics, "time_af_ms"):
             online_list = self.af.finalize_online_list()
         state.metrics.online_list_size = len(self.af.online_ids)
@@ -399,13 +398,12 @@ class _Simulation:
         if setup:
             self.bss[dst_id].receive_share(msg)
         elif isinstance(msg, MaskedUpdateMsg):
-            if state.finalized:
-                metrics.late_drops += 1
-                return
-            # an open round is the server's current one and each device
-            # sends one update per round, so nothing here is stale or repeated
+            # each device sends one update per round, so nothing is repeated
+            # and only an update that missed its deadline is stale
             with _Timer(metrics, "time_af_ms"):
-                self.af.collect_update(msg)
+                status = self.af.collect_update(msg)
+            if status is CollectStatus.STALE:
+                metrics.late_drops += 1
         elif isinstance(msg, OnlineListMsg):
             # set-up gave every station a share of every device's key
             with _Timer(metrics, "time_bs_ms"):

@@ -96,7 +96,15 @@ def test_mask_share_payload_required():
     lambda: GlobalModelMsg(0, 0, np.zeros((2, 2))),
     lambda: MaskShareMsg(1, 0, MaskShareMode.EVALUATED, vector=(1, 2), scalar=5),
     lambda: MaskShareMsg(1, 0, MaskShareMode.COMPACT, vector=(1, 2), scalar=5),
-], ids=["update_2d", "vector_2d", "weights_2d", "evaluated_with_scalar", "compact_with_vector"])
+    lambda: MaskShareMsg(1, 0, 0, vector=[1, 2]),
+    lambda: MaskShareMsg(1, 0, 7, scalar=3),
+    lambda: GlobalModelMsg(0, 0, ["1.5"]),
+    lambda: GlobalModelMsg(0, 0, [None]),
+    lambda: GlobalModelMsg(0, 0, [1 + 2j]),
+    lambda: GlobalModelMsg(0, 0, np.array([1.5], dtype=object)),
+], ids=["update_2d", "vector_2d", "weights_2d", "evaluated_with_scalar", "compact_with_vector",
+        "int_mode", "unknown_mode", "str_weight", "none_weight", "complex_weight",
+        "object_weights"])
 def test_message_the_wire_cannot_carry_back_is_refused(build):
     with pytest.raises(ValueError):
         build()
@@ -197,6 +205,9 @@ def test_vectors_decode_as_arrays():
     model = from_bytes(GlobalModelMsg(0, 0, (0.5, -0.0)).to_bytes())
     assert model.weights.dtype == np.float64
     assert model.weights.tobytes() == struct.pack("<2d", 0.5, -0.0)
+    online = from_bytes(OnlineListMsg(0, 0, (1, 5, 2**64 - 1)).to_bytes())
+    assert online.ue_ids.dtype == np.uint64
+    assert online.ue_ids.tolist() == [1, 5, 2**64 - 1]
 
 
 def test_array_fields_compare_exactly():

@@ -291,7 +291,7 @@ def test_collect_eight_devices():
     for i in range(1, 9):
         assert af.collect_update(ues[i].masked_update([0.0] * 12, 0)) is CollectStatus.ACCEPTED
     online = af.finalize_online_list()
-    assert online.ue_ids == tuple(range(1, 9))
+    assert online.ue_ids.tolist() == list(range(1, 9))
 
 
 def test_duplicate_update_rejected():
@@ -336,6 +336,22 @@ def test_stale_update_dropped():
     af.begin_round(1)
     assert af.collect_update(old) is CollectStatus.STALE
     assert not af.masked_updates
+
+
+def test_update_after_the_list_is_fixed_is_stale():
+    # the stations answer the fixed list, so a later update must not join the
+    # sum: its unmatched mask would turn the decoded average into noise
+    ues, bss, af, *_ = make_fleet(seed=20)
+    af.begin_round(0)
+    for i in range(1, 6):
+        af.collect_update(ues[i].masked_update([0.25] * 12, 0))
+    online = af.finalize_online_list()
+    assert af.collect_update(ues[6].masked_update([0.25] * 12, 0)) is CollectStatus.STALE
+    assert sorted(af.masked_updates) == [1, 2, 3, 4, 5]
+    assert af.finalize_online_list().ue_ids.tolist() == [1, 2, 3, 4, 5]
+    shares = {j: bss[j].mask_share(online, 0, MaskShareMode.EVALUATED, 12) for j in bss}
+    update = af.unmask_and_aggregate(af.recover_mask(shares, MaskShareMode.EVALUATED, 12))
+    assert max(abs(u - 0.25) for u in update) <= 2.0**-17
 
 
 def test_finalize_thresholds():
@@ -586,7 +602,7 @@ def test_dropped_ue_contributes_nothing():
     updates = {i: [0.25] * 12 for i in ues}
     online, mask = run_round(ues, bss, af, 0, online_ids, list(bss),
                              MaskShareMode.EVALUATED, 12, updates)
-    assert online.ue_ids == tuple(online_ids)
+    assert online.ue_ids.tolist() == online_ids
     assert mask.tolist() == per_ue_mask_sum_oracle(ues, online_ids, 0, 12)
     update = af.unmask_and_aggregate(mask)
     assert max(abs(u - 0.25) for u in update) <= 2.0**-17
