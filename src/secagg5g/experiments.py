@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
@@ -112,6 +113,15 @@ class ExperimentSpec:
         self.sim = replace(self.sim, model_dim=self.feature_dim + 1)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds repeat: {self.seeds}")
+        if self.samples_per_shard < 1 or self.test_samples < 1:
+            raise ValueError("samples_per_shard and test_samples must be >= 1")
+        if self.local_epochs < 0:
+            raise ValueError("local_epochs must be >= 0")
+        lr = self.learning_rate
+        if not (isinstance(lr, (int, float)) and math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
         if self.format not in ("csv", "json"):

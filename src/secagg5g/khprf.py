@@ -16,6 +16,10 @@ as a little-endian integer lo + 2^64 * hi, reduced mod p. An XOF's shorter
 output is a prefix of its longer output, so H(t, i) does not depend on how
 many coefficients are asked for.
 
+Precomputation multiplies each device's key by one shared, cached, read-only
+(iterations, d) table of these coefficients, built once per shape, so the
+public part of set-up is paid once rather than once per device.
+
 SECURITY WARNING: this default backend is NOT a PRF. The coefficients
 H(t, i) are public, so a single output component reveals the key by
 division, and a masked small update reveals it by a short search. In the
@@ -66,20 +70,43 @@ def coefficient_vector(t: int, d: int) -> np.ndarray:
     return coeffs
 
 
+def _require_key(key) -> None:
+    # a float truncates and a word outside [0, p) escapes mulmod's bounds
+    if not (isinstance(key, (int, np.integer)) and 0 <= key < field.P):
+        raise ValueError(f"key = {key!r} is not an int in [0, p)")
+
+
 def evaluate(key: int, t: int, d: int) -> np.ndarray:
     """Mask vector for (key, iteration t) of dimension d."""
+    _require_key(key)
     if d < 1:
         raise ValueError("mask dimension must be >= 1")
     return field.mulmod(key, coefficient_vector(t, d))
 
 
+@lru_cache(maxsize=1)
+def _coefficient_table(num_iterations: int, d: int) -> np.ndarray:
+    """Read-only (num_iterations, d) table whose row t is coefficient_vector(t, d).
+
+    The coefficients are public, so every device shares the table; only one
+    is cached, since a run's devices (and a sweep's runs) all ask for the
+    same shape.
+    """
+    table = np.stack([coefficient_vector(t, d) for t in range(num_iterations)])
+    table.setflags(write=False)
+    return table
+
+
 def precompute_masks(key: int, num_iterations: int, d: int) -> np.ndarray:
     """Read-only (num_iterations, d) table whose row t is bitwise equal to
-    ``evaluate(key, t, d)``; lets a device front-load all mask computation."""
+    ``evaluate(key, t, d)``; lets a device front-load all mask computation.
+    The device's own table is a fresh array; only the public coefficients
+    are shared."""
+    _require_key(key)
     if num_iterations < 1:
         raise ValueError("need at least one iteration")
     if d < 1:
         raise ValueError("mask dimension must be >= 1")
-    table = field.mulmod(key, np.stack([coefficient_vector(t, d) for t in range(num_iterations)]))
+    table = field.mulmod(key, _coefficient_table(num_iterations, d))
     table.setflags(write=False)
     return table

@@ -22,6 +22,19 @@ FAST = {
     "seeds": [0, 1],
 }
 
+# task fields that cannot make a valid run; each must fail when the spec is built
+UNRUNNABLE_TASKS = [
+    {"test_samples": 0},
+    {"samples_per_shard": 0},
+    {"local_epochs": -1},
+    {"learning_rate": -0.5},
+    {"learning_rate": 0},
+    {"learning_rate": float("inf")},
+    {"learning_rate": float("nan")},
+    {"learning_rate": "0.5"},
+    {"seeds": [0, 0]},
+]
+
 
 def write_config(tmp_path: Path, **extra) -> Path:
     cfg = dict(FAST)
@@ -194,6 +207,18 @@ def test_bad_configs_exit_nonzero(tmp_path):
         path.write_text(json.dumps(bad), encoding="utf-8")
         assert main(["run", str(path)]) == 1
 
+    # task fields that cannot make a valid run are refused before any file is written
+    out = tmp_path / "unrunnable.csv"
+    for bad in UNRUNNABLE_TASKS:
+        path = write_config(tmp_path, **bad)
+        assert main(["run", str(path), "-o", str(out)]) == 1, bad
+        assert not out.exists(), bad
+    # json.loads reads 1e999 as infinity
+    path = tmp_path / "huge_lr.json"
+    path.write_text('{"learning_rate": 1e999}', encoding="utf-8")
+    assert main(["run", str(path), "-o", str(out)]) == 1
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("text", ['{"deadline_ms": NaN}', '{"latency_jitter_ms": Infinity}'])
 def test_non_finite_timings_exit_nonzero(tmp_path, text):
@@ -221,6 +246,11 @@ def test_spec_validation_direct():
         ExperimentSpec.from_dict({**FAST, "format": "xml"})
     with pytest.raises(ValueError):
         ExperimentSpec.from_dict({**FAST, "sweep_axis": "ue_dropout", "sweep_max": 7})
+    for bad in UNRUNNABLE_TASKS:
+        with pytest.raises(ValueError):
+            ExperimentSpec.from_dict({**FAST, **bad})
+    # zero epochs is the documented zero update, not an error
+    ExperimentSpec.from_dict({**FAST, "local_epochs": 0})
 
 
 def test_rows_ordered_deterministically():

@@ -5,6 +5,7 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
@@ -127,13 +128,18 @@ def test_precompute_rejects_zero_iterations():
         khprf.precompute_masks(1, 0, 4)
 
 
+def clear_coefficient_caches():
+    khprf.coefficient_vector.cache_clear()
+    khprf._coefficient_table.cache_clear()
+
+
 def test_precompute_cost_scales_roughly_linearly():
     # sanity only: 8x the iterations should not cost orders of magnitude more
-    khprf.coefficient_vector.cache_clear()
+    clear_coefficient_caches()
     start = time.perf_counter()
     khprf.precompute_masks(123, 5, 64)
     small = time.perf_counter() - start
-    khprf.coefficient_vector.cache_clear()
+    clear_coefficient_caches()
     start = time.perf_counter()
     khprf.precompute_masks(123, 40, 64)
     large = time.perf_counter() - start
@@ -191,8 +197,46 @@ def test_cached_coefficients_and_mask_rows_are_read_only():
     before = coeffs.tolist()
     with pytest.raises(ValueError):
         coeffs += 1
+    shared = khprf._coefficient_table(3, 6)
+    with pytest.raises(ValueError):
+        shared[1] += 1
     table = khprf.precompute_masks(7, 3, 6)
     with pytest.raises(ValueError):
         table[1] += 1
     assert khprf.coefficient_vector(4, 6).tolist() == before
+    assert shared[1].tolist() == khprf.coefficient_vector(1, 6).tolist()
     assert table[1].tolist() == khprf.evaluate(7, 1, 6).tolist()
+
+
+# -- one shared coefficient table ----------------------------------------------
+
+
+def test_second_device_reuses_the_coefficient_table():
+    clear_coefficient_caches()
+    khprf.precompute_masks(5, 12, 9)
+    info = khprf.coefficient_vector.cache_info()
+    assert info.misses == 12
+    khprf.precompute_masks(6, 12, 9)
+    assert khprf.coefficient_vector.cache_info() == info
+
+
+def test_device_tables_share_no_memory():
+    # a device's table is its own: nothing it holds aliases the public
+    # coefficients or another device's masks
+    first = khprf.precompute_masks(5, 4, 9)
+    second = khprf.precompute_masks(6, 4, 9)
+    shared = khprf._coefficient_table(4, 9)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, shared)
+    assert not np.shares_memory(second, shared)
+
+
+# -- keys outside the field ----------------------------------------------------
+
+
+@pytest.mark.parametrize("key", [1.5, -1, P, 2**64 - 1, 2**64, "1", None])
+def test_keys_outside_the_field_are_refused(key):
+    with pytest.raises(ValueError, match="not an int in"):
+        khprf.evaluate(key, 0, 4)
+    with pytest.raises(ValueError, match="not an int in"):
+        khprf.precompute_masks(key, 2, 4)
