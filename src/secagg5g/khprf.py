@@ -48,7 +48,15 @@ _TAGGED = hashlib.shake_256(DOMAIN_TAG)  # XOF state after the tag, copied per b
 _BLOCK_INDEX = struct.Struct("<QQ")
 
 
-@lru_cache(maxsize=256)
+def require_round(t) -> None:
+    """Refuse a round that is not an int in [0, 2^64), the range H hashes."""
+    if not (isinstance(t, (int, np.integer)) and 0 <= t < 1 << 64):
+        raise ValueError(f"round t = {t!r} is not an int in [0, 2^64)")
+
+
+# typed, so that a float round never hits the entry of the int it equals
+# and is refused on its own miss
+@lru_cache(maxsize=256, typed=True)
 def coefficient_vector(t: int, d: int) -> np.ndarray:
     """Public coefficients (H(t, 0), ..., H(t, d-1)) as a read-only uint64 array.
 
@@ -56,8 +64,10 @@ def coefficient_vector(t: int, d: int) -> np.ndarray:
     since a write would corrupt every later mask of that iteration. One XOF
     call per block of BLOCK coefficients; the last block asks only for the
     bytes it needs. Each 16-byte word lo + 2^64 * hi is reduced as
-    lo + 8 * (hi mod p), since 2^64 = 8 (mod p).
+    lo + 8 * (hi mod p), since 2^64 = 8 (mod p). Raises ValueError for a
+    round that is not an int in [0, 2^64).
     """
+    require_round(t)
     stream = bytearray()
     for block, start in enumerate(range(0, d, BLOCK)):
         xof = _TAGGED.copy()

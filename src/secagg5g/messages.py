@@ -11,12 +11,15 @@ the unit of bandwidth accounting, so nothing here may be approximate.
                   mode(1) || scalar(8)           (COMPACT)
     GLOBAL_MODEL  dim(4) || float64 weights(8 each)
 
-Field vectors and online ids are uint64 numpy arrays, model weights float64
-ones, and each goes on the wire as its little-endian bytes. Each message
-type checks its own fields when built, in process or by ``from_bytes``:
-every integer it carries is an int in [0, 2^64), every field element lies
-in [0, p), every weight is real, arrays are 1-d, a mask share names a
-``MaskShareMode`` and carries only its payload, and online ids strictly
+A message holds exactly what ``from_bytes`` gives back. Field vectors and
+online ids are 1-d ``<u8`` numpy arrays, model weights a 1-d ``<f8`` one,
+each stored as given, uncopied, and put on the wire as its little-endian
+bytes; any other value for an array field (a list, a tuple, another dtype
+or shape) raises ValueError and is not converted. A mask share carries
+exactly one payload, a vector or a scalar, and its ``mode`` is the one that
+payload names. Each message type checks its own fields when built, in
+process or by ``from_bytes``: every integer it carries is an int in
+[0, 2^64), every field element lies in [0, p) and online ids strictly
 increase, else ValueError. Decoding adds only the length rule: a message
 must have exactly the length its type and count imply.
 """
@@ -48,7 +51,6 @@ _U64 = np.dtype("<u8")
 _F64 = np.dtype("<f8")
 _WORD_END = 1 << 64
 _INTS = (int, np.integer)
-_REALS = (int, float, np.integer, np.floating)
 
 
 class MaskShareMode(IntEnum):
@@ -94,30 +96,12 @@ def _require_header(msg) -> None:
         raise ValueError(f"sender {s!r} and iteration {t!r} must be ints in [0, 2^64)")
 
 
-def _as_array(msg, name: str, dtype: np.dtype) -> None:
-    """Store a frozen message's sequence field as a 1-d array of ``dtype``.
-    A 1-d array of ``dtype`` is kept untouched; anything else must hold ints
-    in [0, 2^64) for uint64 and real numbers for float64, else ValueError:
-    nothing is wrapped, truncated, parsed from a string or stripped of an
-    imaginary part. Any other shape is refused, because the wire carries
-    one count and a flat run of elements."""
+def _require_array(msg, name: str, dtype: np.dtype) -> None:
+    """Refuse an array field that is not a 1-d array of ``dtype``: the wire
+    carries one count and a flat run of elements of that type."""
     value = getattr(msg, name)
-    if isinstance(value, np.ndarray) and value.dtype == dtype and value.ndim == 1:
-        return
-    if dtype == _U64:
-        if isinstance(value, np.ndarray):
-            ok = value.dtype.kind in "iu" and not (value < 0).any()
-        else:
-            ok = all(isinstance(v, _INTS) and 0 <= v < _WORD_END for v in value)
-        if not ok:
-            raise ValueError(f"{name} must hold ints in [0, 2^64)")
-    elif not (value.dtype.kind in "iuf" if isinstance(value, np.ndarray)
-              else all(isinstance(v, _REALS) for v in value)):
-        raise ValueError(f"{name} must hold real numbers")
-    array = np.asarray(value, dtype=dtype)
-    if array.ndim != 1:
-        raise ValueError(f"{name} must be 1-d, got shape {array.shape}")
-    object.__setattr__(msg, name, array)
+    if not (isinstance(value, np.ndarray) and value.dtype == dtype and value.ndim == 1):
+        raise ValueError(f"{name} must be a 1-d {dtype} array")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +131,7 @@ class MaskedUpdateMsg(_Message):
 
     def __post_init__(self):
         _require_header(self)
-        _as_array(self, "payload", _U64)
+        _require_array(self, "payload", _U64)
         require_canonical(self.payload)
 
     def to_bytes(self) -> bytes:
@@ -164,7 +148,7 @@ class OnlineListMsg(_Message):
 
     def __post_init__(self):
         _require_header(self)
-        _as_array(self, "ue_ids", _U64)
+        _require_array(self, "ue_ids", _U64)
         # a duplicate id would add that device's key share twice at a station
         if (self.ue_ids[1:] <= self.ue_ids[:-1]).any():
             raise ValueError("online list ids are not strictly increasing")
@@ -179,36 +163,30 @@ class OnlineListMsg(_Message):
 class MaskShareMsg(_Message):
     sender: int
     iteration: int
-    mode: MaskShareMode
     vector: np.ndarray | None = None  # EVALUATED payload, uint64
     scalar: int | None = None  # COMPACT payload
 
     def __post_init__(self):
         _require_header(self)
-        if not isinstance(self.mode, MaskShareMode):
-            raise ValueError(f"mode = {self.mode!r} is not a MaskShareMode")
-        # the wire carries the one payload the mode names and nothing else
-        if self.mode is MaskShareMode.EVALUATED and (
-            self.vector is None or self.scalar is not None
-        ):
-            raise ValueError("an EVALUATED mask share carries a vector and no scalar")
-        if self.mode is MaskShareMode.COMPACT and (
-            self.scalar is None or self.vector is not None
-        ):
-            raise ValueError("a COMPACT mask share carries a scalar and no vector")
+        # the wire carries one payload, and its mode byte names which
+        if (self.vector is None) == (self.scalar is None):
+            raise ValueError("a mask share carries exactly one of a vector and a scalar")
         if self.vector is not None:
-            _as_array(self, "vector", _U64)
+            _require_array(self, "vector", _U64)
             require_canonical(self.vector)
-        if self.scalar is not None:
+        else:
             _require_int("scalar share", self.scalar, P)
 
+    @property
+    def mode(self) -> MaskShareMode:
+        """The mode the payload names: EVALUATED for a vector, COMPACT for a scalar."""
+        return MaskShareMode.EVALUATED if self.scalar is None else MaskShareMode.COMPACT
+
     def to_bytes(self) -> bytes:
-        head = _HEADER.pack(MASK_SHARE, self.sender, self.iteration)
-        if self.mode is MaskShareMode.EVALUATED:
-            body = _pack_array(self.vector)
-        else:
-            body = _WORD.pack(self.scalar)
-        return head + bytes([self.mode]) + body
+        head = _HEADER.pack(MASK_SHARE, self.sender, self.iteration) + bytes([self.mode])
+        if self.scalar is None:
+            return head + _pack_array(self.vector)
+        return head + _WORD.pack(self.scalar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +197,7 @@ class GlobalModelMsg(_Message):
 
     def __post_init__(self):
         _require_header(self)
-        _as_array(self, "weights", _F64)
+        _require_array(self, "weights", _F64)
 
     def to_bytes(self) -> bytes:
         return _HEADER.pack(GLOBAL_MODEL, self.sender, self.iteration) + _pack_array(
@@ -270,12 +248,11 @@ def from_bytes(data: bytes) -> Message:
     if msg_type == MASK_SHARE:
         if not body:
             raise ValueError("truncated mask share mode")
-        mode = MaskShareMode(body[0])
-        if mode is MaskShareMode.EVALUATED:
-            return MaskShareMsg(sender, iteration, mode, vector=_counted(body, 1, _U64))
+        if MaskShareMode(body[0]) is MaskShareMode.EVALUATED:
+            return MaskShareMsg(sender, iteration, vector=_counted(body, 1, _U64))
         _expect_length(body, 1 + _WORD.size)
         (scalar,) = _WORD.unpack_from(body, 1)
-        return MaskShareMsg(sender, iteration, mode, scalar=scalar)
+        return MaskShareMsg(sender, iteration, scalar=scalar)
     if msg_type == GLOBAL_MODEL:
         return GlobalModelMsg(sender, iteration, _counted(body, 0, _F64))
     raise ValueError(f"unknown message type {msg_type}")

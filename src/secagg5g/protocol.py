@@ -68,13 +68,12 @@ def generate_key(rng) -> int:
 
 @dataclass
 class UserEquipment:
-    """A device: private key, fixed-point codec, and its view of the model."""
+    """A device: private key, fixed-point codec and model dimension."""
 
     ue_id: int
     key: int
     codec: FixedPointCodec
     dim: int
-    current_model: list[float] | np.ndarray = dc_field(default_factory=list)
     precomputed_masks: np.ndarray | None = dc_field(default=None, init=False)  # (iterations, dim)
     _setup_done: bool = dc_field(default=False, init=False)
     _last_iteration: int = dc_field(default=-1, init=False)  # highest round masked so far
@@ -124,10 +123,11 @@ def mask_updates(ues: list[UserEquipment], updates, t: int) -> list[MaskedUpdate
 
     All or nothing: raises ProtocolError, and advances no device, if a
     device is listed twice or has already masked round t or a later one.
-    Raises ValueError if the devices do not share one codec, or if an
-    update has the wrong dimension or exceeds the magnitude bound. An empty
-    fleet gives no messages.
+    Raises ValueError if t is not an int in [0, 2^64), if the devices do
+    not share one codec, or if an update has the wrong dimension or exceeds
+    the magnitude bound. An empty fleet gives no messages.
     """
+    khprf.require_round(t)
     if not ues:
         return []
     codec = ues[0].codec
@@ -222,10 +222,9 @@ class BaseStation:
             summed = field.add(summed, self.stored_shares[ue].y)
         if mode is MaskShareMode.EVALUATED:
             return MaskShareMsg(
-                sender=self.bs_id, iteration=t, mode=mode,
-                vector=khprf.evaluate(summed, t, d),
+                sender=self.bs_id, iteration=t, vector=khprf.evaluate(summed, t, d)
             )
-        return MaskShareMsg(sender=self.bs_id, iteration=t, mode=mode, scalar=summed)
+        return MaskShareMsg(sender=self.bs_id, iteration=t, scalar=summed)
 
 
 @dataclass
@@ -286,7 +285,7 @@ class Aggregator:
         )
 
     def recover_mask(
-        self, shares: dict[int, MaskShareMsg], mode: MaskShareMode, d: int
+        self, shares: dict[int, MaskShareMsg], mode: MaskShareMode
     ) -> np.ndarray | None:
         """Reconstruct the sum of online devices' masks from BS shares.
 
@@ -297,11 +296,11 @@ class Aggregator:
 
         Raises ProtocolError unless every share comes from a known station,
         under that station's key, for this round, in ``mode``, and an
-        EVALUATED share has length d. Payload elements are in [0, p), because
-        ``MaskShareMsg`` refuses any other.
+        EVALUATED share has length ``dim``. Payload elements are in [0, p),
+        because ``MaskShareMsg`` refuses any other.
         """
         for j, msg in shares.items():
-            self._check_share(j, msg, mode, d)
+            self._check_share(j, msg, mode)
         t_needed = self.bs_threshold.threshold
         if len(shares) < t_needed:
             return None
@@ -319,11 +318,11 @@ class Aggregator:
             summed_key = shamir.recover(
                 [SecretShare(j, shares[j].scalar) for j in chosen], self.bs_threshold
             )
-            return khprf.evaluate(summed_key, self.iteration, d)
+            return khprf.evaluate(summed_key, self.iteration, self.dim)
         coeffs = shamir.lagrange_coeffs_at_zero(chosen)
         return shamir.combine_linear([shares[j].vector for j in chosen], coeffs)
 
-    def _check_share(self, j: int, msg: MaskShareMsg, mode: MaskShareMode, d: int) -> None:
+    def _check_share(self, j: int, msg: MaskShareMsg, mode: MaskShareMode) -> None:
         if msg.sender != j:
             raise ProtocolError(f"share from BS {msg.sender} stored under BS {j}")
         if not 1 <= j <= self.bs_threshold.total:
@@ -332,17 +331,24 @@ class Aggregator:
             raise ProtocolError(f"BS {j} share is for round {msg.iteration}, not {self.iteration}")
         if msg.mode is not mode:
             raise ProtocolError(f"BS {j} share mode {msg.mode!r}, expected {mode.name}")
-        if mode is MaskShareMode.EVALUATED and len(msg.vector) != d:
-            raise ProtocolError(f"BS {j} share dim {len(msg.vector)} != {d}")
+        if mode is MaskShareMode.EVALUATED and len(msg.vector) != self.dim:
+            raise ProtocolError(f"BS {j} share dim {len(msg.vector)} != {self.dim}")
 
     def unmask_and_aggregate(self, agg_mask: np.ndarray) -> np.ndarray:
         """Subtract the mask sum, decode, average, and fold into the model.
 
         Returns the global update (uniform average over the online list).
-        Only the sum ever exists in decoded form.
+        Only the sum ever exists in decoded form. Raises ProtocolError, and
+        leaves the model unchanged, unless the online list is fixed and
+        meets the participation floor.
         """
         if self.online_ids is None:
             raise ProtocolError("online list not finalized")
+        floor = self.min_online_count()
+        if len(self.online_ids) < floor:
+            raise ProtocolError(
+                f"{len(self.online_ids)} online devices, below the floor of {floor}"
+            )
         masked = np.stack([self.masked_updates[ue] for ue in self.online_ids.tolist()])
         encoded_sum = field.vec_sub(field.vec_sum(masked), agg_mask)
         count = len(self.online_ids)

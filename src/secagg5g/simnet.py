@@ -294,7 +294,6 @@ class _Simulation:
                 key=generate_key(self.key_rng),
                 codec=codec,
                 dim=cfg.model_dim,
-                current_model=self.ue_models[i - 1],
             )
             for i in self.ue_ids
         }
@@ -415,15 +414,13 @@ class _Simulation:
             state.shares[msg.sender] = msg
             self._maybe_recover(state)
         else:
-            self.ues[dst_id].current_model[:] = msg.weights
+            self.ue_models[dst_id - 1] = msg.weights
 
     def _maybe_recover(self, state: _RoundState) -> None:
         if len(state.shares) < len(state.online_bss):
             return
         with _Timer(state.metrics, "time_af_ms"):
-            agg_mask = self.af.recover_mask(
-                state.shares, self.cfg.mask_share_mode, self.cfg.model_dim
-            )
+            agg_mask = self.af.recover_mask(state.shares, self.cfg.mask_share_mode)
             if agg_mask is not None:
                 self.af.unmask_and_aggregate(agg_mask)
         self._close_round(state, FALLBACK if agg_mask is None else AGGREGATED)

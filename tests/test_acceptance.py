@@ -10,6 +10,8 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
+import numpy as np
+
 from secagg5g import field, fltask, khprf
 from secagg5g.field import P, FixedPointCodec, encode_update
 from secagg5g.messages import MaskShareMode, OnlineListMsg, payload_length
@@ -47,8 +49,7 @@ def build_fleet(seed: int, d: int, n=8, k=4, t=3):
     rng = random.Random(seed)
     acc = AccessStructure(t, k)
     ues = {
-        i: UserEquipment(ue_id=i, key=generate_key(rng), codec=CODEC, dim=d,
-                         current_model=[0.0] * d)
+        i: UserEquipment(ue_id=i, key=generate_key(rng), codec=CODEC, dim=d)
         for i in range(1, n + 1)
     }
     bss = {j: BaseStation(bs_id=j) for j in range(1, k + 1)}
@@ -66,7 +67,7 @@ def recovered_field_sum(ues, bss, af, online_ids, online_bs, t, d, updates, mode
         af.collect_update(ues[i].masked_update(updates[i], t))
     online = af.finalize_online_list()
     shares = {j: bss[j].mask_share(online, t, mode, d) for j in online_bs}
-    mask = af.recover_mask(shares, mode, d)
+    mask = af.recover_mask(shares, mode)
     masked_sum = [0] * d
     for i in online.ue_ids:
         masked_sum = field.vec_add(masked_sum, list(af.masked_updates[i]))
@@ -113,12 +114,12 @@ def test_criterion_2_threshold_boundary():
             masks = []
             for subset in combinations(shares, 3):
                 picked = {j: shares[j] for j in subset}
-                masks.append(af.recover_mask(picked, MaskShareMode.EVALUATED, d))
+                masks.append(af.recover_mask(picked, MaskShareMode.EVALUATED))
             assert all(m.tolist() == masks[0].tolist() for m in masks[1:])
             assert masks[0] is not None
             for subset in combinations(shares, 2):
                 picked = {j: shares[j] for j in subset}
-                assert af.recover_mask(picked, MaskShareMode.EVALUATED, d) is None
+                assert af.recover_mask(picked, MaskShareMode.EVALUATED) is None
 
 
 def test_criterion_3_single_round_contract():
@@ -232,7 +233,7 @@ def test_criterion_8_bandwidth_compact_vs_evaluated():
     with criterion(8, "BS payload: compact <= 16 B any d, ratio >= 400x at d=1000"):
         for d in (1, 10, 1000, 4096):
             ues, bss, af, rng = build_fleet(800 + d, d)
-            online = OnlineListMsg(0, 0, tuple(range(1, 9)))
+            online = OnlineListMsg(0, 0, np.arange(1, 9, dtype=np.uint64))
             compact = bss[1].mask_share(online, 0, MaskShareMode.COMPACT, d)
             evaluated = bss[1].mask_share(online, 0, MaskShareMode.EVALUATED, d)
             assert payload_length(compact) <= 16
@@ -248,7 +249,7 @@ def test_criterion_8_bandwidth_compact_vs_evaluated():
             by_mode = {}
             for mode in (MaskShareMode.EVALUATED, MaskShareMode.COMPACT):
                 shares = {j: bss[j].mask_share(lst, 0, mode, d) for j in (1, 3, 4)}
-                by_mode[mode] = af.recover_mask(shares, mode, d)
+                by_mode[mode] = af.recover_mask(shares, mode)
             assert by_mode[MaskShareMode.EVALUATED].tolist() == by_mode[MaskShareMode.COMPACT].tolist()
 
 

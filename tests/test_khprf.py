@@ -240,3 +240,17 @@ def test_keys_outside_the_field_are_refused(key):
         khprf.evaluate(key, 0, 4)
     with pytest.raises(ValueError, match="not an int in"):
         khprf.precompute_masks(key, 2, 4)
+
+
+# -- rounds outside the hashed range ---------------------------------------------
+
+
+@pytest.mark.parametrize("t", [-1, 2**64, 1.5, 1.0, "1", None])
+def test_rounds_outside_the_word_range_are_refused(t):
+    # H hashes t as a 64-bit word; struct would trip over anything else
+    khprf.coefficient_vector(1, 4)  # a float equal to a cached round still misses
+    with pytest.raises(ValueError, match="round t = .* is not an int in"):
+        khprf.evaluate(1, t, 4)
+    with pytest.raises(ValueError, match="round t = .* is not an int in"):
+        khprf.coefficient_vector(t, 4)
+    assert len(khprf.evaluate(1, 2**64 - 1, 4)) == 4

@@ -26,6 +26,14 @@ elements = st.integers(min_value=0, max_value=P - 1)
 ids = st.integers(min_value=0, max_value=2**32)
 
 
+def u64(values):
+    return np.array(values, dtype=np.uint64)
+
+
+def f64(values):
+    return np.array(values, dtype=np.float64)
+
+
 @given(ids, ids, st.integers(min_value=1, max_value=100), elements)
 def test_setup_share_round_trip(sender, iteration, x, y):
     msg = SetupShareMsg(sender, iteration, target_bs=x, share=SecretShare(x, y))
@@ -35,19 +43,19 @@ def test_setup_share_round_trip(sender, iteration, x, y):
 
 @given(ids, ids, st.lists(elements, min_size=1, max_size=50))
 def test_masked_update_round_trip(sender, iteration, payload):
-    msg = MaskedUpdateMsg(sender, iteration, tuple(payload))
+    msg = MaskedUpdateMsg(sender, iteration, u64(payload))
     assert from_bytes(msg.to_bytes()) == msg
     assert wire_length(msg) == 17 + 4 + 8 * len(payload)
 
 
 def test_masked_update_d1000_length():
-    msg = MaskedUpdateMsg(1, 0, tuple(range(1000)))
+    msg = MaskedUpdateMsg(1, 0, np.arange(1000, dtype=np.uint64))
     assert wire_length(msg) == 17 + 4 + 8000
 
 
 @given(ids, st.lists(ids, min_size=0, max_size=20, unique=True))
 def test_online_list_round_trip(iteration, ue_ids):
-    msg = OnlineListMsg(0, iteration, tuple(sorted(ue_ids)))
+    msg = OnlineListMsg(0, iteration, u64(sorted(ue_ids)))
     assert from_bytes(msg.to_bytes()) == msg
     assert wire_length(msg) == 17 + 4 + 8 * len(ue_ids)
 
@@ -61,21 +69,23 @@ def online_list_bytes(ue_ids):
 def test_repeated_or_unsorted_online_list_rejected(forged):
     with pytest.raises(ValueError, match="strictly increasing"):
         from_bytes(online_list_bytes(forged))
-    honest = tuple(sorted(set(forged)))
-    assert OnlineListMsg(0, 0, honest).to_bytes() == online_list_bytes(honest)
-    assert from_bytes(online_list_bytes(honest)) == OnlineListMsg(0, 0, honest)
+    honest = sorted(set(forged))
+    assert OnlineListMsg(0, 0, u64(honest)).to_bytes() == online_list_bytes(honest)
+    assert from_bytes(online_list_bytes(honest)) == OnlineListMsg(0, 0, u64(honest))
 
 
 @given(ids, st.lists(elements, min_size=1, max_size=30))
 def test_mask_share_evaluated_round_trip(sender, vector):
-    msg = MaskShareMsg(sender, 3, MaskShareMode.EVALUATED, vector=tuple(vector))
+    msg = MaskShareMsg(sender, 3, vector=u64(vector))
+    assert msg.mode is MaskShareMode.EVALUATED
     assert from_bytes(msg.to_bytes()) == msg
     assert payload_length(msg) == 1 + 4 + 8 * len(vector)
 
 
 @given(ids, elements)
 def test_mask_share_compact_round_trip(sender, scalar):
-    msg = MaskShareMsg(sender, 3, MaskShareMode.COMPACT, scalar=scalar)
+    msg = MaskShareMsg(sender, 3, scalar=scalar)
+    assert msg.mode is MaskShareMode.COMPACT
     assert from_bytes(msg.to_bytes()) == msg
     assert wire_length(msg) == 17 + 1 + 8
     assert payload_length(msg) == 9
@@ -83,37 +93,60 @@ def test_mask_share_compact_round_trip(sender, scalar):
 
 def test_mask_share_payload_required():
     with pytest.raises(ValueError):
-        MaskShareMsg(1, 0, MaskShareMode.EVALUATED)
-    with pytest.raises(ValueError):
-        MaskShareMsg(1, 0, MaskShareMode.COMPACT)
+        MaskShareMsg(1, 0)
 
 
 # each would build and pack bytes that do not decode back to it: the wire has
-# one count per array and one payload per mode
+# one count per array and one payload per mask share
 @pytest.mark.parametrize("build", [
     lambda: MaskedUpdateMsg(1, 0, np.zeros((2, 2), dtype=np.uint64)),
-    lambda: MaskShareMsg(1, 0, MaskShareMode.EVALUATED, vector=np.zeros((2, 2), np.uint64)),
+    lambda: MaskShareMsg(1, 0, vector=np.zeros((2, 2), np.uint64)),
     lambda: GlobalModelMsg(0, 0, np.zeros((2, 2))),
-    lambda: MaskShareMsg(1, 0, MaskShareMode.EVALUATED, vector=(1, 2), scalar=5),
-    lambda: MaskShareMsg(1, 0, MaskShareMode.COMPACT, vector=(1, 2), scalar=5),
-    lambda: MaskShareMsg(1, 0, 0, vector=[1, 2]),
-    lambda: MaskShareMsg(1, 0, 7, scalar=3),
-    lambda: GlobalModelMsg(0, 0, ["1.5"]),
-    lambda: GlobalModelMsg(0, 0, [None]),
-    lambda: GlobalModelMsg(0, 0, [1 + 2j]),
+    lambda: MaskShareMsg(1, 0, vector=u64([1, 2]), scalar=5),
+    lambda: GlobalModelMsg(0, 0, np.array(["1.5"])),
+    lambda: GlobalModelMsg(0, 0, np.array([None])),
+    lambda: GlobalModelMsg(0, 0, np.array([1 + 2j])),
     lambda: GlobalModelMsg(0, 0, np.array([1.5], dtype=object)),
-], ids=["update_2d", "vector_2d", "weights_2d", "evaluated_with_scalar", "compact_with_vector",
-        "int_mode", "unknown_mode", "str_weight", "none_weight", "complex_weight",
-        "object_weights"])
+], ids=["update_2d", "vector_2d", "weights_2d", "vector_and_scalar", "str_weight",
+        "none_weight", "complex_weight", "object_weights"])
 def test_message_the_wire_cannot_carry_back_is_refused(build):
     with pytest.raises(ValueError):
         build()
 
 
+# an array field takes only the array from_bytes gives back; nothing is
+# converted, however exactly it would convert
+@pytest.mark.parametrize("build", [
+    lambda: MaskedUpdateMsg(1, 0, [1, 2]),
+    lambda: MaskedUpdateMsg(1, 0, (1, 2)),
+    lambda: MaskedUpdateMsg(1, 0, [np.uint64(1), 2]),
+    lambda: MaskedUpdateMsg(1, 0, np.array([1, 2])),
+    lambda: MaskedUpdateMsg(1, 0, np.array([1, 2], dtype=">u8")),
+    lambda: OnlineListMsg(0, 0, (1, 2)),
+    lambda: MaskShareMsg(1, 0, vector=[1, 2]),
+    lambda: GlobalModelMsg(0, 0, [0.5]),
+    lambda: GlobalModelMsg(0, 0, np.array([0.5], dtype=np.float32)),
+    lambda: GlobalModelMsg(0, 0, np.array([1, 2])),
+], ids=["update_list", "update_tuple", "update_list_of_uint64", "update_int64_array",
+        "update_big_endian_array", "ids_tuple", "vector_list", "weights_list",
+        "weights_float32_array", "weights_int64_array"])
+def test_array_field_in_another_form_is_refused(build):
+    with pytest.raises(ValueError, match="must be a 1-d"):
+        build()
+
+
+def test_unknown_mask_share_mode_is_refused():
+    raw = bytearray(MaskShareMsg(1, 0, scalar=3).to_bytes())
+    assert raw[messages.HEADER_LEN] == MaskShareMode.COMPACT
+    raw[messages.HEADER_LEN] = 7
+    with pytest.raises(ValueError):
+        from_bytes(bytes(raw))
+
+
 @given(ids, st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                      min_size=1, max_size=40))
 def test_global_model_round_trip(iteration, weights):
-    msg = GlobalModelMsg(0, iteration, tuple(weights))
+    msg = GlobalModelMsg(0, iteration, f64(weights))
     assert from_bytes(msg.to_bytes()) == msg
     assert wire_length(msg) == 17 + 4 + 8 * len(weights)
 
@@ -139,14 +172,14 @@ def test_message_tags_are_fixed():
 messages_st = st.one_of(
     st.builds(lambda s, t, x, y: SetupShareMsg(s, t, x, SecretShare(x, y)),
               ids, ids, st.integers(min_value=1, max_value=100), elements),
-    st.builds(lambda s, t, v: MaskedUpdateMsg(s, t, v), ids, ids,
+    st.builds(lambda s, t, v: MaskedUpdateMsg(s, t, u64(v)), ids, ids,
               st.lists(elements, min_size=0, max_size=20)),
-    st.builds(lambda t, v: OnlineListMsg(0, t, tuple(sorted(v))), ids,
+    st.builds(lambda t, v: OnlineListMsg(0, t, u64(sorted(v))), ids,
               st.lists(ids, max_size=10, unique=True)),
-    st.builds(lambda s, v: MaskShareMsg(s, 1, MaskShareMode.EVALUATED, vector=v), ids,
+    st.builds(lambda s, v: MaskShareMsg(s, 1, vector=u64(v)), ids,
               st.lists(elements, min_size=0, max_size=20)),
-    st.builds(lambda s, k: MaskShareMsg(s, 1, MaskShareMode.COMPACT, scalar=k), ids, elements),
-    st.builds(lambda t, w: GlobalModelMsg(0, t, w), ids,
+    st.builds(lambda s, k: MaskShareMsg(s, 1, scalar=k), ids, elements),
+    st.builds(lambda t, w: GlobalModelMsg(0, t, f64(w)), ids,
               st.lists(st.floats(width=64, allow_nan=False), max_size=20)),
 )
 
@@ -199,22 +232,21 @@ def test_out_of_field_elements_rejected(bad):
 
 
 def test_vectors_decode_as_arrays():
-    msg = from_bytes(MaskedUpdateMsg(1, 0, (P - 1, 0, 5)).to_bytes())
+    msg = from_bytes(MaskedUpdateMsg(1, 0, u64([P - 1, 0, 5])).to_bytes())
     assert msg.payload.dtype == np.uint64
     assert msg.payload.tolist() == [P - 1, 0, 5]
-    model = from_bytes(GlobalModelMsg(0, 0, (0.5, -0.0)).to_bytes())
+    model = from_bytes(GlobalModelMsg(0, 0, f64([0.5, -0.0])).to_bytes())
     assert model.weights.dtype == np.float64
     assert model.weights.tobytes() == struct.pack("<2d", 0.5, -0.0)
-    online = from_bytes(OnlineListMsg(0, 0, (1, 5, 2**64 - 1)).to_bytes())
+    online = from_bytes(OnlineListMsg(0, 0, u64([1, 5, 2**64 - 1])).to_bytes())
     assert online.ue_ids.dtype == np.uint64
     assert online.ue_ids.tolist() == [1, 5, 2**64 - 1]
 
 
 def test_array_fields_compare_exactly():
-    a = MaskedUpdateMsg(1, 0, (1, 2, 3))
-    assert a == MaskedUpdateMsg(1, 0, np.array([1, 2, 3], dtype=np.uint64))
-    assert a != MaskedUpdateMsg(1, 0, (1, 2, 4))
-    assert a != MaskedUpdateMsg(1, 0, (1, 2))
-    assert a != MaskedUpdateMsg(2, 0, (1, 2, 3))
-    evaluated = MaskShareMsg(1, 0, MaskShareMode.EVALUATED, vector=(5,))
-    assert evaluated != MaskShareMsg(1, 0, MaskShareMode.COMPACT, scalar=5)
+    a = MaskedUpdateMsg(1, 0, u64([1, 2, 3]))
+    assert a == MaskedUpdateMsg(1, 0, u64([1, 2, 3]))
+    assert a != MaskedUpdateMsg(1, 0, u64([1, 2, 4]))
+    assert a != MaskedUpdateMsg(1, 0, u64([1, 2]))
+    assert a != MaskedUpdateMsg(2, 0, u64([1, 2, 3]))
+    assert MaskShareMsg(1, 0, vector=u64([5])) != MaskShareMsg(1, 0, scalar=5)

@@ -42,13 +42,16 @@ from secagg5g.shamir import AccessStructure, SecretShare
 CODEC = FixedPointCodec(frac_bits=16, magnitude_bound=1.0, max_summands=1024)
 
 
+def u64(values):
+    return np.array(values, dtype=np.uint64)
+
+
 def make_fleet(seed, n=8, k=4, t=3, d=12, alpha=1.0 / 3.0):
     """Fully set-up population: every BS holds every device's share."""
     rng = random.Random(seed)
     acc = AccessStructure(t, k)
     ues = {
-        i: UserEquipment(ue_id=i, key=generate_key(rng), codec=CODEC, dim=d,
-                         current_model=[0.0] * d)
+        i: UserEquipment(ue_id=i, key=generate_key(rng), codec=CODEC, dim=d)
         for i in range(1, n + 1)
     }
     bss = {j: BaseStation(bs_id=j) for j in range(1, k + 1)}
@@ -70,7 +73,7 @@ def run_round(ues, bss, af, t, online_ue_ids, online_bs_ids, mode, d, updates):
     if online is None:
         return None, None
     shares = {j: bss[j].mask_share(online, t, mode, d) for j in online_bs_ids}
-    return online, af.recover_mask(shares, mode, d)
+    return online, af.recover_mask(shares, mode)
 
 
 # -- setup ------------------------------------------------------------------
@@ -282,6 +285,22 @@ def test_fleet_masking_of_no_devices_is_empty():
     assert mask_updates([], np.zeros((0, 12)), 0) == []
 
 
+@pytest.mark.parametrize("t", [-1, 2**64, 1.5, 1.0, None])
+@pytest.mark.parametrize("precompute", [False, True], ids=["on_the_fly", "precomputed"])
+def test_round_outside_the_word_range_is_refused(precompute, t):
+    # once a ValueError, not struct.error or IndexError, and no device advances
+    ues, *_ = make_fleet(seed=26)
+    if precompute:
+        for ue in ues.values():
+            ue.precompute(4)
+    with pytest.raises(ValueError, match="round t = .* is not an int in"):
+        mask_updates([ues[1], ues[2]], np.zeros((2, 12)), t)
+    with pytest.raises(ValueError, match="round t = .* is not an int in"):
+        ues[3].masked_update([0.0] * 12, t)
+    assert all(ue._last_iteration == -1 for ue in ues.values())
+    assert ues[1].masked_update([0.0] * 12, 2**64 - 1).iteration == 2**64 - 1
+
+
 # -- collection and the online list ------------------------------------------
 
 
@@ -310,7 +329,7 @@ def test_out_of_field_update_rejected():
     good = ues[1].masked_update([0.0] * 12, 0).payload.tolist()
     for bad in (P, 2**64 - 1):
         with pytest.raises(ValueError):
-            af.collect_update(MaskedUpdateMsg(2, 0, good[:5] + [bad] + good[6:]))
+            af.collect_update(MaskedUpdateMsg(2, 0, u64(good[:5] + [bad] + good[6:])))
     assert not af.masked_updates
 
 
@@ -350,7 +369,7 @@ def test_update_after_the_list_is_fixed_is_stale():
     assert sorted(af.masked_updates) == [1, 2, 3, 4, 5]
     assert af.finalize_online_list().ue_ids.tolist() == [1, 2, 3, 4, 5]
     shares = {j: bss[j].mask_share(online, 0, MaskShareMode.EVALUATED, 12) for j in bss}
-    update = af.unmask_and_aggregate(af.recover_mask(shares, MaskShareMode.EVALUATED, 12))
+    update = af.unmask_and_aggregate(af.recover_mask(shares, MaskShareMode.EVALUATED))
     assert max(abs(u - 0.25) for u in update) <= 2.0**-17
 
 
@@ -381,7 +400,7 @@ def test_finalize_all_online():
 
 def test_single_ue_list_share_is_plain_evaluation():
     ues, bss, af, *_ = make_fleet(seed=30)
-    online = OnlineListMsg(0, 2, (5,))
+    online = OnlineListMsg(0, 2, u64([5]))
     share = bss[1].mask_share(online, 2, MaskShareMode.EVALUATED, 12)
     assert share.vector.tolist() == khprf.evaluate(bss[1].stored_shares[5].y, 2, 12).tolist()
 
@@ -389,7 +408,7 @@ def test_single_ue_list_share_is_plain_evaluation():
 def test_evaluated_share_equals_sum_of_per_ue_evaluations():
     ues, bss, af, *_ = make_fleet(seed=31)
     listed = (1, 3, 4, 7)
-    online = OnlineListMsg(0, 1, listed)
+    online = OnlineListMsg(0, 1, u64(listed))
     share = bss[2].mask_share(online, 1, MaskShareMode.EVALUATED, 12)
     oracle = [0] * 12
     for i in listed:
@@ -400,7 +419,7 @@ def test_evaluated_share_equals_sum_of_per_ue_evaluations():
 
 def test_compact_share_is_nine_payload_bytes():
     ues, bss, af, *_ = make_fleet(seed=32)
-    online = OnlineListMsg(0, 0, (1, 2))
+    online = OnlineListMsg(0, 0, u64([1, 2]))
     compact = bss[1].mask_share(online, 0, MaskShareMode.COMPACT, 1000)
     evaluated = bss[1].mask_share(online, 0, MaskShareMode.EVALUATED, 1000)
     assert payload_length(compact) == 9
@@ -409,7 +428,7 @@ def test_compact_share_is_nine_payload_bytes():
 
 def test_missing_share_forces_abstention():
     ues, bss, af, *_ = make_fleet(seed=33)
-    online = OnlineListMsg(0, 0, (1, 99))
+    online = OnlineListMsg(0, 0, u64([1, 99]))
     with pytest.raises(MissingShareError):
         bss[1].mask_share(online, 0, MaskShareMode.EVALUATED, 12)
 
@@ -422,7 +441,7 @@ def test_repeated_or_unsorted_online_list_is_refused(forged, mode):
     # is ever handed one
     ues, bss, af, *_ = make_fleet(seed=34)
     with pytest.raises(ValueError, match="strictly increasing"):
-        bss[1].mask_share(OnlineListMsg(0, 0, forged), 0, mode, 12)
+        bss[1].mask_share(OnlineListMsg(0, 0, u64(forged)), 0, mode, 12)
 
 
 @pytest.mark.parametrize("mode", list(MaskShareMode))
@@ -431,7 +450,7 @@ def test_online_list_for_another_round_is_refused(mode):
     # wrong online set; the station refuses instead of abstaining
     ues, bss, af, *_ = make_fleet(seed=35)
     with pytest.raises(ProtocolError, match="round 0 asked to answer round 1") as err:
-        bss[1].mask_share(OnlineListMsg(0, 0, (1, 2, 3)), 1, mode, 12)
+        bss[1].mask_share(OnlineListMsg(0, 0, u64([1, 2, 3])), 1, mode, 12)
     assert not isinstance(err.value, MissingShareError)
 
 
@@ -479,7 +498,7 @@ def round_one_shares(mode, d=12):
     ues, bss, af, *_ = make_fleet(seed=44)
     updates = {i: [0.25] * d for i in ues}
     run_round(ues, bss, af, 0, list(ues), list(bss), mode, d, updates)
-    old = {j: bss[j].mask_share(OnlineListMsg(0, 0, tuple(ues)), 0, mode, d) for j in bss}
+    old = {j: bss[j].mask_share(OnlineListMsg(0, 0, u64(list(ues))), 0, mode, d) for j in bss}
     online, mask = run_round(ues, bss, af, 1, list(ues), list(bss), mode, d, updates)
     assert mask is not None
     shares = {j: bss[j].mask_share(online, 1, mode, d) for j in bss}
@@ -499,12 +518,12 @@ def forge(shares, old, case):
         return {**shares, 5: replace(s4, sender=5)}
     if case == "wrong_mode":
         if s4.mode is MaskShareMode.EVALUATED:
-            return {**shares, 4: MaskShareMsg(4, 1, MaskShareMode.COMPACT, scalar=0)}
-        return {**shares, 4: MaskShareMsg(4, 1, MaskShareMode.EVALUATED, vector=[0] * 12)}
+            return {**shares, 4: MaskShareMsg(4, 1, scalar=0)}
+        return {**shares, 4: MaskShareMsg(4, 1, vector=u64([0] * 12))}
     if case == "short_vector":
         return {**shares, 4: replace(s4, vector=s4.vector[:-1])}
     if case == "vector_element_p":
-        return {**shares, 4: replace(s4, vector=[P] + s4.vector[1:].tolist())}
+        return {**shares, 4: replace(s4, vector=u64([P] + s4.vector[1:].tolist()))}
     if case == "scalar_p":
         return {**shares, 4: replace(s4, scalar=P)}
     raise AssertionError(case)
@@ -528,7 +547,7 @@ def test_recover_mask_rejects_a_bad_share(mode, case):
             forge(shares, old, case)
         return
     with pytest.raises(ProtocolError):
-        af.recover_mask(forge(shares, old, case), mode, 12)
+        af.recover_mask(forge(shares, old, case), mode)
 
 
 def test_mode_equivalence_bitwise():
@@ -551,6 +570,22 @@ def test_unmask_average_of_one():
                         MaskShareMode.EVALUATED, 12, updates)
     update = af.unmask_and_aggregate(mask)
     assert max(abs(u - 0.5) for u in update) <= 2.0**-17
+
+
+def test_unmask_below_the_participation_floor_is_refused():
+    # n=8, fraction 1/3: two updates fix a list that halts the round, so its
+    # mask sum, though recoverable from a hand-built list, must not open it
+    ues, bss, af, *_ = make_fleet(seed=1)
+    af.begin_round(0)
+    for i in (1, 2):
+        af.collect_update(ues[i].masked_update([0.25] * 12, 0))
+    assert af.finalize_online_list() is None
+    listed = OnlineListMsg(0, 0, af.online_ids)
+    shares = {j: bss[j].mask_share(listed, 0, MaskShareMode.EVALUATED, 12) for j in bss}
+    mask = af.recover_mask(shares, MaskShareMode.EVALUATED)
+    with pytest.raises(ProtocolError, match="below the floor of 3"):
+        af.unmask_and_aggregate(mask)
+    assert af.global_model.tolist() == [0.0] * 12
 
 
 def test_unmask_matches_plaintext_average_oracle():
@@ -610,11 +645,11 @@ def test_dropped_ue_contributes_nothing():
 
 def test_fallback_keeps_model_bitwise():
     ues, bss, af, *_ = make_fleet(seed=48)
-    af.global_model = [0.125, -3.5] + [0.0] * 10
-    before = list(af.global_model)
+    af.global_model = np.array([0.125, -3.5] + [0.0] * 10)
+    before = af.global_model.tolist()
     msg = af.fallback()
-    assert list(msg.weights) == before
-    assert af.global_model == before
+    assert msg.weights.tolist() == before
+    assert af.global_model.tolist() == before
 
 
 def test_threshold_privacy_surrogate():
@@ -630,7 +665,7 @@ def test_threshold_privacy_surrogate():
     shares = {
         j: bss[j].mask_share(online, 0, MaskShareMode.EVALUATED, 12) for j in (1, 2)
     }
-    assert af.recover_mask(shares, MaskShareMode.EVALUATED, 12) is None
+    assert af.recover_mask(shares, MaskShareMode.EVALUATED) is None
     # no pair of stations' payloads equals any device's individual mask
     for j in (1, 2):
         for i in ues:
@@ -649,16 +684,13 @@ def test_station_cannot_be_handed_an_out_of_field_share():
     assert not bs.stored_shares
 
 
-EVAL, COMPACT = MaskShareMode.EVALUATED, MaskShareMode.COMPACT
-
-
 @pytest.mark.parametrize("build", [
-    *[lambda e=bad: MaskedUpdateMsg(1, 0, [0, e, 5]) for bad in (P, 2**64 - 1)],
-    *[lambda e=bad: MaskShareMsg(1, 0, EVAL, vector=[e, 0]) for bad in (P, 2**64 - 1)],
-    lambda: MaskShareMsg(1, 0, COMPACT, scalar=P),
+    *[lambda e=bad: MaskedUpdateMsg(1, 0, u64([0, e, 5])) for bad in (P, 2**64 - 1)],
+    *[lambda e=bad: MaskShareMsg(1, 0, vector=u64([e, 0])) for bad in (P, 2**64 - 1)],
+    lambda: MaskShareMsg(1, 0, scalar=P),
     lambda: SetupShareMsg(1, 0, 2, SecretShare(2, P)),
-    lambda: OnlineListMsg(0, 0, (1, 1, 2, 3)),
-    lambda: OnlineListMsg(0, 0, (2, 1, 3)),
+    lambda: OnlineListMsg(0, 0, u64([1, 1, 2, 3])),
+    lambda: OnlineListMsg(0, 0, u64([2, 1, 3])),
 ], ids=["update_p", "update_2^64-1", "vector_p", "vector_2^64-1", "scalar_p",
         "share_y_p", "repeated_ids", "unsorted_ids"])
 def test_bad_field_refused_where_the_message_is_built(build):
@@ -667,26 +699,27 @@ def test_bad_field_refused_where_the_message_is_built(build):
 
 
 # every integer a message carries must be an int in [0, 2^64): nothing is
-# cast into range, and nothing is left for struct to trip over when sending
+# cast into range, and nothing is left for struct to trip over when sending;
+# array elements can be nothing but uint64, so any other holder is refused
 @pytest.mark.parametrize("build", [
-    lambda: MaskShareMsg(1, 0, EVAL, vector=[1.5, 2]),
-    lambda: MaskShareMsg(1, 0, EVAL, vector=np.array([3.0, 4.0])),
+    lambda: MaskShareMsg(1, 0, vector=[1.5, 2]),
+    lambda: MaskShareMsg(1, 0, vector=np.array([3.0, 4.0])),
     lambda: MaskedUpdateMsg(1, 0, [-1, 2]),
     lambda: MaskedUpdateMsg(1, 0, np.array([-1, 2])),
     lambda: MaskedUpdateMsg(1, 0, [2**64, 2]),
     lambda: MaskedUpdateMsg(1, 0, np.array([1, 2], dtype=object)),
-    lambda: MaskedUpdateMsg(-1, 0, [1, 2]),
-    lambda: GlobalModelMsg(0, 2**64, [1.0]),
+    lambda: MaskedUpdateMsg(-1, 0, u64([1, 2])),
+    lambda: GlobalModelMsg(0, 2**64, np.array([1.0])),
     lambda: OnlineListMsg(0, 0, (-1, 2)),
     lambda: OnlineListMsg(0, 0, (1, 2**64)),
     lambda: OnlineListMsg(0, 0, (1.5, 2)),
-    lambda: OnlineListMsg(0, -1, (1, 2)),
+    lambda: OnlineListMsg(0, -1, u64([1, 2])),
     lambda: SetupShareMsg(1, 0, 2, SecretShare(2, 2.5)),
     lambda: SetupShareMsg(1, 0, -2, SecretShare(2, 5)),
     lambda: SetupShareMsg(1, 0, 2, SecretShare(2**64, 5)),
     lambda: SetupShareMsg(1.0, 0, 2, SecretShare(2, 5)),
-    lambda: MaskShareMsg(2**64, 0, COMPACT, scalar=1),
-    lambda: MaskShareMsg(1, 0, COMPACT, scalar=2.5),
+    lambda: MaskShareMsg(2**64, 0, scalar=1),
+    lambda: MaskShareMsg(1, 0, scalar=2.5),
 ], ids=["vector_float", "vector_float_array", "update_negative", "update_negative_array",
         "update_2^64", "update_object_array", "update_sender_negative",
         "model_iteration_2^64", "list_id_negative", "list_id_2^64", "list_id_float",
@@ -698,11 +731,9 @@ def test_int_field_refused_where_the_message_is_built(build):
 
 
 def test_int_fields_of_any_int_type_still_build():
-    payload = np.array([1, 2], dtype=np.uint64)
+    payload = u64([1, 2])
     assert MaskedUpdateMsg(1, 0, payload).payload is payload  # kept, not copied
-    for given_ in ([np.uint64(1), 2], np.array([1, 2]), (1, 2)):
-        assert np.array_equal(MaskedUpdateMsg(1, 0, given_).payload, payload)
-    assert OnlineListMsg(0, 0, (0, 2**64 - 1)).to_bytes()
+    assert OnlineListMsg(0, 0, u64([0, 2**64 - 1])).to_bytes()
     assert SetupShareMsg(np.int64(1), 0, 2, SecretShare(2, 5)).to_bytes()
 
 
@@ -722,7 +753,7 @@ def test_honest_messages_of_every_role_round_trip(mode):
     af.collect_update(update)
     online = af.finalize_online_list()
     shares = {j: bss[j].mask_share(online, 0, mode, 12) for j in bss}
-    af.unmask_and_aggregate(af.recover_mask(shares, mode, 12))
+    af.unmask_and_aggregate(af.recover_mask(shares, mode))
     for msg in [*setup, update, online, *shares.values(), af.global_model_message()]:
         assert from_bytes(msg.to_bytes()) == msg
 

@@ -9,7 +9,9 @@ import json
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import total_received, total_sent
 from secagg5g import fltask, protocol, simnet
@@ -198,7 +200,7 @@ def test_task_dimension_must_match():
 
 def test_account_message_masked_update_d1000():
     metrics = RoundMetrics(iteration=0, online_ues=0, online_bss=0)
-    msg = MaskedUpdateMsg(1, 0, tuple(range(1000)))
+    msg = MaskedUpdateMsg(1, 0, np.arange(1000, dtype=np.uint64))
     account_message(metrics, msg)
     assert metrics.bytes_ue_sent == 17 + 4 + 8000
     assert metrics.bytes_af_recv == 17 + 4 + 8000
@@ -206,7 +208,7 @@ def test_account_message_masked_update_d1000():
 
 def test_account_message_compact_share():
     metrics = RoundMetrics(iteration=0, online_ues=0, online_bss=0)
-    msg = MaskShareMsg(2, 0, MaskShareMode.COMPACT, scalar=7)
+    msg = MaskShareMsg(2, 0, scalar=7)
     account_message(metrics, msg)
     assert metrics.bytes_bs_sent == 17 + 1 + 8
     assert metrics.bytes_af_recv == 26
@@ -298,6 +300,69 @@ def test_round_counters_match_golden(mode, scenario):
     assert [r["iteration"] for r in per_round] == list(range(10))
     digest = hashlib.sha256(json.dumps([setup, per_round], sort_keys=True).encode()).hexdigest()
     assert digest == expected_digest
+
+
+# -- closed-form traffic model ----------------------------------------------------
+# Each counter of set-up and of every round follows from the round's online
+# counts and late drops alone; README, "Traffic per round", states the table.
+
+
+@st.composite
+def traffic_scenarios(draw):
+    n = draw(st.integers(min_value=1, max_value=12), label="n")
+    k = draw(st.integers(min_value=1, max_value=5), label="k")
+    base = draw(st.sampled_from([0.0, 5.0]), label="latency_base_ms")
+    cfg = SimConfig(
+        n_ues=n, n_bss=k,
+        bs_threshold=draw(st.integers(min_value=1, max_value=k), label="t"),
+        min_online_fraction=draw(st.sampled_from([0.1, 1.0 / 3.0, 0.5, 1.0]), label="floor"),
+        model_dim=draw(st.integers(min_value=1, max_value=40), label="d"),
+        iterations=draw(st.integers(min_value=1, max_value=4), label="rounds"),
+        rng_seed=draw(st.integers(min_value=0, max_value=2**16), label="seed"),
+        latency_base_ms=base,
+        # a jitter past the deadline makes late arrivals
+        latency_jitter_ms=draw(st.sampled_from([0.0, 5.0, 60.0]), label="jitter"),
+        deadline_ms=base + draw(st.sampled_from([10.0, 35.0]), label="deadline"),
+        mask_share_mode=draw(st.sampled_from(list(MaskShareMode)), label="mode"),
+    )
+    sched = DropoutSchedule(
+        ue_prob=draw(st.sampled_from([0.0, 0.3, 0.7]), label="ue_prob"),
+        bs_prob=draw(st.sampled_from([0.0, 0.3, 0.7]), label="bs_prob"),
+        prob_seed=cfg.rng_seed, prob_ue_ids=tuple(range(1, n + 1)),
+        prob_bs_ids=tuple(range(1, k + 1)),
+    )
+    return cfg, sched
+
+
+@settings(max_examples=60, deadline=None)
+@given(traffic_scenarios())
+def test_every_counter_follows_the_traffic_model(scenario):
+    cfg, sched = scenario
+    n, k, d = cfg.n_ues, cfg.n_bss, cfg.model_dim
+    task = fltask.generate_data(seed=cfg.rng_seed, n_ues=n, feature_dim=d - 1,
+                                samples_per_shard=4, test_samples=4)
+    result = run_simulation(cfg, sched, task)
+    assert strip_times(result.setup) == dict(
+        bytes_ue_sent=41 * n * k, bytes_bs_recv=41 * n * k, msgs_ue_to_bs=n * k)
+    floor = math.ceil(cfg.min_online_fraction * n)
+    share_bytes = 8 * d + 22 if cfg.mask_share_mode is MaskShareMode.EVALUATED else 26
+    assert [rm.iteration for rm in result.rounds] == list(range(cfg.iterations))
+    for rm in result.rounds:
+        listed = rm.online_ues - rm.late_drops
+        answered = rm.online_bss if listed >= floor else 0
+        ue_bytes = rm.online_ues * (8 * d + 21)
+        bs_sent = answered * share_bytes
+        bs_recv = answered * (8 * listed + 21)
+        assert {name: v for name, v in strip_times(rm).items()
+                if name not in ("iteration", "outcome", "accuracy")} == dict(
+            online_ues=rm.online_ues, online_bss=rm.online_bss, online_list_size=listed,
+            bytes_ue_sent=ue_bytes, bytes_ue_recv=ue_bytes,
+            bytes_bs_sent=bs_sent, bytes_bs_recv=bs_recv,
+            bytes_af_sent=ue_bytes + bs_recv, bytes_af_recv=ue_bytes + bs_sent,
+            msgs_ue_to_af=rm.online_ues, msgs_af_to_bs=answered,
+            msgs_bs_to_af=answered, msgs_af_to_ue=rm.online_ues,
+            late_drops=rm.late_drops,
+        )
 
 
 # -- full runs -------------------------------------------------------------------

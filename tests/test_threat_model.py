@@ -63,7 +63,7 @@ def play_round(ues, bss, af, t, online, mode, rng):
         af.collect_update(ues[i].masked_update([rng.uniform(-1, 1) for _ in range(D)], t))
     listing = af.finalize_online_list()
     shares = {j: bs.mask_share(listing, t, mode, D) for j, bs in bss.items()}
-    af.unmask_and_aggregate(af.recover_mask(shares, mode, D))
+    af.unmask_and_aggregate(af.recover_mask(shares, mode))
     return dict(af.masked_updates), shares
 
 
