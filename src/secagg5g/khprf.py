@@ -16,9 +16,11 @@ as a little-endian integer lo + 2^64 * hi, reduced mod p. An XOF's shorter
 output is a prefix of its longer output, so H(t, i) does not depend on how
 many coefficients are asked for.
 
-Precomputation multiplies each device's key by one shared, cached, read-only
-(iterations, d) table of these coefficients, built once per shape, so the
-public part of set-up is paid once rather than once per device.
+Precomputation covers a whole fleet in one pass: one shared, cached,
+read-only (iterations, d) table of these coefficients, built once per shape,
+is multiplied by every device's key into one preallocated (n, iterations, d)
+array, block by block, so the public part of set-up is paid once rather than
+once per device and each block's temporaries stay in cache.
 
 SECURITY WARNING: this default backend is NOT a PRF. The coefficients
 H(t, i) are public, so a single output component reveals the key by
@@ -46,6 +48,12 @@ _COEFF_BYTES = 16
 
 _TAGGED = hashlib.shake_256(DOMAIN_TAG)  # XOF state after the tag, copied per block
 _BLOCK_INDEX = struct.Struct("<QQ")
+# elements per mulmod block of the fleet precompute, so that the few of
+# mulmod's 256 KiB temporaries alive at once stay in a 2 MiB L2. Measured on
+# a 2-vCPU Xeon over the benchmark's three fleet shapes: 2^14 to 2^16 within
+# 15% of each other, 2^11 up to 3x slower, and one block per device (no
+# blocking) 2.2x slower at d = 2048
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def require_round(t) -> None:
@@ -86,11 +94,16 @@ def _require_key(key) -> None:
         raise ValueError(f"key = {key!r} is not an int in [0, p)")
 
 
+def _require_count(name: str, value) -> None:
+    # a float shape would reach numpy as a TypeError, or round silently
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} = {value!r} is not an int >= 1")
+
+
 def evaluate(key: int, t: int, d: int) -> np.ndarray:
     """Mask vector for (key, iteration t) of dimension d."""
     _require_key(key)
-    if d < 1:
-        raise ValueError("mask dimension must be >= 1")
+    _require_count("mask dimension d", d)
     return field.mulmod(key, coefficient_vector(t, d))
 
 
@@ -107,16 +120,36 @@ def _coefficient_table(num_iterations: int, d: int) -> np.ndarray:
     return table
 
 
+def precompute_fleet(keys, num_iterations: int, d: int) -> np.ndarray:
+    """Read-only (len(keys), num_iterations, d) array whose row [r, t] is
+    bitwise equal to ``evaluate(keys[r], t, d)``; lets a fleet front-load all
+    mask computation in one pass.
+
+    Every key is checked before anything is computed: a key that is not an
+    int in [0, p), or a count that is not an int >= 1, raises ValueError.
+    The array is fresh; only the public coefficients are shared. It is
+    filled in blocks of about ``_BLOCK_ELEMENTS`` elements, a run of whole
+    devices over a slice of the flattened coefficient table.
+    """
+    for key in keys:
+        _require_key(key)
+    _require_count("num_iterations", num_iterations)
+    _require_count("mask dimension d", d)
+    coeffs = _coefficient_table(num_iterations, d).reshape(-1)
+    key_column = np.array(keys, dtype=np.uint64).reshape(-1, 1)
+    cols = min(coeffs.size, _BLOCK_ELEMENTS)
+    rows = _BLOCK_ELEMENTS // cols
+    out = np.empty((len(key_column), coeffs.size), dtype=np.uint64)
+    for i in range(0, len(key_column), rows):
+        for j in range(0, coeffs.size, cols):
+            out[i:i + rows, j:j + cols] = field.mulmod(
+                key_column[i:i + rows], coeffs[j:j + cols])
+    out = out.reshape(-1, num_iterations, d)
+    out.setflags(write=False)
+    return out
+
+
 def precompute_masks(key: int, num_iterations: int, d: int) -> np.ndarray:
     """Read-only (num_iterations, d) table whose row t is bitwise equal to
-    ``evaluate(key, t, d)``; lets a device front-load all mask computation.
-    The device's own table is a fresh array; only the public coefficients
-    are shared."""
-    _require_key(key)
-    if num_iterations < 1:
-        raise ValueError("need at least one iteration")
-    if d < 1:
-        raise ValueError("mask dimension must be >= 1")
-    table = field.mulmod(key, _coefficient_table(num_iterations, d))
-    table.setflags(write=False)
-    return table
+    ``evaluate(key, t, d)``: one device's row of ``precompute_fleet``."""
+    return precompute_fleet([key], num_iterations, d)[0]

@@ -94,7 +94,7 @@ class UserEquipment:
 
     def precompute(self, num_iterations: int) -> None:
         """Front-load masks for iterations 0..num_iterations-1."""
-        self.precomputed_masks = khprf.precompute_masks(self.key, num_iterations, self.dim)
+        precompute_fleet([self], num_iterations)
 
     def masked_update(self, w, t: int) -> MaskedUpdateMsg:
         """Encode the local update and add this round's mask.
@@ -152,6 +152,25 @@ def mask_updates(ues: list[UserEquipment], updates, t: int) -> list[MaskedUpdate
     ]
 
 
+def precompute_fleet(ues: list[UserEquipment], num_iterations: int) -> None:
+    """Front-load every device's masks for iterations 0..num_iterations-1 in
+    one ``khprf.precompute_fleet`` pass; ``ues[r]`` gets row r of the fleet
+    array as its ``precomputed_masks``.
+
+    All or nothing: raises ValueError, and gives no device a table, if the
+    devices do not share one ``dim``, a key is not an int in [0, p), or
+    ``num_iterations`` is not an int >= 1. An empty fleet is a no-op.
+    """
+    if not ues:
+        return
+    dim = ues[0].dim
+    if any(ue.dim != dim for ue in ues):
+        raise ValueError("devices precomputed in one call must share one dim")
+    tables = khprf.precompute_fleet([ue.key for ue in ues], num_iterations, dim)
+    for ue, table in zip(ues, tables):
+        ue.precomputed_masks = table
+
+
 def route_setup_shares(
     messages: list[SetupShareMsg], region_bs_ids: set[int]
 ) -> dict[int, SetupShareMsg]:
@@ -190,7 +209,8 @@ class BaseStation:
             raise ProtocolError(
                 f"BS {self.bs_id} already stores a share for UE {msg.sender}"
             )
-        self.stored_shares[msg.sender] = msg.share
+        # y as a Python int, so that mask_share's plain sum cannot wrap
+        self.stored_shares[msg.sender] = SecretShare(msg.share.x, int(msg.share.y))
 
     def mask_share(
         self, online: OnlineListMsg, t: int, mode: MaskShareMode, d: int
@@ -217,9 +237,7 @@ class BaseStation:
             raise MissingShareError(
                 f"BS {self.bs_id} holds no share for UEs {missing}"
             )
-        summed = 0
-        for ue in ids:
-            summed = field.add(summed, self.stored_shares[ue].y)
+        summed = sum([self.stored_shares[ue].y for ue in ids]) % field.P
         if mode is MaskShareMode.EVALUATED:
             return MaskShareMsg(
                 sender=self.bs_id, iteration=t, vector=khprf.evaluate(summed, t, d)

@@ -17,6 +17,8 @@ and the receiver's bytes, in ``SetupMetrics`` for setup shares and in the
 ``RoundMetrics`` of the round it carries otherwise. Late updates are
 delivered, charged, and refused by the server as STALE (a late drop).
 
+Set-up sends every device's key shares to the base stations, then
+precomputes every device's masks in one ``protocol.precompute_fleet`` call.
 Each round start trains every device in one ``task.local_update`` call
 over the stacked shards and models, masks the online devices' rows in one
 ``protocol.mask_updates`` call, then sends one message per online device.
@@ -52,6 +54,7 @@ from .protocol import (
     UserEquipment,
     generate_key,
     mask_updates,
+    precompute_fleet,
     route_setup_shares,
 )
 from .shamir import AccessStructure
@@ -151,8 +154,14 @@ class SimConfig:
     magnitude_bound: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_ues", "n_bss", "bs_threshold", "model_dim", "iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n_ues < 1:
             raise ValueError("need at least one UE")
+        if self.model_dim < 1:
+            raise ValueError("model_dim must be >= 1")
         # the station threshold and the codec are checked by their own types
         self.access_structure()
         self.codec()
@@ -340,18 +349,19 @@ class _Simulation:
     # -- setup phase ------------------------------------------------------
 
     def _run_setup(self) -> float:
-        """Distribute every UE's shares; returns the last delivery time so
-        round 0 starts only once every base station is provisioned."""
+        """Distribute every UE's shares, then precompute the whole fleet's
+        masks in one pass; returns the last delivery time so round 0 starts
+        only once every base station is provisioned."""
         acc = self.cfg.access_structure()
         last_arrival = self.now
         with _Timer(self.setup_metrics, "time_setup_ms"):
             for i in self.ue_ids:
-                ue = self.ues[i]
-                msgs = ue.setup(acc, self.shamir_rng)
-                ue.precompute(self.cfg.iterations)
+                msgs = self.ues[i].setup(acc, self.shamir_rng)
                 delivery = route_setup_shares(msgs, set(self.bs_ids))
                 for j in sorted(delivery):
                     last_arrival = max(last_arrival, self._send(delivery[j], j))
+            # precompute draws no randomness, so the draws above keep their order
+            precompute_fleet([self.ues[i] for i in self.ue_ids], self.cfg.iterations)
         return last_arrival
 
     # -- event handlers ----------------------------------------------------

@@ -2,11 +2,18 @@
 by module and attribute name. A name it cannot find breaks only the traced
 benchmark run, so every target is checked here."""
 
+import csv
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+SRC = ROOT / "src"
 
 
 def load_tracing():
@@ -27,3 +34,55 @@ def test_every_traced_name_exists():
         if not callable(getattr(owner, attr, None)):
             missing.append(f"{mod}.{cls}.{attr}")
     assert missing == []
+
+
+# Installs the tracer in a fresh interpreter, so that no wrapper outlives the
+# test, runs one CLI experiment and prints every span name's call count.
+TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+from secagg5g import cli
+status = cli.main(["run", sys.argv[2], "-o", sys.argv[3]])
+calls = {name: row["calls"] for name, row in tracing.summarize(tracer.spans()).items()}
+print(json.dumps({"status": status, "calls": calls}))
+"""
+
+# Bound names a simulation never calls, so their per-layer metrics read 0:
+NEVER_CALLED = {
+    # masking goes through the fleet function protocol.mask_updates, which
+    # encodes and masks in one field.encode_masked call
+    "protocol.ue.masked_update",
+    "field.encode_update",
+    # set-up precomputes through the fleet functions protocol.precompute_fleet
+    # and khprf.precompute_fleet
+    "protocol.ue.precompute",
+    "khprf.precompute_masks",
+}
+
+
+def test_names_a_run_never_reaches(tmp_path):
+    # seed 0 with this jitter: rounds 0 and 1 aggregate, round 2 falls back
+    # below the floor when a device misses the deadline
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(
+        n_ues=4, n_bss=3, bs_threshold=2, min_online_fraction=1.0, iterations=3,
+        latency_jitter_ms=40.0, deadline_ms=40.0, feature_dim=4,
+        samples_per_shard=10, test_samples=20, seeds=[0])))
+    out = tmp_path / "rows.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACING), str(config), str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC), "SECAGG5G_LOG": "ERROR"},
+        capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["status"] == 0
+    rows = csv.DictReader(line for line in out.read_text().splitlines()
+                          if not line.startswith("#"))
+    assert [row["outcome"] for row in rows] == ["AGGREGATED", "AGGREGATED", "FALLBACK"]
+    tracing = load_tracing()
+    bound = {name for *_, name in tracing.MODULE_BINDINGS + tracing.CLASS_METHODS}
+    assert bound - set(result["calls"]) == NEVER_CALLED

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from oracles import EDGE_ELEMENTS, hash_to_field
@@ -254,3 +254,63 @@ def test_rounds_outside_the_word_range_are_refused(t):
     with pytest.raises(ValueError, match="round t = .* is not an int in"):
         khprf.coefficient_vector(t, 4)
     assert len(khprf.evaluate(1, 2**64 - 1, 4)) == 4
+
+
+# -- counts that are not ints >= 1 -----------------------------------------------
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, 2.0, "2", None])
+def test_counts_that_are_not_ints_are_refused(count):
+    # a float count would reach numpy as a TypeError, or build a table
+    with pytest.raises(ValueError, match="is not an int >= 1"):
+        khprf.precompute_masks(1, count, 4)
+    with pytest.raises(ValueError, match="is not an int >= 1"):
+        khprf.precompute_masks(1, 2, count)
+    with pytest.raises(ValueError, match="is not an int >= 1"):
+        khprf.precompute_fleet([1, 2], count, 4)
+    with pytest.raises(ValueError, match="is not an int >= 1"):
+        khprf.evaluate(1, 0, count)
+
+
+# -- the fleet in one blocked pass ------------------------------------------------
+
+BLOCK_ELEMENTS = khprf._BLOCK_ELEMENTS
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(edge_keys, min_size=1, max_size=6), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=300))
+# a device's table one element short of, exactly at, and one past the block
+@example(keys=[3, P - 1], iterations=1, d=BLOCK_ELEMENTS - 1)
+@example(keys=[3, P - 1], iterations=2, d=BLOCK_ELEMENTS // 2)
+@example(keys=[3, P - 1], iterations=1, d=BLOCK_ELEMENTS + 1)
+# two devices per block, so the last block holds the fifth alone
+@example(keys=[0, 1, 2, P - 2, P - 1], iterations=3, d=BLOCK_ELEMENTS // 6 - 1)
+def test_fleet_rows_equal_each_device_alone(keys, iterations, d):
+    fleet = khprf.precompute_fleet(keys, iterations, d)
+    assert fleet.shape == (len(keys), iterations, d) and fleet.dtype == np.uint64
+    assert not fleet.flags.writeable
+    shared = khprf._coefficient_table(iterations, d)
+    for r, key in enumerate(keys):
+        row = fleet[r]
+        assert np.array_equal(row, khprf.precompute_masks(key, iterations, d))
+        for t in range(iterations):
+            assert np.array_equal(row[t], khprf.evaluate(key, t, d))
+        with pytest.raises(ValueError):
+            row[0, 0] = 0
+        assert not np.shares_memory(row, shared)
+        for other in range(r):
+            assert not np.shares_memory(row, fleet[other])
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("key", [P, -1, 1.5, None])
+def test_a_bad_key_anywhere_refuses_the_fleet(where, key):
+    keys = [1, 2, 3, 4, 5]
+    keys[where] = key
+    with pytest.raises(ValueError, match="not an int in"):
+        khprf.precompute_fleet(keys, 3, 4)
+
+
+def test_fleet_of_no_keys_is_empty():
+    assert khprf.precompute_fleet([], 3, 4).shape == (0, 3, 4)

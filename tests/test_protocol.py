@@ -34,6 +34,7 @@ from secagg5g.protocol import (
     UserEquipment,
     generate_key,
     mask_updates,
+    precompute_fleet,
     route_setup_shares,
 )
 from oracles import EDGE_ELEMENTS, alpha_summation_oracle, hash_to_field, masked_update_plain
@@ -207,6 +208,42 @@ def test_precomputed_masks_bitwise_equal_on_the_fly():
     ues[2].precompute(10)
     precomputed = ues[2].masked_update(w, t=5)
     assert spontaneous.payload.tolist() == precomputed.payload.tolist()
+
+
+# -- precomputing a fleet in one call -------------------------------------------
+
+
+def test_fleet_precompute_gives_each_device_its_row():
+    ues, *_ = make_fleet(seed=40)
+    fleet = [ues[3], ues[1], ues[6]]
+    precompute_fleet(fleet, 5)
+    for ue in fleet:
+        assert np.array_equal(ue.precomputed_masks, khprf.precompute_masks(ue.key, 5, 12))
+    assert ues[2].precomputed_masks is None
+    # a device precomputed alone gets the same table
+    ues[2].key = ues[3].key
+    ues[2].precompute(5)
+    assert np.array_equal(ues[2].precomputed_masks, ues[3].precomputed_masks)
+
+
+@pytest.mark.parametrize("fault", ["dim", "key", "iterations"])
+def test_fleet_precompute_is_all_or_nothing(fault):
+    ues, *_ = make_fleet(seed=41)
+    fleet = list(ues.values())
+    iterations = 4
+    if fault == "dim":
+        fleet[5].dim = 11
+    elif fault == "key":
+        fleet[5].key = P
+    else:
+        iterations = 2.5
+    with pytest.raises(ValueError):
+        precompute_fleet(fleet, iterations)
+    assert all(ue.precomputed_masks is None for ue in fleet)
+
+
+def test_fleet_precompute_of_no_devices_is_a_no_op():
+    assert precompute_fleet([], 4) is None
 
 
 # -- masking a fleet in one call ----------------------------------------------
@@ -403,6 +440,22 @@ def test_single_ue_list_share_is_plain_evaluation():
     online = OnlineListMsg(0, 2, u64([5]))
     share = bss[1].mask_share(online, 2, MaskShareMode.EVALUATED, 12)
     assert share.vector.tolist() == khprf.evaluate(bss[1].stored_shares[5].y, 2, 12).tolist()
+
+
+@pytest.mark.parametrize("mode", list(MaskShareMode))
+def test_share_sum_is_exact_for_word_typed_shares(mode):
+    # shares built in process may carry numpy words; their sum must reduce
+    # mod p, not wrap mod 2^64
+    bs = BaseStation(bs_id=1)
+    ys = [P - 1 - i for i in range(12)]
+    for ue, y in enumerate(ys, start=1):
+        bs.receive_share(SetupShareMsg(ue, 0, 1, SecretShare(1, np.uint64(y))))
+    share = bs.mask_share(OnlineListMsg(0, 0, u64(range(1, 13))), 0, mode, 4)
+    summed = sum(ys) % P
+    if mode is MaskShareMode.COMPACT:
+        assert share.scalar == summed
+    else:
+        assert share.vector.tolist() == khprf.evaluate(summed, 0, 4).tolist()
 
 
 def test_evaluated_share_equals_sum_of_per_ue_evaluations():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import total_received, total_sent
-from secagg5g import fltask, protocol, simnet
+from secagg5g import fltask, khprf, protocol, simnet
 from secagg5g.messages import MaskedUpdateMsg, MaskShareMode, MaskShareMsg
 from secagg5g.simnet import (
     AGGREGATED,
@@ -64,6 +64,20 @@ def test_config_validation():
         SimConfig(min_online_fraction=0.0)
 
 
+@pytest.mark.parametrize("name", ["n_ues", "n_bss", "bs_threshold", "model_dim", "iterations"])
+@pytest.mark.parametrize("value", [2.5, 4.0, "4", None])
+def test_config_refuses_counts_that_are_not_ints(name, value):
+    # before, a float count built a config that failed only once run
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        SimConfig(**{name: value})
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_config_refuses_an_empty_model(d):
+    with pytest.raises(ValueError, match="model_dim must be >= 1"):
+        SimConfig(model_dim=d)
+
+
 @pytest.mark.parametrize("name", ["latency_base_ms", "latency_jitter_ms", "deadline_ms"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_timings(name, value):
@@ -86,6 +100,24 @@ def test_config_checks_threshold_and_codec_through_their_types():
     # an overflowing codec is refused at construction, not on the first run
     with pytest.raises(ValueError, match="overflows the field"):
         SimConfig(frac_bits=60)
+
+
+@pytest.mark.parametrize("mode", list(MaskShareMode))
+def test_simulation_precomputes_the_fleet_once(monkeypatch, mode):
+    calls = []
+    fleet_pass = khprf.precompute_fleet
+
+    def counted(keys, num_iterations, d):
+        calls.append((len(keys), num_iterations, d))
+        return fleet_pass(keys, num_iterations, d)
+
+    monkeypatch.setattr(khprf, "precompute_fleet", counted)
+    cfg = small_cfg(iterations=6, mask_share_mode=mode)
+    sim = _Simulation(cfg, DropoutSchedule.none(), small_task())
+    sim.run()
+    assert calls == [(8, 6, 10)]
+    for ue in sim.ues.values():
+        assert np.array_equal(ue.precomputed_masks, khprf.precompute_masks(ue.key, 6, 10))
 
 
 def test_closed_rounds_keep_no_shares():
