@@ -16,11 +16,12 @@ as a little-endian integer lo + 2^64 * hi, reduced mod p. An XOF's shorter
 output is a prefix of its longer output, so H(t, i) does not depend on how
 many coefficients are asked for.
 
-Precomputation covers a whole fleet in one pass: one shared, cached,
-read-only (iterations, d) table of these coefficients, built once per shape,
+Precomputation covers a whole fleet in one pass: one temporary
+(iterations, d) table of these coefficients, stacked from the cached rows,
 is multiplied by every device's key into one preallocated (n, iterations, d)
 array, block by block, so the public part of set-up is paid once rather than
-once per device and each block's temporaries stay in cache.
+once per device and each block's temporaries stay in cache. The rows' cache
+is the one copy of the coefficients a process keeps.
 
 SECURITY WARNING: this default backend is NOT a PRF. The coefficients
 H(t, i) are public, so a single output component reveals the key by
@@ -107,13 +108,12 @@ def evaluate(key: int, t: int, d: int) -> np.ndarray:
     return field.mulmod(key, coefficient_vector(t, d))
 
 
-@lru_cache(maxsize=1)
 def _coefficient_table(num_iterations: int, d: int) -> np.ndarray:
     """Read-only (num_iterations, d) table whose row t is coefficient_vector(t, d).
 
-    The coefficients are public, so every device shares the table; only one
-    is cached, since a run's devices (and a sweep's runs) all ask for the
-    same shape.
+    Stacked on each call from ``coefficient_vector``'s cached rows, so the
+    coefficients are held once, in that cache, and the table lives only as
+    long as its caller holds it.
     """
     table = np.stack([coefficient_vector(t, d) for t in range(num_iterations)])
     table.setflags(write=False)

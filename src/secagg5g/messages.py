@@ -208,21 +208,23 @@ class GlobalModelMsg(_Message):
 Message = SetupShareMsg | MaskedUpdateMsg | OnlineListMsg | MaskShareMsg | GlobalModelMsg
 
 
-def _counted(body: bytes, offset: int, dtype: np.dtype) -> np.ndarray:
-    """The count-prefixed array at ``offset``, which must end the body exactly."""
-    if len(body) < offset + _COUNT.size:
+def _counted(data: bytes, offset: int, dtype: np.dtype) -> np.ndarray:
+    """The count-prefixed array at ``offset``, which must end the frame exactly."""
+    if len(data) < offset + _COUNT.size:
         raise ValueError("truncated element count")
-    (count,) = _COUNT.unpack_from(body, offset)
+    (count,) = _COUNT.unpack_from(data, offset)
     start = offset + _COUNT.size
-    _expect_length(body, start + count * dtype.itemsize)
-    return np.frombuffer(body, dtype=dtype, count=count, offset=start)
+    _expect_length(data, start + count * dtype.itemsize)
+    return np.frombuffer(data, dtype=dtype, count=count, offset=start)
 
 
-def _expect_length(body: bytes, length: int) -> None:
-    if len(body) < length:
-        raise ValueError(f"truncated body: {len(body)} bytes, expected {length}")
-    if len(body) > length:
-        raise ValueError(f"{len(body) - length} trailing bytes after the message")
+def _expect_length(data: bytes, end: int) -> None:
+    """The frame must end exactly at ``end``; errors count body bytes."""
+    if len(data) < end:
+        raise ValueError(
+            f"truncated body: {len(data) - HEADER_LEN} bytes, expected {end - HEADER_LEN}")
+    if len(data) > end:
+        raise ValueError(f"{len(data) - end} trailing bytes after the message")
 
 
 def from_bytes(data: bytes) -> Message:
@@ -230,31 +232,31 @@ def from_bytes(data: bytes) -> Message:
 
     Raises ValueError for an unknown type or mode, a length other than the
     one the type and count imply, or any field the message type itself
-    refuses (an element >= p, online ids not strictly increasing). Arrays in
-    the result are read-only views of the received bytes.
+    refuses (an element >= p, online ids not strictly increasing). Every
+    field is read at its offset in ``data``, which is never copied: arrays
+    in the result are read-only views of the received bytes.
     """
     if len(data) < HEADER_LEN:
         raise ValueError("truncated header")
     msg_type, sender, iteration = _HEADER.unpack_from(data)
-    body = data[HEADER_LEN:]
     if msg_type == SETUP_SHARE:
-        _expect_length(body, _SETUP.size)
-        target_bs, x, y = _SETUP.unpack(body)
+        _expect_length(data, HEADER_LEN + _SETUP.size)
+        target_bs, x, y = _SETUP.unpack_from(data, HEADER_LEN)
         return SetupShareMsg(sender, iteration, target_bs, SecretShare(x, y))
     if msg_type == MASKED_UPDATE:
-        return MaskedUpdateMsg(sender, iteration, _counted(body, 0, _U64))
+        return MaskedUpdateMsg(sender, iteration, _counted(data, HEADER_LEN, _U64))
     if msg_type == ONLINE_LIST:
-        return OnlineListMsg(sender, iteration, _counted(body, 0, _U64))
+        return OnlineListMsg(sender, iteration, _counted(data, HEADER_LEN, _U64))
     if msg_type == MASK_SHARE:
-        if not body:
+        if len(data) == HEADER_LEN:
             raise ValueError("truncated mask share mode")
-        if MaskShareMode(body[0]) is MaskShareMode.EVALUATED:
-            return MaskShareMsg(sender, iteration, vector=_counted(body, 1, _U64))
-        _expect_length(body, 1 + _WORD.size)
-        (scalar,) = _WORD.unpack_from(body, 1)
+        if MaskShareMode(data[HEADER_LEN]) is MaskShareMode.EVALUATED:
+            return MaskShareMsg(sender, iteration, vector=_counted(data, HEADER_LEN + 1, _U64))
+        _expect_length(data, HEADER_LEN + 1 + _WORD.size)
+        (scalar,) = _WORD.unpack_from(data, HEADER_LEN + 1)
         return MaskShareMsg(sender, iteration, scalar=scalar)
     if msg_type == GLOBAL_MODEL:
-        return GlobalModelMsg(sender, iteration, _counted(body, 0, _F64))
+        return GlobalModelMsg(sender, iteration, _counted(data, HEADER_LEN, _F64))
     raise ValueError(f"unknown message type {msg_type}")
 
 

@@ -23,7 +23,9 @@ Each round start trains every device in one ``task.local_update`` call
 over the stacked shards and models, masks the online devices' rows in one
 ``protocol.mask_updates`` call, then sends one message per online device.
 Local model training is excluded from the per-role compute times; the
-timers cover the aggregation protocol's own work only.
+timers cover the aggregation protocol's own work only. Each round close
+writes the global model into its row of one (iterations, d) float64 array,
+the run's trajectory, which the result returns read-only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -240,13 +243,20 @@ def account_message(metrics, msg) -> None:
     setattr(metrics, recv, getattr(metrics, recv) + nbytes)
 
 
-@dataclass
+# compared by identity: the generated __eq__ would compare the array field
+# with ``==``, which has no single truth value
+@dataclass(eq=False)
 class SimResult:
     config: SimConfig
     setup: SetupMetrics
     rounds: list[RoundMetrics]
-    final_model: list[float]
-    model_history: list[list[float]]
+    models: np.ndarray  # read-only (iterations, d) float64; row t: model after round t
+
+    @cached_property
+    def model_history(self) -> list[list[float]]:
+        """``models`` as lists of Python floats, bit for bit; built on first
+        read, so a run holds its trajectory as one array until asked."""
+        return self.models.tolist()
 
 
 @dataclass
@@ -320,7 +330,6 @@ class _Simulation:
         self.now = 0.0
         self.setup_metrics = SetupMetrics()
         self.round_state: dict[int, _RoundState] = {}
-        self.model_history: list[list[float]] = []
 
     def _check_schedule(self):
         """Refuse a schedule that names an id outside the population. Draws
@@ -445,11 +454,11 @@ class _Simulation:
         model_msg = self.af.fallback() if fallback else self.af.global_model_message()
         state.shares.clear()
         state.metrics.accuracy = self.task.accuracy(self.af.global_model)
-        self.model_history.append(self.af.global_model.tolist())
+        t = state.metrics.iteration
+        self.models[t] = self.af.global_model
         last_arrival = self.now
         for i in state.online_ues:
             last_arrival = max(last_arrival, self._send(model_msg, i))
-        t = state.metrics.iteration
         if t + 1 < self.cfg.iterations:
             self._push(last_arrival, _KIND_ROUND_START, 0, t + 1)
 
@@ -457,6 +466,12 @@ class _Simulation:
 
     def run(self) -> SimResult:
         setup_done = self._run_setup()
+        # every round closes once, so each row is written exactly once.
+        # Allocated after set-up has freed its temporary coefficient table
+        # of the same size, so that the allocator can hand the trajectory
+        # those resident pages instead of adding 8 * iterations * d bytes
+        # to the peak resident set
+        self.models = np.empty((self.cfg.iterations, self.cfg.model_dim))
         self._push(setup_done, _KIND_ROUND_START, 0, 0)
         while self.heap:
             when, kind, _sender, _seq, payload = heapq.heappop(self.heap)
@@ -467,12 +482,12 @@ class _Simulation:
                 self._on_deadline(payload)
             else:
                 self._on_round_start(payload)
+        self.models.setflags(write=False)
         return SimResult(
             config=self.cfg,
             setup=self.setup_metrics,
             rounds=[state.metrics for state in self.round_state.values()],
-            final_model=self.af.global_model.tolist(),
-            model_history=self.model_history,
+            models=self.models,
         )
 
 

@@ -11,16 +11,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+from secagg5g import DropoutSchedule, SimConfig, run_simulation
+from secagg5g.fltask import generate_data
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+ORACLE = ROOT / "perfbench" / "oracle.py"
 SRC = ROOT / "src"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load("perfbench_tracing", TRACING)
 
 
 def test_every_traced_name_exists():
@@ -34,6 +42,23 @@ def test_every_traced_name_exists():
         if not callable(getattr(owner, attr, None)):
             missing.append(f"{mod}.{cls}.{attr}")
     assert missing == []
+
+
+def test_simulation_result_has_what_the_benchmark_reads():
+    # perfbench/workloads.py digests every model_history row with the
+    # oracle's model_digest and sums each round's bytes_*_sent
+    oracle = load("perfbench_oracle", ORACLE)
+    cfg = SimConfig(n_ues=4, n_bss=3, bs_threshold=2, model_dim=5, iterations=3)
+    task = generate_data(seed=0, n_ues=4, feature_dim=4)
+    result = run_simulation(cfg, DropoutSchedule.none(), task)
+    assert len(result.model_history) == len(result.rounds) == 3
+    for row in result.model_history:
+        assert type(row) is list and len(row) == 5
+        assert all(type(x) is float for x in row)
+        assert len(oracle.model_digest(row)) == 32
+    for rm in result.rounds:
+        sent = [getattr(rm, f"bytes_{role}_sent") for role in ("ue", "bs", "af")]
+        assert all(type(n) is int and n > 0 for n in sent)
 
 
 # Installs the tracer in a fresh interpreter, so that no wrapper outlives the

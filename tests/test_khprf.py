@@ -130,7 +130,6 @@ def test_precompute_rejects_zero_iterations():
 
 def clear_coefficient_caches():
     khprf.coefficient_vector.cache_clear()
-    khprf._coefficient_table.cache_clear()
 
 
 def test_precompute_cost_scales_roughly_linearly():
@@ -208,7 +207,7 @@ def test_cached_coefficients_and_mask_rows_are_read_only():
     assert table[1].tolist() == khprf.evaluate(7, 1, 6).tolist()
 
 
-# -- one shared coefficient table ----------------------------------------------
+# -- one copy of the coefficients ---------------------------------------------
 
 
 def test_second_device_reuses_the_coefficient_table():
@@ -217,7 +216,9 @@ def test_second_device_reuses_the_coefficient_table():
     info = khprf.coefficient_vector.cache_info()
     assert info.misses == 12
     khprf.precompute_masks(6, 12, 9)
-    assert khprf.coefficient_vector.cache_info() == info
+    again = khprf.coefficient_vector.cache_info()
+    # the table is stacked again from the cached rows: hits, no new hashing
+    assert again.misses == info.misses and again.hits == info.hits + 12
 
 
 def test_device_tables_share_no_memory():

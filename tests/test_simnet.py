@@ -412,7 +412,6 @@ def test_identical_seed_identical_run():
     b = run_simulation(small_cfg(), DropoutSchedule.none(), small_task())
     assert [strip_times(x) for x in a.rounds] == [strip_times(y) for y in b.rounds]
     assert a.model_history == b.model_history  # bitwise
-    assert a.final_model == b.final_model
 
 
 class CountingTask:
@@ -459,9 +458,27 @@ def test_each_round_masks_the_fleet_in_one_call(monkeypatch):
 
 def test_result_models_are_lists_of_python_floats():
     result = run_simulation(small_cfg(iterations=3), DropoutSchedule.none(), small_task())
-    for model in (result.final_model, *result.model_history):
+    for model in result.model_history:
         assert type(model) is list and len(model) == 10
         assert all(type(x) is float for x in model)
+
+
+def test_result_holds_the_trajectory_as_one_read_only_array():
+    result = run_simulation(small_cfg(iterations=4), DropoutSchedule.none(), small_task())
+    assert type(result.models) is np.ndarray
+    assert result.models.shape == (4, 10) and result.models.dtype == np.float64
+    assert not result.models.flags.writeable
+    with pytest.raises(ValueError):
+        result.models[0, 0] = 1.0
+
+
+def test_model_history_is_built_once_from_the_array():
+    sched = DropoutSchedule(bs_rounds={2: frozenset({1, 2})})
+    result = run_simulation(small_cfg(iterations=4), sched, small_task())
+    assert "model_history" not in vars(result)  # nothing built until read
+    history = result.model_history
+    assert np.array(history).tobytes() == result.models.tobytes()  # bitwise
+    assert result.model_history is history
 
 
 def test_protocol_seed_never_perturbs_models():
@@ -471,14 +488,14 @@ def test_protocol_seed_never_perturbs_models():
     b = run_simulation(small_cfg(rng_seed=2), DropoutSchedule.none(), small_task())
     assert a.model_history == b.model_history
     c = run_simulation(small_cfg(rng_seed=1), DropoutSchedule.none(), small_task(seed=4))
-    assert a.final_model != c.final_model
+    assert a.model_history[-1] != c.model_history[-1]
 
 
 def test_two_bs_dropped_every_round_stagnates():
     sched = DropoutSchedule.constant(bs_ids=(3, 4))
     result = run_simulation(small_cfg(), sched, small_task())
     assert all(rm.outcome == FALLBACK for rm in result.rounds)
-    assert result.final_model == [0.0] * 10  # frozen at the initial model
+    assert result.model_history[-1] == [0.0] * 10  # frozen at the initial model
     accs = {rm.accuracy for rm in result.rounds}
     assert len(accs) == 1
 
@@ -596,4 +613,4 @@ def test_everyone_offline_still_terminates():
     result = run_simulation(small_cfg(iterations=3), sched, small_task())
     assert [rm.outcome for rm in result.rounds] == [FALLBACK] * 3
     assert all(total_sent(rm) == 0 for rm in result.rounds)
-    assert result.final_model == [0.0] * 10
+    assert result.model_history[-1] == [0.0] * 10
