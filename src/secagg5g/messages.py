@@ -19,9 +19,10 @@ or shape) raises ValueError and is not converted. A mask share carries
 exactly one payload, a vector or a scalar, and its ``mode`` is the one that
 payload names. Each message type checks its own fields when built, in
 process or by ``from_bytes``: every integer it carries is an int in
-[0, 2^64), every field element lies in [0, p) and online ids strictly
-increase, else ValueError. Decoding adds only the length rule: a message
-must have exactly the length its type and count imply.
+[0, 2^64), every field element lies in [0, p), online ids strictly
+increase and model weights are finite, else ValueError. Decoding adds only
+the length rule: a message must have exactly the length its type and count
+imply, which ``wire_length`` computes without packing.
 """
 
 from __future__ import annotations
@@ -198,6 +199,8 @@ class GlobalModelMsg(_Message):
     def __post_init__(self):
         _require_header(self)
         _require_array(self, "weights", _F64)
+        if not np.isfinite(self.weights).all():
+            raise ValueError("model weights must be finite")
 
     def to_bytes(self) -> bytes:
         return _HEADER.pack(GLOBAL_MODEL, self.sender, self.iteration) + _pack_array(
@@ -261,7 +264,21 @@ def from_bytes(data: bytes) -> Message:
 
 
 def wire_length(msg: Message) -> int:
-    return len(msg.to_bytes())
+    """``len(msg.to_bytes())`` from the message's type and counts, packing
+    nothing: the length ``from_bytes`` requires of the frame."""
+    if isinstance(msg, SetupShareMsg):
+        return HEADER_LEN + _SETUP.size
+    if isinstance(msg, MaskedUpdateMsg):
+        return HEADER_LEN + _COUNT.size + msg.payload.nbytes
+    if isinstance(msg, OnlineListMsg):
+        return HEADER_LEN + _COUNT.size + msg.ue_ids.nbytes
+    if isinstance(msg, MaskShareMsg):
+        if msg.scalar is not None:
+            return HEADER_LEN + 1 + _WORD.size
+        return HEADER_LEN + 1 + _COUNT.size + msg.vector.nbytes
+    if isinstance(msg, GlobalModelMsg):
+        return HEADER_LEN + _COUNT.size + msg.weights.nbytes
+    raise TypeError(f"not a message: {msg!r}")
 
 
 def payload_length(msg: Message) -> int:

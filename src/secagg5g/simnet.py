@@ -11,10 +11,18 @@ answer with one mask share each; the server reconstructs the mask sum,
 updates the global model (or falls back to the previous one), and
 broadcasts it. Dropped entities neither send nor receive that round.
 
+Each send packs its message once, into one frame, however many receivers
+it has: the online list goes to the online stations and the model to the
+online devices as one frame each. Every receiver still draws its own
+latency. A frame is decoded by ``from_bytes`` at its first delivery, and
+each later receiver gets that same frozen message, whose arrays are
+read-only views of the frame.
+
 Traffic is charged per delivered message, from one table (``_LEDGER``):
-one to its link's message count and its exact wire length to the sender's
-and the receiver's bytes, in ``SetupMetrics`` for setup shares and in the
-``RoundMetrics`` of the round it carries otherwise. Late updates are
+one to its link's message count and its exact wire length (``wire_length``,
+computed from the message's counts without packing it again) to the
+sender's and the receiver's bytes, in ``SetupMetrics`` for setup shares and
+in the ``RoundMetrics`` of the round it carries otherwise. Late updates are
 delivered, charged, and refused by the server as STALE (a late drop).
 
 Set-up sends every device's key shares to the base stations, then
@@ -259,6 +267,17 @@ class SimResult:
         return self.models.tolist()
 
 
+class _Frame:
+    """One packed message in flight to one or more receivers, and the
+    message decoded from it once it first lands."""
+
+    __slots__ = ("raw", "msg")
+
+    def __init__(self, raw: bytes):
+        self.raw = raw
+        self.msg = None
+
+
 @dataclass
 class _RoundState:
     online_ues: tuple[int, ...]
@@ -350,10 +369,19 @@ class _Simulation:
         heapq.heappush(self.heap, (when, kind, sender, self.seq, payload))
         self.seq += 1
 
-    def _send(self, msg, dst_id: int) -> float:
-        arrival = self.now + self._latency()
-        self._push(arrival, _KIND_DELIVER, msg.sender, (msg.to_bytes(), dst_id))
-        return arrival
+    def _send(self, msg, dst_ids) -> float:
+        """Pack ``msg`` into one frame and deliver that frame to each of
+        ``dst_ids``, each after its own latency draw; returns the last
+        arrival, or now when there is no one to send to."""
+        if not dst_ids:
+            return self.now
+        frame = _Frame(msg.to_bytes())
+        last = self.now
+        for dst_id in dst_ids:
+            arrival = self.now + self._latency()
+            self._push(arrival, _KIND_DELIVER, msg.sender, (frame, dst_id))
+            last = max(last, arrival)
+        return last
 
     # -- setup phase ------------------------------------------------------
 
@@ -368,7 +396,7 @@ class _Simulation:
                 msgs = self.ues[i].setup(acc, self.shamir_rng)
                 delivery = route_setup_shares(msgs, set(self.bs_ids))
                 for j in sorted(delivery):
-                    last_arrival = max(last_arrival, self._send(delivery[j], j))
+                    last_arrival = max(last_arrival, self._send(delivery[j], (j,)))
             # precompute draws no randomness, so the draws above keep their order
             precompute_fleet([self.ues[i] for i in self.ue_ids], self.cfg.iterations)
         return last_arrival
@@ -393,7 +421,7 @@ class _Simulation:
                 [self.ues[i] for i in online_ues], updates[[i - 1 for i in online_ues]], t
             )
         for msg in msgs:
-            self._send(msg, 0)
+            self._send(msg, (0,))
         self._push(self.now + self.cfg.deadline_ms, _KIND_DEADLINE, 0, t)
 
     def _on_deadline(self, t: int) -> None:
@@ -404,11 +432,14 @@ class _Simulation:
         if online_list is None or not state.online_bss:
             self._close_round(state, FALLBACK)
             return
-        for j in state.online_bss:
-            self._send(online_list, j)
+        self._send(online_list, state.online_bss)
 
-    def _on_deliver(self, raw: bytes, dst_id: int) -> None:
-        msg = from_bytes(raw)
+    def _on_deliver(self, frame: _Frame, dst_id: int) -> None:
+        msg = frame.msg
+        if msg is None:
+            # decoded at the first delivery of its frame; every later
+            # receiver gets this same frozen message with read-only arrays
+            msg = frame.msg = from_bytes(frame.raw)
         setup = isinstance(msg, SetupShareMsg)
         state = None if setup else self.round_state[msg.iteration]
         metrics = self.setup_metrics if setup else state.metrics
@@ -428,7 +459,7 @@ class _Simulation:
                 share = self.bss[dst_id].mask_share(
                     msg, msg.iteration, self.cfg.mask_share_mode, self.cfg.model_dim
                 )
-            self._send(share, 0)
+            self._send(share, (0,))
         elif isinstance(msg, MaskShareMsg):
             state.shares[msg.sender] = msg
             self._maybe_recover(state)
@@ -446,9 +477,10 @@ class _Simulation:
 
     def _close_round(self, state: _RoundState, outcome: str) -> None:
         """The one way out of a round: record its outcome, send the model
-        (the previous one on FALLBACK) to the online devices, and start the
-        next round when the last copy lands. Only late updates and model
-        deliveries reach a closed round, and they touch its metrics alone."""
+        (the previous one on FALLBACK) to the online devices as one frame,
+        decoded once at its first delivery, and start the next round when
+        the last copy lands. Only late updates and model deliveries reach a
+        closed round, and they touch its metrics alone."""
         state.metrics.outcome = outcome
         fallback = outcome == FALLBACK
         model_msg = self.af.fallback() if fallback else self.af.global_model_message()
@@ -456,9 +488,7 @@ class _Simulation:
         state.metrics.accuracy = self.task.accuracy(self.af.global_model)
         t = state.metrics.iteration
         self.models[t] = self.af.global_model
-        last_arrival = self.now
-        for i in state.online_ues:
-            last_arrival = max(last_arrival, self._send(model_msg, i))
+        last_arrival = self._send(model_msg, state.online_ues)
         if t + 1 < self.cfg.iterations:
             self._push(last_arrival, _KIND_ROUND_START, 0, t + 1)
 

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from secagg5g import messages
 from secagg5g.field import P
@@ -151,6 +151,15 @@ def test_global_model_round_trip(iteration, weights):
     assert wire_length(msg) == 17 + 4 + 8 * len(weights)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_model_weight_is_refused(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GlobalModelMsg(0, 0, f64([0.5, bad]))
+    raw = bytes([messages.GLOBAL_MODEL]) + struct.pack("<QQI2d", 0, 0, 2, 0.5, bad)
+    with pytest.raises(ValueError, match="finite"):
+        from_bytes(raw)
+
+
 def test_from_bytes_rejects_garbage():
     with pytest.raises(ValueError):
         from_bytes(b"\x00" * 5)
@@ -180,8 +189,20 @@ messages_st = st.one_of(
               st.lists(elements, min_size=0, max_size=20)),
     st.builds(lambda s, k: MaskShareMsg(s, 1, scalar=k), ids, elements),
     st.builds(lambda t, w: GlobalModelMsg(0, t, f64(w)), ids,
-              st.lists(st.floats(width=64, allow_nan=False), max_size=20)),
+              st.lists(st.floats(width=64, allow_nan=False, allow_infinity=False),
+                       max_size=20)),
 )
+
+
+@given(messages_st)
+@example(MaskedUpdateMsg(1, 0, u64([])))
+@example(OnlineListMsg(0, 0, u64([])))
+@example(MaskShareMsg(1, 0, vector=u64([])))
+@example(MaskShareMsg(1, 0, scalar=0))
+@example(GlobalModelMsg(0, 0, f64([])))
+def test_wire_length_is_the_packed_length(msg):
+    # the simulator charges this arithmetic length and never packs to measure
+    assert wire_length(msg) == len(msg.to_bytes())
 
 
 @given(messages_st)

@@ -15,7 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import total_received, total_sent
 from secagg5g import fltask, khprf, protocol, simnet
-from secagg5g.messages import MaskedUpdateMsg, MaskShareMode, MaskShareMsg
+from secagg5g.messages import (
+    GlobalModelMsg,
+    MaskedUpdateMsg,
+    MaskShareMode,
+    MaskShareMsg,
+    OnlineListMsg,
+    SetupShareMsg,
+)
 from secagg5g.simnet import (
     AGGREGATED,
     FALLBACK,
@@ -606,6 +613,36 @@ def test_late_arrivals_excluded_from_list(mode, scenario):
         assert rm.msgs_bs_to_af == rm.msgs_af_to_bs
         assert total_sent(rm) == total_received(rm)
         assert rm.online_list_size < rm.online_ues or rm.late_drops == 0
+
+
+@pytest.mark.parametrize("scenario", sorted(LATE_SCENARIOS))
+@pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
+def test_each_frame_is_packed_once_and_decoded_once(monkeypatch, mode, scenario):
+    # a broadcast is one frame however many receive it, and charging a
+    # delivery's bytes packs nothing
+    packs, decodes = [], []
+    for cls in (SetupShareMsg, MaskedUpdateMsg, OnlineListMsg, MaskShareMsg, GlobalModelMsg):
+        def to_bytes(self, pack=cls.to_bytes):
+            packs.append(type(self))
+            return pack(self)
+        monkeypatch.setattr(cls, "to_bytes", to_bytes)
+
+    def from_bytes(raw, decode=simnet.from_bytes):
+        decodes.append(raw)
+        return decode(raw)
+
+    monkeypatch.setattr(simnet, "from_bytes", from_bytes)
+    overrides, sched = LATE_SCENARIOS[scenario]
+    cfg = small_cfg(latency_base_ms=5.0, mask_share_mode=mode, **overrides)
+    result = run_simulation(cfg, sched, small_task(n_ues=cfg.n_ues))
+    frames = result.setup.msgs_ue_to_bs + sum(
+        rm.msgs_ue_to_af + rm.msgs_bs_to_af + (rm.msgs_af_to_bs > 0) + (rm.msgs_af_to_ue > 0)
+        for rm in result.rounds)
+    assert len(packs) == len(decodes) == frames
+    assert any(rm.late_drops for rm in result.rounds)
+    assert any(rm.msgs_af_to_bs for rm in result.rounds)
+    assert packs.count(GlobalModelMsg) == sum(rm.msgs_af_to_ue > 0 for rm in result.rounds)
+    assert sum(rm.msgs_af_to_ue for rm in result.rounds) > packs.count(GlobalModelMsg)
 
 
 def test_everyone_offline_still_terminates():
