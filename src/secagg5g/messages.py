@@ -23,13 +23,22 @@ process or by ``from_bytes``: every integer it carries is an int in
 increase and model weights are finite, else ValueError. Decoding adds only
 the length rule: a message must have exactly the length its type and count
 imply, which ``wire_length`` computes without packing.
+
+Masked updates also travel as blocks: ``MaskedUpdateBlock.to_bytes`` writes
+m frames end to end, frame r byte-identical to row r's ``to_bytes``, and
+``updates_from_bytes`` parses such a join as one packed structured array,
+checking type, count, length and canonical elements once for the block.
+It refuses exactly the joins in which some frame would be refused by
+``from_bytes`` or decode to another message type.
 """
 
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
@@ -210,6 +219,73 @@ class GlobalModelMsg(_Message):
 
 Message = SetupShareMsg | MaskedUpdateMsg | OnlineListMsg | MaskShareMsg | GlobalModelMsg
 
+# bytes of a masked-update frame before its elements: header and count
+_UPDATE_HEAD = HEADER_LEN + _COUNT.size
+
+
+# bounded: the decoder takes d from outside input
+@lru_cache(maxsize=8)
+def _update_frame(d: int) -> np.dtype:
+    """One masked-update frame of d elements as a packed structured dtype."""
+    return np.dtype([("type", "u1"), ("sender", "<u8"), ("iteration", "<u8"),
+                     ("count", "<u4"), ("payload", "<u8", (d,))])
+
+
+@dataclass(frozen=True, eq=False)
+class MaskedUpdateBlock(Sequence):
+    """Masked updates of one dimension as arrays: row r is the message
+    ``MaskedUpdateMsg(senders[r], iterations[r], payloads[r])``.
+
+    ``senders`` and ``iterations`` are 1-d ``<u8`` arrays and ``payloads``
+    an (m, d) ``<u8`` one, stored uncopied; any other value raises
+    ValueError, and so does any element >= p, checked once for the block.
+    Indexing or iterating gives the rows as ``MaskedUpdateMsg``s, and a
+    block equals any sequence of the same messages.
+    """
+
+    senders: np.ndarray
+    iterations: np.ndarray
+    payloads: np.ndarray
+
+    def __post_init__(self):
+        for name, ndim in (("senders", 1), ("iterations", 1), ("payloads", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, np.ndarray) and value.dtype == _U64 and value.ndim == ndim):
+                raise ValueError(f"{name} must be a {ndim}-d {_U64} array")
+        if not len(self.senders) == len(self.iterations) == len(self.payloads):
+            raise ValueError("a block needs one sender, round and payload row per update")
+        require_canonical(self.payloads)
+
+    @classmethod
+    def of(cls, msgs) -> "MaskedUpdateBlock":
+        """The block whose rows are ``msgs``, masked updates of one dimension."""
+        if not msgs:
+            return cls(np.empty(0, _U64), np.empty(0, _U64), np.empty((0, 0), _U64))
+        return cls(np.array([msg.sender for msg in msgs], dtype=_U64),
+                   np.array([msg.iteration for msg in msgs], dtype=_U64),
+                   np.array([msg.payload for msg in msgs], dtype=_U64))
+
+    def __len__(self) -> int:
+        return len(self.senders)
+
+    def __getitem__(self, r: int) -> MaskedUpdateMsg:
+        return MaskedUpdateMsg(int(self.senders[r]), int(self.iterations[r]), self.payloads[r])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def to_bytes(self) -> bytes:
+        """Every row's frame, end to end, packed in one pass."""
+        rows = np.empty(len(self), _update_frame(self.payloads.shape[1]))
+        rows["type"] = MASKED_UPDATE
+        rows["sender"] = self.senders
+        rows["iteration"] = self.iterations
+        rows["count"] = self.payloads.shape[1]
+        rows["payload"] = self.payloads
+        return rows.tobytes()
+
 
 def _counted(data: bytes, offset: int, dtype: np.dtype) -> np.ndarray:
     """The count-prefixed array at ``offset``, which must end the frame exactly."""
@@ -261,6 +337,33 @@ def from_bytes(data: bytes) -> Message:
     if msg_type == GLOBAL_MODEL:
         return GlobalModelMsg(sender, iteration, _counted(data, HEADER_LEN, _F64))
     raise ValueError(f"unknown message type {msg_type}")
+
+
+def updates_from_bytes(data, frames: int) -> MaskedUpdateBlock:
+    """Decode ``frames`` masked-update frames of one dimension joined end to
+    end; the inverse of ``MaskedUpdateBlock.to_bytes``.
+
+    Raises ValueError unless ``data`` splits into ``frames`` equal frames,
+    each of which ``from_bytes`` decodes to a ``MaskedUpdateMsg``. The
+    count is given, not inferred, because a join carries no frame
+    boundaries: nine frames whose first count is rewritten to 9d + 21
+    can otherwise read as one valid frame. The arrays of the result are
+    read-only views of ``data``, which is never copied.
+    """
+    if frames == 0:
+        if len(data):
+            raise ValueError(f"{len(data)} trailing bytes after an empty block")
+        return MaskedUpdateBlock.of([])
+    size, rest = divmod(len(data), frames)
+    d, odd = divmod(size - _UPDATE_HEAD, 8)
+    if rest or odd or d < 0:
+        raise ValueError(f"{len(data)} bytes are not {frames} whole masked-update frames")
+    rows = np.frombuffer(data, dtype=_update_frame(d), count=frames)
+    if (rows["type"] != MASKED_UPDATE).any():
+        raise ValueError("a frame of the block is not a masked update")
+    if (rows["count"] != d).any():
+        raise ValueError(f"an element count of the block is not the {d} its frame length implies")
+    return MaskedUpdateBlock(rows["sender"], rows["iteration"], rows["payload"])
 
 
 def wire_length(msg: Message) -> int:

@@ -6,9 +6,10 @@ Roles:
     update per round.
   * ``BaseStation`` stores one key share per registered device and answers
     each round's online list with one aggregated mask share.
-  * ``Aggregator`` (the untrusted server) collects masked updates, fixes the
-    online list, reconstructs the sum of online masks from any threshold-many
-    base-station shares, and unmasks only the sum.
+  * ``Aggregator`` (the untrusted server) collects masked updates, one or a
+    block at a time, fixes the online list, reconstructs the sum of online
+    masks from any threshold-many base-station shares, and unmasks only the
+    sum.
 
 Entities are passive state machines: a message in causes a state change and
 zero or more messages out. The discrete-event harness in ``simnet`` drives
@@ -34,6 +35,7 @@ from . import field, khprf, shamir
 from .field import FixedPointCodec
 from .messages import (
     GlobalModelMsg,
+    MaskedUpdateBlock,
     MaskedUpdateMsg,
     MaskShareMsg,
     MaskShareMode,
@@ -78,6 +80,11 @@ class UserEquipment:
     _setup_done: bool = dc_field(default=False, init=False)
     _last_iteration: int = dc_field(default=-1, init=False)  # highest round masked so far
 
+    def __post_init__(self):
+        # the id is the sender of every message the device sends
+        if not (isinstance(self.ue_id, (int, np.integer)) and 0 <= self.ue_id < 1 << 64):
+            raise ValueError(f"ue_id = {self.ue_id!r} is not an int in [0, 2^64)")
+
     def setup(self, acc: AccessStructure, rng) -> list[SetupShareMsg]:
         """Split the key into one share per base station (share x = BS index).
 
@@ -113,23 +120,24 @@ class UserEquipment:
         return khprf.evaluate(self.key, t, self.dim)
 
 
-def mask_updates(ues: list[UserEquipment], updates, t: int) -> list[MaskedUpdateMsg]:
+def mask_updates(ues: list[UserEquipment], updates, t: int) -> MaskedUpdateBlock:
     """Mask row r of the (m, d) ``updates`` with device ``ues[r]``'s round-t
-    mask; one message per row, in the order of ``ues``.
+    mask; one block whose row r is ``ues[r]``'s masked update.
 
     The masks are gathered into one (m, d) array and one
     ``field.encode_masked`` call encodes the stack, so each row is
-    bit-identical to masking that device alone.
+    bit-identical to masking that device alone. The block is checked once,
+    not row by row, and indexes as a sequence of ``MaskedUpdateMsg``s.
 
     All or nothing: raises ProtocolError, and advances no device, if a
     device is listed twice or has already masked round t or a later one.
     Raises ValueError if t is not an int in [0, 2^64), if the devices do
     not share one codec, or if an update has the wrong dimension or exceeds
-    the magnitude bound. An empty fleet gives no messages.
+    the magnitude bound. An empty fleet gives an empty block.
     """
     khprf.require_round(t)
     if not ues:
-        return []
+        return MaskedUpdateBlock.of([])
     codec = ues[0].codec
     # identity first: a fleet normally shares one codec object
     if any(ue.codec is not codec and ue.codec != codec for ue in ues):
@@ -143,13 +151,14 @@ def mask_updates(ues: list[UserEquipment], updates, t: int) -> list[MaskedUpdate
                 f"round {t} is not later"
             )
     masks = np.array([ue._round_mask(t) for ue in ues])
-    payloads = field.encode_masked(updates, codec, masks)
+    block = MaskedUpdateBlock(
+        senders=np.array([ue.ue_id for ue in ues], dtype=np.uint64),
+        iterations=np.full(len(ues), t, dtype=np.uint64),
+        payloads=field.encode_masked(updates, codec, masks),
+    )
     for ue in ues:
         ue._last_iteration = t
-    return [
-        MaskedUpdateMsg(sender=ue.ue_id, iteration=t, payload=row)
-        for ue, row in zip(ues, payloads)
-    ]
+    return block
 
 
 def precompute_fleet(ues: list[UserEquipment], num_iterations: int) -> None:
@@ -269,22 +278,39 @@ class Aggregator:
         self.online_ids = None
 
     def collect_update(self, msg: MaskedUpdateMsg) -> CollectStatus:
-        """Log the sender as online; reject duplicates, and refuse as STALE
-        an update for another round or one that comes after the list is fixed.
+        """``collect_block`` of the one-row block ``msg``."""
+        return self.collect_block(MaskedUpdateBlock.of([msg]))[0]
 
-        Raises ValueError for a payload of the wrong dimension; its elements
-        are in [0, p), because ``MaskedUpdateMsg`` refuses any other.
+    def collect_block(self, block: MaskedUpdateBlock) -> list[CollectStatus]:
+        """Collect the block's rows in order, as one update each: log the
+        sender as online, reject a sender already logged this round (by an
+        earlier row too) as DUPLICATE, and refuse as STALE an update
+        for another round or one that comes after the list is fixed.
+        Returns each row's status; an accepted row is kept as a view.
+
+        Raises ValueError, and logs no row, if a row would be accepted but
+        the block's dimension is not the model's; its elements are in
+        [0, p), because ``MaskedUpdateBlock`` refuses any other.
         """
-        if msg.iteration != self.iteration or self.online_ids is not None:
-            return CollectStatus.STALE
-        if msg.sender in self.masked_updates:
-            return CollectStatus.DUPLICATE
-        if len(msg.payload) != self.dim:
-            raise ValueError(
-                f"masked update dim {len(msg.payload)} != model dim {self.dim}"
-            )
-        self.masked_updates[msg.sender] = msg.payload
-        return CollectStatus.ACCEPTED
+        statuses = [CollectStatus.STALE] * len(block)
+        if self.online_ids is not None:
+            return statuses
+        logged, fresh = self.masked_updates, {}
+        senders = block.senders.tolist()
+        for r in np.flatnonzero(block.iterations == self.iteration).tolist():
+            sender = senders[r]
+            if sender in logged or sender in fresh:
+                statuses[r] = CollectStatus.DUPLICATE
+            else:
+                fresh[sender] = r
+                statuses[r] = CollectStatus.ACCEPTED
+        d = block.payloads.shape[1]
+        if fresh and d != self.dim:
+            raise ValueError(f"masked update dim {d} != model dim {self.dim}")
+        payloads = block.payloads
+        for sender, r in fresh.items():
+            logged[sender] = payloads[r]
+        return statuses
 
     def min_online_count(self) -> int:
         return math.ceil(self.min_online_fraction * self.registered_n)

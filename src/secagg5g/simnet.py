@@ -12,28 +12,38 @@ updates the global model (or falls back to the previous one), and
 broadcasts it. Dropped entities neither send nor receive that round.
 
 Each send packs its message once, into one frame, however many receivers
-it has: the online list goes to the online stations and the model to the
-online devices as one frame each. Every receiver still draws its own
-latency. A frame is decoded by ``from_bytes`` at its first delivery, and
-each later receiver gets that same frozen message, whose arrays are
-read-only views of the frame.
+it has, and every receiver draws its own latency. A round's masked updates
+are packed as one block (``MaskedUpdateBlock.to_bytes``) right after
+masking; the updates that arrive by the deadline are delivered to the
+server as one event at the deadline instant, decoded in one
+``updates_from_bytes`` call and collected in one
+``Aggregator.collect_block`` call, while each late update is a one-row
+block delivered at its own arrival. The server reads no update before the
+deadline, so this changes nothing it sees. The model broadcast is one
+frame, delivered as one event at its last receiver's arrival, which
+decodes it once and writes every receiver's model row at once. The online
+list is one frame shared by the online stations, decoded by ``from_bytes``
+at its first delivery; every later station gets that same frozen message,
+whose arrays are read-only views of the frame.
 
-Traffic is charged per delivered message, from one table (``_LEDGER``):
-one to its link's message count and its exact wire length (``wire_length``,
-computed from the message's counts without packing it again) to the
-sender's and the receiver's bytes, in ``SetupMetrics`` for setup shares and
-in the ``RoundMetrics`` of the round it carries otherwise. Late updates are
-delivered, charged, and refused by the server as STALE (a late drop).
+Traffic is still charged per delivered message, from one table
+(``_LEDGER``): one to its link's message count and its exact wire length
+(``wire_length``, computed from the message's counts without packing it
+again) to the sender's and the receiver's bytes, in ``SetupMetrics`` for
+setup shares and in the ``RoundMetrics`` of the round it carries
+otherwise; a block of m updates or a model sent to m devices is charged as
+m deliveries in one step. Late updates are delivered, charged, and refused
+by the server as STALE (a late drop).
 
 Set-up sends every device's key shares to the base stations, then
 precomputes every device's masks in one ``protocol.precompute_fleet`` call.
 Each round start trains every device in one ``task.local_update`` call
-over the stacked shards and models, masks the online devices' rows in one
-``protocol.mask_updates`` call, then sends one message per online device.
-Local model training is excluded from the per-role compute times; the
-timers cover the aggregation protocol's own work only. Each round close
-writes the global model into its row of one (iterations, d) float64 array,
-the run's trajectory, which the result returns read-only.
+over the stacked shards and models, and masks the online devices' rows in
+one ``protocol.mask_updates`` call. Local model training is excluded from
+the per-role compute times; the timers cover the aggregation protocol's
+own work only. Each round close writes the global model into its row of
+one (iterations, d) float64 array, the run's trajectory, which the result
+returns read-only.
 """
 
 from __future__ import annotations
@@ -50,12 +60,14 @@ import numpy as np
 from .field import FixedPointCodec
 from .messages import (
     GlobalModelMsg,
+    MaskedUpdateBlock,
     MaskedUpdateMsg,
     MaskShareMsg,
     MaskShareMode,
     OnlineListMsg,
     SetupShareMsg,
     from_bytes,
+    updates_from_bytes,
     wire_length,
 )
 from .protocol import (
@@ -241,12 +253,13 @@ _LEDGER = {
 }
 
 
-def account_message(metrics, msg) -> None:
-    """Count one delivered message on its link and charge its exact wire
-    length to the sender and the receiver."""
-    nbytes = wire_length(msg)
+def account_message(metrics, msg, copies: int = 1) -> None:
+    """Count ``copies`` deliveries of a message of ``msg``'s type and length
+    on its link and charge their exact wire length to the sender and the
+    receiver."""
+    nbytes = copies * wire_length(msg)
     count, sent, recv = _LEDGER[type(msg)]
-    setattr(metrics, count, getattr(metrics, count) + 1)
+    setattr(metrics, count, getattr(metrics, count) + copies)
     setattr(metrics, sent, getattr(metrics, sent) + nbytes)
     setattr(metrics, recv, getattr(metrics, recv) + nbytes)
 
@@ -365,8 +378,12 @@ class _Simulation:
             0.0, self.cfg.latency_jitter_ms
         )
 
-    def _push(self, when: float, kind: int, sender: int, payload) -> None:
-        heapq.heappush(self.heap, (when, kind, sender, self.seq, payload))
+    def _push(self, when: float, kind: int, sender: int, handler, *args) -> None:
+        """Call ``handler(self, *args)`` at simulated time ``when``. The
+        handler is a ``_Simulation`` function, not a bound method, which
+        would be one more object per event in flight (1,024 set-up shares
+        at 256 devices and 4 stations)."""
+        heapq.heappush(self.heap, (when, kind, sender, self.seq, handler, args))
         self.seq += 1
 
     def _send(self, msg, dst_ids) -> float:
@@ -379,7 +396,7 @@ class _Simulation:
         last = self.now
         for dst_id in dst_ids:
             arrival = self.now + self._latency()
-            self._push(arrival, _KIND_DELIVER, msg.sender, (frame, dst_id))
+            self._push(arrival, _KIND_DELIVER, msg.sender, _Simulation._on_deliver, frame, dst_id)
             last = max(last, arrival)
         return last
 
@@ -417,12 +434,35 @@ class _Simulation:
         # the online shards would copy them every round
         updates = self.task.local_update(slice(0, self.cfg.n_ues), self.ue_models)
         with _Timer(state.metrics, "time_ue_ms"):
-            msgs = mask_updates(
+            block = mask_updates(
                 [self.ues[i] for i in online_ues], updates[[i - 1 for i in online_ues]], t
             )
-        for msg in msgs:
-            self._send(msg, (0,))
-        self._push(self.now + self.cfg.deadline_ms, _KIND_DEADLINE, 0, t)
+        deadline = self.now + self.cfg.deadline_ms
+        if online_ues:
+            self._send_updates(block, deadline)
+        self._push(deadline, _KIND_DEADLINE, 0, _Simulation._on_deadline, t)
+
+    def _send_updates(self, block, deadline: float) -> None:
+        """Pack the round's masked updates once and deliver them: the rows
+        that arrive by the deadline as one block at the deadline instant,
+        where a delivery still lands before the deadline fires, and each
+        late row alone at its own arrival."""
+        arrivals = [self.now + self._latency() for _ in range(len(block))]
+        on_time = [r for r, when in enumerate(arrivals) if when <= deadline]
+        late = [r for r, when in enumerate(arrivals) if when > deadline]
+        if late:
+            # on-time rows first, so that they are one run of the packed block
+            order = on_time + late
+            block = MaskedUpdateBlock(
+                block.senders[order], block.iterations[order], block.payloads[order])
+        raw = memoryview(block.to_bytes())
+        size = len(raw) // len(block)
+        if on_time:
+            self._push(deadline, _KIND_DELIVER, 0, _Simulation._on_updates,
+                       raw[:len(on_time) * size], len(on_time))
+        for row, r in enumerate(late, len(on_time)):
+            self._push(arrivals[r], _KIND_DELIVER, int(block.senders[row]),
+                       _Simulation._on_updates, raw[row * size:(row + 1) * size], 1)
 
     def _on_deadline(self, t: int) -> None:
         state = self.round_state[t]
@@ -434,37 +474,43 @@ class _Simulation:
             return
         self._send(online_list, state.online_bss)
 
+    def _on_updates(self, raw, frames: int) -> None:
+        block = updates_from_bytes(raw, frames)
+        metrics = self.round_state[int(block.iterations[0])].metrics
+        account_message(metrics, block[0], frames)
+        # each device sends one update per round, so nothing is repeated
+        # and only an update that missed its deadline is stale
+        with _Timer(metrics, "time_af_ms"):
+            statuses = self.af.collect_block(block)
+        metrics.late_drops += statuses.count(CollectStatus.STALE)
+
     def _on_deliver(self, frame: _Frame, dst_id: int) -> None:
         msg = frame.msg
         if msg is None:
             # decoded at the first delivery of its frame; every later
             # receiver gets this same frozen message with read-only arrays
             msg = frame.msg = from_bytes(frame.raw)
-        setup = isinstance(msg, SetupShareMsg)
-        state = None if setup else self.round_state[msg.iteration]
-        metrics = self.setup_metrics if setup else state.metrics
-        account_message(metrics, msg)
-        if setup:
+        if isinstance(msg, SetupShareMsg):
+            account_message(self.setup_metrics, msg)
             self.bss[dst_id].receive_share(msg)
-        elif isinstance(msg, MaskedUpdateMsg):
-            # each device sends one update per round, so nothing is repeated
-            # and only an update that missed its deadline is stale
-            with _Timer(metrics, "time_af_ms"):
-                status = self.af.collect_update(msg)
-            if status is CollectStatus.STALE:
-                metrics.late_drops += 1
-        elif isinstance(msg, OnlineListMsg):
+            return
+        state = self.round_state[msg.iteration]
+        account_message(state.metrics, msg)
+        if isinstance(msg, OnlineListMsg):
             # set-up gave every station a share of every device's key
-            with _Timer(metrics, "time_bs_ms"):
+            with _Timer(state.metrics, "time_bs_ms"):
                 share = self.bss[dst_id].mask_share(
                     msg, msg.iteration, self.cfg.mask_share_mode, self.cfg.model_dim
                 )
             self._send(share, (0,))
-        elif isinstance(msg, MaskShareMsg):
+        else:
             state.shares[msg.sender] = msg
             self._maybe_recover(state)
-        else:
-            self.ue_models[dst_id - 1] = msg.weights
+
+    def _on_model(self, raw: bytes, rows: list[int]) -> None:
+        msg = from_bytes(raw)
+        account_message(self.round_state[msg.iteration].metrics, msg, len(rows))
+        self.ue_models[rows] = msg.weights
 
     def _maybe_recover(self, state: _RoundState) -> None:
         if len(state.shares) < len(state.online_bss):
@@ -478,9 +524,10 @@ class _Simulation:
     def _close_round(self, state: _RoundState, outcome: str) -> None:
         """The one way out of a round: record its outcome, send the model
         (the previous one on FALLBACK) to the online devices as one frame,
-        decoded once at its first delivery, and start the next round when
-        the last copy lands. Only late updates and model deliveries reach a
-        closed round, and they touch its metrics alone."""
+        each device drawing its latency, delivered to all of them as one
+        event at the last arrival, and start the next round then. Only late
+        updates and the model delivery reach a closed round, and they touch
+        its metrics alone."""
         state.metrics.outcome = outcome
         fallback = outcome == FALLBACK
         model_msg = self.af.fallback() if fallback else self.af.global_model_message()
@@ -488,9 +535,14 @@ class _Simulation:
         state.metrics.accuracy = self.task.accuracy(self.af.global_model)
         t = state.metrics.iteration
         self.models[t] = self.af.global_model
-        last_arrival = self._send(model_msg, state.online_ues)
+        last_arrival = self.now
+        if state.online_ues:
+            raw = model_msg.to_bytes()
+            last_arrival = max(self.now + self._latency() for _ in state.online_ues)
+            self._push(last_arrival, _KIND_DELIVER, 0, _Simulation._on_model, raw,
+                       [i - 1 for i in state.online_ues])
         if t + 1 < self.cfg.iterations:
-            self._push(last_arrival, _KIND_ROUND_START, 0, t + 1)
+            self._push(last_arrival, _KIND_ROUND_START, 0, _Simulation._on_round_start, t + 1)
 
     # -- main loop ---------------------------------------------------------
 
@@ -502,16 +554,10 @@ class _Simulation:
         # those resident pages instead of adding 8 * iterations * d bytes
         # to the peak resident set
         self.models = np.empty((self.cfg.iterations, self.cfg.model_dim))
-        self._push(setup_done, _KIND_ROUND_START, 0, 0)
+        self._push(setup_done, _KIND_ROUND_START, 0, _Simulation._on_round_start, 0)
         while self.heap:
-            when, kind, _sender, _seq, payload = heapq.heappop(self.heap)
-            self.now = when
-            if kind == _KIND_DELIVER:
-                self._on_deliver(*payload)
-            elif kind == _KIND_DEADLINE:
-                self._on_deadline(payload)
-            else:
-                self._on_round_start(payload)
+            self.now, _kind, _sender, _seq, handler, args = heapq.heappop(self.heap)
+            handler(self, *args)
         self.models.setflags(write=False)
         return SimResult(
             config=self.cfg,

@@ -86,6 +86,9 @@ NEVER_CALLED = {
     # and khprf.precompute_fleet
     "protocol.ue.precompute",
     "khprf.precompute_masks",
+    # the server collects a round's masked updates, and each late one, through
+    # Aggregator.collect_block, of which collect_update is the one-row case
+    "protocol.af.collect_update",
 }
 
 

@@ -5,12 +5,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from secagg5g import messages
 from secagg5g.field import P
 from secagg5g.messages import (
     GlobalModelMsg,
+    MaskedUpdateBlock,
     MaskedUpdateMsg,
     MaskShareMsg,
     MaskShareMode,
@@ -18,6 +19,7 @@ from secagg5g.messages import (
     SetupShareMsg,
     from_bytes,
     payload_length,
+    updates_from_bytes,
     wire_length,
 )
 from secagg5g.shamir import SecretShare
@@ -271,3 +273,129 @@ def test_array_fields_compare_exactly():
     assert a != MaskedUpdateMsg(1, 0, u64([1, 2]))
     assert a != MaskedUpdateMsg(2, 0, u64([1, 2, 3]))
     assert MaskShareMsg(1, 0, vector=u64([5])) != MaskShareMsg(1, 0, scalar=5)
+
+
+# -- masked-update blocks ----------------------------------------------------
+# The per-frame codec is the reference: a block is the join of its rows'
+# frames, and its decoder refuses exactly what from_bytes refuses.
+
+words = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@st.composite
+def update_blocks(draw, min_frames=0):
+    """(messages, block) for m updates of one dimension d, m and d >= 0."""
+    m = draw(st.integers(min_value=min_frames, max_value=6), label="m")
+    d = draw(st.integers(min_value=0, max_value=5), label="d")
+    senders = draw(st.lists(words, min_size=m, max_size=m), label="senders")
+    rounds = draw(st.lists(words, min_size=m, max_size=m), label="rounds")
+    rows = draw(st.lists(st.lists(elements, min_size=d, max_size=d), min_size=m, max_size=m),
+                label="payloads")
+    block = MaskedUpdateBlock(u64(senders), u64(rounds), u64(rows).reshape(m, d))
+    return [MaskedUpdateMsg(s, t, u64(row)) for s, t, row in zip(senders, rounds, rows)], block
+
+
+@given(update_blocks())
+def test_block_codec_matches_the_frame_codec(case):
+    msgs, block = case
+    raw = block.to_bytes()
+    assert raw == b"".join(msg.to_bytes() for msg in msgs)
+    back = updates_from_bytes(raw, len(msgs))
+    assert back == msgs and block == msgs
+    assert back.senders.tolist() == [msg.sender for msg in msgs]
+    assert back.iterations.tolist() == [msg.iteration for msg in msgs]
+    assert back.payloads.tolist() == [msg.payload.tolist() for msg in msgs]
+    assert not msgs or not back.payloads.flags.writeable  # views of the received bytes
+
+
+def frame_refused(piece: bytes) -> bool:
+    """What the block decoder must refuse of one frame: what from_bytes
+    refuses, or a frame of another message type."""
+    try:
+        return not isinstance(from_bytes(piece), MaskedUpdateMsg)
+    except ValueError:
+        return True
+
+
+CORRUPTIONS = ["type", "count", "element", "truncate", "trail"]
+
+
+@settings(max_examples=300)
+@given(update_blocks(min_frames=1), st.sampled_from(CORRUPTIONS), st.data())
+def test_block_decoder_refuses_exactly_what_the_frame_decoder_refuses(case, kind, data):
+    msgs, block = case
+    m, d = block.payloads.shape
+    size = 21 + 8 * d
+    raw = bytearray(block.to_bytes())
+    r = data.draw(st.integers(min_value=0, max_value=m - 1), label="frame")
+    if kind == "type":
+        raw[r * size] = data.draw(st.just(messages.MASKED_UPDATE) | st.integers(0, 255),
+                                  label="type")
+    elif kind == "count":
+        count = data.draw(st.just(d) | st.integers(min_value=0, max_value=2**32 - 1),
+                          label="count")
+        raw[r * size + 17:r * size + 21] = struct.pack("<I", count)
+    elif kind == "element" and d:
+        c = data.draw(st.integers(min_value=0, max_value=d - 1), label="element")
+        value = data.draw(st.integers(min_value=P, max_value=2**64 - 1) | words, label="value")
+        raw[r * size + 21 + 8 * c:r * size + 29 + 8 * c] = struct.pack("<Q", value)
+    elif kind == "truncate":
+        cut = data.draw(st.just(len(raw)) | st.integers(min_value=0, max_value=len(raw)),
+                        label="cut")
+        raw = raw[:cut]
+    elif kind == "trail":
+        raw += data.draw(st.just(b"") | st.binary(max_size=2 * size + 8), label="extra")
+    raw = bytes(raw)  # the corruption may leave the block as it was
+    # the frames as sent: the last one takes trailing bytes, and one cut off
+    # entirely is empty
+    pieces = [raw[i * size:(i + 1) * size] for i in range(m - 1)] + [raw[(m - 1) * size:]]
+    # anything but ValueError (struct.error, IndexError) fails the test
+    try:
+        back = updates_from_bytes(raw, m)
+    except ValueError:
+        event(f"{kind}: refused")
+        assert any(frame_refused(piece) for piece in pieces)
+    else:
+        event(f"{kind}: accepted")
+        assert back == [from_bytes(piece) for piece in pieces]
+
+
+def test_a_block_is_read_with_its_frame_count():
+    # a join carries no frame boundaries: nine empty updates whose first
+    # count is rewritten to 21 read as one valid frame of 21 elements
+    msgs = [MaskedUpdateMsg(i, 0, u64([])) for i in range(1, 10)]
+    raw = bytearray(MaskedUpdateBlock.of(msgs).to_bytes())
+    raw[17:21] = struct.pack("<I", 21)
+    assert isinstance(from_bytes(bytes(raw)), MaskedUpdateMsg)
+    with pytest.raises(ValueError, match="element count"):
+        updates_from_bytes(bytes(raw), 9)
+    with pytest.raises(ValueError, match="trailing"):
+        updates_from_bytes(b"\x02", 0)
+    assert updates_from_bytes(b"", 0) == []
+
+
+def test_block_is_a_sequence_of_messages():
+    msgs = [MaskedUpdateMsg(4, 7, u64([1, 2])), MaskedUpdateMsg(9, 7, u64([3, P - 1]))]
+    block = MaskedUpdateBlock.of(msgs)
+    assert len(block) == 2 and block[1] == msgs[1] and block[-1] == msgs[1]
+    assert list(block) == msgs and block == msgs and msgs == block
+    assert block != msgs[:1] and block != [msgs[1], msgs[0]]
+    assert MaskedUpdateBlock.of([]) == [] and len(MaskedUpdateBlock.of([])) == 0
+    with pytest.raises(IndexError):
+        block[2]
+
+
+@pytest.mark.parametrize("fields", [
+    ([1, 2], u64([0, 0]), u64([[1], [2]])),
+    (u64([1, 2]), np.array([0, 0]), u64([[1], [2]])),
+    (u64([1, 2]), u64([0, 0]), u64([1, 2])),
+    (u64([1, 2]), u64([0]), u64([[1], [2]])),
+    (u64([1, 2]), u64([0, 0]), u64([[1], [2], [3]])),
+    (u64([1, 2]), u64([0, 0]), u64([[1], [P]])),
+], ids=["senders_list", "rounds_int64", "payloads_1d", "rounds_short", "payloads_long",
+        "element_p"])
+def test_block_the_wire_cannot_carry_back_is_refused(fields):
+    with pytest.raises(ValueError):
+        MaskedUpdateBlock(*fields)
+    with pytest.raises(ValueError):
+        MaskedUpdateBlock.of([MaskedUpdateMsg(1, 0, u64([1])), MaskedUpdateMsg(2, 0, u64([1, 2]))])

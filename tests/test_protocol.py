@@ -17,6 +17,7 @@ from secagg5g import field, khprf
 from secagg5g.field import P, FixedPointCodec, decode_sum, encode_update
 from secagg5g.messages import (
     GlobalModelMsg,
+    MaskedUpdateBlock,
     MaskedUpdateMsg,
     MaskShareMode,
     MaskShareMsg,
@@ -322,6 +323,23 @@ def test_fleet_masking_of_no_devices_is_empty():
     assert mask_updates([], np.zeros((0, 12)), 0) == []
 
 
+def test_fleet_masking_gives_one_checked_block():
+    ues, *_ = make_fleet(seed=27)
+    w = np.linspace(-0.5, 0.5, 36).reshape(3, 12)
+    block = mask_updates([ues[2], ues[5], ues[7]], w, 4)
+    assert type(block) is MaskedUpdateBlock
+    assert block.senders.tolist() == [2, 5, 7] and block.iterations.tolist() == [4, 4, 4]
+    assert block.payloads.shape == (3, 12)
+    assert [msg.payload.tolist() for msg in block] == block.payloads.tolist()
+
+
+@pytest.mark.parametrize("ue_id", [-1, 2**64, 1.5, "1", None])
+def test_device_id_must_fit_the_sender_field(ue_id):
+    # the id goes on the wire as the sender of the device's masked updates
+    with pytest.raises(ValueError, match="ue_id"):
+        UserEquipment(ue_id=ue_id, key=1, codec=CODEC, dim=4)
+
+
 @pytest.mark.parametrize("t", [-1, 2**64, 1.5, 1.0, None])
 @pytest.mark.parametrize("precompute", [False, True], ids=["on_the_fly", "precomputed"])
 def test_round_outside_the_word_range_is_refused(precompute, t):
@@ -368,6 +386,64 @@ def test_out_of_field_update_rejected():
         with pytest.raises(ValueError):
             af.collect_update(MaskedUpdateMsg(2, 0, u64(good[:5] + [bad] + good[6:])))
     assert not af.masked_updates
+
+
+def collect_each(logged: dict, iteration: int, fixed: bool, dim: int, msgs):
+    """The per-message collection rules, one message at a time: the
+    reference a block must match."""
+    statuses = []
+    for msg in msgs:
+        if msg.iteration != iteration or fixed:
+            statuses.append(CollectStatus.STALE)
+        elif msg.sender in logged:
+            statuses.append(CollectStatus.DUPLICATE)
+        elif len(msg.payload) != dim:
+            raise ValueError("dim")
+        else:
+            logged[msg.sender] = msg.payload
+            statuses.append(CollectStatus.ACCEPTED)
+    return statuses
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_block_collection_matches_collecting_each_row(data):
+    d = data.draw(st.sampled_from([12, 3]), label="d")  # 12 is the model's
+    rows = data.draw(st.lists(st.tuples(st.integers(1, 5), st.sampled_from([2, 3])),
+                              max_size=8), label="sender, round")
+    before = data.draw(st.lists(st.integers(1, 5), unique=True, max_size=3), label="logged")
+    fixed = data.draw(st.booleans(), label="list fixed")
+    msgs = [MaskedUpdateMsg(s, t, u64([s * 10 + r] * d)) for r, (s, t) in enumerate(rows)]
+    _, _, af, *_ = make_fleet(seed=28)
+    af.begin_round(2)
+    for s in before:
+        af.collect_update(MaskedUpdateMsg(s, 2, u64([0] * 12)))
+    if fixed:
+        af.finalize_online_list()
+    logged = dict(af.masked_updates)
+    try:
+        want = collect_each(logged, 2, fixed, 12, msgs)
+    except ValueError:
+        with pytest.raises(ValueError, match="dim"):
+            af.collect_block(MaskedUpdateBlock.of(msgs))
+        # all or nothing: no row of a refused block is logged
+        assert sorted(af.masked_updates) == sorted(before)
+        return
+    assert af.collect_block(MaskedUpdateBlock.of(msgs)) == want
+    assert af.masked_updates.keys() == logged.keys()
+    assert all(np.array_equal(af.masked_updates[s], logged[s]) for s in logged)
+
+
+def test_one_update_is_the_one_row_case_of_a_block():
+    ues, bss, af, *_ = make_fleet(seed=29)
+    af.begin_round(0)
+    block = mask_updates([ues[1], ues[2], ues[3]], np.zeros((3, 12)), 0)
+    assert af.collect_block(block) == [CollectStatus.ACCEPTED] * 3
+    assert af.collect_update(block[1]) is CollectStatus.DUPLICATE
+    assert af.collect_update(ues[4].masked_update([0.0] * 12, 0)) is CollectStatus.ACCEPTED
+    assert sorted(af.masked_updates) == [1, 2, 3, 4]
+    af.finalize_online_list()
+    assert af.collect_block(block) == [CollectStatus.STALE] * 3
 
 
 def test_masked_update_matches_plain_ints():

@@ -17,6 +17,7 @@ from oracles import total_received, total_sent
 from secagg5g import fltask, khprf, protocol, simnet
 from secagg5g.messages import (
     GlobalModelMsg,
+    MaskedUpdateBlock,
     MaskedUpdateMsg,
     MaskShareMode,
     MaskShareMsg,
@@ -251,6 +252,18 @@ def test_account_message_compact_share():
     account_message(metrics, msg)
     assert metrics.bytes_bs_sent == 17 + 1 + 8
     assert metrics.bytes_af_recv == 26
+
+
+@pytest.mark.parametrize("msg", [MaskedUpdateMsg(3, 0, np.arange(10, dtype=np.uint64)),
+                                 GlobalModelMsg(0, 0, np.zeros(10))], ids=["update", "model"])
+def test_account_message_charges_copies_in_one_step(msg):
+    # a block of updates or a model broadcast is charged as m deliveries
+    block = RoundMetrics(iteration=0, online_ues=0, online_bss=0)
+    one_by_one = RoundMetrics(iteration=0, online_ues=0, online_bss=0)
+    account_message(block, msg, 205)
+    for _ in range(205):
+        account_message(one_by_one, msg)
+    assert block == one_by_one and total_sent(block) == 205 * (17 + 4 + 80)
 
 
 def test_zero_messages_zero_bytes():
@@ -615,24 +628,47 @@ def test_late_arrivals_excluded_from_list(mode, scenario):
         assert rm.online_list_size < rm.online_ues or rm.late_drops == 0
 
 
-@pytest.mark.parametrize("scenario", sorted(LATE_SCENARIOS))
+# the late scenarios, and one whose round 1 has no online device and whose
+# round 2 has one, which misses the deadline
+FRAME_SCENARIOS = {
+    **LATE_SCENARIOS,
+    "empty_rounds": (
+        dict(latency_jitter_ms=40.0, deadline_ms=30.0, rng_seed=0, iterations=4),
+        DropoutSchedule(ue_rounds={1: frozenset(range(1, 9)), 2: frozenset(range(2, 9))}),
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(FRAME_SCENARIOS))
 @pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
 def test_each_frame_is_packed_once_and_decoded_once(monkeypatch, mode, scenario):
-    # a broadcast is one frame however many receive it, and charging a
-    # delivery's bytes packs nothing
-    packs, decodes = [], []
+    # a broadcast is one frame however many receive it, a round's masked
+    # updates are packed as one block whose rows count as frames, and
+    # charging a delivery's bytes packs nothing
+    packs, decodes, blocks = [], [], []
     for cls in (SetupShareMsg, MaskedUpdateMsg, OnlineListMsg, MaskShareMsg, GlobalModelMsg):
         def to_bytes(self, pack=cls.to_bytes):
             packs.append(type(self))
             return pack(self)
         monkeypatch.setattr(cls, "to_bytes", to_bytes)
 
+    def block_to_bytes(self, pack=MaskedUpdateBlock.to_bytes):
+        packs.extend([MaskedUpdateBlock] * len(self))
+        return pack(self)
+
     def from_bytes(raw, decode=simnet.from_bytes):
         decodes.append(raw)
         return decode(raw)
 
+    def updates_from_bytes(raw, frames, decode=simnet.updates_from_bytes):
+        decodes.extend([raw] * frames)
+        blocks.append(frames)
+        return decode(raw, frames)
+
+    monkeypatch.setattr(MaskedUpdateBlock, "to_bytes", block_to_bytes)
     monkeypatch.setattr(simnet, "from_bytes", from_bytes)
-    overrides, sched = LATE_SCENARIOS[scenario]
+    monkeypatch.setattr(simnet, "updates_from_bytes", updates_from_bytes)
+    overrides, sched = FRAME_SCENARIOS[scenario]
     cfg = small_cfg(latency_base_ms=5.0, mask_share_mode=mode, **overrides)
     result = run_simulation(cfg, sched, small_task(n_ues=cfg.n_ues))
     frames = result.setup.msgs_ue_to_bs + sum(
@@ -643,6 +679,15 @@ def test_each_frame_is_packed_once_and_decoded_once(monkeypatch, mode, scenario)
     assert any(rm.msgs_af_to_bs for rm in result.rounds)
     assert packs.count(GlobalModelMsg) == sum(rm.msgs_af_to_ue > 0 for rm in result.rounds)
     assert sum(rm.msgs_af_to_ue for rm in result.rounds) > packs.count(GlobalModelMsg)
+    # masked updates travel only in blocks: one per round with an update in
+    # time, one row per late update, and never an empty one
+    assert MaskedUpdateMsg not in packs
+    assert packs.count(MaskedUpdateBlock) == sum(rm.msgs_ue_to_af for rm in result.rounds)
+    assert len(blocks) == sum((rm.online_list_size > 0) + rm.late_drops for rm in result.rounds)
+    assert 0 not in blocks
+    if scenario == "empty_rounds":
+        assert result.rounds[1].online_ues == 0
+        assert result.rounds[2].online_ues == result.rounds[2].late_drops == 1
 
 
 def test_everyone_offline_still_terminates():
