@@ -15,6 +15,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
@@ -56,6 +57,11 @@ COMPARE_COLUMNS = [
 # Protocol knobs a config file sets directly. model_dim follows feature_dim and
 # rng_seed is each run's seed, so neither is a config key.
 SIM_KEYS = tuple(f.name for f in fields(SimConfig) if f.name not in ("model_dim", "rng_seed"))
+
+
+# ExperimentSpec fields that count something or seed a generator
+_COUNT_KEYS = ("feature_dim", "samples_per_shard", "test_samples", "local_epochs", "data_seed",
+               "ue_dropout", "bs_dropout", "sweep_min")
 
 
 @dataclass
@@ -110,6 +116,23 @@ class ExperimentSpec:
         return cls.from_dict(raw)
 
     def __post_init__(self):
+        # refused here, not halfway through a run (a float seed fails in
+        # numpy, a float dropout count in range)
+        if not isinstance(self.seeds, list):
+            raise ValueError(f"seeds must be a list of ints, got {self.seeds!r}")
+        counts = [(name, getattr(self, name)) for name in _COUNT_KEYS]
+        counts += [("seeds", seed) for seed in self.seeds]
+        if self.sweep_max is not None:
+            counts.append(("sweep_max", self.sweep_max))
+        for name, value in counts:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.feature_dim < 0:
+            raise ValueError(f"feature_dim must be >= 0, got {self.feature_dim}")
+        if self.data_seed < 0:
+            raise ValueError(f"data_seed must be >= 0, got {self.data_seed}")
+        if min(self.seeds, default=0) < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
         self.sim = replace(self.sim, model_dim=self.feature_dim + 1)
         if not self.seeds:
             raise ValueError("need at least one seed")

@@ -11,29 +11,35 @@ answer with one mask share each; the server reconstructs the mask sum,
 updates the global model (or falls back to the previous one), and
 broadcasts it. Dropped entities neither send nor receive that round.
 
-Each send packs its message once, into one frame, however many receivers
-it has, and every receiver draws its own latency. A round's masked updates
-are packed as one block (``MaskedUpdateBlock.to_bytes``) right after
-masking; the updates that arrive by the deadline are delivered to the
-server as one event at the deadline instant, decoded in one
-``updates_from_bytes`` call and collected in one
-``Aggregator.collect_block`` call, while each late update is a one-row
-block delivered at its own arrival. The server reads no update before the
-deadline, so this changes nothing it sees. The model broadcast is one
-frame, delivered as one event at its last receiver's arrival, which
-decodes it once and writes every receiver's model row at once. The online
-list is one frame shared by the online stations, decoded by ``from_bytes``
-at its first delivery; every later station gets that same frozen message,
-whose arrays are read-only views of the frame.
+Every fan-out is packed once, draws one latency per receiver and is at
+most one event, so traffic moves in four shapes:
 
-Traffic is still charged per delivered message, from one table
+- set-up shares are delivered as they are sent, before round 0, which
+  starts at the last share's arrival;
+- a round's masked updates are packed as one block
+  (``MaskedUpdateBlock.to_bytes``) right after masking. The updates that
+  arrive by the deadline reach the server as one event at the deadline
+  instant, decoded in one ``updates_from_bytes`` call and collected in one
+  ``Aggregator.collect_block`` call; the late ones are a second block,
+  delivered at the last late arrival, which the server refuses as STALE
+  (a late drop), because the list is fixed at the deadline. The server
+  reads no update before the deadline, so this changes nothing it sees;
+- at the deadline the online list is packed and decoded once, and each
+  online station answers it in the order the list reaches them, with a
+  share that draws its own latency. The server reads no share before it
+  holds them all, so the shares land as one event at the last arrival;
+- the model broadcast is one frame, delivered as one event at its last
+  receiver's arrival, which decodes it once and writes every receiver's
+  model row at once.
+
+The latencies are drawn in the order a per-delivery simulation would draw
+them. Traffic is still charged per delivered message, from one table
 (``_LEDGER``): one to its link's message count and its exact wire length
 (``wire_length``, computed from the message's counts without packing it
 again) to the sender's and the receiver's bytes, in ``SetupMetrics`` for
 setup shares and in the ``RoundMetrics`` of the round it carries
-otherwise; a block of m updates or a model sent to m devices is charged as
-m deliveries in one step. Late updates are delivered, charged, and refused
-by the server as STALE (a late drop).
+otherwise; m copies of a message, such as a block of m updates or a model
+sent to m devices, are charged as m deliveries in one step.
 
 Set-up sends every device's key shares to the base stations, then
 precomputes every device's masks in one ``protocol.precompute_fleet`` call.
@@ -177,10 +183,14 @@ class SimConfig:
     magnitude_bound: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_ues", "n_bss", "bs_threshold", "model_dim", "iterations"):
+        for name in ("n_ues", "n_bss", "bs_threshold", "model_dim", "iterations", "frac_bits"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            # a JSON true is an int to Python, but no count
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.mask_share_mode, MaskShareMode):
+            raise ValueError(
+                f"mask_share_mode must be a MaskShareMode, got {self.mask_share_mode!r}")
         if self.n_ues < 1:
             raise ValueError("need at least one UE")
         if self.model_dim < 1:
@@ -280,23 +290,11 @@ class SimResult:
         return self.models.tolist()
 
 
-class _Frame:
-    """One packed message in flight to one or more receivers, and the
-    message decoded from it once it first lands."""
-
-    __slots__ = ("raw", "msg")
-
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.msg = None
-
-
 @dataclass
 class _RoundState:
     online_ues: tuple[int, ...]
     online_bss: tuple[int, ...]
     metrics: RoundMetrics
-    shares: dict[int, MaskShareMsg] = dc_field(default_factory=dict)
 
 
 class _Timer:
@@ -373,49 +371,40 @@ class _Simulation:
         if unknown:
             raise ValueError(f"dropout schedule references unknown ids {unknown}")
 
-    def _latency(self) -> float:
-        return self.cfg.latency_base_ms + self.latency_rng.uniform(
-            0.0, self.cfg.latency_jitter_ms
-        )
+    def _latencies(self, m: int) -> list[float]:
+        """m link latencies drawn in order; ``base + jitter * random()`` is
+        bit for bit ``base + uniform(0.0, jitter)``, without a call per draw."""
+        base, jitter, draw = (
+            self.cfg.latency_base_ms, self.cfg.latency_jitter_ms, self.latency_rng.random)
+        return [base + jitter * draw() for _ in range(m)]
 
-    def _push(self, when: float, kind: int, sender: int, handler, *args) -> None:
-        """Call ``handler(self, *args)`` at simulated time ``when``. The
-        handler is a ``_Simulation`` function, not a bound method, which
-        would be one more object per event in flight (1,024 set-up shares
-        at 256 devices and 4 stations)."""
-        heapq.heappush(self.heap, (when, kind, sender, self.seq, handler, args))
+    def _push(self, when: float, kind: int, handler, *args) -> None:
+        """Call ``handler(*args)`` at simulated time ``when``; events at one
+        instant run in ``kind`` rank, then in the order they were pushed."""
+        heapq.heappush(self.heap, (when, kind, self.seq, handler, args))
         self.seq += 1
-
-    def _send(self, msg, dst_ids) -> float:
-        """Pack ``msg`` into one frame and deliver that frame to each of
-        ``dst_ids``, each after its own latency draw; returns the last
-        arrival, or now when there is no one to send to."""
-        if not dst_ids:
-            return self.now
-        frame = _Frame(msg.to_bytes())
-        last = self.now
-        for dst_id in dst_ids:
-            arrival = self.now + self._latency()
-            self._push(arrival, _KIND_DELIVER, msg.sender, _Simulation._on_deliver, frame, dst_id)
-            last = max(last, arrival)
-        return last
 
     # -- setup phase ------------------------------------------------------
 
     def _run_setup(self) -> float:
         """Distribute every UE's shares, then precompute the whole fleet's
-        masks in one pass; returns the last delivery time so round 0 starts
-        only once every base station is provisioned."""
+        masks in one pass; returns the last share's arrival, so that round 0
+        starts only once every base station is provisioned. A station only
+        stores what it receives, so each share lands in send order."""
         acc = self.cfg.access_structure()
-        last_arrival = self.now
+        frames = []
         with _Timer(self.setup_metrics, "time_setup_ms"):
             for i in self.ue_ids:
-                msgs = self.ues[i].setup(acc, self.shamir_rng)
-                delivery = route_setup_shares(msgs, set(self.bs_ids))
-                for j in sorted(delivery):
-                    last_arrival = max(last_arrival, self._send(delivery[j], (j,)))
+                delivery = route_setup_shares(
+                    self.ues[i].setup(acc, self.shamir_rng), set(self.bs_ids))
+                frames += [(j, delivery[j].to_bytes()) for j in sorted(delivery)]
+            last_arrival = self.now + max(self._latencies(len(frames)))
             # precompute draws no randomness, so the draws above keep their order
             precompute_fleet([self.ues[i] for i in self.ue_ids], self.cfg.iterations)
+        for j, raw in frames:
+            msg = from_bytes(raw)
+            account_message(self.setup_metrics, msg)
+            self.bss[j].receive_share(msg)
         return last_arrival
 
     # -- event handlers ----------------------------------------------------
@@ -440,14 +429,15 @@ class _Simulation:
         deadline = self.now + self.cfg.deadline_ms
         if online_ues:
             self._send_updates(block, deadline)
-        self._push(deadline, _KIND_DEADLINE, 0, _Simulation._on_deadline, t)
+        self._push(deadline, _KIND_DEADLINE, self._on_deadline, t)
 
     def _send_updates(self, block, deadline: float) -> None:
-        """Pack the round's masked updates once and deliver them: the rows
-        that arrive by the deadline as one block at the deadline instant,
-        where a delivery still lands before the deadline fires, and each
-        late row alone at its own arrival."""
-        arrivals = [self.now + self._latency() for _ in range(len(block))]
+        """Pack the round's masked updates once and deliver them as at most
+        two blocks: the rows that arrive by the deadline at the deadline
+        instant, where a delivery still lands before the deadline fires, and
+        the late rows at the last arrival. The list is fixed at the
+        deadline, so the server refuses every late row whenever it lands."""
+        arrivals = [self.now + lat for lat in self._latencies(len(block))]
         on_time = [r for r, when in enumerate(arrivals) if when <= deadline]
         late = [r for r, when in enumerate(arrivals) if when > deadline]
         if late:
@@ -456,23 +446,11 @@ class _Simulation:
             block = MaskedUpdateBlock(
                 block.senders[order], block.iterations[order], block.payloads[order])
         raw = memoryview(block.to_bytes())
-        size = len(raw) // len(block)
+        split = len(on_time) * (len(raw) // len(block))
         if on_time:
-            self._push(deadline, _KIND_DELIVER, 0, _Simulation._on_updates,
-                       raw[:len(on_time) * size], len(on_time))
-        for row, r in enumerate(late, len(on_time)):
-            self._push(arrivals[r], _KIND_DELIVER, int(block.senders[row]),
-                       _Simulation._on_updates, raw[row * size:(row + 1) * size], 1)
-
-    def _on_deadline(self, t: int) -> None:
-        state = self.round_state[t]
-        with _Timer(state.metrics, "time_af_ms"):
-            online_list = self.af.finalize_online_list()
-        state.metrics.online_list_size = len(self.af.online_ids)
-        if online_list is None or not state.online_bss:
-            self._close_round(state, FALLBACK)
-            return
-        self._send(online_list, state.online_bss)
+            self._push(deadline, _KIND_DELIVER, self._on_updates, raw[:split], len(on_time))
+        if late:
+            self._push(max(arrivals), _KIND_DELIVER, self._on_updates, raw[split:], len(late))
 
     def _on_updates(self, raw, frames: int) -> None:
         block = updates_from_bytes(raw, frames)
@@ -484,42 +462,45 @@ class _Simulation:
             statuses = self.af.collect_block(block)
         metrics.late_drops += statuses.count(CollectStatus.STALE)
 
-    def _on_deliver(self, frame: _Frame, dst_id: int) -> None:
-        msg = frame.msg
-        if msg is None:
-            # decoded at the first delivery of its frame; every later
-            # receiver gets this same frozen message with read-only arrays
-            msg = frame.msg = from_bytes(frame.raw)
-        if isinstance(msg, SetupShareMsg):
-            account_message(self.setup_metrics, msg)
-            self.bss[dst_id].receive_share(msg)
+    def _on_deadline(self, t: int) -> None:
+        """Fix the online list and run the stations' phase: the list is one
+        frame, decoded once, and each online station answers it in the order
+        the list reaches them, ties in station order, with a share of its
+        own latency. The server reads no share before it holds them all, so
+        they land as one event at the last share's arrival."""
+        state = self.round_state[t]
+        with _Timer(state.metrics, "time_af_ms"):
+            online_list = self.af.finalize_online_list()
+        state.metrics.online_list_size = len(self.af.online_ids)
+        if online_list is None or not state.online_bss:
+            self._close_round(state, FALLBACK)
             return
-        state = self.round_state[msg.iteration]
-        account_message(state.metrics, msg)
-        if isinstance(msg, OnlineListMsg):
+        k = len(state.online_bss)
+        online_list = from_bytes(online_list.to_bytes())
+        account_message(state.metrics, online_list, k)
+        reached = sorted(zip([self.now + lat for lat in self._latencies(k)], state.online_bss))
+        shares, last = {}, self.now
+        for (when, j), lat in zip(reached, self._latencies(k)):
             # set-up gave every station a share of every device's key
             with _Timer(state.metrics, "time_bs_ms"):
-                share = self.bss[dst_id].mask_share(
-                    msg, msg.iteration, self.cfg.mask_share_mode, self.cfg.model_dim
-                )
-            self._send(share, (0,))
-        else:
-            state.shares[msg.sender] = msg
-            self._maybe_recover(state)
+                share = self.bss[j].mask_share(
+                    online_list, t, self.cfg.mask_share_mode, self.cfg.model_dim)
+            shares[j] = from_bytes(share.to_bytes())
+            account_message(state.metrics, shares[j])
+            last = max(last, when + lat)
+        self._push(last, _KIND_DELIVER, self._on_shares, state, shares)
+
+    def _on_shares(self, state: _RoundState, shares: dict[int, MaskShareMsg]) -> None:
+        with _Timer(state.metrics, "time_af_ms"):
+            agg_mask = self.af.recover_mask(shares, self.cfg.mask_share_mode)
+            if agg_mask is not None:
+                self.af.unmask_and_aggregate(agg_mask)
+        self._close_round(state, FALLBACK if agg_mask is None else AGGREGATED)
 
     def _on_model(self, raw: bytes, rows: list[int]) -> None:
         msg = from_bytes(raw)
         account_message(self.round_state[msg.iteration].metrics, msg, len(rows))
         self.ue_models[rows] = msg.weights
-
-    def _maybe_recover(self, state: _RoundState) -> None:
-        if len(state.shares) < len(state.online_bss):
-            return
-        with _Timer(state.metrics, "time_af_ms"):
-            agg_mask = self.af.recover_mask(state.shares, self.cfg.mask_share_mode)
-            if agg_mask is not None:
-                self.af.unmask_and_aggregate(agg_mask)
-        self._close_round(state, FALLBACK if agg_mask is None else AGGREGATED)
 
     def _close_round(self, state: _RoundState, outcome: str) -> None:
         """The one way out of a round: record its outcome, send the model
@@ -531,18 +512,16 @@ class _Simulation:
         state.metrics.outcome = outcome
         fallback = outcome == FALLBACK
         model_msg = self.af.fallback() if fallback else self.af.global_model_message()
-        state.shares.clear()
         state.metrics.accuracy = self.task.accuracy(self.af.global_model)
         t = state.metrics.iteration
         self.models[t] = self.af.global_model
         last_arrival = self.now
         if state.online_ues:
-            raw = model_msg.to_bytes()
-            last_arrival = max(self.now + self._latency() for _ in state.online_ues)
-            self._push(last_arrival, _KIND_DELIVER, 0, _Simulation._on_model, raw,
+            last_arrival = self.now + max(self._latencies(len(state.online_ues)))
+            self._push(last_arrival, _KIND_DELIVER, self._on_model, model_msg.to_bytes(),
                        [i - 1 for i in state.online_ues])
         if t + 1 < self.cfg.iterations:
-            self._push(last_arrival, _KIND_ROUND_START, 0, _Simulation._on_round_start, t + 1)
+            self._push(last_arrival, _KIND_ROUND_START, self._on_round_start, t + 1)
 
     # -- main loop ---------------------------------------------------------
 
@@ -554,10 +533,10 @@ class _Simulation:
         # those resident pages instead of adding 8 * iterations * d bytes
         # to the peak resident set
         self.models = np.empty((self.cfg.iterations, self.cfg.model_dim))
-        self._push(setup_done, _KIND_ROUND_START, 0, _Simulation._on_round_start, 0)
+        self._push(setup_done, _KIND_ROUND_START, self._on_round_start, 0)
         while self.heap:
-            self.now, _kind, _sender, _seq, handler, args = heapq.heappop(self.heap)
-            handler(self, *args)
+            self.now, _kind, _seq, handler, args = heapq.heappop(self.heap)
+            handler(*args)
         self.models.setflags(write=False)
         return SimResult(
             config=self.cfg,

@@ -33,6 +33,23 @@ UNRUNNABLE_TASKS = [
     {"learning_rate": float("nan")},
     {"learning_rate": "0.5"},
     {"seeds": [0, 0]},
+    # counts and seeds that are not ints, and negative seeds
+    {"seeds": [1.5]},
+    {"seeds": [0, "1"]},
+    {"seeds": [True]},
+    {"seeds": 3},
+    {"samples_per_shard": 10.5},
+    {"test_samples": 40.0},
+    {"local_epochs": 1.5},
+    {"ue_dropout": 1.5},
+    {"bs_dropout": 0.5},
+    {"sweep_min": 0.5},
+    {"sweep_max": 1.5},
+    {"feature_dim": 4.0},
+    {"feature_dim": -1},
+    {"data_seed": 7.5},
+    {"data_seed": -1},
+    {"seeds": [-1]},
 ]
 
 
@@ -247,7 +264,7 @@ def test_spec_validation_direct():
     with pytest.raises(ValueError):
         ExperimentSpec.from_dict({**FAST, "sweep_axis": "ue_dropout", "sweep_max": 7})
     for bad in UNRUNNABLE_TASKS:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             ExperimentSpec.from_dict({**FAST, **bad})
     # zero epochs is the documented zero update, not an error
     ExperimentSpec.from_dict({**FAST, "local_epochs": 0})

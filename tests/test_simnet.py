@@ -7,11 +7,13 @@ outcomes and byte counts are the deterministic contract.
 import hashlib
 import json
 import math
+import random
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import total_received, total_sent
 from secagg5g import fltask, khprf, protocol, simnet
@@ -70,10 +72,15 @@ def test_config_validation():
         SimConfig(deadline_ms=1.0, latency_base_ms=5.0)
     with pytest.raises(ValueError):
         SimConfig(min_online_fraction=0.0)
+    # 1 equals COMPACT's value but is not a mode; once run, it failed in round 0
+    for mode in (1, "EVALUATED", None):
+        with pytest.raises(ValueError, match="mask_share_mode must be a MaskShareMode"):
+            SimConfig(mask_share_mode=mode)
 
 
-@pytest.mark.parametrize("name", ["n_ues", "n_bss", "bs_threshold", "model_dim", "iterations"])
-@pytest.mark.parametrize("value", [2.5, 4.0, "4", None])
+@pytest.mark.parametrize("name", ["n_ues", "n_bss", "bs_threshold", "model_dim", "iterations",
+                                  "frac_bits"])
+@pytest.mark.parametrize("value", [2.5, 4.0, "4", None, True])
 def test_config_refuses_counts_that_are_not_ints(name, value):
     # before, a float count built a config that failed only once run
     with pytest.raises(ValueError, match=f"{name} must be an int"):
@@ -128,12 +135,22 @@ def test_simulation_precomputes_the_fleet_once(monkeypatch, mode):
         assert np.array_equal(ue.precomputed_masks, khprf.precompute_masks(ue.key, 6, 10))
 
 
-def test_closed_rounds_keep_no_shares():
+def test_closed_rounds_keep_no_shares(monkeypatch):
     # EVALUATED shares pin their wire bodies; a closed round needs metrics only
+    shares = []
+
+    def from_bytes(raw, decode=simnet.from_bytes):
+        msg = decode(raw)
+        if isinstance(msg, MaskShareMsg):
+            shares.append(weakref.ref(msg))
+        return msg
+
+    monkeypatch.setattr(simnet, "from_bytes", from_bytes)
     sim = _Simulation(small_cfg(iterations=4), DropoutSchedule.none(), small_task())
     result = sim.run()
     assert [rm.outcome for rm in result.rounds] == [AGGREGATED] * 4
-    assert all(not state.shares for state in sim.round_state.values())
+    assert len(shares) == sum(rm.msgs_bs_to_af for rm in result.rounds) > 0
+    assert [ref for ref in shares if ref() is not None] == []
 
 
 def test_config_needs_a_device_before_building_its_codec():
@@ -233,6 +250,25 @@ def test_task_dimension_must_match():
     cfg = small_cfg(model_dim=99)
     with pytest.raises(ValueError):
         run_simulation(cfg, DropoutSchedule.none(), small_task())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64), m=st.integers(min_value=0, max_value=50),
+       base=st.floats(min_value=0.0, max_value=1e300),
+       jitter=st.floats(min_value=0.0, max_value=1e300))
+@example(seed=0, m=3, base=0.0, jitter=0.0)
+def test_latencies_draw_what_uniform_draws(seed, m, base, jitter):
+    # uniform(0.0, jitter) computes 0.0 + jitter * random(), so a batch of
+    # random() draws gives the same floats in the same order
+    cfg = SimConfig(n_ues=1, n_bss=1, bs_threshold=1, model_dim=1, iterations=1,
+                    latency_base_ms=base, latency_jitter_ms=jitter, deadline_ms=2 * base + 1)
+    task = fltask.generate_data(seed=0, n_ues=1, feature_dim=0, samples_per_shard=1,
+                                test_samples=1)
+    sim = _Simulation(cfg, DropoutSchedule.none(), task)
+    sim.latency_rng = random.Random(seed)
+    reference = random.Random(seed)
+    expected = [base + reference.uniform(0.0, jitter) for _ in range(m)]
+    assert [x.hex() for x in sim._latencies(m)] == [x.hex() for x in expected]
 
 
 # -- byte accounting ------------------------------------------------------------
@@ -679,11 +715,12 @@ def test_each_frame_is_packed_once_and_decoded_once(monkeypatch, mode, scenario)
     assert any(rm.msgs_af_to_bs for rm in result.rounds)
     assert packs.count(GlobalModelMsg) == sum(rm.msgs_af_to_ue > 0 for rm in result.rounds)
     assert sum(rm.msgs_af_to_ue for rm in result.rounds) > packs.count(GlobalModelMsg)
-    # masked updates travel only in blocks: one per round with an update in
-    # time, one row per late update, and never an empty one
+    # masked updates travel only in blocks: per round, at most one of the
+    # updates in time and one of the late ones, and never an empty one
     assert MaskedUpdateMsg not in packs
     assert packs.count(MaskedUpdateBlock) == sum(rm.msgs_ue_to_af for rm in result.rounds)
-    assert len(blocks) == sum((rm.online_list_size > 0) + rm.late_drops for rm in result.rounds)
+    assert len(blocks) == sum((rm.online_list_size > 0) + (rm.late_drops > 0)
+                              for rm in result.rounds)
     assert 0 not in blocks
     if scenario == "empty_rounds":
         assert result.rounds[1].online_ues == 0
