@@ -3,8 +3,8 @@
 Devices mask quantized model updates with key-homomorphic PRF masks; base
 stations hold threshold shares of device keys and emit one aggregated mask
 share per round; the server unmasks only the sum. A deterministic
-discrete-event simulator reproduces dropout-resilience experiments at desk
-scale.
+simulator, one pass per round, reproduces dropout-resilience experiments at
+desk scale.
 """
 
 from .field import P, FixedPointCodec

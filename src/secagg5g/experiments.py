@@ -143,7 +143,8 @@ class ExperimentSpec:
         if self.local_epochs < 0:
             raise ValueError("local_epochs must be >= 0")
         lr = self.learning_rate
-        if not (isinstance(lr, (int, float)) and math.isfinite(lr) and lr > 0):
+        real = isinstance(lr, numbers.Real) and not isinstance(lr, bool)
+        if not (real and math.isfinite(lr) and lr > 0):
             raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")

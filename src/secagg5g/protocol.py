@@ -12,8 +12,8 @@ Roles:
     sum.
 
 Entities are passive state machines: a message in causes a state change and
-zero or more messages out. The discrete-event harness in ``simnet`` drives
-them; tests may also drive them directly.
+zero or more messages out. The round loop in ``simnet`` drives them; tests
+may also drive them directly.
 
 Field vectors (masked updates, masks) are canonical uint64 arrays
 (``field``); the server's model is a float64 array. Each message type checks

@@ -1,9 +1,9 @@
-"""Deterministic discrete-event harness for the aggregation protocol.
+"""Deterministic simulator of the aggregation protocol, one pass per round.
 
-Simulated milliseconds govern protocol behavior (delivery order, the
-collection deadline); wall-clock time is measured separately and only
-reported. Given the same config, schedule, and seed, two runs produce
-identical event traces, metrics, and models.
+Simulated milliseconds govern protocol behavior (which updates make the
+collection deadline, when each round starts); wall-clock time is measured
+separately and only reported. Given the same config, schedule, and seed,
+two runs produce identical metrics, models and round start instants.
 
 Per round: online devices send one masked update each; at the deadline the
 server fixes the online list and sends it to online base stations, which
@@ -11,26 +11,30 @@ answer with one mask share each; the server reconstructs the mask sum,
 updates the global model (or falls back to the previous one), and
 broadcasts it. Dropped entities neither send nor receive that round.
 
-Every fan-out is packed once, draws one latency per receiver and is at
-most one event, so traffic moves in four shapes:
+Nothing from one round interleaves with the next, so a run is a plain loop:
+``_run_round`` runs round t's phases in order from its start instant and
+returns the next round's start. Every fan-out is packed once and draws one
+latency per receiver:
 
 - set-up shares are delivered as they are sent, before round 0, which
   starts at the last share's arrival;
 - a round's masked updates are packed as one block
-  (``MaskedUpdateBlock.to_bytes``) right after masking. The updates that
-  arrive by the deadline reach the server as one event at the deadline
-  instant, decoded in one ``updates_from_bytes`` call and collected in one
-  ``Aggregator.collect_block`` call; the late ones are a second block,
-  delivered at the last late arrival, which the server refuses as STALE
-  (a late drop), because the list is fixed at the deadline. The server
-  reads no update before the deadline, so this changes nothing it sees;
-- at the deadline the online list is packed and decoded once, and each
-  online station answers it in the order the list reaches them, with a
-  share that draws its own latency. The server reads no share before it
-  holds them all, so the shares land as one event at the last arrival;
-- the model broadcast is one frame, delivered as one event at its last
-  receiver's arrival, which decodes it once and writes every receiver's
-  model row at once.
+  (``MaskedUpdateBlock.to_bytes``) right after masking. The rows that
+  arrive by the deadline are decoded in one ``updates_from_bytes`` call and
+  collected in one ``Aggregator.collect_block`` call; the server reads no
+  update before the deadline, so this changes nothing it sees;
+- at the deadline the server fixes the online list. The late rows are then
+  charged and handed to the server as a second block, which it refuses as
+  STALE (a late drop), as it would wherever they landed: the list is fixed,
+  and a later round refuses another round's update;
+- the online list is packed and decoded once, and each online station
+  answers it in the order the list reaches them, with a share that draws
+  its own latency. The server reads no share before it holds them all, so
+  the round closes at the last share's arrival (at the deadline when it
+  falls back before the stations' phase);
+- the model is one frame, decoded once, which writes every online device's
+  model row at once; the next round starts at its last arrival, or at the
+  close when no device is online.
 
 The latencies are drawn in the order a per-delivery simulation would draw
 them. Traffic is still charged per delivered message, from one table
@@ -43,19 +47,19 @@ sent to m devices, are charged as m deliveries in one step.
 
 Set-up sends every device's key shares to the base stations, then
 precomputes every device's masks in one ``protocol.precompute_fleet`` call.
-Each round start trains every device in one ``task.local_update`` call
-over the stacked shards and models, and masks the online devices' rows in
-one ``protocol.mask_updates`` call. Local model training is excluded from
-the per-role compute times; the timers cover the aggregation protocol's
-own work only. Each round close writes the global model into its row of
-one (iterations, d) float64 array, the run's trajectory, which the result
+Each round trains every device in one ``task.local_update`` call over the
+stacked shards and models, and masks the online devices' rows in one
+``protocol.mask_updates`` call. Local model training is excluded from the
+per-role compute times; the timers cover the aggregation protocol's own
+work only. Each round writes the global model into its row of one
+(iterations, d) float64 array, the run's trajectory, which the result
 returns read-only.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import numbers
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -91,13 +95,12 @@ from .shamir import AccessStructure
 AGGREGATED = "AGGREGATED"
 FALLBACK = "FALLBACK"
 
-# tie-break ranks for events sharing a timestamp: deliveries land before the
-# deadline fires (arrival exactly at the deadline still counts), and a new
-# round starts only after everything due at that instant was delivered
-_KIND_DELIVER = 0
-_KIND_DEADLINE = 1
-_KIND_ROUND_START = 2
 
+def _require_real(name: str, value) -> None:
+    # a JSON true is an int to Python, and a string or None would fail
+    # only in a later comparison, as a TypeError
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 @dataclass(frozen=True)
 class DropoutSchedule:
@@ -130,6 +133,7 @@ class DropoutSchedule:
     def __post_init__(self):
         for role, prob, ids in (("ue", self.ue_prob, self.prob_ue_ids),
                                 ("bs", self.bs_prob, self.prob_bs_ids)):
+            _require_real(f"{role}_prob", prob)
             # NaN fails both comparisons
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"{role}_prob must be in [0, 1], got {prob}")
@@ -188,6 +192,9 @@ class SimConfig:
             # a JSON true is an int to Python, but no count
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("min_online_fraction", "latency_base_ms", "latency_jitter_ms",
+                     "deadline_ms", "magnitude_bound"):
+            _require_real(name, getattr(self, name))
         if not isinstance(self.mask_share_mode, MaskShareMode):
             raise ValueError(
                 f"mask_share_mode must be a MaskShareMode, got {self.mask_share_mode!r}")
@@ -290,13 +297,6 @@ class SimResult:
         return self.models.tolist()
 
 
-@dataclass
-class _RoundState:
-    online_ues: tuple[int, ...]
-    online_bss: tuple[int, ...]
-    metrics: RoundMetrics
-
-
 class _Timer:
     """Accumulates wall-clock milliseconds onto a metrics attribute."""
 
@@ -355,11 +355,7 @@ class _Simulation:
             dim=cfg.model_dim,
         )
 
-        self.heap: list = []
-        self.seq = 0
-        self.now = 0.0
         self.setup_metrics = SetupMetrics()
-        self.round_state: dict[int, _RoundState] = {}
 
     def _check_schedule(self):
         """Refuse a schedule that names an id outside the population. Draws
@@ -378,12 +374,6 @@ class _Simulation:
             self.cfg.latency_base_ms, self.cfg.latency_jitter_ms, self.latency_rng.random)
         return [base + jitter * draw() for _ in range(m)]
 
-    def _push(self, when: float, kind: int, handler, *args) -> None:
-        """Call ``handler(*args)`` at simulated time ``when``; events at one
-        instant run in ``kind`` rank, then in the order they were pushed."""
-        heapq.heappush(self.heap, (when, kind, self.seq, handler, args))
-        self.seq += 1
-
     # -- setup phase ------------------------------------------------------
 
     def _run_setup(self) -> float:
@@ -398,7 +388,7 @@ class _Simulation:
                 delivery = route_setup_shares(
                     self.ues[i].setup(acc, self.shamir_rng), set(self.bs_ids))
                 frames += [(j, delivery[j].to_bytes()) for j in sorted(delivery)]
-            last_arrival = self.now + max(self._latencies(len(frames)))
+            last_arrival = max(self._latencies(len(frames)))
             # precompute draws no randomness, so the draws above keep their order
             precompute_fleet([self.ues[i] for i in self.ue_ids], self.cfg.iterations)
         for j, raw in frames:
@@ -407,54 +397,12 @@ class _Simulation:
             self.bss[j].receive_share(msg)
         return last_arrival
 
-    # -- event handlers ----------------------------------------------------
+    # -- rounds ------------------------------------------------------------
 
-    def _on_round_start(self, t: int) -> None:
-        online_ues, online_bss = apply_dropout(self.schedule, t, self.ue_ids, self.bs_ids)
-        state = _RoundState(
-            online_ues=online_ues,
-            online_bss=online_bss,
-            metrics=RoundMetrics(iteration=t, online_ues=len(online_ues),
-                                 online_bss=len(online_bss)),
-        )
-        self.round_state[t] = state
-        self.af.begin_round(t)
-        # offline devices' rows are trained too and left unread: gathering
-        # the online shards would copy them every round
-        updates = self.task.local_update(slice(0, self.cfg.n_ues), self.ue_models)
-        with _Timer(state.metrics, "time_ue_ms"):
-            block = mask_updates(
-                [self.ues[i] for i in online_ues], updates[[i - 1 for i in online_ues]], t
-            )
-        deadline = self.now + self.cfg.deadline_ms
-        if online_ues:
-            self._send_updates(block, deadline)
-        self._push(deadline, _KIND_DEADLINE, self._on_deadline, t)
-
-    def _send_updates(self, block, deadline: float) -> None:
-        """Pack the round's masked updates once and deliver them as at most
-        two blocks: the rows that arrive by the deadline at the deadline
-        instant, where a delivery still lands before the deadline fires, and
-        the late rows at the last arrival. The list is fixed at the
-        deadline, so the server refuses every late row whenever it lands."""
-        arrivals = [self.now + lat for lat in self._latencies(len(block))]
-        on_time = [r for r, when in enumerate(arrivals) if when <= deadline]
-        late = [r for r, when in enumerate(arrivals) if when > deadline]
-        if late:
-            # on-time rows first, so that they are one run of the packed block
-            order = on_time + late
-            block = MaskedUpdateBlock(
-                block.senders[order], block.iterations[order], block.payloads[order])
-        raw = memoryview(block.to_bytes())
-        split = len(on_time) * (len(raw) // len(block))
-        if on_time:
-            self._push(deadline, _KIND_DELIVER, self._on_updates, raw[:split], len(on_time))
-        if late:
-            self._push(max(arrivals), _KIND_DELIVER, self._on_updates, raw[split:], len(late))
-
-    def _on_updates(self, raw, frames: int) -> None:
+    def _collect(self, metrics: RoundMetrics, raw, frames: int) -> None:
+        """Decode ``frames`` update rows, charge them to ``metrics`` and
+        hand them to the server, which alone decides which rows are late."""
         block = updates_from_bytes(raw, frames)
-        metrics = self.round_state[int(block.iterations[0])].metrics
         account_message(metrics, block[0], frames)
         # each device sends one update per round, so nothing is repeated
         # and only an update that missed its deadline is stale
@@ -462,88 +410,104 @@ class _Simulation:
             statuses = self.af.collect_block(block)
         metrics.late_drops += statuses.count(CollectStatus.STALE)
 
-    def _on_deadline(self, t: int) -> None:
-        """Fix the online list and run the stations' phase: the list is one
-        frame, decoded once, and each online station answers it in the order
-        the list reaches them, ties in station order, with a share of its
-        own latency. The server reads no share before it holds them all, so
-        they land as one event at the last share's arrival."""
-        state = self.round_state[t]
-        with _Timer(state.metrics, "time_af_ms"):
+    def _run_round(self, t: int, start: float) -> tuple[RoundMetrics, float]:
+        """Run round t from simulated instant ``start``: mask, collect the
+        updates due by the deadline, fix the online list, refuse the late
+        rows, run the stations' phase, recover, close and send the model.
+        Returns the round's metrics and the next round's start: the model's
+        last arrival, or the close when no device is online."""
+        online_ues, online_bss = apply_dropout(self.schedule, t, self.ue_ids, self.bs_ids)
+        metrics = RoundMetrics(iteration=t, online_ues=len(online_ues),
+                               online_bss=len(online_bss))
+        self.af.begin_round(t)
+        # offline devices' rows are trained too and left unread: gathering
+        # the online shards would copy them every round
+        updates = self.task.local_update(slice(0, self.cfg.n_ues), self.ue_models)
+        with _Timer(metrics, "time_ue_ms"):
+            block = mask_updates(
+                [self.ues[i] for i in online_ues], updates[[i - 1 for i in online_ues]], t
+            )
+
+        # the updates are packed once, on-time rows first, so that the rows
+        # due by the deadline and the late ones are one run of the block each
+        deadline = start + self.cfg.deadline_ms
+        arrivals = [start + lat for lat in self._latencies(len(block))]
+        on_time = [r for r, when in enumerate(arrivals) if when <= deadline]
+        late = [r for r, when in enumerate(arrivals) if when > deadline]
+        if late:
+            order = on_time + late
+            block = MaskedUpdateBlock(
+                block.senders[order], block.iterations[order], block.payloads[order])
+        raw, split = b"", 0
+        if arrivals:
+            raw = memoryview(block.to_bytes())
+            split = len(on_time) * (len(raw) // len(block))
+        # the training output and the unpacked block are not read again;
+        # freed here, they add nothing to the stations' phase's peak memory
+        del updates, block
+        if on_time:
+            self._collect(metrics, raw[:split], len(on_time))
+        with _Timer(metrics, "time_af_ms"):
             online_list = self.af.finalize_online_list()
-        state.metrics.online_list_size = len(self.af.online_ids)
-        if online_list is None or not state.online_bss:
-            self._close_round(state, FALLBACK)
-            return
-        k = len(state.online_bss)
-        online_list = from_bytes(online_list.to_bytes())
-        account_message(state.metrics, online_list, k)
-        reached = sorted(zip([self.now + lat for lat in self._latencies(k)], state.online_bss))
-        shares, last = {}, self.now
-        for (when, j), lat in zip(reached, self._latencies(k)):
-            # set-up gave every station a share of every device's key
-            with _Timer(state.metrics, "time_bs_ms"):
-                share = self.bss[j].mask_share(
-                    online_list, t, self.cfg.mask_share_mode, self.cfg.model_dim)
-            shares[j] = from_bytes(share.to_bytes())
-            account_message(state.metrics, shares[j])
-            last = max(last, when + lat)
-        self._push(last, _KIND_DELIVER, self._on_shares, state, shares)
+        metrics.online_list_size = len(self.af.online_ids)
+        # the list is fixed, so the server refuses a late row whenever it
+        # lands: in this round, or in a later one as another round's update
+        if late:
+            self._collect(metrics, raw[split:], len(late))
 
-    def _on_shares(self, state: _RoundState, shares: dict[int, MaskShareMsg]) -> None:
-        with _Timer(state.metrics, "time_af_ms"):
-            agg_mask = self.af.recover_mask(shares, self.cfg.mask_share_mode)
-            if agg_mask is not None:
-                self.af.unmask_and_aggregate(agg_mask)
-        self._close_round(state, FALLBACK if agg_mask is None else AGGREGATED)
+        # the stations answer the list, one frame decoded once, in the order
+        # it reaches them, ties in station order, each share with its own
+        # latency; the server reads no share before it holds them all, so
+        # the round closes at the last share's arrival
+        close, agg_mask = deadline, None
+        if online_list is not None and online_bss:
+            k = len(online_bss)
+            online_list = from_bytes(online_list.to_bytes())
+            account_message(metrics, online_list, k)
+            reached = sorted(zip([deadline + lat for lat in self._latencies(k)], online_bss))
+            shares = {}
+            for (when, j), lat in zip(reached, self._latencies(k)):
+                # set-up gave every station a share of every device's key
+                with _Timer(metrics, "time_bs_ms"):
+                    share = self.bss[j].mask_share(
+                        online_list, t, self.cfg.mask_share_mode, self.cfg.model_dim)
+                shares[j] = from_bytes(share.to_bytes())
+                account_message(metrics, shares[j])
+                close = max(close, when + lat)
+            with _Timer(metrics, "time_af_ms"):
+                agg_mask = self.af.recover_mask(shares, self.cfg.mask_share_mode)
+                if agg_mask is not None:
+                    self.af.unmask_and_aggregate(agg_mask)
 
-    def _on_model(self, raw: bytes, rows: list[int]) -> None:
-        msg = from_bytes(raw)
-        account_message(self.round_state[msg.iteration].metrics, msg, len(rows))
-        self.ue_models[rows] = msg.weights
-
-    def _close_round(self, state: _RoundState, outcome: str) -> None:
-        """The one way out of a round: record its outcome, send the model
-        (the previous one on FALLBACK) to the online devices as one frame,
-        each device drawing its latency, delivered to all of them as one
-        event at the last arrival, and start the next round then. Only late
-        updates and the model delivery reach a closed round, and they touch
-        its metrics alone."""
-        state.metrics.outcome = outcome
-        fallback = outcome == FALLBACK
-        model_msg = self.af.fallback() if fallback else self.af.global_model_message()
-        state.metrics.accuracy = self.task.accuracy(self.af.global_model)
-        t = state.metrics.iteration
+        # the model (the previous one on FALLBACK) is one frame, decoded
+        # once and written into every online device's row at once
+        metrics.outcome = FALLBACK if agg_mask is None else AGGREGATED
+        model_msg = self.af.fallback() if agg_mask is None else self.af.global_model_message()
+        metrics.accuracy = self.task.accuracy(self.af.global_model)
         self.models[t] = self.af.global_model
-        last_arrival = self.now
-        if state.online_ues:
-            last_arrival = self.now + max(self._latencies(len(state.online_ues)))
-            self._push(last_arrival, _KIND_DELIVER, self._on_model, model_msg.to_bytes(),
-                       [i - 1 for i in state.online_ues])
-        if t + 1 < self.cfg.iterations:
-            self._push(last_arrival, _KIND_ROUND_START, self._on_round_start, t + 1)
-
-    # -- main loop ---------------------------------------------------------
+        if not online_ues:
+            return metrics, close
+        model_arrival = close + max(self._latencies(len(online_ues)))
+        msg = from_bytes(model_msg.to_bytes())
+        account_message(metrics, msg, len(online_ues))
+        self.ue_models[[i - 1 for i in online_ues]] = msg.weights
+        return metrics, model_arrival
 
     def run(self) -> SimResult:
-        setup_done = self._run_setup()
-        # every round closes once, so each row is written exactly once.
+        start = self._run_setup()
+        # each round runs once, so each row is written exactly once.
         # Allocated after set-up has freed its temporary coefficient table
         # of the same size, so that the allocator can hand the trajectory
         # those resident pages instead of adding 8 * iterations * d bytes
         # to the peak resident set
         self.models = np.empty((self.cfg.iterations, self.cfg.model_dim))
-        self._push(setup_done, _KIND_ROUND_START, self._on_round_start, 0)
-        while self.heap:
-            self.now, _kind, _seq, handler, args = heapq.heappop(self.heap)
-            handler(*args)
+        rounds = []
+        for t in range(self.cfg.iterations):
+            metrics, start = self._run_round(t, start)
+            rounds.append(metrics)
         self.models.setflags(write=False)
-        return SimResult(
-            config=self.cfg,
-            setup=self.setup_metrics,
-            rounds=[state.metrics for state in self.round_state.values()],
-            models=self.models,
-        )
+        return SimResult(config=self.cfg, setup=self.setup_metrics, rounds=rounds,
+                         models=self.models)
 
 
 def run_simulation(cfg: SimConfig, schedule: DropoutSchedule, task) -> SimResult:

@@ -32,6 +32,14 @@ UNRUNNABLE_TASKS = [
     {"learning_rate": float("inf")},
     {"learning_rate": float("nan")},
     {"learning_rate": "0.5"},
+    # float knobs that are not real numbers: a JSON true ran as 1
+    {"learning_rate": True},
+    {"learning_rate": None},
+    {"magnitude_bound": True},
+    {"min_online_fraction": True},
+    {"latency_base_ms": True},
+    {"latency_jitter_ms": "5"},
+    {"deadline_ms": None},
     {"seeds": [0, 0]},
     # counts and seeds that are not ints, and negative seeds
     {"seeds": [1.5]},

@@ -87,6 +87,16 @@ def test_config_refuses_counts_that_are_not_ints(name, value):
         SimConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["min_online_fraction", "latency_base_ms", "latency_jitter_ms",
+                                  "deadline_ms", "magnitude_bound"])
+@pytest.mark.parametrize("value", [True, False, "5", None])
+def test_config_refuses_knobs_that_are_not_real_numbers(name, value):
+    # before, a JSON true built a config that ran with 1.0, and a string or
+    # None failed in a comparison as a TypeError
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        SimConfig(**{name: value})
+
+
 @pytest.mark.parametrize("d", [0, -1])
 def test_config_refuses_an_empty_model(d):
     with pytest.raises(ValueError, match="model_dim must be >= 1"):
@@ -167,6 +177,13 @@ def test_codec_covers_exactly_the_registered_devices():
 @pytest.mark.parametrize("role", ["ue", "bs"])
 def test_schedule_rejects_probability_outside_unit_interval(role, prob):
     with pytest.raises(ValueError, match=f"{role}_prob must be in"):
+        DropoutSchedule(**{f"{role}_prob": prob, f"prob_{role}_ids": (1, 2, 3)})
+
+
+@pytest.mark.parametrize("prob", [True, "0.5", None])
+@pytest.mark.parametrize("role", ["ue", "bs"])
+def test_schedule_rejects_probability_that_is_not_a_real_number(role, prob):
+    with pytest.raises(ValueError, match=f"{role}_prob must be a real number"):
         DropoutSchedule(**{f"{role}_prob": prob, f"prob_{role}_ids": (1, 2, 3)})
 
 
@@ -647,11 +664,20 @@ LATE_SCENARIOS = {
 
 @pytest.mark.parametrize("scenario", sorted(LATE_SCENARIOS))
 @pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
-def test_late_arrivals_excluded_from_list(mode, scenario):
+def test_late_arrivals_excluded_from_list(monkeypatch, mode, scenario):
     # jitter far beyond the deadline: some updates arrive late and are
     # excluded from the round but still accounted as received. Every other
     # update is listed and every listed station answers, which is why the
     # simulator counts no other way to lose an update or a share.
+    collected = []  # (round, status) of every row the server was handed
+    collect_block = protocol.Aggregator.collect_block
+
+    def spy(self, block):
+        statuses = collect_block(self, block)
+        collected.extend(zip(block.iterations.tolist(), statuses))
+        return statuses
+
+    monkeypatch.setattr(protocol.Aggregator, "collect_block", spy)
     overrides, sched = LATE_SCENARIOS[scenario]
     cfg = small_cfg(latency_base_ms=5.0, mask_share_mode=mode, **overrides)
     result = run_simulation(cfg, sched, small_task(n_ues=cfg.n_ues))
@@ -662,6 +688,12 @@ def test_late_arrivals_excluded_from_list(mode, scenario):
         assert rm.msgs_bs_to_af == rm.msgs_af_to_bs
         assert total_sent(rm) == total_received(rm)
         assert rm.online_list_size < rm.online_ues or rm.late_drops == 0
+        # the server alone decides that a row is late: every row sent
+        # reaches it, and its STALE answers are the round's late drops
+        statuses = [status for t, status in collected if t == rm.iteration]
+        assert len(statuses) == rm.msgs_ue_to_af
+        assert statuses.count(protocol.CollectStatus.STALE) == rm.late_drops
+    assert len(collected) == sum(rm.msgs_ue_to_af for rm in result.rounds)
 
 
 # the late scenarios, and one whose round 1 has no online device and whose
@@ -725,6 +757,36 @@ def test_each_frame_is_packed_once_and_decoded_once(monkeypatch, mode, scenario)
     if scenario == "empty_rounds":
         assert result.rounds[1].online_ues == 0
         assert result.rounds[2].online_ues == result.rounds[2].late_drops == 1
+
+
+# sha256 of the space-joined float.hex() of each round's start instant; the
+# mask-share mode draws no latency, so both modes keep one clock
+ROUND_START_DIGESTS = {
+    "8_devices": "833dc8c04ec2dd452d49709f0c516981b5b6bef57ba6de3d76726c57dbec7605",
+    "32_devices_2_of_5_bernoulli":
+        "23dcc89df21e60b54d1a55d9cca8db03412c696db886fa4bc03ec46f40b3915c",
+    "empty_rounds": "edb73a3dd9b1dc686cfa1a88d87efbfaf4de73a18139b9d21f844dfa21eeba2e",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(FRAME_SCENARIOS))
+@pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
+def test_round_start_instants_match_golden(monkeypatch, mode, scenario):
+    # round 0 starts at the last set-up share's arrival, and each later round
+    # at the model's last arrival, or at the close when no device is online
+    starts = []
+    run_round = _Simulation._run_round
+
+    def spy(self, t, start):
+        starts.append(start.hex())
+        return run_round(self, t, start)
+
+    monkeypatch.setattr(_Simulation, "_run_round", spy)
+    overrides, sched = FRAME_SCENARIOS[scenario]
+    cfg = small_cfg(latency_base_ms=5.0, mask_share_mode=mode, **overrides)
+    run_simulation(cfg, sched, small_task(n_ues=cfg.n_ues))
+    assert len(starts) == cfg.iterations
+    assert hashlib.sha256(" ".join(starts).encode()).hexdigest() == ROUND_START_DIGESTS[scenario]
 
 
 def test_everyone_offline_still_terminates():
