@@ -63,6 +63,10 @@ class CollectStatus(Enum):
     STALE = "stale"
 
 
+_STATUSES = np.array(
+    [CollectStatus.STALE, CollectStatus.DUPLICATE, CollectStatus.ACCEPTED], dtype=object)
+
+
 def generate_key(rng) -> int:
     """Fresh uniform masking key in Z_p."""
     return field.rand_element(rng)
@@ -265,16 +269,28 @@ class Aggregator:
     dim: int
     iteration: int = dc_field(default=0, init=False)
     global_model: np.ndarray = dc_field(init=False)  # float64, zeros until the first update
-    masked_updates: dict[int, np.ndarray] = dc_field(default_factory=dict, init=False)
     online_ids: np.ndarray | None = dc_field(default=None, init=False)  # uint64, sorted
+    _rows: np.ndarray = dc_field(init=False, repr=False)  # (registered_n, dim); device i: row i-1
+    _arrived: np.ndarray = dc_field(init=False, repr=False)  # bool, this round's accepted rows
     _warned_compact: bool = dc_field(default=False, init=False)
 
     def __post_init__(self):
+        for name in ("registered_n", "dim"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         self.global_model = np.zeros(self.dim)
+        self._rows = np.zeros((self.registered_n, self.dim), dtype=np.uint64)
+        self._arrived = np.zeros(self.registered_n, dtype=bool)
+
+    @property
+    def masked_updates(self) -> dict[int, np.ndarray]:
+        """This round's accepted rows by sender, copied: the next round overwrites them."""
+        return dict(zip((np.flatnonzero(self._arrived) + 1).tolist(), self._rows[self._arrived]))
 
     def begin_round(self, t: int) -> None:
         self.iteration = t
-        self.masked_updates = {}
+        self._arrived[:] = False
         self.online_ids = None
 
     def collect_update(self, msg: MaskedUpdateMsg) -> CollectStatus:
@@ -286,31 +302,31 @@ class Aggregator:
         sender as online, reject a sender already logged this round (by an
         earlier row too) as DUPLICATE, and refuse as STALE an update
         for another round or one that comes after the list is fixed.
-        Returns each row's status; an accepted row is kept as a view.
+        Returns each row's status; an accepted row is copied into the matrix.
 
-        Raises ValueError, and logs no row, if a row would be accepted but
-        the block's dimension is not the model's; its elements are in
-        [0, p), because ``MaskedUpdateBlock`` refuses any other.
+        Raises ValueError, and logs no row, if a row for this round is from a
+        sender outside 1..registered_n, or would be accepted but the block's
+        dimension is not the model's; its elements are in [0, p), because
+        ``MaskedUpdateBlock`` refuses any other.
         """
-        statuses = [CollectStatus.STALE] * len(block)
-        if self.online_ids is not None:
-            return statuses
-        logged, fresh = self.masked_updates, {}
-        senders = block.senders.tolist()
-        for r in np.flatnonzero(block.iterations == self.iteration).tolist():
-            sender = senders[r]
-            if sender in logged or sender in fresh:
-                statuses[r] = CollectStatus.DUPLICATE
-            else:
-                fresh[sender] = r
-                statuses[r] = CollectStatus.ACCEPTED
-        d = block.payloads.shape[1]
-        if fresh and d != self.dim:
-            raise ValueError(f"masked update dim {d} != model dim {self.dim}")
-        payloads = block.payloads
-        for sender, r in fresh.items():
-            logged[sender] = payloads[r]
-        return statuses
+        codes = np.zeros(len(block), np.intp)  # indexes _STATUSES
+        if self.online_ids is None:
+            current = np.flatnonzero(block.iterations == self.iteration)
+            rows = block.senders[current] - 1  # sender 0 wraps to 2^64 - 1
+            ids, first = np.unique(rows, return_index=True)  # each sender's first row
+            if len(ids) and ids[-1] >= self.registered_n:
+                raise ValueError(f"update from a sender outside 1..{self.registered_n}")
+            rows = rows.astype(np.intp)  # intp indexes faster than uint64
+            fresh = first[~self._arrived[rows[first]]]
+            d = block.payloads.shape[1]
+            if len(fresh):
+                if d != self.dim:
+                    raise ValueError(f"masked update dim {d} != model dim {self.dim}")
+                self._rows[rows[fresh]] = block.payloads[current[fresh]]
+                self._arrived[rows[fresh]] = True
+            codes[current] = 1
+            codes[current[fresh]] = 2
+        return _STATUSES[codes].tolist()
 
     def min_online_count(self) -> int:
         return math.ceil(self.min_online_fraction * self.registered_n)
@@ -321,7 +337,7 @@ class Aggregator:
         Returns the broadcast message, or None when participation fell below
         the configured floor (the caller then halts this round).
         """
-        self.online_ids = np.array(sorted(self.masked_updates), dtype=np.uint64)
+        self.online_ids = (np.flatnonzero(self._arrived) + 1).astype(np.uint64)
         if len(self.online_ids) < self.min_online_count():
             return None
         return OnlineListMsg(
@@ -393,8 +409,7 @@ class Aggregator:
             raise ProtocolError(
                 f"{len(self.online_ids)} online devices, below the floor of {floor}"
             )
-        masked = np.stack([self.masked_updates[ue] for ue in self.online_ids.tolist()])
-        encoded_sum = field.vec_sub(field.vec_sum(masked), agg_mask)
+        encoded_sum = field.vec_sub(field.vec_sum(self._rows[self._arrived]), agg_mask)
         count = len(self.online_ids)
         update = field.decode_sum(encoded_sum, self.codec, count) / count
         self.global_model = self.global_model + update

@@ -388,13 +388,59 @@ def test_out_of_field_update_rejected():
     assert not af.masked_updates
 
 
-def collect_each(logged: dict, iteration: int, fixed: bool, dim: int, msgs):
+@pytest.mark.parametrize("sender", [0, 4, 999, 2**63, 2**64 - 1])
+def test_update_from_an_unregistered_sender_is_refused(sender):
+    # registered devices are 1..registered_n; 0 is the server's own id
+    ues, _, af, *_ = make_fleet(seed=27, n=3)
+    af.begin_round(0)
+    af.collect_update(ues[1].masked_update([0.0] * 12, 0))
+    before = af.masked_updates
+    forged = MaskedUpdateMsg(sender, 0, u64([0] * 12))
+    with pytest.raises(ValueError, match="outside 1..3"):
+        af.collect_update(forged)
+    # all or nothing: the registered row in the same block is not logged either
+    with pytest.raises(ValueError, match="outside 1..3"):
+        af.collect_block(MaskedUpdateBlock.of([ues[2].masked_update([0.0] * 12, 0), forged]))
+    assert af.masked_updates.keys() == before.keys()
+    assert np.array_equal(af.masked_updates[1], before[1])
+    assert af.finalize_online_list().ue_ids.tolist() == [1]
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 2.5, "3", None])
+@pytest.mark.parametrize("name", ["registered_n", "dim"])
+def test_aggregator_refuses_a_size_that_is_not_a_positive_int(name, value):
+    args = dict(registered_n=3, min_online_fraction=1.0, bs_threshold=AccessStructure(3, 4),
+                codec=CODEC, dim=12)
+    with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+        Aggregator(**{**args, name: value})
+
+
+def test_masked_updates_is_a_snapshot_of_its_round():
+    # the next round overwrites the server's rows, not what was read before
+    ues, _, af, *_ = make_fleet(seed=24)
+    af.begin_round(0)
+    af.collect_block(mask_updates([ues[1], ues[2]], np.full((2, 12), 0.25), 0))
+    round_0 = af.masked_updates
+    kept = {i: row.copy() for i, row in round_0.items()}
+    af.begin_round(1)
+    af.collect_block(mask_updates([ues[1], ues[3]], np.full((2, 12), -0.5), 1))
+    assert round_0.keys() == kept.keys() == {1, 2}
+    assert all(np.array_equal(round_0[i], kept[i]) for i in kept)
+    assert af.masked_updates.keys() == {1, 3}
+    assert not np.array_equal(af.masked_updates[1], kept[1])
+    # an online list's uint64 ids look rows up as well
+    assert np.array_equal(af.masked_updates[np.uint64(3)], af.masked_updates[3])
+
+
+def collect_each(logged: dict, iteration: int, fixed: bool, dim: int, registered: int, msgs):
     """The per-message collection rules, one message at a time: the
     reference a block must match."""
     statuses = []
     for msg in msgs:
         if msg.iteration != iteration or fixed:
             statuses.append(CollectStatus.STALE)
+        elif not 1 <= msg.sender <= registered:
+            raise ValueError("outside")
         elif msg.sender in logged:
             statuses.append(CollectStatus.DUPLICATE)
         elif len(msg.payload) != dim:
@@ -409,7 +455,9 @@ def collect_each(logged: dict, iteration: int, fixed: bool, dim: int, msgs):
 @given(st.data())
 def test_block_collection_matches_collecting_each_row(data):
     d = data.draw(st.sampled_from([12, 3]), label="d")  # 12 is the model's
-    rows = data.draw(st.lists(st.tuples(st.integers(1, 5), st.sampled_from([2, 3])),
+    # 0 and 9 are not among the registered devices 1..8
+    senders = st.one_of(st.integers(1, 5), st.sampled_from([0, 9]))
+    rows = data.draw(st.lists(st.tuples(senders, st.sampled_from([2, 3])),
                               max_size=8), label="sender, round")
     before = data.draw(st.lists(st.integers(1, 5), unique=True, max_size=3), label="logged")
     fixed = data.draw(st.booleans(), label="list fixed")
@@ -422,9 +470,9 @@ def test_block_collection_matches_collecting_each_row(data):
         af.finalize_online_list()
     logged = dict(af.masked_updates)
     try:
-        want = collect_each(logged, 2, fixed, 12, msgs)
+        want = collect_each(logged, 2, fixed, 12, 8, msgs)
     except ValueError:
-        with pytest.raises(ValueError, match="dim"):
+        with pytest.raises(ValueError, match="dim|outside"):
             af.collect_block(MaskedUpdateBlock.of(msgs))
         # all or nothing: no row of a refused block is logged
         assert sorted(af.masked_updates) == sorted(before)
@@ -897,7 +945,8 @@ def test_role_state_is_not_a_constructor_option():
                                            "_last_iteration")],
         (BaseStation, {"bs_id": 1}, "stored_shares"),
         *[(Aggregator, af, f) for f in ("iteration", "global_model", "masked_updates",
-                                        "online_ids", "_warned_compact")],
+                                        "online_ids", "_rows", "_arrived",
+                                        "_warned_compact")],
     ]
     for role, args, name in state:
         with pytest.raises(TypeError, match=name):
