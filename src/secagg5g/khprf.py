@@ -89,8 +89,9 @@ def coefficient_vector(t: int, d: int) -> np.ndarray:
     return coeffs
 
 
-def _require_key(key) -> None:
-    # a float truncates and a word outside [0, p) escapes mulmod's bounds
+def require_key(key) -> None:
+    """Refuse a key that is not an int in [0, p): a float truncates, and a
+    word outside [0, p) escapes mulmod's bounds."""
     if not (isinstance(key, (int, np.integer)) and 0 <= key < field.P):
         raise ValueError(f"key = {key!r} is not an int in [0, p)")
 
@@ -103,7 +104,7 @@ def _require_count(name: str, value) -> None:
 
 def evaluate(key: int, t: int, d: int) -> np.ndarray:
     """Mask vector for (key, iteration t) of dimension d."""
-    _require_key(key)
+    require_key(key)
     _require_count("mask dimension d", d)
     return field.mulmod(key, coefficient_vector(t, d))
 
@@ -132,7 +133,7 @@ def precompute_fleet(keys, num_iterations: int, d: int) -> np.ndarray:
     devices over a slice of the flattened coefficient table.
     """
     for key in keys:
-        _require_key(key)
+        require_key(key)
     _require_count("num_iterations", num_iterations)
     _require_count("mask dimension d", d)
     coeffs = _coefficient_table(num_iterations, d).reshape(-1)

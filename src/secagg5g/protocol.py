@@ -3,7 +3,10 @@
 Roles:
   * ``UserEquipment`` holds a private masking key, splits it into per-base-
     station shares once at setup, and thereafter sends exactly one masked
-    update per round.
+    update per round. The devices' state lives in one ``Fleet``, as arrays
+    with one row per device (ids, keys, mask table, last round masked), and
+    a ``UserEquipment`` is a view of one row; ``Fleet.mask`` masks any set
+    of rows with one index, as the server's (n, d) matrix collects them.
   * ``BaseStation`` stores one key share per registered device and answers
     each round's online list with one aggregated mask share.
   * ``Aggregator`` (the untrusted server) collects masked updates, one or a
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
@@ -72,22 +76,171 @@ def generate_key(rng) -> int:
     return field.rand_element(rng)
 
 
-@dataclass
+def require_online_fraction(value) -> None:
+    """Refuse a participation floor that is not a real number in (0, 1].
+
+    At 0 or below the floor admits an empty list, whose mean is NaN; above 1
+    it exceeds the fleet; NaN fails both comparisons. A bool is an int to
+    Python, but no fraction.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 < value <= 1.0:
+        raise ValueError(f"min_online_fraction must be a real number in (0, 1], got {value!r}")
+
+
+class Fleet:
+    """Every device's masking state as arrays; row r is device ``ids[r]``.
+
+    Holds the devices' sender ids (uint64), keys (uint64, in [0, p)), their
+    one codec and model dimension, the (n, iterations, dim) mask table once
+    ``precompute`` has run, and the last round each device masked.
+    ``mask`` masks any set of rows in one pass, and ``device(r)`` is row r
+    as a ``UserEquipment``.
+
+    Raises ValueError for an id that is not an int in [0, 2^64), two
+    devices with one id (the server could not tell them apart), a key that
+    is not an int in [0, p), or a ``dim`` that is not an int >= 1.
+    """
+
+    def __init__(self, ids, keys, codec: FixedPointCodec, dim: int):
+        ids, keys = list(ids), list(keys)
+        for ue_id in ids:
+            # the id is the sender of every message the device sends
+            if not (isinstance(ue_id, (int, np.integer)) and 0 <= ue_id < 1 << 64):
+                raise ValueError(f"ue_id = {ue_id!r} is not an int in [0, 2^64)")
+        if len(set(ids)) < len(ids):
+            raise ValueError("two devices with one ue_id are indistinguishable to the server")
+        if len(keys) != len(ids):
+            raise ValueError(f"{len(keys)} keys for {len(ids)} devices")
+        for key in keys:
+            khprf.require_key(key)
+        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+            raise ValueError(f"dim must be an int >= 1, got {dim!r}")
+        self.ids = np.array(ids, dtype=np.uint64)
+        self.keys = np.array(keys, dtype=np.uint64)
+        self.ids.setflags(write=False)
+        self.keys.setflags(write=False)
+        self.codec = codec
+        self.dim = dim
+        self.masks: np.ndarray | None = None  # read-only (n, iterations, dim)
+        # a round is any uint64, so "never masked" needs its own flag
+        self._last = np.zeros(len(ids), dtype=np.uint64)  # last round masked
+        self._masked = np.zeros(len(ids), dtype=bool)
+        self._setup_done = np.zeros(len(ids), dtype=bool)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def device(self, row: int) -> UserEquipment:
+        """Row ``row`` as a device; every view of one row shares its state."""
+        if not 0 <= row < len(self):
+            raise ValueError(f"row {row} is not in 0..{len(self) - 1}")
+        ue = object.__new__(UserEquipment)
+        ue.fleet, ue.row = self, row
+        return ue
+
+    def precompute(self, num_iterations: int) -> None:
+        """Front-load every device's masks for rounds 0..num_iterations-1 in
+        one ``khprf.precompute_fleet`` pass. Raises ValueError, and keeps the
+        table it had, unless ``num_iterations`` is an int >= 1."""
+        self.masks = khprf.precompute_fleet(self.keys, num_iterations, self.dim)
+
+    def mask(self, rows, updates, t: int) -> MaskedUpdateBlock:
+        """Mask row r of the (m, d) ``updates`` with device ``rows[r]``'s
+        round-t mask; one block whose row r is that device's masked update.
+
+        The masks are one fancy index into the precomputed table while it
+        covers t, and one key-column ``mulmod`` past it; one
+        ``field.encode_masked`` call encodes the stack, so each row is
+        bit-identical to masking that device alone. The block is checked
+        once, not row by row, and indexes as a sequence of
+        ``MaskedUpdateMsg``s.
+
+        Each round's mask may be used once; reuse would let the server
+        cancel masks across rounds and open individual updates. All or
+        nothing: raises ProtocolError, and advances no device, if a row is
+        listed twice or its device has already masked round t or a later
+        one. Raises ValueError if t is not an int in [0, 2^64), a row is not
+        an int in 0..n-1, or an update has the wrong dimension or exceeds
+        the magnitude bound.
+        """
+        khprf.require_round(t)
+        t = int(t)  # a uint64 compared with an int64 would be a float compare
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+            raise ValueError("rows must be a 1-d sequence of ints")
+        rows = rows.astype(np.intp, copy=False)  # a uint64 >= 2^63 turns negative
+        if rows.size and (rows.min() < 0 or rows.max() >= len(self)):
+            # numpy would wrap -1 to the last device
+            raise ValueError(f"a row outside 0..{len(self) - 1}")
+        # not np.unique: its first call grows the resident set by ~1.5 MB
+        listed = np.zeros(len(self), dtype=bool)
+        listed[rows] = True
+        if np.count_nonzero(listed) < len(rows):
+            raise ProtocolError("a device listed twice would use its round mask twice")
+        spent = np.flatnonzero(self._masked[rows] & (self._last[rows] >= t))
+        if len(spent):
+            r = rows[spent[0]]
+            raise ProtocolError(
+                f"UE {self.ids[r]} already masked round {self._last[r]}; round {t} is not later")
+        if self.masks is not None and t < self.masks.shape[1]:
+            masks = self.masks[rows, t]
+        else:
+            masks = field.mulmod(self.keys[rows, None], khprf.coefficient_vector(t, self.dim))
+        block = MaskedUpdateBlock(
+            senders=self.ids[rows],
+            iterations=np.full(len(rows), t, dtype=np.uint64),
+            payloads=field.encode_masked(updates, self.codec, masks),
+        )
+        self._last[rows] = t
+        self._masked[rows] = True
+        return block
+
+
 class UserEquipment:
-    """A device: private key, fixed-point codec and model dimension."""
+    """A device: one row of a ``Fleet``, which holds its id, key, codec,
+    dim, precomputed masks and one-use-mask state.
 
-    ue_id: int
-    key: int
-    codec: FixedPointCodec
-    dim: int
-    precomputed_masks: np.ndarray | None = dc_field(default=None, init=False)  # (iterations, dim)
-    _setup_done: bool = dc_field(default=False, init=False)
-    _last_iteration: int = dc_field(default=-1, init=False)  # highest round masked so far
+    ``UserEquipment(ue_id, key, codec, dim)`` builds a standalone device,
+    the one row of its own fleet; ``Fleet.device`` gives a row of a larger
+    one. Raises ValueError as ``Fleet`` does.
+    """
 
-    def __post_init__(self):
-        # the id is the sender of every message the device sends
-        if not (isinstance(self.ue_id, (int, np.integer)) and 0 <= self.ue_id < 1 << 64):
-            raise ValueError(f"ue_id = {self.ue_id!r} is not an int in [0, 2^64)")
+    fleet: Fleet
+    row: int
+
+    def __init__(self, ue_id: int, key: int, codec: FixedPointCodec, dim: int):
+        self.fleet, self.row = Fleet([ue_id], [key], codec, dim), 0
+
+    @property
+    def ue_id(self) -> int:
+        return int(self.fleet.ids[self.row])
+
+    @property
+    def key(self) -> int:
+        return int(self.fleet.keys[self.row])
+
+    @property
+    def codec(self) -> FixedPointCodec:
+        return self.fleet.codec
+
+    @property
+    def dim(self) -> int:
+        return self.fleet.dim
+
+    @property
+    def precomputed_masks(self) -> np.ndarray | None:
+        """This device's read-only (iterations, dim) mask table, if precomputed."""
+        masks = self.fleet.masks
+        return None if masks is None else masks[self.row]
+
+    @property
+    def _setup_done(self) -> bool:
+        return bool(self.fleet._setup_done[self.row])
+
+    @property
+    def _last_iteration(self) -> int:
+        """The highest round masked so far, -1 before the first."""
+        return int(self.fleet._last[self.row]) if self.fleet._masked[self.row] else -1
 
     def setup(self, acc: AccessStructure, rng) -> list[SetupShareMsg]:
         """Split the key into one share per base station (share x = BS index).
@@ -97,91 +250,20 @@ class UserEquipment:
         """
         if self._setup_done:
             raise ProtocolError(f"UE {self.ue_id} already completed setup")
-        self._setup_done = True
+        self.fleet._setup_done[self.row] = True
         return [
             SetupShareMsg(sender=self.ue_id, iteration=0, target_bs=share.x, share=share)
             for share in shamir.split(self.key, acc, rng)
         ]
 
     def precompute(self, num_iterations: int) -> None:
-        """Front-load masks for iterations 0..num_iterations-1."""
-        precompute_fleet([self], num_iterations)
+        """``Fleet.precompute`` of this device's fleet."""
+        self.fleet.precompute(num_iterations)
 
     def masked_update(self, w, t: int) -> MaskedUpdateMsg:
-        """Encode the local update and add this round's mask.
-
-        Each iteration's mask may be used once; reuse would let the server
-        cancel masks across rounds and open individual updates. Rounds must
-        therefore strictly increase: any ``t`` at or below the last round
-        masked raises ProtocolError. An update outside the codec's magnitude
-        bound raises ValueError and spends no round.
-        """
-        return mask_updates([self], [w], t)[0]
-
-    def _round_mask(self, t: int) -> np.ndarray:
-        if self.precomputed_masks is not None and t < len(self.precomputed_masks):
-            return self.precomputed_masks[t]
-        return khprf.evaluate(self.key, t, self.dim)
-
-
-def mask_updates(ues: list[UserEquipment], updates, t: int) -> MaskedUpdateBlock:
-    """Mask row r of the (m, d) ``updates`` with device ``ues[r]``'s round-t
-    mask; one block whose row r is ``ues[r]``'s masked update.
-
-    The masks are gathered into one (m, d) array and one
-    ``field.encode_masked`` call encodes the stack, so each row is
-    bit-identical to masking that device alone. The block is checked once,
-    not row by row, and indexes as a sequence of ``MaskedUpdateMsg``s.
-
-    All or nothing: raises ProtocolError, and advances no device, if a
-    device is listed twice or has already masked round t or a later one.
-    Raises ValueError if t is not an int in [0, 2^64), if the devices do
-    not share one codec, or if an update has the wrong dimension or exceeds
-    the magnitude bound. An empty fleet gives an empty block.
-    """
-    khprf.require_round(t)
-    if not ues:
-        return MaskedUpdateBlock.of([])
-    codec = ues[0].codec
-    # identity first: a fleet normally shares one codec object
-    if any(ue.codec is not codec and ue.codec != codec for ue in ues):
-        raise ValueError("devices masked in one call must share one codec")
-    if len({id(ue) for ue in ues}) < len(ues):
-        raise ProtocolError("a device listed twice would use its round mask twice")
-    for ue in ues:
-        if t <= ue._last_iteration:
-            raise ProtocolError(
-                f"UE {ue.ue_id} already masked round {ue._last_iteration}; "
-                f"round {t} is not later"
-            )
-    masks = np.array([ue._round_mask(t) for ue in ues])
-    block = MaskedUpdateBlock(
-        senders=np.array([ue.ue_id for ue in ues], dtype=np.uint64),
-        iterations=np.full(len(ues), t, dtype=np.uint64),
-        payloads=field.encode_masked(updates, codec, masks),
-    )
-    for ue in ues:
-        ue._last_iteration = t
-    return block
-
-
-def precompute_fleet(ues: list[UserEquipment], num_iterations: int) -> None:
-    """Front-load every device's masks for iterations 0..num_iterations-1 in
-    one ``khprf.precompute_fleet`` pass; ``ues[r]`` gets row r of the fleet
-    array as its ``precomputed_masks``.
-
-    All or nothing: raises ValueError, and gives no device a table, if the
-    devices do not share one ``dim``, a key is not an int in [0, p), or
-    ``num_iterations`` is not an int >= 1. An empty fleet is a no-op.
-    """
-    if not ues:
-        return
-    dim = ues[0].dim
-    if any(ue.dim != dim for ue in ues):
-        raise ValueError("devices precomputed in one call must share one dim")
-    tables = khprf.precompute_fleet([ue.key for ue in ues], num_iterations, dim)
-    for ue, table in zip(ues, tables):
-        ue.precomputed_masks = table
+        """``Fleet.mask`` of this device's row alone: encode the local update
+        and add this round's mask. Rounds must strictly increase."""
+        return self.fleet.mask([self.row], [w], t)[0]
 
 
 def route_setup_shares(
@@ -279,6 +361,7 @@ class Aggregator:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        require_online_fraction(self.min_online_fraction)
         self.global_model = np.zeros(self.dim)
         self._rows = np.zeros((self.registered_n, self.dim), dtype=np.uint64)
         self._arrived = np.zeros(self.registered_n, dtype=bool)

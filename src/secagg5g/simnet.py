@@ -45,15 +45,17 @@ setup shares and in the ``RoundMetrics`` of the round it carries
 otherwise; m copies of a message, such as a block of m updates or a model
 sent to m devices, are charged as m deliveries in one step.
 
-Set-up sends every device's key shares to the base stations, then
-precomputes every device's masks in one ``protocol.precompute_fleet`` call.
-Each round trains every device in one ``task.local_update`` call over the
-stacked shards and models, and masks the online devices' rows in one
-``protocol.mask_updates`` call. Local model training is excluded from the
-per-role compute times; the timers cover the aggregation protocol's own
-work only. Each round writes the global model into its row of one
-(iterations, d) float64 array, the run's trajectory, which the result
-returns read-only.
+The devices' state is one ``protocol.Fleet`` whose row i - 1 is device
+i; ``ues`` maps each id to its row as a ``UserEquipment``. Set-up sends
+every device's key shares to the base stations, then precomputes every
+device's masks in one ``Fleet.precompute`` call. Each round trains every
+device in one ``task.local_update`` call over the stacked shards and
+models, and masks the online devices' rows in one ``Fleet.mask`` call; the
+same array of row indices later writes their model rows. Local model
+training is excluded from the per-role compute times; the timers cover the
+aggregation protocol's own work only. Each round writes the global model
+into its row of one (iterations, d) float64 array, the run's trajectory,
+which the result returns read-only.
 """
 
 from __future__ import annotations
@@ -84,10 +86,9 @@ from .protocol import (
     Aggregator,
     BaseStation,
     CollectStatus,
-    UserEquipment,
+    Fleet,
     generate_key,
-    mask_updates,
-    precompute_fleet,
+    require_online_fraction,
     route_setup_shares,
 )
 from .shamir import AccessStructure
@@ -192,8 +193,8 @@ class SimConfig:
             # a JSON true is an int to Python, but no count
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in ("min_online_fraction", "latency_base_ms", "latency_jitter_ms",
-                     "deadline_ms", "magnitude_bound"):
+        require_online_fraction(self.min_online_fraction)
+        for name in ("latency_base_ms", "latency_jitter_ms", "deadline_ms", "magnitude_bound"):
             _require_real(name, getattr(self, name))
         if not isinstance(self.mask_share_mode, MaskShareMode):
             raise ValueError(
@@ -207,8 +208,6 @@ class SimConfig:
         self.codec()
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not 0.0 < self.min_online_fraction <= 1.0:
-            raise ValueError("min_online_fraction must be in (0, 1]")
         timings = (self.latency_base_ms, self.latency_jitter_ms, self.deadline_ms)
         if not all(map(math.isfinite, timings)):
             raise ValueError(f"latencies and deadline must be finite, got {timings}")
@@ -337,15 +336,14 @@ class _Simulation:
         codec = cfg.codec()
         # row i - 1 is device i's model, so one call trains the whole fleet
         self.ue_models = np.zeros((cfg.n_ues, cfg.model_dim))
-        self.ues = {
-            i: UserEquipment(
-                ue_id=i,
-                key=generate_key(self.key_rng),
-                codec=codec,
-                dim=cfg.model_dim,
-            )
-            for i in self.ue_ids
-        }
+        # device i is row i - 1 of the fleet, as of the model matrix
+        self.fleet = Fleet(
+            ids=self.ue_ids,
+            keys=[generate_key(self.key_rng) for _ in self.ue_ids],
+            codec=codec,
+            dim=cfg.model_dim,
+        )
+        self.ues = {i: self.fleet.device(i - 1) for i in self.ue_ids}
         self.bss = {j: BaseStation(bs_id=j) for j in self.bs_ids}
         self.af = Aggregator(
             registered_n=cfg.n_ues,
@@ -390,7 +388,7 @@ class _Simulation:
                 frames += [(j, delivery[j].to_bytes()) for j in sorted(delivery)]
             last_arrival = max(self._latencies(len(frames)))
             # precompute draws no randomness, so the draws above keep their order
-            precompute_fleet([self.ues[i] for i in self.ue_ids], self.cfg.iterations)
+            self.fleet.precompute(self.cfg.iterations)
         for j, raw in frames:
             msg = from_bytes(raw)
             account_message(self.setup_metrics, msg)
@@ -423,10 +421,9 @@ class _Simulation:
         # offline devices' rows are trained too and left unread: gathering
         # the online shards would copy them every round
         updates = self.task.local_update(slice(0, self.cfg.n_ues), self.ue_models)
+        rows = np.array(online_ues, dtype=np.intp) - 1  # the online devices' fleet rows
         with _Timer(metrics, "time_ue_ms"):
-            block = mask_updates(
-                [self.ues[i] for i in online_ues], updates[[i - 1 for i in online_ues]], t
-            )
+            block = self.fleet.mask(rows, updates[rows], t)
 
         # the updates are packed once, on-time rows first, so that the rows
         # due by the deadline and the late ones are one run of the block each
@@ -490,7 +487,7 @@ class _Simulation:
         model_arrival = close + max(self._latencies(len(online_ues)))
         msg = from_bytes(model_msg.to_bytes())
         account_message(metrics, msg, len(online_ues))
-        self.ue_models[[i - 1 for i in online_ues]] = msg.weights
+        self.ue_models[rows] = msg.weights
         return metrics, model_arrival
 
     def run(self) -> SimResult:

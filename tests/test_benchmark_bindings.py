@@ -78,12 +78,11 @@ print(json.dumps({"status": status, "calls": calls}))
 
 # Bound names a simulation never calls, so their per-layer metrics read 0:
 NEVER_CALLED = {
-    # masking goes through the fleet function protocol.mask_updates, which
-    # encodes and masks in one field.encode_masked call
+    # masking goes through Fleet.mask, which masks the online rows and
+    # encodes them in one field.encode_masked call
     "protocol.ue.masked_update",
     "field.encode_update",
-    # set-up precomputes through the fleet functions protocol.precompute_fleet
-    # and khprf.precompute_fleet
+    # set-up precomputes through Fleet.precompute and khprf.precompute_fleet
     "protocol.ue.precompute",
     "khprf.precompute_masks",
     # the server collects a round's masked updates, and each late one, through

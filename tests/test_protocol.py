@@ -5,6 +5,7 @@ keys and sum them in plain big-int arithmetic, then check the protocol's
 share-mediated path lands on exactly the same field vectors.
 """
 
+import math
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -30,16 +31,16 @@ from secagg5g.protocol import (
     Aggregator,
     BaseStation,
     CollectStatus,
+    Fleet,
     MissingShareError,
     ProtocolError,
     UserEquipment,
     generate_key,
-    mask_updates,
-    precompute_fleet,
     route_setup_shares,
 )
 from oracles import EDGE_ELEMENTS, alpha_summation_oracle, hash_to_field, masked_update_plain
 from secagg5g.shamir import AccessStructure, SecretShare
+from secagg5g.simnet import SimConfig
 
 CODEC = FixedPointCodec(frac_bits=16, magnitude_bound=1.0, max_summands=1024)
 
@@ -49,13 +50,13 @@ def u64(values):
 
 
 def make_fleet(seed, n=8, k=4, t=3, d=12, alpha=1.0 / 3.0):
-    """Fully set-up population: every BS holds every device's share."""
+    """Fully set-up population: every BS holds every device's share. The
+    devices are the rows of one ``Fleet``, ``ues[i].fleet``; device i is
+    row i - 1."""
     rng = random.Random(seed)
     acc = AccessStructure(t, k)
-    ues = {
-        i: UserEquipment(ue_id=i, key=generate_key(rng), codec=CODEC, dim=d)
-        for i in range(1, n + 1)
-    }
+    fleet = Fleet(range(1, n + 1), [generate_key(rng) for _ in range(n)], CODEC, d)
+    ues = {i: fleet.device(i - 1) for i in range(1, n + 1)}
     bss = {j: BaseStation(bs_id=j) for j in range(1, k + 1)}
     for ue in ues.values():
         delivery = route_setup_shares(ue.setup(acc, rng), set(bss))
@@ -205,10 +206,52 @@ def test_precomputed_masks_bitwise_equal_on_the_fly():
     ues, *_ = make_fleet(seed=15)
     w = [0.25] * 12
     spontaneous = ues[1].masked_update(w, t=5)
-    ues[2].key = ues[1].key  # same key, precomputed path
-    ues[2].precompute(10)
-    precomputed = ues[2].masked_update(w, t=5)
+    twin = UserEquipment(ue_id=1, key=ues[1].key, codec=CODEC, dim=12)  # precomputed path
+    twin.precompute(10)
+    precomputed = twin.masked_update(w, t=5)
     assert spontaneous.payload.tolist() == precomputed.payload.tolist()
+
+
+# -- the fleet holder ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("change, match", [
+    (dict(ids=[1, 2, -1]), "ue_id"),
+    (dict(ids=[1, 2, 2**64]), "ue_id"),
+    (dict(ids=[1, 2, 3.0]), "ue_id"),
+    (dict(ids=[1, 2, 1]), "indistinguishable"),
+    (dict(ids=[1, 2, np.uint64(2)]), "indistinguishable"),
+    (dict(keys=[1, 2, P]), "key"),
+    (dict(keys=[1, 2, -1]), "key"),
+    (dict(keys=[1, 2, 1.5]), "key"),
+    (dict(keys=[1, 2]), "2 keys for 3 devices"),
+    (dict(dim=0), "dim"),
+    (dict(dim=True), "dim"),
+    (dict(dim=4.0), "dim"),
+], ids=["id_negative", "id_2^64", "id_float", "id_repeated", "id_repeated_uint64", "key_p",
+        "key_negative", "key_float", "keys_short", "dim_zero", "dim_bool", "dim_float"])
+def test_fleet_refuses_what_it_cannot_hold(change, match):
+    # a repeated id is new: the server could not tell the two devices apart
+    args = dict(ids=[1, 2, 3], keys=[1, 2, 3], codec=CODEC, dim=4)
+    with pytest.raises(ValueError, match=match):
+        Fleet(**{**args, **change})
+
+
+def test_views_of_one_row_share_its_state():
+    ues, _, _, acc, rng = make_fleet(seed=43)
+    fleet = ues[1].fleet
+    other = fleet.device(2)
+    assert (other.ue_id, other.key, other.codec, other.dim) == (3, ues[3].key, CODEC, 12)
+    assert other._setup_done  # make_fleet set every device up through its own view
+    with pytest.raises(ProtocolError):
+        other.setup(acc, rng)
+    ues[3].masked_update([0.0] * 12, 4)
+    assert other._last_iteration == 4
+    with pytest.raises(ProtocolError):
+        other.masked_update([0.0] * 12, 4)
+    for row in (-1, 8):
+        with pytest.raises(ValueError, match="row"):
+            fleet.device(row)
 
 
 # -- precomputing a fleet in one call -------------------------------------------
@@ -216,35 +259,36 @@ def test_precomputed_masks_bitwise_equal_on_the_fly():
 
 def test_fleet_precompute_gives_each_device_its_row():
     ues, *_ = make_fleet(seed=40)
-    fleet = [ues[3], ues[1], ues[6]]
-    precompute_fleet(fleet, 5)
-    for ue in fleet:
+    fleet = ues[1].fleet
+    assert all(ue.precomputed_masks is None for ue in ues.values())
+    fleet.precompute(5)
+    assert fleet.masks.shape == (8, 5, 12) and not fleet.masks.flags.writeable
+    for ue in ues.values():
         assert np.array_equal(ue.precomputed_masks, khprf.precompute_masks(ue.key, 5, 12))
-    assert ues[2].precomputed_masks is None
     # a device precomputed alone gets the same table
-    ues[2].key = ues[3].key
-    ues[2].precompute(5)
-    assert np.array_equal(ues[2].precomputed_masks, ues[3].precomputed_masks)
+    twin = UserEquipment(ue_id=3, key=ues[3].key, codec=CODEC, dim=12)
+    twin.precompute(5)
+    assert np.array_equal(twin.precomputed_masks, ues[3].precomputed_masks)
 
 
-@pytest.mark.parametrize("fault", ["dim", "key", "iterations"])
+@pytest.mark.parametrize("fault", ["iterations", "iterations_after_a_table"])
 def test_fleet_precompute_is_all_or_nothing(fault):
+    # keys and dim are checked when the fleet is built, so only the count is left
     ues, *_ = make_fleet(seed=41)
-    fleet = list(ues.values())
-    iterations = 4
-    if fault == "dim":
-        fleet[5].dim = 11
-    elif fault == "key":
-        fleet[5].key = P
-    else:
-        iterations = 2.5
+    fleet = ues[1].fleet
+    table = None
+    if fault == "iterations_after_a_table":
+        fleet.precompute(3)
+        table = fleet.masks
     with pytest.raises(ValueError):
-        precompute_fleet(fleet, iterations)
-    assert all(ue.precomputed_masks is None for ue in fleet)
+        fleet.precompute(2.5)
+    assert fleet.masks is table
 
 
 def test_fleet_precompute_of_no_devices_is_a_no_op():
-    assert precompute_fleet([], 4) is None
+    fleet = Fleet([], [], CODEC, 12)
+    assert fleet.precompute(4) is None
+    assert fleet.masks.shape == (0, 4, 12)
 
 
 # -- masking a fleet in one call ----------------------------------------------
@@ -252,52 +296,51 @@ def test_fleet_precompute_of_no_devices_is_a_no_op():
 keys = st.sampled_from(EDGE_ELEMENTS) | st.integers(min_value=0, max_value=P - 1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_fleet_masking_matches_each_device_and_plain_ints(data):
-    m = data.draw(st.integers(min_value=1, max_value=8), label="m")
+    n = data.draw(st.integers(min_value=1, max_value=8), label="n")
     d = data.draw(st.integers(min_value=1, max_value=70), label="d")
     t = data.draw(st.integers(min_value=0, max_value=12), label="t")
-    fleet_keys = data.draw(st.lists(keys, min_size=m, max_size=m), label="keys")
+    fleet_keys = data.draw(st.lists(keys, min_size=n, max_size=n), label="keys")
+    # any subset of the rows, in any order
+    rows = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n), label="rows")
     # no table, a table that ends at or before t, or one that covers t
-    tables = data.draw(st.lists(st.none() | st.integers(min_value=1, max_value=16),
-                                min_size=m, max_size=m), label="tables")
-    rows = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=d, max_size=d)
-    w = data.draw(st.lists(rows, min_size=m, max_size=m), label="w")
+    table = data.draw(st.none() | st.integers(min_value=1, max_value=16), label="table")
+    row = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=d, max_size=d)
+    w = data.draw(st.lists(row, min_size=len(rows), max_size=len(rows)), label="w")
 
     def fleet():
-        ues = [UserEquipment(ue_id=r + 1, key=k, codec=CODEC, dim=d)
-               for r, k in enumerate(fleet_keys)]
-        for ue, n in zip(ues, tables):
-            if n is not None:
-                ue.precompute(n)
-        return ues
+        f = Fleet(range(1, n + 1), fleet_keys, CODEC, d)
+        if table is not None:
+            f.precompute(table)
+        return f
 
-    msgs = mask_updates(fleet(), np.array(w), t)
-    # masks are one-use, so each device alone is a fresh twin
-    alone = [ue.masked_update(row, t) for ue, row in zip(fleet(), w)]
-    assert [(msg.sender, msg.iteration) for msg in msgs] == [(r + 1, t) for r in range(m)]
-    for msg, own, key, row in zip(msgs, alone, fleet_keys, w):
-        want = masked_update_plain(khprf.DOMAIN_TAG, key, t, row, CODEC.frac_bits)
+    block = fleet().mask(rows, np.array(w).reshape(len(rows), d), t)
+    # masks are one-use, so each device alone is a row of a fresh twin fleet
+    alone = [fleet().device(r).masked_update(w_r, t) for r, w_r in zip(rows, w)]
+    assert [(msg.sender, msg.iteration) for msg in block] == [(r + 1, t) for r in rows]
+    for msg, own, r, w_r in zip(block, alone, rows, w):
+        want = masked_update_plain(khprf.DOMAIN_TAG, fleet_keys[r], t, w_r, CODEC.frac_bits)
         assert msg.payload.tolist() == own.payload.tolist() == want
 
 
 def test_fleet_masking_is_all_or_nothing():
     ues, *_ = make_fleet(seed=17)
+    fleet = ues[1].fleet
     ues[3].masked_update([0.0] * 12, t=2)
-    fleet = [ues[1], ues[2], ues[3], ues[4]]
     with pytest.raises(ProtocolError):
-        mask_updates(fleet, np.zeros((4, 12)), 2)
-    assert [ue._last_iteration for ue in fleet] == [-1, -1, 2, -1]
+        fleet.mask([0, 1, 2, 3], np.zeros((4, 12)), 2)
+    assert [ue._last_iteration for ue in ues.values()] == [-1, -1, 2] + [-1] * 5
     # an update beyond the magnitude bound spends no device's round either
     bad = np.zeros((3, 12))
     bad[2, 5] = 1.5
     with pytest.raises(ValueError):
-        mask_updates([ues[1], ues[2], ues[4]], bad, 2)
-    assert [ue._last_iteration for ue in fleet] == [-1, -1, 2, -1]
-    msgs = mask_updates([ues[1], ues[2], ues[4]], np.zeros((3, 12)), 2)
+        fleet.mask([0, 1, 3], bad, 2)
+    assert [ue._last_iteration for ue in ues.values()] == [-1, -1, 2] + [-1] * 5
+    msgs = fleet.mask([0, 1, 3], np.zeros((3, 12)), 2)
     assert [msg.sender for msg in msgs] == [1, 2, 4]
-    assert [ue._last_iteration for ue in fleet] == [2, 2, 2, 2]
+    assert [ue._last_iteration for ue in ues.values()] == [2, 2, 2, 2] + [-1] * 4
 
 
 def test_fleet_masking_refuses_a_device_listed_twice():
@@ -305,28 +348,58 @@ def test_fleet_masking_refuses_a_device_listed_twice():
     # open the two updates' difference
     ues, *_ = make_fleet(seed=18)
     with pytest.raises(ProtocolError):
-        mask_updates([ues[1], ues[2], ues[1]], np.zeros((3, 12)), 0)
+        ues[1].fleet.mask([0, 1, 0], np.zeros((3, 12)), 0)
     assert ues[1]._last_iteration == ues[2]._last_iteration == -1
 
 
-def test_fleet_masking_needs_one_codec():
-    ues, *_ = make_fleet(seed=19)
-    ues[2].codec = replace(CODEC, frac_bits=12)
-    with pytest.raises(ValueError):
-        mask_updates([ues[1], ues[2]], np.zeros((2, 12)), 0)
-    assert ues[1]._last_iteration == ues[2]._last_iteration == -1
-    ues[2].codec = replace(CODEC)  # equal, not the same object
-    assert len(mask_updates([ues[1], ues[2]], np.zeros((2, 12)), 0)) == 2
+# each refused call names rows 0 and 1 of an 8-device fleet whose row 2
+# masked round 2; round 3 is every call's round unless the case changes it
+REFUSED_MASKINGS = {
+    "negative_row": (ValueError, dict(rows=[0, -1])),
+    "row_n": (ValueError, dict(rows=[0, 8])),
+    "row_2^64-1": (ValueError, dict(rows=np.array([0, 2**64 - 1], dtype=np.uint64))),
+    "float_rows": (ValueError, dict(rows=[0.0, 1.0])),
+    "2-d_rows": (ValueError, dict(rows=[[0, 1]])),
+    "row_twice": (ProtocolError, dict(rows=[0, 1, 1], updates=np.zeros((3, 12)))),
+    "spent_row": (ProtocolError, dict(rows=[0, 2], t=2)),
+    "earlier_round": (ProtocolError, dict(rows=[2, 1], t=1)),
+    "over_bound": (ValueError, dict(updates=np.array([[0.0] * 12, [0.0] * 11 + [1.5]]))),
+    "nan_update": (ValueError, dict(updates=np.array([[0.0] * 12, [math.nan] * 12]))),
+    "wrong_dim": (ValueError, dict(updates=np.zeros((2, 11)))),
+    "too_few_updates": (ValueError, dict(updates=np.zeros((1, 12)))),
+    "negative_t": (ValueError, dict(t=-1)),
+    "float_t": (ValueError, dict(t=3.0)),
+}
+
+
+@pytest.mark.parametrize("precompute", [False, True], ids=["on_the_fly", "precomputed"])
+@pytest.mark.parametrize("case", list(REFUSED_MASKINGS))
+def test_refused_fleet_masking_advances_no_device(case, precompute):
+    error, change = REFUSED_MASKINGS[case]
+    ues, *_ = make_fleet(seed=44)
+    fleet = ues[1].fleet
+    if precompute:
+        fleet.precompute(4)
+    fleet.mask([2], np.zeros((1, 12)), 2)
+    before = [ue._last_iteration for ue in ues.values()]
+    call = {"rows": [0, 1], "updates": np.zeros((2, 12)), "t": 3, **change}
+    with pytest.raises(error):
+        fleet.mask(**call)
+    assert [ue._last_iteration for ue in ues.values()] == before
+    # the refusal spent nothing: the two rows still mask round 3
+    assert len(fleet.mask([0, 1], np.zeros((2, 12)), 3)) == 2
 
 
 def test_fleet_masking_of_no_devices_is_empty():
-    assert mask_updates([], np.zeros((0, 12)), 0) == []
+    ues, *_ = make_fleet(seed=19)
+    assert ues[1].fleet.mask([], np.zeros((0, 12)), 0) == []
+    assert ues[1].fleet.mask(np.array([], dtype=np.intp), np.zeros((0, 12)), 0) == []
 
 
 def test_fleet_masking_gives_one_checked_block():
     ues, *_ = make_fleet(seed=27)
     w = np.linspace(-0.5, 0.5, 36).reshape(3, 12)
-    block = mask_updates([ues[2], ues[5], ues[7]], w, 4)
+    block = ues[1].fleet.mask([1, 4, 6], w, 4)
     assert type(block) is MaskedUpdateBlock
     assert block.senders.tolist() == [2, 5, 7] and block.iterations.tolist() == [4, 4, 4]
     assert block.payloads.shape == (3, 12)
@@ -346,14 +419,17 @@ def test_round_outside_the_word_range_is_refused(precompute, t):
     # once a ValueError, not struct.error or IndexError, and no device advances
     ues, *_ = make_fleet(seed=26)
     if precompute:
-        for ue in ues.values():
-            ue.precompute(4)
+        ues[1].fleet.precompute(4)
     with pytest.raises(ValueError, match="round t = .* is not an int in"):
-        mask_updates([ues[1], ues[2]], np.zeros((2, 12)), t)
+        ues[1].fleet.mask([0, 1], np.zeros((2, 12)), t)
     with pytest.raises(ValueError, match="round t = .* is not an int in"):
         ues[3].masked_update([0.0] * 12, t)
     assert all(ue._last_iteration == -1 for ue in ues.values())
     assert ues[1].masked_update([0.0] * 12, 2**64 - 1).iteration == 2**64 - 1
+    # the last round masked is held in full: no round is later
+    assert ues[1]._last_iteration == 2**64 - 1
+    with pytest.raises(ProtocolError):
+        ues[1].fleet.mask([1, 0], np.zeros((2, 12)), 2**64 - 1)
 
 
 # -- collection and the online list ------------------------------------------
@@ -406,6 +482,21 @@ def test_update_from_an_unregistered_sender_is_refused(sender):
     assert af.finalize_online_list().ue_ids.tolist() == [1]
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, 1.5, math.inf, True, False, "0.5", None])
+def test_participation_floor_must_be_a_fraction(value):
+    # 0 or below fixed an empty list and gave a NaN model, NaN failed in
+    # math.ceil, 1.5 set a floor of 5 for 3 devices and True ran as 1.0;
+    # the server and the simulator's config refuse with one shared check
+    args = dict(registered_n=3, bs_threshold=AccessStructure(3, 4), codec=CODEC, dim=12)
+    match = "min_online_fraction must be a real number in"
+    with pytest.raises(ValueError, match=match):
+        Aggregator(**args, min_online_fraction=value)
+    with pytest.raises(ValueError, match=match):
+        SimConfig(min_online_fraction=value)
+    for ok in (1.0, 1.0 / 3.0, 1, np.float64(0.5)):
+        assert Aggregator(**args, min_online_fraction=ok).min_online_fraction == ok
+
+
 @pytest.mark.parametrize("value", [0, -1, True, 2.5, "3", None])
 @pytest.mark.parametrize("name", ["registered_n", "dim"])
 def test_aggregator_refuses_a_size_that_is_not_a_positive_int(name, value):
@@ -419,11 +510,11 @@ def test_masked_updates_is_a_snapshot_of_its_round():
     # the next round overwrites the server's rows, not what was read before
     ues, _, af, *_ = make_fleet(seed=24)
     af.begin_round(0)
-    af.collect_block(mask_updates([ues[1], ues[2]], np.full((2, 12), 0.25), 0))
+    af.collect_block(ues[1].fleet.mask([0, 1], np.full((2, 12), 0.25), 0))
     round_0 = af.masked_updates
     kept = {i: row.copy() for i, row in round_0.items()}
     af.begin_round(1)
-    af.collect_block(mask_updates([ues[1], ues[3]], np.full((2, 12), -0.5), 1))
+    af.collect_block(ues[1].fleet.mask([0, 2], np.full((2, 12), -0.5), 1))
     assert round_0.keys() == kept.keys() == {1, 2}
     assert all(np.array_equal(round_0[i], kept[i]) for i in kept)
     assert af.masked_updates.keys() == {1, 3}
@@ -485,7 +576,7 @@ def test_block_collection_matches_collecting_each_row(data):
 def test_one_update_is_the_one_row_case_of_a_block():
     ues, bss, af, *_ = make_fleet(seed=29)
     af.begin_round(0)
-    block = mask_updates([ues[1], ues[2], ues[3]], np.zeros((3, 12)), 0)
+    block = ues[1].fleet.mask([0, 1, 2], np.zeros((3, 12)), 0)
     assert af.collect_block(block) == [CollectStatus.ACCEPTED] * 3
     assert af.collect_update(block[1]) is CollectStatus.DUPLICATE
     assert af.collect_update(ues[4].masked_update([0.0] * 12, 0)) is CollectStatus.ACCEPTED

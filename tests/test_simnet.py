@@ -513,12 +513,15 @@ def test_each_round_trains_the_fleet_in_one_call():
 
 def test_each_round_masks_the_fleet_in_one_call(monkeypatch):
     calls = []
+    mask = protocol.Fleet.mask
 
-    def counting_mask_updates(ues, updates, t):
-        calls.append((t, [ue.ue_id for ue in ues], len(updates)))
-        return protocol.mask_updates(ues, updates, t)
+    def counting_mask(fleet, rows, updates, t):
+        # one index array of the online rows, not one device object each
+        assert type(rows) is np.ndarray and rows.dtype == np.intp
+        calls.append((t, fleet.ids[rows].tolist(), len(updates)))
+        return mask(fleet, rows, updates, t)
 
-    monkeypatch.setattr(simnet, "mask_updates", counting_mask_updates)
+    monkeypatch.setattr(protocol.Fleet, "mask", counting_mask)
     sched = DropoutSchedule(ue_rounds={1: frozenset({2, 7}), 3: frozenset({1})}, ue_prob=0.3,
                             prob_seed=5, prob_ue_ids=tuple(range(1, 9)))
     run_simulation(small_cfg(), sched, small_task())
