@@ -15,10 +15,10 @@ import csv
 import json
 import logging
 import math
-import numbers
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
+from .field import require_int, require_real
 from .fltask import generate_data
 from .messages import HEADER_LEN, MaskShareMode
 from .simnet import DropoutSchedule, SimConfig, SimResult, run_simulation
@@ -59,9 +59,10 @@ COMPARE_COLUMNS = [
 SIM_KEYS = tuple(f.name for f in fields(SimConfig) if f.name not in ("model_dim", "rng_seed"))
 
 
-# ExperimentSpec fields that count something or seed a generator
-_COUNT_KEYS = ("feature_dim", "samples_per_shard", "test_samples", "local_epochs", "data_seed",
-               "ue_dropout", "bs_dropout", "sweep_min")
+# ExperimentSpec fields that count something or seed a generator, and the
+# least value each takes
+_COUNT_FLOORS = {"feature_dim": 0, "samples_per_shard": 1, "test_samples": 1, "local_epochs": 0,
+                 "data_seed": 0, "ue_dropout": 0, "bs_dropout": 0, "sweep_min": 0}
 
 
 @dataclass
@@ -120,32 +121,21 @@ class ExperimentSpec:
         # numpy, a float dropout count in range)
         if not isinstance(self.seeds, list):
             raise ValueError(f"seeds must be a list of ints, got {self.seeds!r}")
-        counts = [(name, getattr(self, name)) for name in _COUNT_KEYS]
-        counts += [("seeds", seed) for seed in self.seeds]
+        for name, lo in _COUNT_FLOORS.items():
+            require_int(name, getattr(self, name), lo)
+        for seed in self.seeds:
+            require_int("seeds", seed)
         if self.sweep_max is not None:
-            counts.append(("sweep_max", self.sweep_max))
-        for name, value in counts:
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.feature_dim < 0:
-            raise ValueError(f"feature_dim must be >= 0, got {self.feature_dim}")
-        if self.data_seed < 0:
-            raise ValueError(f"data_seed must be >= 0, got {self.data_seed}")
-        if min(self.seeds, default=0) < 0:
-            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
+            require_int("sweep_max", self.sweep_max)
         self.sim = replace(self.sim, model_dim=self.feature_dim + 1)
         if not self.seeds:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds repeat: {self.seeds}")
-        if self.samples_per_shard < 1 or self.test_samples < 1:
-            raise ValueError("samples_per_shard and test_samples must be >= 1")
-        if self.local_epochs < 0:
-            raise ValueError("local_epochs must be >= 0")
         lr = self.learning_rate
-        real = isinstance(lr, numbers.Real) and not isinstance(lr, bool)
-        if not (real and math.isfinite(lr) and lr > 0):
-            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
+        require_real("learning_rate", lr)
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning_rate = {lr!r} is not a finite number > 0")
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
         if self.format not in ("csv", "json"):

@@ -20,6 +20,7 @@ outside the program are checked with ``require_canonical`` where they enter.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,34 @@ P = (1 << 61) - 1  # fixed protocol modulus, shared by keys, shares and masks
 
 _LO32 = (1 << 32) - 1
 _LO29 = (1 << 29) - 1
+_BOUND_NAMES = {P: "p", 1 << 64: "2^64"}
+
+
+def require_int(name: str, value, lo: int = 0, end: int | None = None) -> None:
+    """Refuse ``value``, with a ValueError naming ``name``, unless it is an
+    int in [lo, end), or >= lo when end is None.
+
+    The one int rule of every input check: an int is a Python int or a
+    numpy integer, never a bool (a JSON true would run as 1) nor a float,
+    even a whole one, which would be truncated. The type is compared with
+    ``is``, which refuses a bool, an int subclass, at no cost on the
+    message paths, and any other int subclass with it.
+    """
+    if not ((type(value) is int or isinstance(value, np.integer))
+            and lo <= value and (end is None or value < end)):
+        span = f">= {lo}" if end is None else f"in [{lo}, {_BOUND_NAMES.get(end, end)})"
+        raise ValueError(f"{name} = {value!r} is not an int {span}")
+
+
+def require_real(name: str, value) -> None:
+    """Refuse ``value``, with a ValueError naming ``name``, unless it is a
+    real number, NaN and ±inf included; the range is the caller's to check.
+
+    The one real rule of every input check: a bool is never a real number,
+    and a string or None is refused here, not later as a TypeError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} = {value!r} is not a real number")
 
 
 def reduce(x: int) -> int:
@@ -138,12 +167,11 @@ class FixedPointCodec:
     max_summands: int = 1024
 
     def __post_init__(self):
-        if self.frac_bits < 0:
-            raise ValueError("frac_bits must be >= 0")
+        require_int("frac_bits", self.frac_bits)
+        require_real("magnitude_bound", self.magnitude_bound)
+        require_int("max_summands", self.max_summands, 1)
         if self.magnitude_bound <= 0:
             raise ValueError("magnitude_bound must be positive")
-        if self.max_summands < 1:
-            raise ValueError("max_summands must be >= 1")
         headroom = self.max_summands * (self.magnitude_bound * self.scale + 1)
         if not headroom < P / 2:
             raise ValueError(

@@ -59,12 +59,11 @@ _BLOCK_ELEMENTS = 1 << 15
 
 def require_round(t) -> None:
     """Refuse a round that is not an int in [0, 2^64), the range H hashes."""
-    if not (isinstance(t, (int, np.integer)) and 0 <= t < 1 << 64):
-        raise ValueError(f"round t = {t!r} is not an int in [0, 2^64)")
+    field.require_int("round t", t, end=1 << 64)
 
 
-# typed, so that a float round never hits the entry of the int it equals
-# and is refused on its own miss
+# typed, so that a float round or a bool dimension never hits the entry of
+# the int it equals, and is refused on its own miss
 @lru_cache(maxsize=256, typed=True)
 def coefficient_vector(t: int, d: int) -> np.ndarray:
     """Public coefficients (H(t, 0), ..., H(t, d-1)) as a read-only uint64 array.
@@ -74,9 +73,10 @@ def coefficient_vector(t: int, d: int) -> np.ndarray:
     call per block of BLOCK coefficients; the last block asks only for the
     bytes it needs. Each 16-byte word lo + 2^64 * hi is reduced as
     lo + 8 * (hi mod p), since 2^64 = 8 (mod p). Raises ValueError for a
-    round that is not an int in [0, 2^64).
+    round that is not an int in [0, 2^64) or a d that is not an int >= 1.
     """
     require_round(t)
+    field.require_int("mask dimension d", d, 1)
     stream = bytearray()
     for block, start in enumerate(range(0, d, BLOCK)):
         xof = _TAGGED.copy()
@@ -92,20 +92,12 @@ def coefficient_vector(t: int, d: int) -> np.ndarray:
 def require_key(key) -> None:
     """Refuse a key that is not an int in [0, p): a float truncates, and a
     word outside [0, p) escapes mulmod's bounds."""
-    if not (isinstance(key, (int, np.integer)) and 0 <= key < field.P):
-        raise ValueError(f"key = {key!r} is not an int in [0, p)")
-
-
-def _require_count(name: str, value) -> None:
-    # a float shape would reach numpy as a TypeError, or round silently
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"{name} = {value!r} is not an int >= 1")
+    field.require_int("key", key, end=field.P)
 
 
 def evaluate(key: int, t: int, d: int) -> np.ndarray:
     """Mask vector for (key, iteration t) of dimension d."""
     require_key(key)
-    _require_count("mask dimension d", d)
     return field.mulmod(key, coefficient_vector(t, d))
 
 
@@ -134,8 +126,7 @@ def precompute_fleet(keys, num_iterations: int, d: int) -> np.ndarray:
     """
     for key in keys:
         require_key(key)
-    _require_count("num_iterations", num_iterations)
-    _require_count("mask dimension d", d)
+    field.require_int("num_iterations", num_iterations, 1)
     coeffs = _coefficient_table(num_iterations, d).reshape(-1)
     key_column = np.array(keys, dtype=np.uint64).reshape(-1, 1)
     cols = min(coeffs.size, _BLOCK_ELEMENTS)

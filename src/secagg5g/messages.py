@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import P, require_canonical
+from .field import P, require_canonical, require_int
 from .shamir import SecretShare
 
 SETUP_SHARE = 1
@@ -60,7 +60,6 @@ _SETUP = struct.Struct("<QQQ")
 _U64 = np.dtype("<u8")
 _F64 = np.dtype("<f8")
 _WORD_END = 1 << 64
-_INTS = (int, np.integer)
 
 
 class MaskShareMode(IntEnum):
@@ -91,19 +90,15 @@ class _Message:
         return True
 
 
-def _require_int(name: str, value, end: int = _WORD_END) -> None:
-    """Refuse an integer field that is not an int in [0, end)."""
-    if not (isinstance(value, _INTS) and 0 <= value < end):
-        bound = "p" if end == P else "2^64"
-        raise ValueError(f"{name} = {value!r} is not an int in [0, {bound})")
-
-
 def _require_header(msg) -> None:
-    # ``_require_int`` for both fields, inlined: every message runs this
+    # ``field.require_int(name, value, end=2^64)`` for both fields, its type
+    # test included, so bools are refused alike; inlined: every message runs
+    # this, thousands per set-up
     s, t = msg.sender, msg.iteration
-    if not (isinstance(s, _INTS) and isinstance(t, _INTS)
+    if not ((type(s) is int or isinstance(s, np.integer))
+            and (type(t) is int or isinstance(t, np.integer))
             and 0 <= s < _WORD_END and 0 <= t < _WORD_END):
-        raise ValueError(f"sender {s!r} and iteration {t!r} must be ints in [0, 2^64)")
+        raise ValueError(f"sender = {s!r} and iteration = {t!r} are not ints in [0, 2^64)")
 
 
 def _require_array(msg, name: str, dtype: np.dtype) -> None:
@@ -123,9 +118,9 @@ class SetupShareMsg(_Message):
 
     def __post_init__(self):
         _require_header(self)
-        _require_int("target_bs", self.target_bs)
-        _require_int("share x", self.share.x)
-        _require_int("share y", self.share.y, P)
+        require_int("target_bs", self.target_bs, end=_WORD_END)
+        require_int("share x", self.share.x, end=_WORD_END)
+        require_int("share y", self.share.y, end=P)
 
     def to_bytes(self) -> bytes:
         return _HEADER.pack(SETUP_SHARE, self.sender, self.iteration) + _SETUP.pack(
@@ -185,7 +180,7 @@ class MaskShareMsg(_Message):
             _require_array(self, "vector", _U64)
             require_canonical(self.vector)
         else:
-            _require_int("scalar share", self.scalar, P)
+            require_int("scalar share", self.scalar, end=P)
 
     @property
     def mode(self) -> MaskShareMode:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
@@ -80,11 +79,11 @@ def require_online_fraction(value) -> None:
     """Refuse a participation floor that is not a real number in (0, 1].
 
     At 0 or below the floor admits an empty list, whose mean is NaN; above 1
-    it exceeds the fleet; NaN fails both comparisons. A bool is an int to
-    Python, but no fraction.
+    it exceeds the fleet; NaN fails both comparisons.
     """
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 < value <= 1.0:
-        raise ValueError(f"min_online_fraction must be a real number in (0, 1], got {value!r}")
+    field.require_real("min_online_fraction", value)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"min_online_fraction = {value!r} is not in (0, 1]")
 
 
 class Fleet:
@@ -105,16 +104,14 @@ class Fleet:
         ids, keys = list(ids), list(keys)
         for ue_id in ids:
             # the id is the sender of every message the device sends
-            if not (isinstance(ue_id, (int, np.integer)) and 0 <= ue_id < 1 << 64):
-                raise ValueError(f"ue_id = {ue_id!r} is not an int in [0, 2^64)")
+            field.require_int("ue_id", ue_id, end=1 << 64)
         if len(set(ids)) < len(ids):
             raise ValueError("two devices with one ue_id are indistinguishable to the server")
         if len(keys) != len(ids):
             raise ValueError(f"{len(keys)} keys for {len(ids)} devices")
         for key in keys:
             khprf.require_key(key)
-        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-            raise ValueError(f"dim must be an int >= 1, got {dim!r}")
+        field.require_int("dim", dim, 1)
         self.ids = np.array(ids, dtype=np.uint64)
         self.keys = np.array(keys, dtype=np.uint64)
         self.ids.setflags(write=False)
@@ -358,9 +355,7 @@ class Aggregator:
 
     def __post_init__(self):
         for name in ("registered_n", "dim"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+            field.require_int(name, getattr(self, name), 1)
         require_online_fraction(self.min_online_fraction)
         self.global_model = np.zeros(self.dim)
         self._rows = np.zeros((self.registered_n, self.dim), dtype=np.uint64)

@@ -39,6 +39,8 @@ class AccessStructure:
     total: int
 
     def __post_init__(self):
+        field.require_int("threshold", self.threshold)
+        field.require_int("total", self.total)
         if not 1 <= self.threshold <= self.total:
             raise ValueError(
                 f"need 1 <= threshold <= total, got ({self.threshold}, {self.total})"

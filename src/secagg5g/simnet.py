@@ -18,11 +18,12 @@ latency per receiver:
 
 - set-up shares are delivered as they are sent, before round 0, which
   starts at the last share's arrival;
-- a round's masked updates are packed as one block
-  (``MaskedUpdateBlock.to_bytes``) right after masking. The rows that
-  arrive by the deadline are decoded in one ``updates_from_bytes`` call and
-  collected in one ``Aggregator.collect_block`` call; the server reads no
-  update before the deadline, so this changes nothing it sees;
+- a round's update latencies are drawn first, so that the online rows are
+  masked on-time rows first, as one block packed once
+  (``MaskedUpdateBlock.to_bytes``). The rows that arrive by the deadline
+  are decoded in one ``updates_from_bytes`` call and collected in one
+  ``Aggregator.collect_block`` call; the server reads no update before the
+  deadline, so this changes nothing it sees;
 - at the deadline the server fixes the online list. The late rows are then
   charged and handed to the server as a second block, which it refuses as
   STALE (a late drop), as it would wherever they landed: the list is fixed,
@@ -61,7 +62,6 @@ which the result returns read-only.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -69,10 +69,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import FixedPointCodec
+from .field import FixedPointCodec, require_int, require_real
 from .messages import (
     GlobalModelMsg,
-    MaskedUpdateBlock,
     MaskedUpdateMsg,
     MaskShareMsg,
     MaskShareMode,
@@ -96,12 +95,6 @@ from .shamir import AccessStructure
 AGGREGATED = "AGGREGATED"
 FALLBACK = "FALLBACK"
 
-
-def _require_real(name: str, value) -> None:
-    # a JSON true is an int to Python, and a string or None would fail
-    # only in a later comparison, as a TypeError
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 @dataclass(frozen=True)
 class DropoutSchedule:
@@ -134,7 +127,7 @@ class DropoutSchedule:
     def __post_init__(self):
         for role, prob, ids in (("ue", self.ue_prob, self.prob_ue_ids),
                                 ("bs", self.bs_prob, self.prob_bs_ids)):
-            _require_real(f"{role}_prob", prob)
+            require_real(f"{role}_prob", prob)
             # NaN fails both comparisons
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"{role}_prob must be in [0, 1], got {prob}")
@@ -188,26 +181,20 @@ class SimConfig:
     magnitude_bound: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_ues", "n_bss", "bs_threshold", "model_dim", "iterations", "frac_bits"):
-            value = getattr(self, name)
-            # a JSON true is an int to Python, but no count
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        # before the codec is built, so that n_ues = 0 is refused as n_ues,
+        # not as the codec's summand limit
+        for name in ("n_ues", "n_bss", "bs_threshold", "model_dim", "iterations"):
+            require_int(name, getattr(self, name), 1)
         require_online_fraction(self.min_online_fraction)
-        for name in ("latency_base_ms", "latency_jitter_ms", "deadline_ms", "magnitude_bound"):
-            _require_real(name, getattr(self, name))
+        for name in ("latency_base_ms", "latency_jitter_ms", "deadline_ms"):
+            require_real(name, getattr(self, name))
         if not isinstance(self.mask_share_mode, MaskShareMode):
             raise ValueError(
                 f"mask_share_mode must be a MaskShareMode, got {self.mask_share_mode!r}")
-        if self.n_ues < 1:
-            raise ValueError("need at least one UE")
-        if self.model_dim < 1:
-            raise ValueError("model_dim must be >= 1")
-        # the station threshold and the codec are checked by their own types
+        # the station threshold and the codec, frac_bits and magnitude_bound
+        # included, are checked by their own types
         self.access_structure()
         self.codec()
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
         timings = (self.latency_base_ms, self.latency_jitter_ms, self.deadline_ms)
         if not all(map(math.isfinite, timings)):
             raise ValueError(f"latencies and deadline must be finite, got {timings}")
@@ -422,19 +409,17 @@ class _Simulation:
         # the online shards would copy them every round
         updates = self.task.local_update(slice(0, self.cfg.n_ues), self.ue_models)
         rows = np.array(online_ues, dtype=np.intp) - 1  # the online devices' fleet rows
-        with _Timer(metrics, "time_ue_ms"):
-            block = self.fleet.mask(rows, updates[rows], t)
-
-        # the updates are packed once, on-time rows first, so that the rows
-        # due by the deadline and the late ones are one run of the block each
+        # the updates are masked and packed once, on-time rows first, so that
+        # the rows due by the deadline and the late ones are one run of the
+        # block each; masking draws no randomness, so its latencies go first
         deadline = start + self.cfg.deadline_ms
-        arrivals = [start + lat for lat in self._latencies(len(block))]
+        arrivals = [start + lat for lat in self._latencies(len(rows))]
         on_time = [r for r, when in enumerate(arrivals) if when <= deadline]
         late = [r for r, when in enumerate(arrivals) if when > deadline]
         if late:
-            order = on_time + late
-            block = MaskedUpdateBlock(
-                block.senders[order], block.iterations[order], block.payloads[order])
+            rows = rows[on_time + late]
+        with _Timer(metrics, "time_ue_ms"):
+            block = self.fleet.mask(rows, updates[rows], t)
         raw, split = b"", 0
         if arrivals:
             raw = memoryview(block.to_bytes())

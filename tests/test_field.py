@@ -4,8 +4,10 @@ The oracle throughout is plain big-integer arithmetic with ``% P`` — Python
 ints never overflow, so an independent computation path is one expression.
 """
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +170,11 @@ def test_codec_headroom_invariant_enforced():
         FixedPointCodec(magnitude_bound=0.0)
     with pytest.raises(ValueError):
         FixedPointCodec(max_summands=0)
+    # each failed as a TypeError, or built a codec (max_summands=2.5)
+    for name, value in [("frac_bits", 2.5), ("frac_bits", True), ("magnitude_bound", "1"),
+                        ("magnitude_bound", None), ("max_summands", 2.5)]:
+        with pytest.raises(ValueError, match=f"{name} = "):
+            FixedPointCodec(**{name: value})
 
 
 # -- uint64 kernels against the plain-int reference ----------------------------
@@ -284,3 +291,41 @@ def test_decode_matches_plain_ints_around_half_p(v, frac_bits):
     got = decode_sum(u64(v), codec, 1)
     assert got.dtype == np.float64
     assert got.tolist() == [plain_decode(x, frac_bits) for x in v]
+
+
+# -- one int rule and one real rule ----------------------------------------------
+
+
+def _tests_a_number_type(node) -> bool:
+    """Whether ``node`` is ``isinstance(_, bool)`` (or a tuple with bool),
+    ``type(_) is int`` / ``is not bool`` and the like, or a numbers ABC."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return (node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "bool"
+                        for n in ast.walk(node.args[1])))
+    if isinstance(node, ast.Compare):
+        return (any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(isinstance(n, ast.Name) and n.id in ("int", "bool")
+                        for n in [node.left, *node.comparators]))
+    if isinstance(node, ast.Attribute):
+        return (node.attr in ("Real", "Integral") and isinstance(node.value, ast.Name)
+                and node.value.id == "numbers")
+    return isinstance(node, ast.ImportFrom) and node.module == "numbers"
+
+
+def test_only_field_decides_what_is_an_int_or_a_real():
+    # every input check calls field.require_int or field.require_real; the
+    # hand-written checks they replaced kept two policies on bools. The
+    # message header check is inlined for speed and mirrors require_int
+    found = set()
+    for path in sorted(Path(field.__file__).parent.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> innermost enclosing function; ast.walk is outer-first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        found |= {(path.name, owner.get(id(node), "<module>"))
+                  for node in ast.walk(tree) if _tests_a_number_type(node)}
+    assert found == {("messages.py", "_require_header")}

@@ -235,18 +235,18 @@ def test_device_tables_share_no_memory():
 # -- keys outside the field ----------------------------------------------------
 
 
-@pytest.mark.parametrize("key", [1.5, -1, P, 2**64 - 1, 2**64, "1", None])
+@pytest.mark.parametrize("key", [1.5, -1, P, 2**64 - 1, 2**64, "1", None, True])
 def test_keys_outside_the_field_are_refused(key):
-    with pytest.raises(ValueError, match="not an int in"):
+    with pytest.raises(ValueError, match=r"key = .* is not an int in \[0, p\)"):
         khprf.evaluate(key, 0, 4)
-    with pytest.raises(ValueError, match="not an int in"):
+    with pytest.raises(ValueError, match=r"key = .* is not an int in \[0, p\)"):
         khprf.precompute_masks(key, 2, 4)
 
 
 # -- rounds outside the hashed range ---------------------------------------------
 
 
-@pytest.mark.parametrize("t", [-1, 2**64, 1.5, 1.0, "1", None])
+@pytest.mark.parametrize("t", [-1, 2**64, 1.5, 1.0, "1", None, True])
 def test_rounds_outside_the_word_range_are_refused(t):
     # H hashes t as a 64-bit word; struct would trip over anything else
     khprf.coefficient_vector(1, 4)  # a float equal to a cached round still misses
@@ -260,17 +260,20 @@ def test_rounds_outside_the_word_range_are_refused(t):
 # -- counts that are not ints >= 1 -----------------------------------------------
 
 
-@pytest.mark.parametrize("count", [0, -1, 2.5, 2.0, "2", None])
+@pytest.mark.parametrize("count", [0, -1, 2.5, 2.0, "2", None, True])
 def test_counts_that_are_not_ints_are_refused(count):
-    # a float count would reach numpy as a TypeError, or build a table
-    with pytest.raises(ValueError, match="is not an int >= 1"):
+    # a float count would reach numpy as a TypeError, or build a table, and
+    # True one of a single row or element
+    with pytest.raises(ValueError, match="num_iterations = .* is not an int >= 1"):
         khprf.precompute_masks(1, count, 4)
-    with pytest.raises(ValueError, match="is not an int >= 1"):
+    with pytest.raises(ValueError, match="mask dimension d = .* is not an int >= 1"):
         khprf.precompute_masks(1, 2, count)
-    with pytest.raises(ValueError, match="is not an int >= 1"):
+    with pytest.raises(ValueError, match="num_iterations = .* is not an int >= 1"):
         khprf.precompute_fleet([1, 2], count, 4)
-    with pytest.raises(ValueError, match="is not an int >= 1"):
+    with pytest.raises(ValueError, match="mask dimension d = .* is not an int >= 1"):
         khprf.evaluate(1, 0, count)
+    with pytest.raises(ValueError, match="mask dimension d = .* is not an int >= 1"):
+        khprf.coefficient_vector(0, count)
 
 
 # -- the fleet in one blocked pass ------------------------------------------------

@@ -137,6 +137,23 @@ def test_array_field_in_another_form_is_refused(build):
         build()
 
 
+# a bool is an int to Python, and would go on the wire as 0 or 1
+@pytest.mark.parametrize("build, name", [
+    (lambda: MaskedUpdateMsg(True, 0, u64([1])), "sender"),
+    (lambda: MaskedUpdateMsg(True, False, u64([1])), "sender"),
+    (lambda: OnlineListMsg(0, False, u64([1])), "iteration"),
+    (lambda: GlobalModelMsg(0, True, f64([0.5])), "iteration"),
+    (lambda: SetupShareMsg(1, 0, True, SecretShare(2, 5)), "target_bs"),
+    (lambda: SetupShareMsg(1, 0, 2, SecretShare(True, 5)), "share x"),
+    (lambda: SetupShareMsg(1, 0, 2, SecretShare(2, True)), "share y"),
+    (lambda: MaskShareMsg(1, 0, scalar=True), "scalar share"),
+], ids=["update_sender", "update_sender_and_round", "list_round", "model_round",
+        "share_target", "share_x", "share_y", "scalar"])
+def test_bool_in_an_int_field_is_refused(build, name):
+    with pytest.raises(ValueError, match=f"{name} = (True|False)"):
+        build()
+
+
 def test_unknown_mask_share_mode_is_refused():
     raw = bytearray(MaskShareMsg(1, 0, scalar=3).to_bytes())
     assert raw[messages.HEADER_LEN] == MaskShareMode.COMPACT

@@ -60,6 +60,12 @@ def test_access_structure_validation():
         AccessStructure(0, 3)
     with pytest.raises(ValueError):
         AccessStructure(4, 3)
+    # 2.5 built a structure that split failed on, as a TypeError
+    for threshold in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="threshold = "):
+            AccessStructure(threshold, 4)
+    with pytest.raises(ValueError, match="total = "):
+        AccessStructure(1, True)
 
 
 def test_split_threshold_one_copies_secret():
