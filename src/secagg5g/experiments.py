@@ -14,12 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
 from .field import require_int, require_real
-from .fltask import generate_data
+from .fltask import TASK_FLOORS, generate_data
 from .messages import HEADER_LEN, MaskShareMode
 from .simnet import DropoutSchedule, SimConfig, SimResult, run_simulation
 
@@ -60,9 +59,8 @@ SIM_KEYS = tuple(f.name for f in fields(SimConfig) if f.name not in ("model_dim"
 
 
 # ExperimentSpec fields that count something or seed a generator, and the
-# least value each takes
-_COUNT_FLOORS = {"feature_dim": 0, "samples_per_shard": 1, "test_samples": 1, "local_epochs": 0,
-                 "data_seed": 0, "ue_dropout": 0, "bs_dropout": 0, "sweep_min": 0}
+# least value each takes; the task's counts take generate_data's floors
+_COUNT_FLOORS = {**TASK_FLOORS, "data_seed": 0, "sweep_min": 0}
 
 
 @dataclass
@@ -132,24 +130,19 @@ class ExperimentSpec:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds repeat: {self.seeds}")
-        lr = self.learning_rate
-        require_real("learning_rate", lr)
-        if not (math.isfinite(lr) and lr > 0):
-            raise ValueError(f"learning_rate = {lr!r} is not a finite number > 0")
+        require_real("learning_rate", self.learning_rate, 0, lo_open=True)
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        if not 0 <= self.ue_dropout <= self.sim.n_ues:
-            raise ValueError("ue_dropout outside [0, n_ues]")
-        if not 0 <= self.bs_dropout <= self.sim.n_bss:
-            raise ValueError("bs_dropout outside [0, n_bss]")
+        require_int("ue_dropout", self.ue_dropout, 0, self.sim.n_ues + 1)
+        require_int("bs_dropout", self.bs_dropout, 0, self.sim.n_bss + 1)
         if self.sweep_axis != "none":
             hi = self.sweep_cap()
-            if self.sweep_max is not None and not 0 <= self.sweep_max <= hi:
-                raise ValueError(f"sweep_max outside [0, {hi}]")
-            if not 0 <= self.sweep_min <= (self.sweep_max if self.sweep_max is not None else hi):
-                raise ValueError("sweep_min outside sweep range")
+            if self.sweep_max is not None:
+                require_int("sweep_max", self.sweep_max, 0, hi + 1)
+                hi = self.sweep_max
+            require_int("sweep_min", self.sweep_min, 0, hi + 1)
 
     def sweep_cap(self) -> int:
         """Largest dropout count on the active axis, leaving two entities."""

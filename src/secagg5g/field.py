@@ -20,6 +20,7 @@ outside the program are checked with ``require_canonical`` where they enter.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -48,15 +49,21 @@ def require_int(name: str, value, lo: int = 0, end: int | None = None) -> None:
         raise ValueError(f"{name} = {value!r} is not an int {span}")
 
 
-def require_real(name: str, value) -> None:
+def require_real(name: str, value, lo, hi=math.inf, lo_open: bool = False) -> None:
     """Refuse ``value``, with a ValueError naming ``name``, unless it is a
-    real number, NaN and ±inf included; the range is the caller's to check.
+    real number from ``lo`` to ``hi``.
 
     The one real rule of every input check: a bool is never a real number,
-    and a string or None is refused here, not later as a TypeError.
+    and a string or None is refused here, not later as a TypeError. A finite
+    bound is closed, except ``lo`` when ``lo_open`` is set; an infinite bound
+    is open, so NaN and ±inf never pass (NaN fails every comparison).
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} = {value!r} is not a real number")
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    if not (real and -math.inf < value < math.inf
+            and (lo < value if lo_open else lo <= value) and value <= hi):
+        left = "(" if lo_open or lo == -math.inf else "["
+        right = ")" if hi == math.inf else "]"
+        raise ValueError(f"{name} = {value!r} is not a real number in {left}{lo}, {hi}{right}")
 
 
 def reduce(x: int) -> int:
@@ -168,10 +175,8 @@ class FixedPointCodec:
 
     def __post_init__(self):
         require_int("frac_bits", self.frac_bits)
-        require_real("magnitude_bound", self.magnitude_bound)
+        require_real("magnitude_bound", self.magnitude_bound, 0, lo_open=True)
         require_int("max_summands", self.max_summands, 1)
-        if self.magnitude_bound <= 0:
-            raise ValueError("magnitude_bound must be positive")
         headroom = self.max_summands * (self.magnitude_bound * self.scale + 1)
         if not headroom < P / 2:
             raise ValueError(

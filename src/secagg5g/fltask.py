@@ -12,6 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field import require_int
+
+BLOB_SEPARATION = 4.0  # distance between the two blob means, in standard deviations
+# the least value of generate_data's task counts, by parameter name;
+# ExperimentSpec checks its fields of these names against the same floors
+TASK_FLOORS = {"feature_dim": 0, "samples_per_shard": 1, "test_samples": 1, "local_epochs": 0}
+
 
 @dataclass
 class FlTask:
@@ -71,19 +78,19 @@ def generate_data(
     learning_rate: float = 0.5,
     local_epochs: int = 2,
     clip_bound: float = 1.0,
-    blob_separation: float = 4.0,
 ) -> FlTask:
-    """Two unit-variance Gaussian blobs with means blob_separation apart.
+    """Two unit-variance Gaussian blobs with means BLOB_SEPARATION apart.
 
     Samples are split into n_ues equal disjoint shards; the test set is drawn
     separately and balanced. Labels are +/-1.
     """
-    if n_ues < 1:
-        raise ValueError("need at least one device")
+    counts = locals()  # the parameters: no other name is bound yet
+    for name, lo in {"seed": 0, "n_ues": 1, **TASK_FLOORS}.items():
+        require_int(name, counts[name], lo)
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=feature_dim)
     direction /= np.linalg.norm(direction)
-    mean = (blob_separation / 2.0) * direction
+    mean = (BLOB_SEPARATION / 2.0) * direction
 
     def draw(count):
         # features are drawn straight into the biased matrix: no unbiased copy

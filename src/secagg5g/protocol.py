@@ -79,11 +79,9 @@ def require_online_fraction(value) -> None:
     """Refuse a participation floor that is not a real number in (0, 1].
 
     At 0 or below the floor admits an empty list, whose mean is NaN; above 1
-    it exceeds the fleet; NaN fails both comparisons.
+    it exceeds the fleet.
     """
-    field.require_real("min_online_fraction", value)
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"min_online_fraction = {value!r} is not in (0, 1]")
+    field.require_real("min_online_fraction", value, 0, 1, lo_open=True)
 
 
 class Fleet:

@@ -39,12 +39,8 @@ class AccessStructure:
     total: int
 
     def __post_init__(self):
-        field.require_int("threshold", self.threshold)
-        field.require_int("total", self.total)
-        if not 1 <= self.threshold <= self.total:
-            raise ValueError(
-                f"need 1 <= threshold <= total, got ({self.threshold}, {self.total})"
-            )
+        field.require_int("total", self.total, 1)
+        field.require_int("threshold", self.threshold, 1, self.total + 1)
 
 
 def _poly_eval(coeffs: Sequence[int], x: int) -> int:

@@ -61,7 +61,6 @@ which the result returns read-only.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -125,14 +124,19 @@ class DropoutSchedule:
         return cls(ue_always=frozenset(ue_ids), bs_always=frozenset(bs_ids))
 
     def __post_init__(self):
-        for role, prob, ids in (("ue", self.ue_prob, self.prob_ue_ids),
-                                ("bs", self.bs_prob, self.prob_bs_ids)):
-            require_real(f"{role}_prob", prob)
-            # NaN fails both comparisons
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"{role}_prob must be in [0, 1], got {prob}")
+        for role, prob, ids, always, rounds in (
+                ("ue", self.ue_prob, self.prob_ue_ids, self.ue_always, self.ue_rounds),
+                ("bs", self.bs_prob, self.prob_bs_ids, self.bs_always, self.bs_rounds)):
+            require_real(f"{role}_prob", prob, 0, 1)
             if prob > 0.0 and not ids:
                 raise ValueError(f"{role}_prob={prob} needs prob_{role}_ids to drop from")
+            # the ids are compared as sets, where True and 2.0 would stand
+            # for devices 1 and 2, and a round key True for round 1
+            for name, group in ((f"prob_{role}_ids", ids), (f"{role}_always", always),
+                                (f"{role}_rounds", rounds),  # its keys, the rounds
+                                *((f"{role}_rounds[{t}]", g) for t, g in rounds.items())):
+                for i in group:
+                    require_int(name, i)
 
     def _sampled(self, prefix: str, prob: float, ids, t: int) -> frozenset[int]:
         if prob == 0.0:
@@ -186,8 +190,9 @@ class SimConfig:
         for name in ("n_ues", "n_bss", "bs_threshold", "model_dim", "iterations"):
             require_int(name, getattr(self, name), 1)
         require_online_fraction(self.min_online_fraction)
-        for name in ("latency_base_ms", "latency_jitter_ms", "deadline_ms"):
-            require_real(name, getattr(self, name))
+        require_real("latency_base_ms", self.latency_base_ms, 0)
+        require_real("latency_jitter_ms", self.latency_jitter_ms, 0)
+        require_real("deadline_ms", self.deadline_ms, self.latency_base_ms, lo_open=True)
         if not isinstance(self.mask_share_mode, MaskShareMode):
             raise ValueError(
                 f"mask_share_mode must be a MaskShareMode, got {self.mask_share_mode!r}")
@@ -195,15 +200,6 @@ class SimConfig:
         # included, are checked by their own types
         self.access_structure()
         self.codec()
-        timings = (self.latency_base_ms, self.latency_jitter_ms, self.deadline_ms)
-        if not all(map(math.isfinite, timings)):
-            raise ValueError(f"latencies and deadline must be finite, got {timings}")
-        if self.latency_base_ms < 0:
-            raise ValueError("base latency must be >= 0")
-        if self.deadline_ms <= self.latency_base_ms:
-            raise ValueError("deadline must exceed the base latency")
-        if self.latency_jitter_ms < 0:
-            raise ValueError("latency jitter must be >= 0")
 
     def codec(self) -> FixedPointCodec:
         # the server never decodes a sum of more than every registered device

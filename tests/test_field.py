@@ -170,9 +170,11 @@ def test_codec_headroom_invariant_enforced():
         FixedPointCodec(magnitude_bound=0.0)
     with pytest.raises(ValueError):
         FixedPointCodec(max_summands=0)
-    # each failed as a TypeError, or built a codec (max_summands=2.5)
+    # each failed as a TypeError, or built a codec (max_summands=2.5); a NaN
+    # or infinite bound was refused only as a codec that overflows the field
     for name, value in [("frac_bits", 2.5), ("frac_bits", True), ("magnitude_bound", "1"),
-                        ("magnitude_bound", None), ("max_summands", 2.5)]:
+                        ("magnitude_bound", None), ("max_summands", 2.5),
+                        ("magnitude_bound", math.nan), ("magnitude_bound", math.inf)]:
         with pytest.raises(ValueError, match=f"{name} = "):
             FixedPointCodec(**{name: value})
 
@@ -296,9 +298,15 @@ def test_decode_matches_plain_ints_around_half_p(v, frac_bits):
 # -- one int rule and one real rule ----------------------------------------------
 
 
+_RULE_ATTRIBUTES = {("numbers", "Real"), ("numbers", "Integral"),
+                    ("math", "isfinite"), ("math", "isnan"), ("math", "isinf")}
+
+
 def _tests_a_number_type(node) -> bool:
     """Whether ``node`` is ``isinstance(_, bool)`` (or a tuple with bool),
-    ``type(_) is int`` / ``is not bool`` and the like, or a numbers ABC."""
+    ``type(_) is int`` / ``is not bool`` and the like, a numbers ABC, or
+    ``math.isfinite``, ``isnan`` or ``isinf``, which a range check of
+    ``require_real`` makes needless."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         return (node.func.id == "isinstance" and len(node.args) == 2
                 and any(isinstance(n, ast.Name) and n.id == "bool"
@@ -308,15 +316,17 @@ def _tests_a_number_type(node) -> bool:
                 and any(isinstance(n, ast.Name) and n.id in ("int", "bool")
                         for n in [node.left, *node.comparators]))
     if isinstance(node, ast.Attribute):
-        return (node.attr in ("Real", "Integral") and isinstance(node.value, ast.Name)
-                and node.value.id == "numbers")
-    return isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        return (isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in _RULE_ATTRIBUTES)
+    return isinstance(node, ast.ImportFrom) and (
+        node.module == "numbers" or any((node.module, a.name) in _RULE_ATTRIBUTES for a in node.names))
 
 
 def test_only_field_decides_what_is_an_int_or_a_real():
     # every input check calls field.require_int or field.require_real; the
-    # hand-written checks they replaced kept two policies on bools. The
-    # message header check is inlined for speed and mirrors require_int
+    # hand-written checks they replaced kept two policies on bools, and the
+    # range checks beside them their own phrasings. The message header check
+    # is inlined for speed and mirrors require_int
     found = set()
     for path in sorted(Path(field.__file__).parent.glob("*.py")):
         if path.name == "field.py":

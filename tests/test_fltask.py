@@ -107,8 +107,10 @@ def test_centralized_training_converges():
 
 
 def test_generate_rejects_zero_ues():
-    with pytest.raises(ValueError):
-        fltask.generate_data(seed=0, n_ues=0)
+    # 2.5 and True raised a TypeError from numpy
+    for n_ues in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n_ues = "):
+            fltask.generate_data(seed=0, n_ues=n_ues)
 
 
 def test_features_are_stored_once_with_the_bias_column():

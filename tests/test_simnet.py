@@ -107,7 +107,7 @@ def test_config_refuses_an_empty_model(d):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_timings(name, value):
     # NaN fails every comparison, so range checks alone let it through
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=f"{name} = .* is not a real number in"):
         SimConfig(**{name: value})
 
 
@@ -118,7 +118,7 @@ def test_config_rejects_negative_base_latency():
 
 
 def test_config_checks_threshold_and_codec_through_their_types():
-    with pytest.raises(ValueError, match=r"need 1 <= threshold <= total, got \(5, 4\)"):
+    with pytest.raises(ValueError, match=r"threshold = 5 is not an int in \[1, 5\)"):
         SimConfig(bs_threshold=5, n_bss=4)
     with pytest.raises(ValueError):
         SimConfig(n_bss=0)
@@ -176,7 +176,7 @@ def test_codec_covers_exactly_the_registered_devices():
 @pytest.mark.parametrize("prob", [1.5, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("role", ["ue", "bs"])
 def test_schedule_rejects_probability_outside_unit_interval(role, prob):
-    with pytest.raises(ValueError, match=f"{role}_prob must be in"):
+    with pytest.raises(ValueError, match=fr"{role}_prob = .* is not a real number in \[0, 1\]"):
         DropoutSchedule(**{f"{role}_prob": prob, f"prob_{role}_ids": (1, 2, 3)})
 
 
@@ -185,6 +185,18 @@ def test_schedule_rejects_probability_outside_unit_interval(role, prob):
 def test_schedule_rejects_probability_that_is_not_a_real_number(role, prob):
     with pytest.raises(ValueError, match=f"{role}_prob = .* is not a real number"):
         DropoutSchedule(**{f"{role}_prob": prob, f"prob_{role}_ids": (1, 2, 3)})
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: DropoutSchedule.constant(ue_ids=[True, 2.0]), "ue_always"),
+    (lambda: DropoutSchedule(ue_rounds={0: frozenset({1.0})}), r"ue_rounds\[0\]"),
+    (lambda: DropoutSchedule(ue_rounds={True: frozenset({3})}), "ue_rounds"),
+], ids=["bool_and_float_ids", "float_id_in_a_round", "bool_round"])
+def test_schedule_refuses_ids_and_rounds_that_are_not_ints(make, name):
+    # each was accepted: ids and rounds are compared as sets, where True and
+    # 1.0 stand for device or round 1, and 2.0 for device 2
+    with pytest.raises(ValueError, match=f"{name} = .* is not an int"):
+        make()
 
 
 @pytest.mark.parametrize("role", ["ue", "bs"])
