@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import require_int
+from .field import require_int, require_real
 
 BLOB_SEPARATION = 4.0  # distance between the two blob means, in standard deviations
 # the least value of generate_data's task counts, by parameter name;
@@ -82,11 +82,15 @@ def generate_data(
     """Two unit-variance Gaussian blobs with means BLOB_SEPARATION apart.
 
     Samples are split into n_ues equal disjoint shards; the test set is drawn
-    separately and balanced. Labels are +/-1.
+    separately and balanced. Labels are +/-1. Raises ValueError for a count
+    below its floor, and for a learning rate or clip bound that is not a
+    real number > 0: either would make every local update NaN or refused.
     """
     counts = locals()  # the parameters: no other name is bound yet
     for name, lo in {"seed": 0, "n_ues": 1, **TASK_FLOORS}.items():
         require_int(name, counts[name], lo)
+    require_real("learning_rate", learning_rate, 0, lo_open=True)
+    require_real("clip_bound", clip_bound, 0, lo_open=True)
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=feature_dim)
     direction /= np.linalg.norm(direction)

@@ -29,7 +29,9 @@ m frames end to end, frame r byte-identical to row r's ``to_bytes``, and
 ``updates_from_bytes`` parses such a join as one packed structured array,
 checking type, count, length and canonical elements once for the block.
 It refuses exactly the joins in which some frame would be refused by
-``from_bytes`` or decode to another message type.
+``from_bytes`` or decode to another message type. Set-up shares travel
+the same way, one ``SetupShareBlock`` per station, decoded by
+``setup_shares_from_bytes``.
 """
 
 from __future__ import annotations
@@ -226,8 +228,35 @@ def _update_frame(d: int) -> np.dtype:
                      ("count", "<u4"), ("payload", "<u8", (d,))])
 
 
+class _Block(Sequence):
+    """A run of one message type's frames as arrays: a block has one row per
+    message, indexes and iterates as those messages, and equals any
+    sequence of the same messages."""
+
+    senders: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.senders)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _require_words(block, names: dict[str, int]) -> None:
+    """Refuse a block whose named fields are not ``<u8`` arrays of the given
+    dimensions, one row per message."""
+    for name, ndim in names.items():
+        value = getattr(block, name)
+        if not (isinstance(value, np.ndarray) and value.dtype == _U64 and value.ndim == ndim):
+            raise ValueError(f"{name} must be a {ndim}-d {_U64} array")
+    if len({len(getattr(block, name)) for name in names}) > 1:
+        raise ValueError(f"a block needs one of each of {', '.join(names)} per message")
+
+
 @dataclass(frozen=True, eq=False)
-class MaskedUpdateBlock(Sequence):
+class MaskedUpdateBlock(_Block):
     """Masked updates of one dimension as arrays: row r is the message
     ``MaskedUpdateMsg(senders[r], iterations[r], payloads[r])``.
 
@@ -243,12 +272,7 @@ class MaskedUpdateBlock(Sequence):
     payloads: np.ndarray
 
     def __post_init__(self):
-        for name, ndim in (("senders", 1), ("iterations", 1), ("payloads", 2)):
-            value = getattr(self, name)
-            if not (isinstance(value, np.ndarray) and value.dtype == _U64 and value.ndim == ndim):
-                raise ValueError(f"{name} must be a {ndim}-d {_U64} array")
-        if not len(self.senders) == len(self.iterations) == len(self.payloads):
-            raise ValueError("a block needs one sender, round and payload row per update")
+        _require_words(self, {"senders": 1, "iterations": 1, "payloads": 2})
         require_canonical(self.payloads)
 
     @classmethod
@@ -260,16 +284,8 @@ class MaskedUpdateBlock(Sequence):
                    np.array([msg.iteration for msg in msgs], dtype=_U64),
                    np.array([msg.payload for msg in msgs], dtype=_U64))
 
-    def __len__(self) -> int:
-        return len(self.senders)
-
     def __getitem__(self, r: int) -> MaskedUpdateMsg:
         return MaskedUpdateMsg(int(self.senders[r]), int(self.iterations[r]), self.payloads[r])
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def to_bytes(self) -> bytes:
         """Every row's frame, end to end, packed in one pass."""
@@ -279,6 +295,59 @@ class MaskedUpdateBlock(Sequence):
         rows["iteration"] = self.iterations
         rows["count"] = self.payloads.shape[1]
         rows["payload"] = self.payloads
+        return rows.tobytes()
+
+
+# one set-up share frame: header, target station, share x and share y
+_SETUP_FRAME = np.dtype([("type", "u1"), ("sender", "<u8"), ("iteration", "<u8"),
+                         ("target", "<u8"), ("x", "<u8"), ("y", "<u8")])
+
+
+@dataclass(frozen=True, eq=False)
+class SetupShareBlock(_Block):
+    """Set-up shares as arrays: row r is the message
+    ``SetupShareMsg(senders[r], iterations[r], targets[r],
+    SecretShare(xs[r], ys[r]))``.
+
+    Every field is a 1-d ``<u8`` array, stored uncopied; any other value
+    raises ValueError, and so does a share y >= p or a share point x = 0,
+    checked once for the block. Indexing or iterating gives the rows as
+    ``SetupShareMsg``s, and a block equals any sequence of the same messages.
+    """
+
+    senders: np.ndarray
+    iterations: np.ndarray
+    targets: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self):
+        _require_words(self, dict.fromkeys(("senders", "iterations", "targets", "xs", "ys"), 1))
+        require_canonical(self.ys)
+        if not self.xs.all():
+            raise ValueError("share point x = 0 is reserved for the secret")
+
+    @classmethod
+    def of(cls, msgs) -> "SetupShareBlock":
+        """The block whose rows are the set-up shares ``msgs``."""
+        columns = ([m.sender for m in msgs], [m.iteration for m in msgs],
+                   [m.target_bs for m in msgs], [m.share.x for m in msgs],
+                   [m.share.y for m in msgs])
+        return cls(*(np.array(column, dtype=_U64) for column in columns))
+
+    def __getitem__(self, r: int) -> SetupShareMsg:
+        return SetupShareMsg(int(self.senders[r]), int(self.iterations[r]), int(self.targets[r]),
+                             SecretShare(int(self.xs[r]), int(self.ys[r])))
+
+    def to_bytes(self) -> bytes:
+        """Every row's frame, end to end, packed in one pass."""
+        rows = np.empty(len(self), _SETUP_FRAME)
+        rows["type"] = SETUP_SHARE
+        rows["sender"] = self.senders
+        rows["iteration"] = self.iterations
+        rows["target"] = self.targets
+        rows["x"] = self.xs
+        rows["y"] = self.ys
         return rows.tobytes()
 
 
@@ -359,6 +428,22 @@ def updates_from_bytes(data, frames: int) -> MaskedUpdateBlock:
     if (rows["count"] != d).any():
         raise ValueError(f"an element count of the block is not the {d} its frame length implies")
     return MaskedUpdateBlock(rows["sender"], rows["iteration"], rows["payload"])
+
+
+def setup_shares_from_bytes(data, frames: int) -> SetupShareBlock:
+    """Decode ``frames`` set-up share frames joined end to end; the inverse
+    of ``SetupShareBlock.to_bytes``.
+
+    Raises ValueError unless ``data`` is exactly ``frames`` frames, each of
+    which ``from_bytes`` decodes to a ``SetupShareMsg``. The arrays of the
+    result are read-only views of ``data``, which is never copied.
+    """
+    if len(data) != frames * _SETUP_FRAME.itemsize:
+        raise ValueError(f"{len(data)} bytes are not {frames} set-up share frames")
+    rows = np.frombuffer(data, dtype=_SETUP_FRAME, count=frames)
+    if (rows["type"] != SETUP_SHARE).any():
+        raise ValueError("a frame of the block is not a set-up share")
+    return SetupShareBlock(rows["sender"], rows["iteration"], rows["target"], rows["x"], rows["y"])
 
 
 def wire_length(msg: Message) -> int:

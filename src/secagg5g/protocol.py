@@ -5,10 +5,13 @@ Roles:
     station shares once at setup, and thereafter sends exactly one masked
     update per round. The devices' state lives in one ``Fleet``, as arrays
     with one row per device (ids, keys, mask table, last round masked), and
-    a ``UserEquipment`` is a view of one row; ``Fleet.mask`` masks any set
-    of rows with one index, as the server's (n, d) matrix collects them.
-  * ``BaseStation`` stores one key share per registered device and answers
-    each round's online list with one aggregated mask share.
+    a ``UserEquipment`` is a view of one row; ``Fleet.setup`` splits any set
+    of rows' keys in one pass, into one share block per station, and
+    ``Fleet.mask`` masks any set of rows with one index, as the server's
+    (n, d) matrix collects them.
+  * ``BaseStation`` stores one key share per registered device, a block of
+    them at a time, and answers each round's online list with one
+    aggregated mask share.
   * ``Aggregator`` (the untrusted server) collects masked updates, one or a
     block at a time, fixes the online list, reconstructs the sum of online
     masks from any threshold-many base-station shares, and unmasks only the
@@ -43,6 +46,7 @@ from .messages import (
     MaskShareMsg,
     MaskShareMode,
     OnlineListMsg,
+    SetupShareBlock,
     SetupShareMsg,
 )
 from .shamir import AccessStructure, SecretShare
@@ -133,6 +137,47 @@ class Fleet:
         ue.fleet, ue.row = self, row
         return ue
 
+    def _rows(self, rows, twice: str) -> np.ndarray:
+        """``rows`` as an intp array. Raises ValueError unless it is a 1-d
+        sequence of ints in 0..n-1, and ProtocolError if a row is listed
+        twice, saying that its device would then ``twice``."""
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+            raise ValueError("rows must be a 1-d sequence of ints")
+        rows = rows.astype(np.intp, copy=False)  # a uint64 >= 2^63 turns negative
+        if rows.size and (rows.min() < 0 or rows.max() >= len(self)):
+            # numpy would wrap -1 to the last device
+            raise ValueError(f"a row outside 0..{len(self) - 1}")
+        # not np.unique: its first call grows the resident set by ~1.5 MB
+        listed = np.zeros(len(self), dtype=bool)
+        listed[rows] = True
+        if np.count_nonzero(listed) < len(rows):
+            raise ProtocolError(f"a device listed twice would {twice}")
+        return rows
+
+    def setup(self, acc: AccessStructure, rng, rows=None) -> list[SetupShareBlock]:
+        """Split the keys of ``rows`` (every device when None) into one share
+        per base station, in one ``shamir.split_many`` pass: block j - 1 is
+        station j's, with share x = j, and its row r is device ``rows[r]``'s.
+
+        One-shot: a key is shared once; sharing it again would hand out a
+        second, inconsistent share set. All or nothing: raises ProtocolError,
+        and draws nothing, if a row is listed twice or its device has
+        already completed set-up; ValueError for rows as ``mask``.
+        """
+        rows = np.arange(len(self)) if rows is None else self._rows(rows, "share its key twice")
+        done = np.flatnonzero(self._setup_done[rows])
+        if len(done):
+            raise ProtocolError(f"UE {self.ids[rows[done[0]]]} already completed setup")
+        shares = shamir.split_many(self.keys[rows], acc, rng)
+        self._setup_done[rows] = True
+        senders, rounds = self.ids[rows], np.zeros(len(rows), dtype=np.uint64)
+        blocks = []
+        for j in range(1, acc.total + 1):
+            points = np.full(len(rows), j, dtype=np.uint64)
+            blocks.append(SetupShareBlock(senders, rounds, points, points, shares[:, j - 1]))
+        return blocks
+
     def precompute(self, num_iterations: int) -> None:
         """Front-load every device's masks for rounds 0..num_iterations-1 in
         one ``khprf.precompute_fleet`` pass. Raises ValueError, and keeps the
@@ -160,18 +205,7 @@ class Fleet:
         """
         khprf.require_round(t)
         t = int(t)  # a uint64 compared with an int64 would be a float compare
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-            raise ValueError("rows must be a 1-d sequence of ints")
-        rows = rows.astype(np.intp, copy=False)  # a uint64 >= 2^63 turns negative
-        if rows.size and (rows.min() < 0 or rows.max() >= len(self)):
-            # numpy would wrap -1 to the last device
-            raise ValueError(f"a row outside 0..{len(self) - 1}")
-        # not np.unique: its first call grows the resident set by ~1.5 MB
-        listed = np.zeros(len(self), dtype=bool)
-        listed[rows] = True
-        if np.count_nonzero(listed) < len(rows):
-            raise ProtocolError("a device listed twice would use its round mask twice")
+        rows = self._rows(rows, "use its round mask twice")
         spent = np.flatnonzero(self._masked[rows] & (self._last[rows] >= t))
         if len(spent):
             r = rows[spent[0]]
@@ -238,18 +272,9 @@ class UserEquipment:
         return int(self.fleet._last[self.row]) if self.fleet._masked[self.row] else -1
 
     def setup(self, acc: AccessStructure, rng) -> list[SetupShareMsg]:
-        """Split the key into one share per base station (share x = BS index).
-
-        One-shot: the key is shared once; re-running setup without a reset
-        would hand out a second, inconsistent share set.
-        """
-        if self._setup_done:
-            raise ProtocolError(f"UE {self.ue_id} already completed setup")
-        self.fleet._setup_done[self.row] = True
-        return [
-            SetupShareMsg(sender=self.ue_id, iteration=0, target_bs=share.x, share=share)
-            for share in shamir.split(self.key, acc, rng)
-        ]
+        """``Fleet.setup`` of this device's row alone: one share per base
+        station (share x = BS index), in station order. One-shot."""
+        return [block[0] for block in self.fleet.setup(acc, rng, [self.row])]
 
     def precompute(self, num_iterations: int) -> None:
         """``Fleet.precompute`` of this device's fleet."""
@@ -287,20 +312,34 @@ class BaseStation:
     stored_shares: dict[int, SecretShare] = dc_field(default_factory=dict, init=False)
 
     def receive_share(self, msg: SetupShareMsg) -> None:
-        if msg.target_bs != self.bs_id:
+        """``receive_shares`` of the one-row block ``msg``."""
+        self.receive_shares(SetupShareBlock.of([msg]))
+
+    def receive_shares(self, block: SetupShareBlock) -> None:
+        """Store each row's share under its sender, in row order.
+
+        All or nothing: raises ProtocolError, and stores no share, if a row
+        is for another station, its share point x is not this station's
+        index, or its sender already has a share here, from an earlier
+        block or an earlier row of this one.
+        """
+        wrong = np.flatnonzero(block.targets != self.bs_id)
+        if len(wrong):
             raise ProtocolError(
-                f"share for BS {msg.target_bs} delivered to BS {self.bs_id}"
-            )
-        if msg.share.x != self.bs_id:
+                f"share for BS {block.targets[wrong[0]]} delivered to BS {self.bs_id}")
+        wrong = np.flatnonzero(block.xs != self.bs_id)
+        if len(wrong):
             raise ProtocolError(
-                f"share point x={msg.share.x} does not match BS index {self.bs_id}"
-            )
-        if msg.sender in self.stored_shares:
-            raise ProtocolError(
-                f"BS {self.bs_id} already stores a share for UE {msg.sender}"
-            )
-        # y as a Python int, so that mask_share's plain sum cannot wrap
-        self.stored_shares[msg.sender] = SecretShare(msg.share.x, int(msg.share.y))
+                f"share point x={block.xs[wrong[0]]} does not match BS index {self.bs_id}")
+        senders = block.senders.tolist()
+        fresh = set(senders)
+        if len(fresh) < len(senders) or not fresh.isdisjoint(self.stored_shares):
+            ue = next(ue for r, ue in enumerate(senders)
+                      if ue in self.stored_shares or ue in senders[:r])
+            raise ProtocolError(f"BS {self.bs_id} already stores a share for UE {ue}")
+        # x and y as Python ints, so that mask_share's plain sum cannot wrap
+        self.stored_shares.update(
+            zip(senders, map(SecretShare, block.xs.tolist(), block.ys.tolist())))
 
     def mask_share(
         self, online: OnlineListMsg, t: int, mode: MaskShareMode, d: int

@@ -43,23 +43,42 @@ class AccessStructure:
         field.require_int("threshold", self.threshold, 1, self.total + 1)
 
 
-def _poly_eval(coeffs: Sequence[int], x: int) -> int:
-    """Horner evaluation; coeffs ordered constant term first."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % P
-    return acc
-
-
 def split(secret: int, acc: AccessStructure, rng) -> list[SecretShare]:
     """Split a secret into ``acc.total`` shares at x = 1..total.
 
     The polynomial has constant term ``secret`` and uniformly random higher
     coefficients drawn from the injected rng, so runs are reproducible.
+    ``split_many`` of the one secret.
     """
-    coeffs = [secret % P]
-    coeffs += [rng.randrange(P) for _ in range(acc.threshold - 1)]
-    return [SecretShare(j, _poly_eval(coeffs, j)) for j in range(1, acc.total + 1)]
+    row = split_many([secret % P], acc, rng)[0].tolist()
+    return [SecretShare(x, y) for x, y in enumerate(row, start=1)]
+
+
+def split_many(secrets, acc: AccessStructure, rng) -> np.ndarray:
+    """Split each of n canonical secrets into ``acc.total`` shares: an
+    (n, total) uint64 matrix whose entry (r, j - 1) is secret r's share at
+    x = j.
+
+    The rng draws ``threshold - 1`` coefficients per secret, secret after
+    secret and nothing else, so that each row is the ``split`` of its
+    secret on the same rng. The shares are evaluated by Horner for every
+    secret and point at once. Raises ValueError for a secret >= p.
+    """
+    secrets = np.asarray(secrets, dtype=np.uint64)
+    field.require_canonical(secrets)
+    n, t, k = len(secrets), acc.threshold, acc.total
+    draws = np.array([rng.randrange(P) for _ in range(n * (t - 1))], dtype=np.uint64)
+    coeffs = np.empty((t, n), dtype=np.uint64)  # row c: every secret's coefficient of x^c
+    coeffs[0] = secrets
+    coeffs[1:] = draws.reshape(n, t - 1).T
+    # every operand (n, k): a kernel call costs far more than its elements,
+    # and broadcasting costs more again
+    coeffs = np.repeat(coeffs[:, :, None], k, axis=2)
+    xs = np.tile(np.arange(1, k + 1, dtype=np.uint64), (n, 1))
+    shares = coeffs[t - 1]
+    for c in range(t - 2, -1, -1):
+        shares = field.vec_add(field.mulmod(shares, xs), coeffs[c])
+    return shares
 
 
 def lagrange_coeffs_at_zero(xs: Sequence[int]) -> list[int]:

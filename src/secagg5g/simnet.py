@@ -16,8 +16,11 @@ Nothing from one round interleaves with the next, so a run is a plain loop:
 returns the next round's start. Every fan-out is packed once and draws one
 latency per receiver:
 
-- set-up shares are delivered as they are sent, before round 0, which
-  starts at the last share's arrival;
+- set-up runs as blocks before round 0: one ``Fleet.setup`` call splits
+  every device's key, each station's shares are one ``SetupShareBlock``
+  packed once, decoded in one ``setup_shares_from_bytes`` call and stored
+  in one ``BaseStation.receive_shares`` call, and one latency is drawn per
+  share; round 0 starts at the last share's arrival;
 - a round's update latencies are drawn first, so that the online rows are
   masked on-time rows first, as one block packed once
   (``MaskedUpdateBlock.to_bytes``). The rows that arrive by the deadline
@@ -43,18 +46,21 @@ them. Traffic is still charged per delivered message, from one table
 (``wire_length``, computed from the message's counts without packing it
 again) to the sender's and the receiver's bytes, in ``SetupMetrics`` for
 setup shares and in the ``RoundMetrics`` of the round it carries
-otherwise; m copies of a message, such as a block of m updates or a model
-sent to m devices, are charged as m deliveries in one step.
+otherwise; m copies of a message, such as a station's block of m set-up
+shares, a block of m updates or a model sent to m devices, are charged as
+m deliveries in one step.
 
 The devices' state is one ``protocol.Fleet`` whose row i - 1 is device
-i; ``ues`` maps each id to its row as a ``UserEquipment``. Set-up sends
-every device's key shares to the base stations, then precomputes every
-device's masks in one ``Fleet.precompute`` call. Each round trains every
-device in one ``task.local_update`` call over the stacked shards and
-models, and masks the online devices' rows in one ``Fleet.mask`` call; the
-same array of row indices later writes their model rows. Local model
-training is excluded from the per-role compute times; the timers cover the
-aggregation protocol's own work only. Each round writes the global model
+i; ``ues`` maps each id to its row as a ``UserEquipment``. Set-up splits
+every device's key in one ``Fleet.setup`` call and sends each base station
+its block, then precomputes every device's masks in one
+``Fleet.precompute`` call; ``SetupMetrics.time_setup_ms`` times the
+devices' side alone. Each round trains every device in one
+``task.local_update`` call over the stacked shards and models, and masks
+the online devices' rows in one ``Fleet.mask`` call; the same array of row
+indices later writes their model rows. Local model training is excluded
+from the per-role compute times; the timers cover the aggregation
+protocol's own work only. Each round writes the global model
 into its row of one (iterations, d) float64 array, the run's trajectory,
 which the result returns read-only.
 """
@@ -77,6 +83,7 @@ from .messages import (
     OnlineListMsg,
     SetupShareMsg,
     from_bytes,
+    setup_shares_from_bytes,
     updates_from_bytes,
     wire_length,
 )
@@ -87,7 +94,6 @@ from .protocol import (
     Fleet,
     generate_key,
     require_online_fraction,
-    route_setup_shares,
 )
 from .shamir import AccessStructure
 
@@ -124,6 +130,9 @@ class DropoutSchedule:
         return cls(ue_always=frozenset(ue_ids), bs_always=frozenset(bs_ids))
 
     def __post_init__(self):
+        # each draw is seeded by the seed's text, where True and 1.0 would
+        # draw other dropouts than 1
+        require_int("prob_seed", self.prob_seed)
         for role, prob, ids, always, rounds in (
                 ("ue", self.ue_prob, self.prob_ue_ids, self.ue_always, self.ue_rounds),
                 ("bs", self.bs_prob, self.prob_bs_ids, self.bs_always, self.bs_rounds)):
@@ -211,6 +220,11 @@ class SimConfig:
 
 @dataclass
 class SetupMetrics:
+    """Set-up traffic, and ``time_setup_ms``: wall time of the devices' side
+    of set-up alone (splitting every key, packing each station's block,
+    drawing the share latencies and precomputing the masks). The stations'
+    decoding and storing of their blocks is not in it."""
+
     bytes_ue_sent: int = 0
     bytes_bs_recv: int = 0
     msgs_ue_to_bs: int = 0
@@ -358,24 +372,25 @@ class _Simulation:
     # -- setup phase ------------------------------------------------------
 
     def _run_setup(self) -> float:
-        """Distribute every UE's shares, then precompute the whole fleet's
-        masks in one pass; returns the last share's arrival, so that round 0
-        starts only once every base station is provisioned. A station only
-        stores what it receives, so each share lands in send order."""
-        acc = self.cfg.access_structure()
-        frames = []
+        """Split every UE's key in one pass and send each base station its
+        shares as one block, then precompute the whole fleet's masks in one
+        pass; returns the last share's arrival, so that round 0 starts only
+        once every base station is provisioned. ``time_setup_ms`` covers the
+        devices' work alone: the split, the packing, the latency draws and
+        the precompute. Each station decodes, is charged for and stores its
+        block after it, in device order."""
+        n = len(self.ue_ids)
         with _Timer(self.setup_metrics, "time_setup_ms"):
-            for i in self.ue_ids:
-                delivery = route_setup_shares(
-                    self.ues[i].setup(acc, self.shamir_rng), set(self.bs_ids))
-                frames += [(j, delivery[j].to_bytes()) for j in sorted(delivery)]
-            last_arrival = max(self._latencies(len(frames)))
+            blocks = self.fleet.setup(self.cfg.access_structure(), self.shamir_rng)
+            frames = [block.to_bytes() for block in blocks]
+            # one latency per share, in the order a per-share simulation draws them
+            last_arrival = max(self._latencies(n * len(blocks)))
             # precompute draws no randomness, so the draws above keep their order
             self.fleet.precompute(self.cfg.iterations)
-        for j, raw in frames:
-            msg = from_bytes(raw)
-            account_message(self.setup_metrics, msg)
-            self.bss[j].receive_share(msg)
+        for j, raw in zip(self.bs_ids, frames):
+            block = setup_shares_from_bytes(raw, n)
+            account_message(self.setup_metrics, block[0], n)
+            self.bss[j].receive_shares(block)
         return last_arrival
 
     # -- rounds ------------------------------------------------------------

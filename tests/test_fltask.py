@@ -1,5 +1,7 @@
 """Synthetic training task tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +113,15 @@ def test_generate_rejects_zero_ues():
     for n_ues in (0, 2.5, True):
         with pytest.raises(ValueError, match="n_ues = "):
             fltask.generate_data(seed=0, n_ues=n_ues)
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "clip_bound"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0, True, "0.5", None])
+def test_generate_refuses_a_training_knob_that_is_not_a_positive_real(name, value):
+    # a NaN or negative knob built a task whose every update was NaN, refused
+    # only mid-run by the codec
+    with pytest.raises(ValueError, match=fr"{name} = .* is not a real number in \(0, inf\)"):
+        fltask.generate_data(seed=0, n_ues=2, **{name: value})
 
 
 def test_features_are_stored_once_with_the_bias_column():

@@ -16,9 +16,11 @@ from secagg5g.messages import (
     MaskShareMsg,
     MaskShareMode,
     OnlineListMsg,
+    SetupShareBlock,
     SetupShareMsg,
     from_bytes,
     payload_length,
+    setup_shares_from_bytes,
     updates_from_bytes,
     wire_length,
 )
@@ -325,11 +327,11 @@ def test_block_codec_matches_the_frame_codec(case):
     assert not msgs or not back.payloads.flags.writeable  # views of the received bytes
 
 
-def frame_refused(piece: bytes) -> bool:
-    """What the block decoder must refuse of one frame: what from_bytes
-    refuses, or a frame of another message type."""
+def frame_refused(piece: bytes, cls=MaskedUpdateMsg) -> bool:
+    """What a block decoder of ``cls`` frames must refuse of one frame: what
+    from_bytes refuses, or a frame of another message type."""
     try:
-        return not isinstance(from_bytes(piece), MaskedUpdateMsg)
+        return not isinstance(from_bytes(piece), cls)
     except ValueError:
         return True
 
@@ -416,3 +418,100 @@ def test_block_the_wire_cannot_carry_back_is_refused(fields):
         MaskedUpdateBlock(*fields)
     with pytest.raises(ValueError):
         MaskedUpdateBlock.of([MaskedUpdateMsg(1, 0, u64([1])), MaskedUpdateMsg(2, 0, u64([1, 2]))])
+
+
+# -- set-up share blocks -------------------------------------------------------
+# The same contract for a station's set-up shares: every frame is 41 bytes.
+
+SETUP_FRAME = 41
+points = st.integers(min_value=1, max_value=2**64 - 1)
+
+
+@st.composite
+def setup_blocks(draw, min_frames=0):
+    """(messages, block) for m set-up shares, m >= 0."""
+    m = draw(st.integers(min_value=min_frames, max_value=6), label="m")
+    senders, rounds, targets = (draw(st.lists(words, min_size=m, max_size=m), label=name)
+                                for name in ("senders", "rounds", "targets"))
+    xs = draw(st.lists(points, min_size=m, max_size=m), label="xs")
+    ys = draw(st.lists(elements, min_size=m, max_size=m), label="ys")
+    block = SetupShareBlock(u64(senders), u64(rounds), u64(targets), u64(xs), u64(ys))
+    msgs = [SetupShareMsg(s, t, j, SecretShare(x, y))
+            for s, t, j, x, y in zip(senders, rounds, targets, xs, ys)]
+    return msgs, block
+
+
+@given(setup_blocks())
+def test_setup_block_codec_matches_the_frame_codec(case):
+    msgs, block = case
+    raw = block.to_bytes()
+    assert raw == b"".join(msg.to_bytes() for msg in msgs)
+    assert len(raw) == SETUP_FRAME * len(msgs) == sum(map(wire_length, msgs))
+    back = setup_shares_from_bytes(raw, len(msgs))
+    assert back == msgs and block == msgs and SetupShareBlock.of(msgs) == msgs
+    assert list(back) == msgs
+    for name in ("senders", "iterations", "targets", "xs", "ys"):
+        # views of the received bytes
+        assert not msgs or not getattr(back, name).flags.writeable
+
+
+SETUP_CORRUPTIONS = ["type", "x", "y", "truncate", "trail"]
+
+
+@settings(max_examples=300)
+@given(setup_blocks(min_frames=1), st.sampled_from(SETUP_CORRUPTIONS), st.data())
+def test_setup_block_decoder_refuses_exactly_what_the_frame_decoder_refuses(case, kind, data):
+    msgs, block = case
+    m = len(msgs)
+    raw = bytearray(block.to_bytes())
+    r = data.draw(st.integers(min_value=0, max_value=m - 1), label="frame")
+    at = r * SETUP_FRAME
+    if kind == "type":
+        raw[at] = data.draw(st.just(messages.SETUP_SHARE) | st.integers(0, 255), label="type")
+    elif kind == "x":
+        x = data.draw(st.just(0) | words, label="x")
+        raw[at + 25:at + 33] = struct.pack("<Q", x)
+    elif kind == "y":
+        y = data.draw(st.integers(min_value=P, max_value=2**64 - 1) | words, label="y")
+        raw[at + 33:at + 41] = struct.pack("<Q", y)
+    elif kind == "truncate":
+        cut = data.draw(st.just(len(raw)) | st.integers(min_value=0, max_value=len(raw)),
+                        label="cut")
+        raw = raw[:cut]
+    elif kind == "trail":
+        raw += data.draw(st.just(b"") | st.binary(max_size=2 * SETUP_FRAME + 8), label="extra")
+    raw = bytes(raw)  # the corruption may leave the block as it was
+    pieces = ([raw[i * SETUP_FRAME:(i + 1) * SETUP_FRAME] for i in range(m - 1)]
+              + [raw[(m - 1) * SETUP_FRAME:]])
+    # anything but ValueError (struct.error, IndexError) fails the test
+    try:
+        back = setup_shares_from_bytes(raw, m)
+    except ValueError:
+        event(f"{kind}: refused")
+        assert any(frame_refused(piece, SetupShareMsg) for piece in pieces)
+    else:
+        event(f"{kind}: accepted")
+        assert back == [from_bytes(piece) for piece in pieces]
+
+
+def test_a_setup_block_is_read_with_its_frame_count():
+    msgs = [SetupShareMsg(i, 0, 2, SecretShare(2, i)) for i in range(1, 4)]
+    raw = SetupShareBlock.of(msgs).to_bytes()
+    assert setup_shares_from_bytes(raw, 3) == msgs
+    for frames in (2, 4, 0, -1):
+        with pytest.raises(ValueError, match="set-up share frames"):
+            setup_shares_from_bytes(raw, frames)
+    assert setup_shares_from_bytes(b"", 0) == [] and len(SetupShareBlock.of([])) == 0
+
+
+@pytest.mark.parametrize("fields", [
+    ([1], u64([0]), u64([1]), u64([1]), u64([5])),
+    (u64([1]), u64([0]), u64([1]), np.array([1]), u64([5])),
+    (u64([1]), u64([0]), u64([[1]]), u64([1]), u64([5])),
+    (u64([1, 2]), u64([0, 0]), u64([1, 1]), u64([1]), u64([5, 6])),
+    (u64([1]), u64([0]), u64([1]), u64([0]), u64([5])),
+    (u64([1]), u64([0]), u64([1]), u64([1]), u64([P])),
+], ids=["senders_list", "xs_int64", "targets_2d", "xs_short", "x_zero", "y_p"])
+def test_setup_block_the_wire_cannot_carry_back_is_refused(fields):
+    with pytest.raises(ValueError):
+        SetupShareBlock(*fields)

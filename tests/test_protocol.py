@@ -23,6 +23,7 @@ from secagg5g.messages import (
     MaskShareMode,
     MaskShareMsg,
     OnlineListMsg,
+    SetupShareBlock,
     SetupShareMsg,
     from_bytes,
     payload_length,
@@ -150,6 +151,75 @@ def test_bs_rejects_misrouted_or_duplicate_shares():
     bs.receive_share(delivery[1])
     with pytest.raises(ProtocolError):
         bs.receive_share(delivery[1])
+
+
+def test_fleet_setup_shares_every_key_as_its_devices_would_one_by_one():
+    # one pass over the fleet draws and evaluates what device-by-device
+    # set-up does, so every share is bit-identical
+    rng = random.Random(8)
+    keys = [generate_key(rng) for _ in range(5)]
+    acc = AccessStructure(3, 4)
+    blocks = Fleet(range(11, 16), keys, CODEC, 4).setup(acc, random.Random(9))
+    one_rng = random.Random(9)
+    singles = [UserEquipment(11 + r, key, CODEC, 4).setup(acc, one_rng)
+               for r, key in enumerate(keys)]
+    assert len(blocks) == 4
+    for j, block in enumerate(blocks, start=1):
+        assert isinstance(block, SetupShareBlock)
+        assert block == [msgs[j - 1] for msgs in singles]
+        assert block.targets.tolist() == block.xs.tolist() == [j] * 5
+        assert block.iterations.tolist() == [0] * 5
+
+
+def test_fleet_setup_is_all_or_nothing():
+    rng = random.Random(10)
+    fleet = Fleet(range(1, 5), [generate_key(rng) for _ in range(4)], CODEC, 4)
+    acc = AccessStructure(2, 3)
+    fleet.device(2).setup(acc, rng)
+    state = rng.getstate()
+    with pytest.raises(ProtocolError, match="UE 3 already completed setup"):
+        fleet.setup(acc, rng)
+    with pytest.raises(ProtocolError, match="listed twice"):
+        fleet.setup(acc, rng, [0, 1, 0])
+    for rows in ([4], [-1], [[0]], [0.0]):
+        with pytest.raises(ValueError):
+            fleet.setup(acc, rng, rows)
+    # a refused set-up draws nothing and sets no device up
+    assert rng.getstate() == state
+    assert fleet._setup_done.tolist() == [False, False, True, False]
+    assert [len(block) for block in fleet.setup(acc, rng, [3, 0, 1])] == [3, 3, 3]
+    assert fleet._setup_done.all()
+
+
+def station_block(bs_id, senders, x=None, target=None):
+    n = len(senders)
+    return SetupShareBlock(u64(senders), u64([0] * n), u64([target or bs_id] * n),
+                           u64([x or bs_id] * n), u64(range(100, 100 + n)))
+
+
+@pytest.mark.parametrize("block, match", [
+    (station_block(2, [1, 2, 3], target=3), "share for BS 3 delivered to BS 2"),
+    (station_block(2, [1, 2, 3], x=1), "share point x=1 does not match BS index 2"),
+    (station_block(2, [4, 5, 4]), "already stores a share for UE 4"),
+    (station_block(2, [4, 1]), "already stores a share for UE 1"),
+], ids=["misrouted", "wrong_point", "repeated_in_block", "stored_before"])
+def test_station_refuses_a_share_block_all_or_nothing(block, match):
+    bs = BaseStation(bs_id=2)
+    bs.receive_shares(station_block(2, [1, 2]))
+    before = dict(bs.stored_shares)
+    with pytest.raises(ProtocolError, match=match):
+        bs.receive_shares(block)
+    assert bs.stored_shares == before
+
+
+def test_station_stores_a_block_as_python_int_shares_in_row_order():
+    bs = BaseStation(bs_id=3)
+    bs.receive_shares(station_block(3, [7, 2, 9]))
+    bs.receive_shares(station_block(3, []))
+    assert list(bs.stored_shares) == [7, 2, 9]
+    assert bs.stored_shares[2] == SecretShare(3, 101)
+    assert all(type(v) is int for share in bs.stored_shares.values()
+               for v in (share.x, share.y))
 
 
 # -- masking ----------------------------------------------------------------

@@ -22,6 +22,7 @@ from secagg5g.shamir import (
     lagrange_coeffs_at_zero,
     recover,
     split,
+    split_many,
 )
 
 
@@ -78,6 +79,39 @@ def test_split_known_polynomial():
     # 42 + 7x: hand-evaluated shares
     shares = split(42, AccessStructure(2, 3), FixedCoeffRng([7]))
     assert [(s.x, s.y) for s in shares] == [(1, 49), (2, 56), (3, 63)]
+
+
+def reference_shares(secret, acc, rng):
+    """The plain-int split: t - 1 coefficient draws, then each point x =
+    1..total evaluated term by term."""
+    coeffs = [secret % P] + [rng.randrange(P) for _ in range(acc.threshold - 1)]
+    return [sum(c * x**i for i, c in enumerate(coeffs)) % P for x in range(1, acc.total + 1)]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(EDGE_ELEMENTS) | st.integers(0, P - 1), max_size=6),
+       st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**32),
+       st.data())
+def test_split_many_draws_and_evaluates_as_the_plain_split(secrets, total, seed, data):
+    # each row is the split of its secret with the draws in secret order, so
+    # a fleet's shares are bit-identical to splitting device after device
+    acc = AccessStructure(data.draw(st.integers(min_value=1, max_value=total)), total)
+    rng, ref_rng, one_rng = (random.Random(seed) for _ in range(3))
+    shares = split_many(np.array(secrets, dtype=np.uint64), acc, rng)
+    expected = [reference_shares(secret, acc, ref_rng) for secret in secrets]
+    assert shares.dtype == np.uint64 and shares.shape == (len(secrets), total)
+    assert shares.tolist() == expected
+    # split is its one-secret case, and every path draws nothing else
+    assert [[s.y for s in split(secret, acc, one_rng)] for secret in secrets] == expected
+    assert rng.random() == ref_rng.random() == one_rng.random()
+
+
+def test_split_many_refuses_a_secret_outside_the_field():
+    for bad in ([P], [1, 2**64 - 1]):
+        with pytest.raises(ValueError, match="not below p"):
+            split_many(np.array(bad, dtype=np.uint64), AccessStructure(2, 3), random.Random(0))
+    # split reduces any int first, as before
+    assert [s.y for s in split(P + 42, AccessStructure(1, 2), random.Random(0))] == [42, 42]
 
 
 def test_recover_known_shares():

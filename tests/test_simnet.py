@@ -24,6 +24,7 @@ from secagg5g.messages import (
     MaskShareMode,
     MaskShareMsg,
     OnlineListMsg,
+    SetupShareBlock,
     SetupShareMsg,
 )
 from secagg5g.simnet import (
@@ -197,6 +198,14 @@ def test_schedule_refuses_ids_and_rounds_that_are_not_ints(make, name):
     # 1.0 stand for device or round 1, and 2.0 for device 2
     with pytest.raises(ValueError, match=f"{name} = .* is not an int"):
         make()
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, "1", None, -1])
+def test_schedule_refuses_a_seed_that_is_not_an_int(seed):
+    # each draw is seeded by the seed's text: True and 1.0 drew other
+    # dropouts than 1
+    with pytest.raises(ValueError, match="prob_seed = .* is not an int >= 0"):
+        DropoutSchedule(ue_prob=0.5, prob_seed=seed, prob_ue_ids=tuple(range(1, 21)))
 
 
 @pytest.mark.parametrize("role", ["ue", "bs"])
@@ -726,8 +735,8 @@ FRAME_SCENARIOS = {
 @pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
 def test_each_frame_is_packed_once_and_decoded_once(monkeypatch, mode, scenario):
     # a broadcast is one frame however many receive it, a round's masked
-    # updates are packed as one block whose rows count as frames, and
-    # charging a delivery's bytes packs nothing
+    # updates and a station's set-up shares are packed as one block whose
+    # rows count as frames, and charging a delivery's bytes packs nothing
     packs, decodes, blocks = [], [], []
     for cls in (SetupShareMsg, MaskedUpdateMsg, OnlineListMsg, MaskShareMsg, GlobalModelMsg):
         def to_bytes(self, pack=cls.to_bytes):
@@ -735,9 +744,11 @@ def test_each_frame_is_packed_once_and_decoded_once(monkeypatch, mode, scenario)
             return pack(self)
         monkeypatch.setattr(cls, "to_bytes", to_bytes)
 
-    def block_to_bytes(self, pack=MaskedUpdateBlock.to_bytes):
-        packs.extend([MaskedUpdateBlock] * len(self))
-        return pack(self)
+    for cls in (MaskedUpdateBlock, SetupShareBlock):
+        def block_to_bytes(self, pack=cls.to_bytes):
+            packs.extend([type(self)] * len(self))
+            return pack(self)
+        monkeypatch.setattr(cls, "to_bytes", block_to_bytes)
 
     def from_bytes(raw, decode=simnet.from_bytes):
         decodes.append(raw)
@@ -748,9 +759,13 @@ def test_each_frame_is_packed_once_and_decoded_once(monkeypatch, mode, scenario)
         blocks.append(frames)
         return decode(raw, frames)
 
-    monkeypatch.setattr(MaskedUpdateBlock, "to_bytes", block_to_bytes)
+    def setup_shares_from_bytes(raw, frames, decode=simnet.setup_shares_from_bytes):
+        decodes.extend([raw] * frames)
+        return decode(raw, frames)
+
     monkeypatch.setattr(simnet, "from_bytes", from_bytes)
     monkeypatch.setattr(simnet, "updates_from_bytes", updates_from_bytes)
+    monkeypatch.setattr(simnet, "setup_shares_from_bytes", setup_shares_from_bytes)
     overrides, sched = FRAME_SCENARIOS[scenario]
     cfg = small_cfg(latency_base_ms=5.0, mask_share_mode=mode, **overrides)
     result = run_simulation(cfg, sched, small_task(n_ues=cfg.n_ues))
@@ -758,6 +773,9 @@ def test_each_frame_is_packed_once_and_decoded_once(monkeypatch, mode, scenario)
         rm.msgs_ue_to_af + rm.msgs_bs_to_af + (rm.msgs_af_to_bs > 0) + (rm.msgs_af_to_ue > 0)
         for rm in result.rounds)
     assert len(packs) == len(decodes) == frames
+    # set-up shares travel only in blocks, one per station
+    assert SetupShareMsg not in packs
+    assert packs.count(SetupShareBlock) == result.setup.msgs_ue_to_bs == cfg.n_ues * cfg.n_bss
     assert any(rm.late_drops for rm in result.rounds)
     assert any(rm.msgs_af_to_bs for rm in result.rounds)
     assert packs.count(GlobalModelMsg) == sum(rm.msgs_af_to_ue > 0 for rm in result.rounds)
@@ -802,6 +820,33 @@ def test_round_start_instants_match_golden(monkeypatch, mode, scenario):
     run_simulation(cfg, sched, small_task(n_ues=cfg.n_ues))
     assert len(starts) == cfg.iterations
     assert hashlib.sha256(" ".join(starts).encode()).hexdigest() == ROUND_START_DIGESTS[scenario]
+
+
+# sha256 of every station's stored shares, space-joined "bs:ue:x:y" sorted by
+# (bs, ue). Models, bytes and round starts hold for any valid sharing, since
+# any sharing recovers the same key sum; these pin the Shamir draws themselves
+STORED_SHARE_DIGESTS = {
+    "8_devices": "2b450c363360c9f409269f6ee404878686231c90020897c99e9f7f044a1e33f9",
+    "32_devices_2_of_5_bernoulli":
+        "63f64f5afe1fc5a225ee00966b094544c6956c69b27bd5a492d0355d44da40d5",
+    "empty_rounds": "9017a6dd4a9728f063a7a533c9f9bcffe52fdef9c1c5f1e0ee005923006dbf63",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(FRAME_SCENARIOS))
+@pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
+def test_stored_shares_match_golden(mode, scenario):
+    overrides, sched = FRAME_SCENARIOS[scenario]
+    cfg = small_cfg(latency_base_ms=5.0, mask_share_mode=mode, **overrides)
+    sim = _Simulation(cfg, sched, small_task(n_ues=cfg.n_ues))
+    sim.run()
+    stored = sorted((j, i, share.x, share.y)
+                    for j, bs in sim.bss.items() for i, share in bs.stored_shares.items())
+    assert len(stored) == cfg.n_ues * cfg.n_bss
+    # Python ints, so that a station's key-share sum cannot wrap
+    assert all(type(y) is int for *_, y in stored)
+    text = " ".join(f"{j}:{i}:{x}:{y}" for j, i, x, y in stored)
+    assert hashlib.sha256(text.encode()).hexdigest() == STORED_SHARE_DIGESTS[scenario]
 
 
 def test_everyone_offline_still_terminates():
