@@ -95,8 +95,19 @@ def require_key(key) -> None:
     field.require_int("key", key, end=field.P)
 
 
-def evaluate(key: int, t: int, d: int) -> np.ndarray:
-    """Mask vector for (key, iteration t) of dimension d."""
+def evaluate(key, t: int, d: int) -> np.ndarray:
+    """Mask vector for (key, iteration t) of dimension d.
+
+    ``key`` may also be a 1-d uint64 array of m keys: then row r of the
+    (m, d) result is bitwise ``evaluate(int(key[r]), t, d)``, from one
+    ``mulmod``. Raises ValueError for a key outside [0, p) or, for an
+    array, one that is not a 1-d uint64 array.
+    """
+    if isinstance(key, np.ndarray):
+        if key.dtype != np.uint64 or key.ndim != 1:
+            raise ValueError(f"keys must be a 1-d uint64 array, got {key.dtype} {key.shape}")
+        field.require_canonical(key)
+        return field.mulmod(key[:, None], coefficient_vector(t, d))
     require_key(key)
     return field.mulmod(key, coefficient_vector(t, d))
 

@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from . import field, khprf, shamir
-from .field import FixedPointCodec
+from .field import P, FixedPointCodec
 from .messages import (
     GlobalModelMsg,
     MaskedUpdateBlock,
@@ -304,74 +304,231 @@ def route_setup_shares(
     return delivery
 
 
-@dataclass
-class BaseStation:
-    """Regional relay: holds one key share per registered device."""
+# a share no station holds: outside Z_p, so that one max finds every gap
+MISSING = np.uint64((1 << 64) - 1)
+_LO32 = np.uint64((1 << 32) - 1)
+# up to this many shares in all, Python's max and sum over them beat the
+# fixed cost of numpy's three reductions; on a 2-vCPU Xeon the two cross
+# between 72 and 128 shares at k = 3 and 4
+_PLAIN_SUM_ELEMENTS = 96
 
-    bs_id: int
-    stored_shares: dict[int, SecretShare] = dc_field(default_factory=dict, init=False)
+
+class Stations:
+    """Every base station's stored key shares as one uint64 matrix with a
+    row per station and a column per device: row r is station ``ids[r]``,
+    and a share the station does not hold reads ``MISSING``.
+
+    While every device id is below twice their number plus 64, as the
+    simulator's 1..n are, column s is device s's, so a list of ids is its
+    own column index. Otherwise the columns hold the devices in id order and
+    one ``searchsorted`` finds a list's columns. Either way the last column
+    is a spare that stays ``MISSING``, the column of every id no station
+    holds a share for. ``mask_shares`` answers an online list for any set of
+    rows in one pass, and ``station(r)`` is row r as a ``BaseStation``.
+
+    Raises ValueError for a station id that is not an int in [0, 2^64), or
+    two stations with one id.
+    """
+
+    def __init__(self, ids):
+        ids = list(ids)
+        for bs_id in ids:
+            # the id is the sender of every share the station sends
+            field.require_int("bs_id", bs_id, end=1 << 64)
+        if len(set(ids)) < len(ids):
+            raise ValueError("two base stations with one bs_id are indistinguishable")
+        self.ids = [int(bs_id) for bs_id in ids]
+        self._ys = np.full((len(ids), 1), MISSING)  # the spare column alone
+        self._direct = True  # column s is device s's
+        self._senders = np.empty(0, dtype=np.uint64)  # every device held, in id order
+        self._sorted = np.array([MISSING])  # ``_senders`` and then 2^64 - 1
+        self._received = [np.empty(0, dtype=np.uint64) for _ in ids]  # per row, in arrival order
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def station(self, row: int) -> BaseStation:
+        """Row ``row`` as a station; every view of one row shares its state."""
+        if not 0 <= row < len(self):
+            raise ValueError(f"row {row} is not in 0..{len(self) - 1}")
+        bs = object.__new__(BaseStation)
+        bs.stations, bs.row = self, row
+        return bs
+
+    def _find(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each sender's place in id order among the devices held, and
+        whether it is one. An id that is not lands on a device that differs
+        from it, or past the last, on the 2^64 - 1 at the spare's place."""
+        pos = self._sorted.searchsorted(senders)
+        return pos, (self._sorted[pos] == senders) & (pos < len(self._senders))
+
+    def _columns(self, senders: np.ndarray) -> np.ndarray:
+        """Each sender's column; a sender no station holds a share of gets
+        one that is ``MISSING`` in every row."""
+        spare = self._ys.shape[1] - 1
+        if self._direct:
+            return np.minimum(senders, spare)
+        pos, held = self._find(senders)
+        pos[~held] = spare
+        return pos
+
+    def _add_devices(self, senders: np.ndarray) -> None:
+        """Give each of ``senders``, devices without a column, one."""
+        held, old = self._senders, self._ys[:, self._columns(self._senders)]
+        self._senders = np.sort(np.concatenate([held, senders]))
+        top, n = int(self._senders[-1]), len(self._senders)
+        self._direct = bool(1 <= self._senders[0] and top < 2 * n + 64)
+        self._ys = np.full((len(self), top + 2 if self._direct else n + 1), MISSING)
+        self._sorted = np.append(self._senders, MISSING)
+        self._ys[:, self._columns(held)] = old
+
+    def stored_shares(self, row: int) -> dict[int, SecretShare]:
+        """Row ``row``'s shares by sender as Python ints, in arrival order."""
+        senders = self._received[row]
+        ys = self._ys[row, self._columns(senders)]
+        x = self.ids[row]
+        return {ue: SecretShare(x, y) for ue, y in zip(senders.tolist(), ys.tolist())}
+
+    def receive_shares(self, row: int, block: SetupShareBlock) -> None:
+        """Store each of the block's shares in row ``row``, in row order.
+
+        All or nothing: raises ProtocolError, and stores no share, if a row
+        of the block is for another station, its share point x is not this
+        station's index, or its sender already has a share here, from an
+        earlier block or an earlier row of this one.
+        """
+        bs_id = self.ids[row]
+        wrong = np.flatnonzero(block.targets != bs_id)
+        if len(wrong):
+            raise ProtocolError(f"share for BS {block.targets[wrong[0]]} delivered to BS {bs_id}")
+        wrong = np.flatnonzero(block.xs != bs_id)
+        if len(wrong):
+            raise ProtocolError(
+                f"share point x={block.xs[wrong[0]]} does not match BS index {bs_id}")
+        cols = self._columns(block.senders)
+        ordered = np.sort(block.senders)
+        if (self._ys[row, cols] != MISSING).any() or (ordered[1:] == ordered[:-1]).any():
+            senders, held = block.senders.tolist(), set(self._received[row].tolist())
+            ue = next(ue for r, ue in enumerate(senders) if ue in held or ue in senders[:r])
+            raise ProtocolError(f"BS {bs_id} already stores a share for UE {ue}")
+        fresh = ~self._find(block.senders)[1]
+        if fresh.any():
+            self._add_devices(block.senders[fresh])
+            cols = self._columns(block.senders)
+        self._ys[row, cols] = block.ys
+        self._received[row] = np.concatenate([self._received[row], block.senders])
+
+    def mask_shares(
+        self, rows, online: OnlineListMsg, t: int, mode: MaskShareMode, d: int
+    ) -> list[MaskShareMsg | MissingShareError]:
+        """Each listed station's answer to the online list, in ``rows``
+        order: one aggregated mask share, or the ``MissingShareError`` of a
+        station that holds no share for some listed device and so abstains
+        rather than emit a wrong share; the other stations still answer.
+
+        One gather takes every listed share of every station. A station's
+        share sum is exact, as Python ints, summed directly over a small
+        gather and from the sums of the low and high 32 bits over a large
+        one, then reduced mod p, so each answer is bit-identical to summing
+        that station's shares alone. EVALUATED ships the mask vector for the
+        summed share, every station's from one ``khprf.evaluate`` of the
+        sums; COMPACT ships the summed share itself, leaving expansion to
+        the server. Both carry the same information by key-homomorphism.
+
+        Raises ProtocolError if the list is stamped for a round other than
+        t (its devices masked for that round, not this one) or a row is
+        listed twice, and ValueError if a row is not an int in 0..k-1. The
+        list's ids are strictly increasing, because ``OnlineListMsg``
+        refuses any other.
+        """
+        if online.iteration != t:
+            raise ProtocolError(
+                f"online list for round {online.iteration} asked to answer round {t}"
+            )
+        if len(set(rows)) < len(rows):
+            raise ProtocolError("a station listed twice would answer twice")
+        ids = online.ue_ids
+        # in the direct layout a list is its own column index: an id past
+        # the columns clips onto the spare, and one of 2^63 or more, cast
+        # to a negative index, onto column 0, which no device has
+        cols = ids if self._direct else self._columns(ids)
+        ys = self._ys.take(cols, axis=1, mode="clip")  # every row's listed shares
+        # one pass over the listed rows, fewest Python steps first: a small
+        # gather is summed as Python ints, a large one as 32-bit halves
+        small = 0 < ys.size <= _PLAIN_SUM_ELEMENTS
+        if small:
+            plain = ys.tolist()
+        else:
+            tops = ys.max(axis=1, initial=0).tolist()
+            lo = (ys & _LO32).sum(axis=1).tolist()
+            hi = (ys >> 32).sum(axis=1).tolist()
+        compact, k = mode is MaskShareMode.COMPACT, len(self.ids)
+        answers, keys = [], []
+        for r in rows:
+            field.require_int("station row", r, end=k)
+            if small:
+                v = plain[r]
+                top, total = max(v), sum(v)
+            else:
+                top, total = tops[r], (hi[r] << 32) + lo[r]
+            if top >= P:  # a MISSING share: the station abstains
+                missing = ids[ys[r] == MISSING].tolist()
+                answers.append(MissingShareError(
+                    f"BS {self.ids[r]} holds no share for UEs {missing}"))
+            elif compact:
+                answers.append(MaskShareMsg(self.ids[r], t, scalar=total % P))
+            else:  # a placeholder until every vector is evaluated at once
+                answers.append(r)
+                keys.append(total % P)
+        if keys:
+            vectors = iter(khprf.evaluate(np.array(keys, dtype=np.uint64), t, d))
+            answers = [a if isinstance(a, MissingShareError) else
+                       MaskShareMsg(self.ids[a], t, vector=next(vectors)) for a in answers]
+        return answers
+
+
+class BaseStation:
+    """A regional relay: one row of a ``Stations``, which holds its id and
+    its one key share per registered device.
+
+    ``BaseStation(bs_id)`` builds a standalone station, the one row of its
+    own holder; ``Stations.station`` gives a row of a larger one. Raises
+    ValueError as ``Stations`` does.
+    """
+
+    stations: Stations
+    row: int
+
+    def __init__(self, bs_id: int):
+        self.stations, self.row = Stations([bs_id]), 0
+
+    @property
+    def bs_id(self) -> int:
+        return self.stations.ids[self.row]
+
+    @property
+    def stored_shares(self) -> dict[int, SecretShare]:
+        """A fresh copy of this station's shares by sender, as Python ints, in arrival order."""
+        return self.stations.stored_shares(self.row)
 
     def receive_share(self, msg: SetupShareMsg) -> None:
         """``receive_shares`` of the one-row block ``msg``."""
         self.receive_shares(SetupShareBlock.of([msg]))
 
     def receive_shares(self, block: SetupShareBlock) -> None:
-        """Store each row's share under its sender, in row order.
-
-        All or nothing: raises ProtocolError, and stores no share, if a row
-        is for another station, its share point x is not this station's
-        index, or its sender already has a share here, from an earlier
-        block or an earlier row of this one.
-        """
-        wrong = np.flatnonzero(block.targets != self.bs_id)
-        if len(wrong):
-            raise ProtocolError(
-                f"share for BS {block.targets[wrong[0]]} delivered to BS {self.bs_id}")
-        wrong = np.flatnonzero(block.xs != self.bs_id)
-        if len(wrong):
-            raise ProtocolError(
-                f"share point x={block.xs[wrong[0]]} does not match BS index {self.bs_id}")
-        senders = block.senders.tolist()
-        fresh = set(senders)
-        if len(fresh) < len(senders) or not fresh.isdisjoint(self.stored_shares):
-            ue = next(ue for r, ue in enumerate(senders)
-                      if ue in self.stored_shares or ue in senders[:r])
-            raise ProtocolError(f"BS {self.bs_id} already stores a share for UE {ue}")
-        # x and y as Python ints, so that mask_share's plain sum cannot wrap
-        self.stored_shares.update(
-            zip(senders, map(SecretShare, block.xs.tolist(), block.ys.tolist())))
+        """``Stations.receive_shares`` of this station's row."""
+        self.stations.receive_shares(self.row, block)
 
     def mask_share(
         self, online: OnlineListMsg, t: int, mode: MaskShareMode, d: int
     ) -> MaskShareMsg:
-        """Sum the key shares of the online list and answer with one message.
-
-        EVALUATED ships the mask vector for the summed share; COMPACT ships
-        the summed share itself, leaving expansion to the server. Both carry
-        the same information by key-homomorphism.
-
-        Raises ProtocolError if the list is stamped for a round other than
-        t (its devices masked for that round, not this one), and
-        MissingShareError if any listed device never registered here; the
-        station must abstain rather than emit a wrong share. The list's ids
-        are strictly increasing, because ``OnlineListMsg`` refuses any other.
-        """
-        if online.iteration != t:
-            raise ProtocolError(
-                f"online list for round {online.iteration} asked to answer round {t}"
-            )
-        ids = online.ue_ids.tolist()
-        missing = [ue for ue in ids if ue not in self.stored_shares]
-        if missing:
-            raise MissingShareError(
-                f"BS {self.bs_id} holds no share for UEs {missing}"
-            )
-        summed = sum([self.stored_shares[ue].y for ue in ids]) % field.P
-        if mode is MaskShareMode.EVALUATED:
-            return MaskShareMsg(
-                sender=self.bs_id, iteration=t, vector=khprf.evaluate(summed, t, d)
-            )
-        return MaskShareMsg(sender=self.bs_id, iteration=t, scalar=summed)
+        """``Stations.mask_shares`` of this station's row alone. Raises its
+        ProtocolError, and MissingShareError if any listed device never
+        registered here: the station abstains rather than emit a wrong share."""
+        [answer] = self.stations.mask_shares([self.row], online, t, mode, d)
+        if isinstance(answer, MissingShareError):
+            raise answer
+        return answer
 
 
 @dataclass
@@ -428,11 +585,19 @@ class Aggregator:
         if self.online_ids is None:
             current = np.flatnonzero(block.iterations == self.iteration)
             rows = block.senders[current] - 1  # sender 0 wraps to 2^64 - 1
-            ids, first = np.unique(rows, return_index=True)  # each sender's first row
-            if len(ids) and ids[-1] >= self.registered_n:
+            if len(rows) and rows.max() >= self.registered_n:
                 raise ValueError(f"update from a sender outside 1..{self.registered_n}")
             rows = rows.astype(np.intp)  # intp indexes faster than uint64
-            fresh = first[~self._arrived[rows[first]]]
+            # each sender's first row: every row, unless a sender repeats;
+            # not np.unique unless one does: it sorts, and its first call
+            # grows the resident set
+            listed = np.zeros(self.registered_n, dtype=bool)
+            listed[rows] = True
+            if np.count_nonzero(listed) == len(rows):
+                fresh = np.flatnonzero(~self._arrived[rows])
+            else:
+                first = np.unique(rows, return_index=True)[1]
+                fresh = first[~self._arrived[rows[first]]]
             d = block.payloads.shape[1]
             if len(fresh):
                 if d != self.dim:

@@ -13,6 +13,7 @@ reconstruct the same linear function of the secret.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,8 +85,19 @@ def split_many(secrets, acc: AccessStructure, rng) -> np.ndarray:
 def lagrange_coeffs_at_zero(xs: Sequence[int]) -> list[int]:
     """Coefficients lambda_j with sum(lambda_j * f(x_j)) = f(0) for deg f < len(xs).
 
-    Points must be distinct and nonzero.
+    Points must be distinct nonzero ints; anything else raises ValueError.
+    Each tuple of points is computed once and cached, since every
+    aggregated round asks again for the same chosen stations; the list
+    returned is fresh, so that a caller's edit cannot reach the cache.
     """
+    for x in xs:
+        # checked before the lookup: 1.0 or True would hit the entry of 1
+        field.require_int("share point x", x)
+    return list(_lagrange_coeffs_at_zero(tuple(map(int, xs))))
+
+
+@lru_cache(maxsize=256)
+def _lagrange_coeffs_at_zero(xs: tuple[int, ...]) -> tuple[int, ...]:
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate evaluation points")
     if any(x % P == 0 for x in xs):
@@ -99,7 +111,7 @@ def lagrange_coeffs_at_zero(xs: Sequence[int]) -> list[int]:
             num = num * xm % P
             den = den * (xm - xj) % P
         coeffs.append(field.mul(num, field.inv(den)))
-    return coeffs
+    return tuple(coeffs)
 
 
 def recover(shares: Iterable[SecretShare], acc: AccessStructure) -> int | None:

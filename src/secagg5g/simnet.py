@@ -89,9 +89,10 @@ from .messages import (
 )
 from .protocol import (
     Aggregator,
-    BaseStation,
     CollectStatus,
     Fleet,
+    MissingShareError,
+    Stations,
     generate_key,
     require_online_fraction,
 )
@@ -341,7 +342,9 @@ class _Simulation:
             dim=cfg.model_dim,
         )
         self.ues = {i: self.fleet.device(i - 1) for i in self.ue_ids}
-        self.bss = {j: BaseStation(bs_id=j) for j in self.bs_ids}
+        # station j is row j - 1 of the stations' share matrix
+        self.stations = Stations(self.bs_ids)
+        self.bss = {j: self.stations.station(j - 1) for j in self.bs_ids}
         self.af = Aggregator(
             registered_n=cfg.n_ues,
             min_online_fraction=cfg.min_online_fraction,
@@ -448,22 +451,27 @@ class _Simulation:
         if late:
             self._collect(metrics, raw[split:], len(late))
 
-        # the stations answer the list, one frame decoded once, in the order
-        # it reaches them, ties in station order, each share with its own
-        # latency; the server reads no share before it holds them all, so
-        # the round closes at the last share's arrival
+        # the list is one frame, decoded once; the online stations answer it
+        # in one call, in the order it reaches them, ties in station order,
+        # and each share draws its own latency; the server reads no share
+        # before it holds them all, so the round closes at the last share's
+        # arrival
         close, agg_mask = deadline, None
         if online_list is not None and online_bss:
             k = len(online_bss)
             online_list = from_bytes(online_list.to_bytes())
             account_message(metrics, online_list, k)
             reached = sorted(zip([deadline + lat for lat in self._latencies(k)], online_bss))
+            station_rows = [j - 1 for _, j in reached]
+            with _Timer(metrics, "time_bs_ms"):
+                answers = self.stations.mask_shares(
+                    station_rows, online_list, t, self.cfg.mask_share_mode, self.cfg.model_dim)
             shares = {}
-            for (when, j), lat in zip(reached, self._latencies(k)):
-                # set-up gave every station a share of every device's key
-                with _Timer(metrics, "time_bs_ms"):
-                    share = self.bss[j].mask_share(
-                        online_list, t, self.cfg.mask_share_mode, self.cfg.model_dim)
+            for (when, j), lat, share in zip(reached, self._latencies(k), answers):
+                # set-up gives every station a share of every device's key,
+                # so none abstains unless its matrix row was altered
+                if isinstance(share, MissingShareError):
+                    continue
                 shares[j] = from_bytes(share.to_bytes())
                 account_message(metrics, shares[j])
                 close = max(close, when + lat)

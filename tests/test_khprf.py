@@ -71,6 +71,23 @@ def test_evaluate_rejects_empty_dimension():
         khprf.evaluate(1, 0, 0)
 
 
+@settings(max_examples=100)
+@given(st.lists(edge_keys, max_size=9), st.integers(min_value=0, max_value=50),
+       st.integers(min_value=1, max_value=70))
+def test_evaluating_a_column_of_keys_equals_each_key_alone(ks, t, d):
+    masks = khprf.evaluate(np.array(ks, dtype=np.uint64), t, d)
+    assert masks.shape == (len(ks), d) and masks.dtype == np.uint64
+    assert masks.tolist() == [khprf.evaluate(key, t, d).tolist() for key in ks]
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([P], dtype=np.uint64), np.array([[1]], dtype=np.uint64),
+    np.array([1], dtype=np.int64), np.array([1.0])])
+def test_a_column_of_keys_must_be_canonical_words(bad):
+    with pytest.raises(ValueError):
+        khprf.evaluate(bad, 0, 4)
+
+
 @settings(max_examples=200)
 @given(keys, keys, st.integers(min_value=0, max_value=1000))
 def test_key_homomorphism(k1, k2, t):

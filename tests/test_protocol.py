@@ -646,6 +646,36 @@ def test_block_collection_matches_collecting_each_row(data):
     assert all(np.array_equal(af.masked_updates[s], logged[s]) for s in logged)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_run_of_blocks_fills_the_matrix_as_rows_one_by_one(data):
+    # blocks without a repeated sender take the sort-free path, the others
+    # np.unique's; both must keep each sender's first row of the round
+    n, d = 16, 3
+    af = Aggregator(registered_n=n, min_online_fraction=1 / n, bs_threshold=AccessStructure(1, 1),
+                    codec=CODEC, dim=d)
+    af.begin_round(2)
+    matrix, logged = np.zeros((n, d), dtype=np.uint64), {}
+    blocks = data.draw(st.integers(1, 4), label="blocks")
+    fixed_after = data.draw(st.integers(0, blocks), label="list fixed after block")
+    for b in range(blocks):
+        if b == fixed_after:
+            af.finalize_online_list()
+        unique = data.draw(st.booleans(), label=f"unique {b}")
+        senders = data.draw(st.lists(st.integers(1, n), max_size=12, unique=unique),
+                            label=f"senders {b}")
+        rounds = data.draw(st.lists(st.sampled_from([2, 2, 3]), min_size=len(senders),
+                                    max_size=len(senders)), label=f"rounds {b}")
+        msgs = [MaskedUpdateMsg(s, t, u64([100 * b + r] * d))
+                for r, (s, t) in enumerate(zip(senders, rounds))]
+        want = collect_each(logged, 2, b >= fixed_after, d, n, msgs)
+        assert af.collect_block(MaskedUpdateBlock.of(msgs)) == want
+        for sender, payload in logged.items():
+            matrix[sender - 1] = payload
+        assert np.array_equal(af._rows, matrix)
+        assert (np.flatnonzero(af._arrived) + 1).tolist() == sorted(logged)
+
+
 def test_one_update_is_the_one_row_case_of_a_block():
     ues, bss, af, *_ = make_fleet(seed=29)
     af.begin_round(0)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import EDGE_ELEMENTS
-from secagg5g import khprf
+from secagg5g import khprf, shamir
 from secagg5g.field import P
 from secagg5g.shamir import (
     AccessStructure,
@@ -130,6 +130,30 @@ def test_lagrange_rejects_bad_points():
         lagrange_coeffs_at_zero([1, 1])
     with pytest.raises(ValueError):
         lagrange_coeffs_at_zero([0, 2])
+
+
+def lagrange_fresh(xs):
+    """The coefficients computed from scratch, as the cache's first call does."""
+    return list(shamir._lagrange_coeffs_at_zero.__wrapped__(tuple(xs)))
+
+
+@pytest.mark.parametrize("xs", [[1, 2, 3], [3, 1, 4], [2, 4], [1], [5, 7, 9, 11, 13, 15, 17]])
+def test_cached_lagrange_coefficients_equal_a_fresh_computation(xs):
+    first = lagrange_coeffs_at_zero(xs)
+    assert first == lagrange_fresh(xs)
+    # the caller owns the list it is given; editing it leaves the cache intact
+    first[0] = 0
+    first.append(1)
+    again = lagrange_coeffs_at_zero(xs)
+    assert again == lagrange_fresh(xs) and again is not first
+    assert lagrange_coeffs_at_zero(np.array(xs, dtype=np.uint64)) == again
+
+
+@pytest.mark.parametrize("bad", [[1.0, 2], [True, 2], [1, "2"], [1, None], [-1, 2]])
+def test_lagrange_points_must_be_ints_even_when_an_equal_int_is_cached(bad):
+    lagrange_coeffs_at_zero([1, 2])
+    with pytest.raises(ValueError, match="share point x = .* is not an int"):
+        lagrange_coeffs_at_zero(bad)
 
 
 def test_lagrange_interpolates_constant_term():

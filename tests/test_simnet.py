@@ -849,6 +849,31 @@ def test_stored_shares_match_golden(mode, scenario):
     assert hashlib.sha256(text.encode()).hexdigest() == STORED_SHARE_DIGESTS[scenario]
 
 
+@pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
+def test_a_station_without_a_listed_share_abstains_and_the_round_goes_on(monkeypatch, mode):
+    # set-up gives every station every share, so only a lost share makes
+    # one abstain: it sends nothing, and the others still carry t = 2
+    cfg = small_cfg(bs_threshold=2, iterations=4, mask_share_mode=mode)
+    full = run_simulation(cfg, DropoutSchedule.none(), small_task())
+    receive_shares = protocol.Stations.receive_shares
+
+    def lose_device_3_at_station_1(self, row, block):
+        keep = np.flatnonzero((block.senders != 3) | (row != 0))
+        receive_shares(self, row, SetupShareBlock(*(getattr(block, f)[keep] for f in (
+            "senders", "iterations", "targets", "xs", "ys"))))
+
+    monkeypatch.setattr(protocol.Stations, "receive_shares", lose_device_3_at_station_1)
+    sim = _Simulation(cfg, DropoutSchedule.none(), small_task())
+    result = sim.run()
+    assert 3 not in sim.bss[1].stored_shares
+    share_bytes = full.rounds[0].bytes_bs_sent // 4
+    for rm, want in zip(result.rounds, full.rounds):
+        assert rm.outcome == want.outcome == AGGREGATED
+        assert (rm.msgs_af_to_bs, rm.msgs_bs_to_af) == (4, 3)
+        assert rm.bytes_bs_sent == want.bytes_bs_sent - share_bytes
+    assert result.models.tobytes() == full.models.tobytes()
+
+
 def test_everyone_offline_still_terminates():
     sched = DropoutSchedule.constant(ue_ids=tuple(range(1, 9)), bs_ids=(1, 2, 3, 4))
     result = run_simulation(small_cfg(iterations=3), sched, small_task())
