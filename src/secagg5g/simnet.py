@@ -7,7 +7,7 @@ two runs produce identical metrics, models and round start instants.
 
 Per round: online devices send one masked update each; at the deadline the
 server fixes the online list and sends it to online base stations, which
-answer with one mask share each; the server reconstructs the mask sum,
+answer with one mask share each, all from one call; the server reconstructs the mask sum,
 updates the global model (or falls back to the previous one), and
 broadcasts it. Dropped entities neither send nor receive that round.
 
@@ -19,8 +19,9 @@ latency per receiver:
 - set-up runs as blocks before round 0: one ``Fleet.setup`` call splits
   every device's key, each station's shares are one ``SetupShareBlock``
   packed once, decoded in one ``setup_shares_from_bytes`` call and stored
-  in one ``BaseStation.receive_shares`` call, and one latency is drawn per
-  share; round 0 starts at the last share's arrival;
+  in its row of the stations' share matrix in one ``receive_shares`` call,
+  and one latency is drawn per share; round 0 starts at the last share's
+  arrival;
 - a round's update latencies are drawn first, so that the online rows are
   masked on-time rows first, as one block packed once
   (``MaskedUpdateBlock.to_bytes``). The rows that arrive by the deadline
@@ -31,11 +32,13 @@ latency per receiver:
   charged and handed to the server as a second block, which it refuses as
   STALE (a late drop), as it would wherever they landed: the list is fixed,
   and a later round refuses another round's update;
-- the online list is packed and decoded once, and each online station
-  answers it in the order the list reaches them, with a share that draws
-  its own latency. The server reads no share before it holds them all, so
-  the round closes at the last share's arrival (at the deadline when it
-  falls back before the stations' phase);
+- the online list is packed and decoded once, and the online stations
+  answer it in one ``Stations.mask_shares`` call, in the order the list
+  reaches them; ``time_bs_ms`` times that one call. Each share is packed
+  and decoded once and draws its own latency, and a station that holds no
+  share of a listed device abstains and sends nothing. The server reads no
+  share before it holds them all, so the round closes at the last share's
+  arrival (at the deadline when it falls back before the stations' phase);
 - the model is one frame, decoded once, which writes every online device's
   model row at once; the next round starts at its last arrival, or at the
   close when no device is online.
@@ -51,7 +54,9 @@ shares, a block of m updates or a model sent to m devices, are charged as
 m deliveries in one step.
 
 The devices' state is one ``protocol.Fleet`` whose row i - 1 is device
-i; ``ues`` maps each id to its row as a ``UserEquipment``. Set-up splits
+i; ``ues`` maps each id to its row as a ``UserEquipment``. The stations'
+is one ``protocol.Stations`` whose row j - 1 is station j; ``bss`` maps
+each id to its row as a ``BaseStation``. Set-up splits
 every device's key in one ``Fleet.setup`` call and sends each base station
 its block, then precomputes every device's masks in one
 ``Fleet.precompute`` call; ``SetupMetrics.time_setup_ms`` times the
@@ -469,7 +474,7 @@ class _Simulation:
             shares = {}
             for (when, j), lat, share in zip(reached, self._latencies(k), answers):
                 # set-up gives every station a share of every device's key,
-                # so none abstains unless its matrix row was altered
+                # so a station abstains, sending nothing, only if one is lost
                 if isinstance(share, MissingShareError):
                     continue
                 shares[j] = from_bytes(share.to_bytes())

@@ -169,16 +169,33 @@ def test_layouts_hold_the_same_shares():
     assert isinstance(first, MissingShareError) and second.scalar == 38
 
 
-def test_a_listed_id_past_the_direct_columns_is_missing():
+@pytest.mark.parametrize("devices", [[1, 2], [0, 1, 2]])
+def test_a_listed_id_past_the_columns_is_missing(devices):
     # ids of 2^63 and more become negative indices on their way to numpy;
     # they must land on a column no device has, never on device 0 or 1
     stations = Stations([1])
-    stations.receive_shares(0, block_for(1, {1: 5, 2: 6}))
-    assert stations._direct
+    stations.receive_shares(0, block_for(1, {ue: 5 + ue for ue in devices}))
     for far in (3, 4, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1):
         [answer] = stations.mask_shares([0], OnlineListMsg(0, 0, u64([1, far])), 0,
                                         MaskShareMode.COMPACT, 1)
         assert str(answer) == f"BS 1 holds no share for UEs [{far}]"
+
+
+@pytest.mark.parametrize("k, listed", [(4, 24), (4, 25), (3, 33), (7, 205), (1, 96), (1, 97)])
+@pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
+def test_small_and_large_gathers_sum_alike(k, listed, mode):
+    # up to 96 shares in all are summed as Python ints, more as 32-bit halves
+    rng = np.random.default_rng(listed)
+    devices = rng.permutation(np.arange(1, 257, dtype=np.uint64)).tolist()
+    stations, held = Stations(range(1, k + 1)), []
+    for row in range(k):
+        shares = dict(zip(devices, (P - 1 - rng.integers(0, 2**40, 256)).tolist()))
+        stations.receive_shares(row, block_for(row + 1, shares))
+        held.append(shares)
+    ids = sorted(devices[:listed])
+    answers = stations.mask_shares(list(range(k))[::-1], OnlineListMsg(0, 3, u64(ids)), 3, mode, 5)
+    for r, answer in zip(range(k - 1, -1, -1), answers):
+        assert answer == answer_plain(held[r], ids, r + 1, 3, mode, 5)
 
 
 @pytest.mark.parametrize("rows, error", [
