@@ -322,9 +322,9 @@ class Stations:
     row per station and a column per device: row r is station ``ids[r]``,
     and a share the station does not hold reads ``MISSING``.
 
-    While every device id is below twice their number plus 64, as the
-    simulator's 1..n are, column s is device s's, so a list of ids is its
-    own column index. Otherwise the columns hold the devices in id order and
+    While no device id is 0 and every one is below twice their number plus
+    64, as the simulator's 1..n are, column s is device s's, so a list of
+    ids is its own column index. Otherwise the columns hold the devices in id order and
     one ``searchsorted`` finds a list's columns. Either way the last column
     is a spare that stays ``MISSING``, the column of every id no station
     holds a share for. ``mask_shares`` answers an online list for any set of

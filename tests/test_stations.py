@@ -122,32 +122,32 @@ def state(stations):
             stations._senders.tobytes(), [r.tobytes() for r in stations._received])
 
 
-@pytest.mark.parametrize("senders, shares, match", [
+@pytest.mark.parametrize("case, shares, match", [
     ("misrouted", {7: 1, 8: 2}, "share for BS 3 delivered to BS 2"),
     ("wrong_point", {7: 1, 8: 2}, "share point x=1 does not match BS index 2"),
     ("repeated_in_block", {7: 1, 8: 2}, "already stores a share for UE 7"),
     ("stored_before", {7: 1, 2: 2}, "already stores a share for UE 2"),
     ("stored_before_large", {2**64 - 1: 1}, f"already stores a share for UE {2**64 - 1}"),
 ])
-def test_refused_share_blocks_leave_the_matrix_unchanged(senders, shares, match):
+def test_refused_share_blocks_leave_the_matrix_unchanged(case, shares, match):
     stations = Stations([1, 2, 3])
     stations.receive_shares(1, block_for(2, {1: 10, 2: 20, 2**64 - 1: 30}))
     stations.receive_shares(0, block_for(1, {5: 50}))
     n = len(shares)
     block = block_for(2, shares)
-    if senders == "misrouted":
+    if case == "misrouted":
         block = SetupShareBlock(block.senders, block.iterations, u64([3] * n), block.xs, block.ys)
-    elif senders == "wrong_point":
+    elif case == "wrong_point":
         block = SetupShareBlock(block.senders, block.iterations, block.targets, u64([1] * n),
                                 block.ys)
-    elif senders == "repeated_in_block":
+    elif case == "repeated_in_block":
         block = SetupShareBlock(u64([7, 8, 7]), u64([0] * 3), u64([2] * 3), u64([2] * 3),
                                 u64([1, 2, 3]))
     before = state(stations)
     with pytest.raises(ProtocolError, match=match):
         stations.receive_shares(1, block)
     assert state(stations) == before
-    # the same senders are still free at station 2 and taken nowhere else
+    # station 2 still holds exactly its first block
     assert stations.stored_shares(1) == {1: SecretShare(2, 10), 2: SecretShare(2, 20),
                                          2**64 - 1: SecretShare(2, 30)}
 
