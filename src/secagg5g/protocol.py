@@ -459,8 +459,7 @@ class Stations:
         # to a negative index, onto column 0, which no device has
         cols = ids if self._direct else self._columns(ids)
         ys = self._ys.take(cols, axis=1, mode="clip")  # every row's listed shares
-        # one pass over the listed rows, fewest Python steps first: a small
-        # gather is summed as Python ints, a large one as 32-bit halves
+        # a small gather is summed as Python ints, a large one as 32-bit halves
         small = 0 < ys.size <= _PLAIN_SUM_ELEMENTS
         if small:
             plain = ys.tolist()
@@ -468,28 +467,27 @@ class Stations:
             tops = ys.max(axis=1, initial=0).tolist()
             lo = (ys & _LO32).sum(axis=1).tolist()
             hi = (ys >> 32).sum(axis=1).tolist()
-        compact, k = mode is MaskShareMode.COMPACT, len(self.ids)
-        answers, keys = [], []
+        k, totals = len(self.ids), []  # each row's exact share sum, None if it lacks one
         for r in rows:
             field.require_int("station row", r, end=k)
             if small:
                 v = plain[r]
-                top, total = max(v), sum(v)
+                totals.append(sum(v) if max(v) < P else None)
             else:
-                top, total = tops[r], (hi[r] << 32) + lo[r]
-            if top >= P:  # a MISSING share: the station abstains
+                totals.append((hi[r] << 32) + lo[r] if tops[r] < P else None)
+        if mode is MaskShareMode.EVALUATED:
+            keys = [total % P for total in totals if total is not None]
+            vectors = iter(khprf.evaluate(np.array(keys, dtype=np.uint64), t, d))
+        answers = []
+        for r, total in zip(rows, totals):
+            if total is None:  # a MISSING share: the station abstains
                 missing = ids[ys[r] == MISSING].tolist()
                 answers.append(MissingShareError(
                     f"BS {self.ids[r]} holds no share for UEs {missing}"))
-            elif compact:
+            elif mode is MaskShareMode.COMPACT:
                 answers.append(MaskShareMsg(self.ids[r], t, scalar=total % P))
-            else:  # a placeholder until every vector is evaluated at once
-                answers.append(r)
-                keys.append(total % P)
-        if keys:
-            vectors = iter(khprf.evaluate(np.array(keys, dtype=np.uint64), t, d))
-            answers = [a if isinstance(a, MissingShareError) else
-                       MaskShareMsg(self.ids[a], t, vector=next(vectors)) for a in answers]
+            else:
+                answers.append(MaskShareMsg(self.ids[r], t, vector=next(vectors)))
         return answers
 
 
