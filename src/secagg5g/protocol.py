@@ -324,11 +324,12 @@ class Stations:
 
     While no device id is 0 and every one is below twice their number plus
     64, as the simulator's 1..n are, column s is device s's, so a list of
-    ids is its own column index. Otherwise the columns hold the devices in id order and
-    one ``searchsorted`` finds a list's columns. Either way the last column
-    is a spare that stays ``MISSING``, the column of every id no station
-    holds a share for. ``mask_shares`` answers an online list for any set of
-    rows in one pass, and ``station(r)`` is row r as a ``BaseStation``.
+    ids is its own column index. Otherwise the columns hold the devices in
+    id order and one ``searchsorted`` finds a list's columns. Either way the
+    last column is a spare that stays ``MISSING``, the column of every id no
+    station holds a share for. ``mask_shares`` answers an online list for
+    any set of rows in one pass, and ``station(r)`` is row r as a
+    ``BaseStation``.
 
     Raises ValueError for a station id that is not an int in [0, 2^64), or
     two stations with one id.

@@ -76,7 +76,9 @@ def test_one_pass_answers_equal_each_station_alone(data):
         for part in (mine[:cut], mine[cut:]):
             stations.receive_shares(row, block_for(bs_id, {ue: shares[ue] for ue in part}))
         held.append(shares)
-        assert stations.stored_shares(row) == {ue: SecretShare(bs_id, y) for ue, y in shares.items()}
+        stored = stations.stored_shares(row)
+        assert stored == {ue: SecretShare(bs_id, y) for ue, y in shares.items()}
+        assert list(stored) == mine  # in arrival order
     listed = data.draw(st.lists(st.sampled_from(devices) | device_ids, max_size=35, unique=True),
                        label="online list")
     online = OnlineListMsg(0, 5, u64(sorted(listed)))
