@@ -66,6 +66,14 @@ def require_real(name: str, value, lo, hi=math.inf, lo_open: bool = False) -> No
         raise ValueError(f"{name} = {value!r} is not a real number in {left}{lo}, {hi}{right}")
 
 
+def require_array(name: str, value, dtype, ndim: int = 1) -> None:
+    """Refuse ``value``, with a ValueError naming ``name``, unless it is a
+    numpy array of exactly ``dtype`` and ``ndim``: the one array rule of
+    every input check, which converts nothing."""
+    if not (isinstance(value, np.ndarray) and value.dtype == dtype and value.ndim == ndim):
+        raise ValueError(f"{name} must be a {ndim}-d {np.dtype(dtype)} array")
+
+
 def reduce(x: int) -> int:
     """Reduce a non-negative x < 2^122 into [0, p)."""
     r = (x >> 61) + (x & P)

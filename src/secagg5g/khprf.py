@@ -104,8 +104,7 @@ def evaluate(key, t: int, d: int) -> np.ndarray:
     array, one that is not a 1-d uint64 array.
     """
     if isinstance(key, np.ndarray):
-        if key.dtype != np.uint64 or key.ndim != 1:
-            raise ValueError(f"keys must be a 1-d uint64 array, got {key.dtype} {key.shape}")
+        field.require_array("keys", key, np.uint64)
         field.require_canonical(key)
         return field.mulmod(key[:, None], coefficient_vector(t, d))
     require_key(key)

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import P, require_canonical, require_int
+from .field import P, require_array, require_canonical, require_int
 from .shamir import SecretShare
 
 SETUP_SHARE = 1
@@ -95,20 +95,12 @@ class _Message:
 def _require_header(msg) -> None:
     # ``field.require_int(name, value, end=2^64)`` for both fields, its type
     # test included, so bools are refused alike; inlined: every message runs
-    # this, thousands per set-up
+    # it, about a dozen per round, in 0.18 us against two calls' 0.58 us
     s, t = msg.sender, msg.iteration
     if not ((type(s) is int or isinstance(s, np.integer))
             and (type(t) is int or isinstance(t, np.integer))
             and 0 <= s < _WORD_END and 0 <= t < _WORD_END):
         raise ValueError(f"sender = {s!r} and iteration = {t!r} are not ints in [0, 2^64)")
-
-
-def _require_array(msg, name: str, dtype: np.dtype) -> None:
-    """Refuse an array field that is not a 1-d array of ``dtype``: the wire
-    carries one count and a flat run of elements of that type."""
-    value = getattr(msg, name)
-    if not (isinstance(value, np.ndarray) and value.dtype == dtype and value.ndim == 1):
-        raise ValueError(f"{name} must be a 1-d {dtype} array")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +130,7 @@ class MaskedUpdateMsg(_Message):
 
     def __post_init__(self):
         _require_header(self)
-        _require_array(self, "payload", _U64)
+        require_array("payload", self.payload, _U64)
         require_canonical(self.payload)
 
     def to_bytes(self) -> bytes:
@@ -155,7 +147,7 @@ class OnlineListMsg(_Message):
 
     def __post_init__(self):
         _require_header(self)
-        _require_array(self, "ue_ids", _U64)
+        require_array("ue_ids", self.ue_ids, _U64)
         # a duplicate id would add that device's key share twice at a station
         if (self.ue_ids[1:] <= self.ue_ids[:-1]).any():
             raise ValueError("online list ids are not strictly increasing")
@@ -179,7 +171,7 @@ class MaskShareMsg(_Message):
         if (self.vector is None) == (self.scalar is None):
             raise ValueError("a mask share carries exactly one of a vector and a scalar")
         if self.vector is not None:
-            _require_array(self, "vector", _U64)
+            require_array("vector", self.vector, _U64)
             require_canonical(self.vector)
         else:
             require_int("scalar share", self.scalar, end=P)
@@ -204,7 +196,7 @@ class GlobalModelMsg(_Message):
 
     def __post_init__(self):
         _require_header(self)
-        _require_array(self, "weights", _F64)
+        require_array("weights", self.weights, _F64)
         if not np.isfinite(self.weights).all():
             raise ValueError("model weights must be finite")
 
@@ -248,9 +240,7 @@ def _require_words(block, names: dict[str, int]) -> None:
     """Refuse a block whose named fields are not ``<u8`` arrays of the given
     dimensions, one row per message."""
     for name, ndim in names.items():
-        value = getattr(block, name)
-        if not (isinstance(value, np.ndarray) and value.dtype == _U64 and value.ndim == ndim):
-            raise ValueError(f"{name} must be a {ndim}-d {_U64} array")
+        require_array(name, getattr(block, name), _U64, ndim)
     if len({len(getattr(block, name)) for name in names}) > 1:
         raise ValueError(f"a block needs one of each of {', '.join(names)} per message")
 

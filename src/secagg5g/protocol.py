@@ -9,21 +9,21 @@ Roles:
     of rows' keys in one pass, into one share block per station, and
     ``Fleet.mask`` masks any set of rows with one index, as the server's
     (n, d) matrix collects them.
-  * ``BaseStation`` stores one key share per registered device, a block of
-    them at a time, and answers each round's online list with one
-    aggregated mask share. The stations' shares live in one ``Stations``
-    matrix, one row per station and one column per device, and a
-    ``BaseStation`` is a view of one row; ``Stations.mask_shares`` answers
-    a list for any set of rows with one gather and one exact share sum per
-    station, each answer bit-identical to that station's alone.
+  * ``BaseStation`` stores one key share per registered device and answers
+    each round's online list with one aggregated mask share. It is a view
+    of one row of the ``Stations`` matrix, one row per station and one
+    column per device, whose ``receive_shares`` stores a block of shares in
+    a row and whose ``mask_shares`` answers a list for any set of rows with
+    one gather and one exact share sum per station, each answer
+    bit-identical to that station's alone.
   * ``Aggregator`` (the untrusted server) collects masked updates, one or a
     block at a time, fixes the online list, reconstructs the sum of online
     masks from any threshold-many base-station shares, and unmasks only the
     sum.
 
 Entities are passive state machines: a message in causes a state change and
-zero or more messages out. The round loop in ``simnet`` drives them; tests
-may also drive them directly.
+zero or more messages out. The round loop in ``simnet`` drives the holders
+and the server, never a view; tests may also drive the views directly.
 
 Field vectors (masked updates, masks) are canonical uint64 arrays
 (``field``); the server's model is a float64 array. Each message type checks
@@ -92,6 +92,15 @@ def require_online_fraction(value) -> None:
     field.require_real("min_online_fraction", value, 0, 1, lo_open=True)
 
 
+def _require_ids(name: str, ids: list, parties: str) -> None:
+    """Refuse an id that is not an int in [0, 2^64), the sender of every
+    message its party sends, or one that two ``parties`` share."""
+    for i in ids:
+        field.require_int(name, i, end=1 << 64)
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"two {parties} with one {name} are indistinguishable to the server")
+
+
 class Fleet:
     """Every device's masking state as arrays; row r is device ``ids[r]``.
 
@@ -108,11 +117,7 @@ class Fleet:
 
     def __init__(self, ids, keys, codec: FixedPointCodec, dim: int):
         ids, keys = list(ids), list(keys)
-        for ue_id in ids:
-            # the id is the sender of every message the device sends
-            field.require_int("ue_id", ue_id, end=1 << 64)
-        if len(set(ids)) < len(ids):
-            raise ValueError("two devices with one ue_id are indistinguishable to the server")
+        _require_ids("ue_id", ids, "devices")
         if len(keys) != len(ids):
             raise ValueError(f"{len(keys)} keys for {len(ids)} devices")
         for key in keys:
@@ -134,9 +139,8 @@ class Fleet:
         return len(self.ids)
 
     def device(self, row: int) -> UserEquipment:
-        """Row ``row`` as a device; every view of one row shares its state."""
-        if not 0 <= row < len(self):
-            raise ValueError(f"row {row} is not in 0..{len(self) - 1}")
+        """Row ``row``, an int in 0..n-1, as a device; every view of one row shares its state."""
+        field.require_int("row", row, end=len(self))
         ue = object.__new__(UserEquipment)
         ue.fleet, ue.row = self, row
         return ue
@@ -337,11 +341,7 @@ class Stations:
 
     def __init__(self, ids):
         ids = list(ids)
-        for bs_id in ids:
-            # the id is the sender of every share the station sends
-            field.require_int("bs_id", bs_id, end=1 << 64)
-        if len(set(ids)) < len(ids):
-            raise ValueError("two base stations with one bs_id are indistinguishable")
+        _require_ids("bs_id", ids, "base stations")
         self.ids = [int(bs_id) for bs_id in ids]
         self._ys = np.full((len(ids), 1), MISSING)  # the spare column alone
         self._direct = True  # column s is device s's
@@ -353,9 +353,8 @@ class Stations:
         return len(self.ids)
 
     def station(self, row: int) -> BaseStation:
-        """Row ``row`` as a station; every view of one row shares its state."""
-        if not 0 <= row < len(self):
-            raise ValueError(f"row {row} is not in 0..{len(self) - 1}")
+        """Row ``row``, an int in 0..k-1, as a station; every view of one row shares its state."""
+        field.require_int("row", row, end=len(self))
         bs = object.__new__(BaseStation)
         bs.stations, bs.row = self, row
         return bs
@@ -517,12 +516,8 @@ class BaseStation:
         return self.stations.stored_shares(self.row)
 
     def receive_share(self, msg: SetupShareMsg) -> None:
-        """``receive_shares`` of the one-row block ``msg``."""
-        self.receive_shares(SetupShareBlock.of([msg]))
-
-    def receive_shares(self, block: SetupShareBlock) -> None:
-        """``Stations.receive_shares`` of this station's row."""
-        self.stations.receive_shares(self.row, block)
+        """``Stations.receive_shares`` of the one-row block ``msg`` in this row."""
+        self.stations.receive_shares(self.row, SetupShareBlock.of([msg]))
 
     def mask_share(
         self, online: OnlineListMsg, t: int, mode: MaskShareMode, d: int
@@ -566,7 +561,10 @@ class Aggregator:
         return dict(zip((np.flatnonzero(self._arrived) + 1).tolist(), self._rows[self._arrived]))
 
     def begin_round(self, t: int) -> None:
-        self.iteration = t
+        """Open round t; refuse, changing nothing, a t that is not an int in
+        [0, 2^64), which ``collect_block`` would confuse with another round."""
+        khprf.require_round(t)
+        self.iteration = int(t)
         self._arrived[:] = False
         self.online_ids = None
 
@@ -701,13 +699,14 @@ class Aggregator:
         return update
 
     def global_model_message(self) -> GlobalModelMsg:
+        """The global model as a message; after a fallback, the previous one."""
         return GlobalModelMsg(
             sender=AF_SENDER_ID,
             iteration=self.iteration,
             weights=self.global_model,
         )
 
-    def fallback(self) -> GlobalModelMsg:
-        """Halt this round: redistribute the previous model unchanged."""
-        return self.global_model_message()
+    # the same method under a second name, which perfbench's tracer binds
+    # until its rebind (ROADMAP item 1)
+    fallback = global_model_message
 

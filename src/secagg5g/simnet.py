@@ -19,7 +19,8 @@ latency per receiver:
 - set-up runs as blocks before round 0: one ``Fleet.setup`` call splits
   every device's key, each station's shares are one ``SetupShareBlock``
   packed once, decoded in one ``setup_shares_from_bytes`` call and stored
-  in its row of the stations' share matrix in one ``receive_shares`` call,
+  in its row of the stations' share matrix in one
+  ``Stations.receive_shares`` call,
   and one latency is drawn per share; round 0 starts at the last share's
   arrival;
 - a round's update latencies are drawn first, so that the online rows are
@@ -54,11 +55,10 @@ shares, a block of m updates or a model sent to m devices, are charged as
 m deliveries in one step.
 
 The devices' state is one ``protocol.Fleet`` whose row i - 1 is device
-i; ``ues`` maps each id to its row as a ``UserEquipment``. The stations'
-is one ``protocol.Stations`` whose row j - 1 is station j; ``bss`` maps
-each id to its row as a ``BaseStation``. Set-up splits
-every device's key in one ``Fleet.setup`` call and sends each base station
-its block, then precomputes every device's masks in one
+i, and the stations' one ``protocol.Stations`` whose row j - 1 is station
+j; the simulator drives these two holders and never a one-row view. Set-up
+splits every device's key in one ``Fleet.setup`` call and stores each base
+station's block in its row, then precomputes every device's masks in one
 ``Fleet.precompute`` call; ``SetupMetrics.time_setup_ms`` times the
 devices' side alone. Each round trains every device in one
 ``task.local_update`` call over the stacked shards and models, and masks
@@ -346,10 +346,8 @@ class _Simulation:
             codec=codec,
             dim=cfg.model_dim,
         )
-        self.ues = {i: self.fleet.device(i - 1) for i in self.ue_ids}
         # station j is row j - 1 of the stations' share matrix
         self.stations = Stations(self.bs_ids)
-        self.bss = {j: self.stations.station(j - 1) for j in self.bs_ids}
         self.af = Aggregator(
             registered_n=cfg.n_ues,
             min_online_fraction=cfg.min_online_fraction,
@@ -395,10 +393,10 @@ class _Simulation:
             last_arrival = max(self._latencies(n * len(blocks)))
             # precompute draws no randomness, so the draws above keep their order
             self.fleet.precompute(self.cfg.iterations)
-        for j, raw in zip(self.bs_ids, frames):
+        for row, raw in enumerate(frames):
             block = setup_shares_from_bytes(raw, n)
             account_message(self.setup_metrics, block[0], n)
-            self.bss[j].receive_shares(block)
+            self.stations.receive_shares(row, block)
         return last_arrival
 
     # -- rounds ------------------------------------------------------------

@@ -89,7 +89,7 @@ NEVER_CALLED = {
     # Aggregator.collect_block, of which collect_update is the one-row case
     "protocol.af.collect_update",
     # set-up splits every key through Fleet.setup and shamir.split_many, and
-    # each station stores its block through BaseStation.receive_shares; split,
+    # each station stores its block through Stations.receive_shares; split,
     # UserEquipment.setup and receive_share are their one-row cases
     "shamir.split",
     "protocol.ue.setup",

@@ -322,11 +322,9 @@ def _tests_a_number_type(node) -> bool:
         node.module == "numbers" or any((node.module, a.name) in _RULE_ATTRIBUTES for a in node.names))
 
 
-def test_only_field_decides_what_is_an_int_or_a_real():
-    # every input check calls field.require_int or field.require_real; the
-    # hand-written checks they replaced kept two policies on bools, and the
-    # range checks beside them their own phrasings. The message header check
-    # is inlined for speed and mirrors require_int
+def _checks_outside_field(is_check) -> set[tuple[str, str]]:
+    """(file, innermost enclosing function) of every node of the package
+    outside ``field.py`` for which ``is_check`` holds."""
     found = set()
     for path in sorted(Path(field.__file__).parent.glob("*.py")):
         if path.name == "field.py":
@@ -337,5 +335,53 @@ def test_only_field_decides_what_is_an_int_or_a_real():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((id(node), func.name) for node in ast.walk(func))
         found |= {(path.name, owner.get(id(node), "<module>"))
-                  for node in ast.walk(tree) if _tests_a_number_type(node)}
-    assert found == {("messages.py", "_require_header")}
+                  for node in ast.walk(tree) if is_check(node)}
+    return found
+
+
+def test_only_field_decides_what_is_an_int_or_a_real():
+    # every input check calls field.require_int or field.require_real; the
+    # hand-written checks they replaced kept two policies on bools, and the
+    # range checks beside them their own phrasings. The message header check
+    # mirrors require_int, inlined because every message runs it and two
+    # require_int calls cost about three times as much
+    assert _checks_outside_field(_tests_a_number_type) == {("messages.py", "_require_header")}
+
+
+def _compares_an_array_layout(node) -> bool:
+    """Whether ``node`` compares an array's ``.dtype`` or ``.ndim``, whole or
+    by a part such as ``.dtype.kind``."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.Attribute) and n.attr in ("dtype", "ndim")
+        for operand in (node.left, *node.comparators) for n in ast.walk(operand))
+
+
+def test_only_field_decides_what_is_an_array():
+    # every array check calls field.require_array, which converts nothing;
+    # Fleet._rows alone converts, since a list of row indices is any int
+    # sequence, not a wire field
+    assert _checks_outside_field(_compares_an_array_layout) == {("protocol.py", "_rows")}
+
+
+@pytest.mark.parametrize("value, dtype, ndim", [
+    ([1, 2], np.uint64, 1),
+    ((1, 2), np.uint64, 1),
+    (np.array([1, 2], dtype=np.int64), np.uint64, 1),
+    (np.array([1.0]), np.uint64, 1),
+    (np.zeros((2, 2), dtype=np.uint64), np.uint64, 1),
+    (np.uint64(3), np.uint64, 1),
+    (np.zeros(2, dtype=np.uint64), np.uint64, 2),
+    (np.zeros(2, dtype=np.uint64), np.float64, 1),
+    (np.zeros(2, dtype=">u8"), np.dtype("<u8"), 1),
+    (None, np.uint64, 1),
+])
+def test_require_array_refuses_any_other_dtype_or_ndim(value, dtype, ndim):
+    with pytest.raises(ValueError, match=f"^words must be a {ndim}-d {np.dtype(dtype)} array$"):
+        field.require_array("words", value, dtype, ndim)
+
+
+def test_require_array_accepts_exactly_its_dtype_and_ndim():
+    field.require_array("words", np.zeros(0, dtype=np.uint64), np.uint64)
+    field.require_array("words", np.zeros(3, dtype="<u8"), np.dtype("<u8"))
+    field.require_array("rows", np.zeros((2, 3), dtype=np.uint64), np.uint64, 2)
+    field.require_array("weights", np.zeros(2)[::-1], np.float64)  # a view, not copied

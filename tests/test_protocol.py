@@ -35,6 +35,7 @@ from secagg5g.protocol import (
     Fleet,
     MissingShareError,
     ProtocolError,
+    Stations,
     UserEquipment,
     generate_key,
     route_setup_shares,
@@ -205,17 +206,17 @@ def station_block(bs_id, senders, x=None, target=None):
 ], ids=["misrouted", "wrong_point", "repeated_in_block", "stored_before"])
 def test_station_refuses_a_share_block_all_or_nothing(block, match):
     bs = BaseStation(bs_id=2)
-    bs.receive_shares(station_block(2, [1, 2]))
+    bs.stations.receive_shares(bs.row, station_block(2, [1, 2]))
     before = dict(bs.stored_shares)
     with pytest.raises(ProtocolError, match=match):
-        bs.receive_shares(block)
+        bs.stations.receive_shares(bs.row, block)
     assert bs.stored_shares == before
 
 
 def test_station_stores_a_block_as_python_int_shares_in_row_order():
     bs = BaseStation(bs_id=3)
-    bs.receive_shares(station_block(3, [7, 2, 9]))
-    bs.receive_shares(station_block(3, []))
+    bs.stations.receive_shares(bs.row, station_block(3, [7, 2, 9]))
+    bs.stations.receive_shares(bs.row, station_block(3, []))
     assert list(bs.stored_shares) == [7, 2, 9]
     assert bs.stored_shares[2] == SecretShare(3, 101)
     assert all(type(v) is int for share in bs.stored_shares.values()
@@ -323,6 +324,16 @@ def test_views_of_one_row_share_its_state():
     for row in (-1, 8):
         with pytest.raises(ValueError, match="row"):
             fleet.device(row)
+
+
+@pytest.mark.parametrize("row", [-1, 3, True, 1.0, np.float64(2.0), "0", None])
+def test_a_view_row_is_an_int_in_range(row):
+    # a bool or float row once built a view whose ids raised TypeError, and
+    # station(True) silently stood for row 1
+    with pytest.raises(ValueError, match="row"):
+        Fleet([1, 2, 3], [1, 2, 3], CODEC, 4).device(row)
+    with pytest.raises(ValueError, match="row"):
+        Stations([1, 2, 3]).station(row)
 
 
 # -- precomputing a fleet in one call -------------------------------------------
@@ -577,6 +588,21 @@ def test_aggregator_refuses_a_size_that_is_not_a_positive_int(name, value):
                 codec=CODEC, dim=12)
     with pytest.raises(ValueError, match=f"{name} = .* is not an int >= 1"):
         Aggregator(**{**args, name: value})
+
+
+@pytest.mark.parametrize("t", [2**64, -1, 1.5, True, "3", None])
+def test_a_round_that_is_not_a_word_is_refused_before_it_opens(t):
+    # a bool or float round once passed for round 1 in collect_block, and
+    # 1.5 or "3" refused every update as STALE, with no error
+    ues, _, af, *_ = make_fleet(seed=28)
+    af.begin_round(1)
+    af.collect_block(ues[1].fleet.mask([0, 1], np.zeros((2, 12)), 1))
+    before = (af.iteration, af.masked_updates.keys(), af.online_ids)
+    with pytest.raises(ValueError, match="round t = .* is not an int in"):
+        af.begin_round(t)
+    assert (af.iteration, af.masked_updates.keys(), af.online_ids) == before
+    af.begin_round(np.uint64(2))
+    assert type(af.iteration) is int and af.iteration == 2
 
 
 def test_masked_updates_is_a_snapshot_of_its_round():

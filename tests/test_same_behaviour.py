@@ -107,7 +107,7 @@ def run_digest(shape: str, mode: MaskShareMode, seed: int, monkeypatch) -> str:
     digest.update(result.models.tobytes())
     digest.update(" ".join(starts).encode())
     stored = sorted((j, i, share.x, share.y)
-                    for j, bs in sim.bss.items() for i, share in bs.stored_shares.items())
+                    for j in sim.bs_ids for i, share in sim.stations.stored_shares(j - 1).items())
     digest.update(" ".join(f"{j}:{i}:{x}:{y}" for j, i, x, y in stored).encode())
     return digest.hexdigest()
 

@@ -8,8 +8,10 @@ import hashlib
 import json
 import math
 import random
+import re
 import weakref
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,13 @@ def test_config_checks_threshold_and_codec_through_their_types():
         SimConfig(frac_bits=60)
 
 
+def test_the_simulator_drives_only_the_holders():
+    # one copy per job: the simulator reaches devices and stations through
+    # Fleet and Stations, never through a one-row view
+    source = Path(simnet.__file__).read_text(encoding="utf-8")
+    assert not re.findall(r"\.device\(|\.station\(|\bUserEquipment\b|\bBaseStation\b", source)
+
+
 @pytest.mark.parametrize("mode", list(MaskShareMode))
 def test_simulation_precomputes_the_fleet_once(monkeypatch, mode):
     calls = []
@@ -142,7 +151,7 @@ def test_simulation_precomputes_the_fleet_once(monkeypatch, mode):
     sim = _Simulation(cfg, DropoutSchedule.none(), small_task())
     sim.run()
     assert calls == [(8, 6, 10)]
-    for ue in sim.ues.values():
+    for ue in map(sim.fleet.device, range(len(sim.fleet))):
         assert np.array_equal(ue.precomputed_masks, khprf.precompute_masks(ue.key, 6, 10))
 
 
@@ -841,7 +850,7 @@ def test_stored_shares_match_golden(mode, scenario):
     sim = _Simulation(cfg, sched, small_task(n_ues=cfg.n_ues))
     sim.run()
     stored = sorted((j, i, share.x, share.y)
-                    for j, bs in sim.bss.items() for i, share in bs.stored_shares.items())
+                    for j in sim.bs_ids for i, share in sim.stations.stored_shares(j - 1).items())
     assert len(stored) == cfg.n_ues * cfg.n_bss
     # Python ints, so that a station's key-share sum cannot wrap
     assert all(type(y) is int for *_, y in stored)
@@ -865,7 +874,7 @@ def test_a_station_without_a_listed_share_abstains_and_the_round_goes_on(monkeyp
     monkeypatch.setattr(protocol.Stations, "receive_shares", lose_device_3_at_station_1)
     sim = _Simulation(cfg, DropoutSchedule.none(), small_task())
     result = sim.run()
-    assert 3 not in sim.bss[1].stored_shares
+    assert 3 not in sim.stations.stored_shares(0)
     share_bytes = full.rounds[0].bytes_bs_sent // 4
     for rm, want in zip(result.rounds, full.rounds):
         assert rm.outcome == want.outcome == AGGREGATED

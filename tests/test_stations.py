@@ -221,7 +221,7 @@ def test_a_station_is_a_view_of_one_row():
     stations = Stations([5, 6])
     view = stations.station(1)
     assert isinstance(view, BaseStation) and view.bs_id == 6
-    view.receive_shares(block_for(6, {3: 33}))
+    stations.receive_shares(1, block_for(6, {3: 33}))
     assert stations.stored_shares(1) == {3: SecretShare(6, 33)} == view.stored_shares
     assert stations.stored_shares(0) == {}
     with pytest.raises(AttributeError):
