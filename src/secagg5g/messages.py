@@ -72,6 +72,12 @@ class MaskShareMode(IntEnum):
     COMPACT = 1
 
 
+def require_mode(mode) -> None:
+    """Refuse a mode that is not a ``MaskShareMode``; its equal int is not one."""
+    if not isinstance(mode, MaskShareMode):
+        raise ValueError(f"mask_share_mode must be a MaskShareMode, got {mode!r}")
+
+
 def _pack_array(values: np.ndarray) -> bytes:
     return _COUNT.pack(len(values)) + values.tobytes()
 

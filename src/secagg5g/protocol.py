@@ -12,9 +12,10 @@ Roles:
   * ``BaseStation`` stores one key share per registered device and answers
     each round's online list with one aggregated mask share. It is a view
     of one row of the ``Stations`` matrix, one row per station and one
-    column per device, whose ``receive_shares`` stores a block of shares in
-    a row and whose ``mask_shares`` answers a list for any set of rows with
-    one gather and one exact share sum per station, each answer
+    column per registered device (column i is device i, as row i - 1 of
+    the server's matrix is), whose ``receive_shares`` stores a block of
+    shares in a row and whose ``mask_shares`` answers a list for any set of
+    rows with one gather and one exact share sum per station, each answer
     bit-identical to that station's alone.
   * ``Aggregator`` (the untrusted server) collects masked updates, one or a
     block at a time, fixes the online list, reconstructs the sum of online
@@ -52,6 +53,7 @@ from .messages import (
     OnlineListMsg,
     SetupShareBlock,
     SetupShareMsg,
+    require_mode,
 )
 from .shamir import AccessStructure, SecretShare
 
@@ -319,35 +321,34 @@ _LO32 = np.uint64((1 << 32) - 1)
 # fixed cost of numpy's three reductions; on a 2-vCPU Xeon the two cross
 # between 72 and 128 shares at k = 3 and 4
 _PLAIN_SUM_ELEMENTS = 96
+# the devices a standalone ``BaseStation`` registers, 1..1024: as many as
+# the default codec lets the server decode the sum of
+ONE_STATION_DEVICES = FixedPointCodec.max_summands
 
 
 class Stations:
     """Every base station's stored key shares as one uint64 matrix with a
-    row per station and a column per device: row r is station ``ids[r]``,
-    and a share the station does not hold reads ``MISSING``.
+    row per station and a column per registered device: row r is station
+    ``ids[r]``, column i is device i's for i in 1..registered_n, and a
+    share the station does not hold reads ``MISSING``.
 
-    While no device id is 0 and every one is below twice their number plus
-    64, as the simulator's 1..n are, column s is device s's, so a list of
-    ids is its own column index. Otherwise the columns hold the devices in
-    id order and one ``searchsorted`` finds a list's columns. Either way the
-    last column is a spare that stays ``MISSING``, the column of every id no
-    station holds a share for. ``mask_shares`` answers an online list for
-    any set of rows in one pass, and ``station(r)`` is row r as a
-    ``BaseStation``.
+    The registered devices are the server's, 1..n, so a list of ids is its
+    own column index; columns 0 and n + 1 never hold a share, so an id
+    outside 1..n lands on a ``MISSING`` one. ``mask_shares`` answers an
+    online list for any set of rows in one pass, and ``station(r)`` is row
+    r as a ``BaseStation``.
 
-    Raises ValueError for a station id that is not an int in [0, 2^64), or
-    two stations with one id.
+    Raises ValueError for a station id that is not an int in [0, 2^64), two
+    stations with one id, or a ``registered_n`` that is not an int >= 1.
     """
 
-    def __init__(self, ids):
+    def __init__(self, ids, registered_n: int):
         ids = list(ids)
         _require_ids("bs_id", ids, "base stations")
+        field.require_int("registered_n", registered_n, 1)
         self.ids = [int(bs_id) for bs_id in ids]
-        self._ys = np.full((len(ids), 1), MISSING)  # the spare column alone
-        self._direct = True  # column s is device s's
-        self._senders = np.empty(0, dtype=np.uint64)  # every device held, in id order
-        self._sorted = np.array([MISSING])  # ``_senders`` and then 2^64 - 1
-        self._received = [np.empty(0, dtype=np.uint64) for _ in ids]  # per row, in arrival order
+        self.registered_n = registered_n
+        self._ys = np.full((len(ids), registered_n + 2), MISSING)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -359,47 +360,20 @@ class Stations:
         bs.stations, bs.row = self, row
         return bs
 
-    def _find(self, senders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each sender's place in id order among the devices held, and
-        whether it is one. An id that is not lands on a device that differs
-        from it, or past the last, on the 2^64 - 1 at the spare's place."""
-        pos = self._sorted.searchsorted(senders)
-        return pos, (self._sorted[pos] == senders) & (pos < len(self._senders))
-
-    def _columns(self, senders: np.ndarray) -> np.ndarray:
-        """Each sender's column; a sender no station holds a share of gets
-        one that is ``MISSING`` in every row."""
-        spare = self._ys.shape[1] - 1
-        if self._direct:
-            return np.minimum(senders, spare)
-        pos, held = self._find(senders)
-        pos[~held] = spare
-        return pos
-
-    def _add_devices(self, senders: np.ndarray) -> None:
-        """Give each of ``senders``, devices without a column, one."""
-        held, old = self._senders, self._ys[:, self._columns(self._senders)]
-        self._senders = np.array(sorted(held.tolist() + senders.tolist()), dtype=np.uint64)
-        top, n = int(self._senders[-1]), len(self._senders)
-        self._direct = bool(1 <= self._senders[0] and top < 2 * n + 64)
-        self._ys = np.full((len(self), top + 2 if self._direct else n + 1), MISSING)
-        self._sorted = np.append(self._senders, MISSING)
-        self._ys[:, self._columns(held)] = old
-
     def stored_shares(self, row: int) -> dict[int, SecretShare]:
-        """Row ``row``'s shares by sender as Python ints, in arrival order."""
-        senders = self._received[row]
-        ys = self._ys[row, self._columns(senders)]
-        x = self.ids[row]
+        """Row ``row``'s shares by sender as Python ints, in id order."""
+        senders = np.flatnonzero(self._ys[row] != MISSING)
+        x, ys = self.ids[row], self._ys[row, senders]
         return {ue: SecretShare(x, y) for ue, y in zip(senders.tolist(), ys.tolist())}
 
     def receive_shares(self, row: int, block: SetupShareBlock) -> None:
-        """Store each of the block's shares in row ``row``, in row order.
+        """Store each of the block's shares in row ``row``, in its sender's column.
 
         All or nothing: raises ProtocolError, and stores no share, if a row
         of the block is for another station, its share point x is not this
         station's index, or its sender already has a share here, from an
-        earlier block or an earlier row of this one.
+        earlier block or an earlier row of this one; ValueError if a sender
+        is outside 1..registered_n.
         """
         bs_id = self.ids[row]
         wrong = np.flatnonzero(block.targets != bs_id)
@@ -409,20 +383,17 @@ class Stations:
         if len(wrong):
             raise ProtocolError(
                 f"share point x={block.xs[wrong[0]]} does not match BS index {bs_id}")
-        cols = self._columns(block.senders)
-        # set-up only, so Python's set and sort: numpy's first sort in a
-        # process grows the resident set by about 0.3 MB
-        senders = block.senders.tolist()
-        if (self._ys[row, cols] != MISSING).any() or len(set(senders)) < len(senders):
-            held = set(self._received[row].tolist())
-            ue = next(ue for r, ue in enumerate(senders) if ue in held or ue in senders[:r])
+        senders = block.senders
+        if len(senders) and (senders - 1).max() >= self.registered_n:  # 0 wraps to 2^64 - 1
+            raise ValueError(f"share from a sender outside 1..{self.registered_n}")
+        stored = self._ys[row, senders] != MISSING
+        # set-up only, so Python's set: numpy's first sort in a process
+        # grows the resident set by about 0.3 MB
+        listed = senders.tolist()
+        if stored.any() or len(set(listed)) < len(listed):
+            ue = next(ue for r, ue in enumerate(listed) if stored[r] or ue in listed[:r])
             raise ProtocolError(f"BS {bs_id} already stores a share for UE {ue}")
-        fresh = ~self._find(block.senders)[1]
-        if fresh.any():
-            self._add_devices(block.senders[fresh])
-            cols = self._columns(block.senders)
-        self._ys[row, cols] = block.ys
-        self._received[row] = np.concatenate([self._received[row], block.senders])
+        self._ys[row, senders] = block.ys
 
     def mask_shares(
         self, rows, online: OnlineListMsg, t: int, mode: MaskShareMode, d: int
@@ -443,22 +414,25 @@ class Stations:
 
         Raises ProtocolError if the list is stamped for a round other than
         t (its devices masked for that round, not this one) or a row is
-        listed twice, and ValueError if a row is not an int in 0..k-1. The
-        list's ids are strictly increasing, because ``OnlineListMsg``
-        refuses any other.
+        listed twice, and ValueError if ``mode`` is not a ``MaskShareMode``
+        or a row is not an int in 0..k-1. The list's ids are strictly
+        increasing, because ``OnlineListMsg`` refuses any other.
         """
         if online.iteration != t:
             raise ProtocolError(
                 f"online list for round {online.iteration} asked to answer round {t}"
             )
+        require_mode(mode)
+        k = len(self.ids)
+        for r in rows:
+            field.require_int("station row", r, end=k)
         if len(set(rows)) < len(rows):
             raise ProtocolError("a station listed twice would answer twice")
         ids = online.ue_ids
-        # in the direct layout a list is its own column index: an id past
-        # the columns clips onto the spare, and one of 2^63 or more, cast
-        # to a negative index, onto column 0, which no device has
-        cols = ids if self._direct else self._columns(ids)
-        ys = self._ys.take(cols, axis=1, mode="clip")  # every row's listed shares
+        # a list is its own column index: an id past the columns clips onto
+        # column n + 1, and one of 2^63 or more, cast to a negative index,
+        # onto column 0; neither holds a share
+        ys = self._ys.take(ids, axis=1, mode="clip")  # every row's listed shares
         # a small gather is summed as Python ints, a large one as 32-bit halves
         small = 0 < ys.size <= _PLAIN_SUM_ELEMENTS
         if small:
@@ -467,9 +441,8 @@ class Stations:
             tops = ys.max(axis=1, initial=0).tolist()
             lo = (ys & _LO32).sum(axis=1).tolist()
             hi = (ys >> 32).sum(axis=1).tolist()
-        k, totals = len(self.ids), []  # each row's exact share sum, None if it lacks one
+        totals = []  # each row's exact share sum, None if it lacks one
         for r in rows:
-            field.require_int("station row", r, end=k)
             if small:
                 v = plain[r]
                 totals.append(sum(v) if max(v) < P else None)
@@ -496,15 +469,16 @@ class BaseStation:
     its one key share per registered device.
 
     ``BaseStation(bs_id)`` builds a standalone station, the one row of its
-    own holder; ``Stations.station`` gives a row of a larger one. Raises
-    ValueError as ``Stations`` does.
+    own holder, whose registered devices are 1..``ONE_STATION_DEVICES``;
+    ``Stations.station`` gives a row of a larger one. Raises ValueError as
+    ``Stations`` does.
     """
 
     stations: Stations
     row: int
 
     def __init__(self, bs_id: int):
-        self.stations, self.row = Stations([bs_id]), 0
+        self.stations, self.row = Stations([bs_id], ONE_STATION_DEVICES), 0
 
     @property
     def bs_id(self) -> int:
@@ -512,7 +486,7 @@ class BaseStation:
 
     @property
     def stored_shares(self) -> dict[int, SecretShare]:
-        """A fresh copy of this station's shares by sender, as Python ints, in arrival order."""
+        """A fresh copy of this station's shares by sender, as Python ints, in id order."""
         return self.stations.stored_shares(self.row)
 
     def receive_share(self, msg: SetupShareMsg) -> None:
@@ -637,11 +611,13 @@ class Aggregator:
         below threshold the mask sum is information-theoretically out of
         reach, which is exactly the privacy guarantee.
 
-        Raises ProtocolError unless every share comes from a known station,
-        under that station's key, for this round, in ``mode``, and an
-        EVALUATED share has length ``dim``. Payload elements are in [0, p),
-        because ``MaskShareMsg`` refuses any other.
+        Raises ValueError if ``mode`` is not a ``MaskShareMode``, and
+        ProtocolError unless every share comes from a known station, under
+        that station's key, for this round, in ``mode``, and an EVALUATED
+        share has length ``dim``. Payload elements are in [0, p), because
+        ``MaskShareMsg`` refuses any other.
         """
+        require_mode(mode)
         for j, msg in shares.items():
             self._check_share(j, msg, mode)
         t_needed = self.bs_threshold.threshold

@@ -56,7 +56,8 @@ m deliveries in one step.
 
 The devices' state is one ``protocol.Fleet`` whose row i - 1 is device
 i, and the stations' one ``protocol.Stations`` whose row j - 1 is station
-j; the simulator drives these two holders and never a one-row view. Set-up
+j and whose column i is device i, for the server's registered devices
+1..n; the simulator drives these two holders and never a one-row view. Set-up
 splits every device's key in one ``Fleet.setup`` call and stores each base
 station's block in its row, then precomputes every device's masks in one
 ``Fleet.precompute`` call; ``SetupMetrics.time_setup_ms`` times the
@@ -88,6 +89,7 @@ from .messages import (
     OnlineListMsg,
     SetupShareMsg,
     from_bytes,
+    require_mode,
     setup_shares_from_bytes,
     updates_from_bytes,
     wire_length,
@@ -208,9 +210,7 @@ class SimConfig:
         require_real("latency_base_ms", self.latency_base_ms, 0)
         require_real("latency_jitter_ms", self.latency_jitter_ms, 0)
         require_real("deadline_ms", self.deadline_ms, self.latency_base_ms, lo_open=True)
-        if not isinstance(self.mask_share_mode, MaskShareMode):
-            raise ValueError(
-                f"mask_share_mode must be a MaskShareMode, got {self.mask_share_mode!r}")
+        require_mode(self.mask_share_mode)
         # the station threshold and the codec, frac_bits and magnitude_bound
         # included, are checked by their own types
         self.access_structure()
@@ -346,8 +346,9 @@ class _Simulation:
             codec=codec,
             dim=cfg.model_dim,
         )
-        # station j is row j - 1 of the stations' share matrix
-        self.stations = Stations(self.bs_ids)
+        # station j is row j - 1 of the stations' share matrix, and device
+        # i its column i, for the server's registered devices 1..n
+        self.stations = Stations(self.bs_ids, cfg.n_ues)
         self.af = Aggregator(
             registered_n=cfg.n_ues,
             min_online_fraction=cfg.min_online_fraction,

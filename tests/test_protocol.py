@@ -34,6 +34,7 @@ from secagg5g.protocol import (
     CollectStatus,
     Fleet,
     MissingShareError,
+    ONE_STATION_DEVICES,
     ProtocolError,
     Stations,
     UserEquipment,
@@ -213,14 +214,29 @@ def test_station_refuses_a_share_block_all_or_nothing(block, match):
     assert bs.stored_shares == before
 
 
-def test_station_stores_a_block_as_python_int_shares_in_row_order():
+def test_station_stores_a_block_as_python_int_shares_in_id_order():
     bs = BaseStation(bs_id=3)
     bs.stations.receive_shares(bs.row, station_block(3, [7, 2, 9]))
     bs.stations.receive_shares(bs.row, station_block(3, []))
-    assert list(bs.stored_shares) == [7, 2, 9]
+    assert list(bs.stored_shares) == [2, 7, 9]
     assert bs.stored_shares[2] == SecretShare(3, 101)
     assert all(type(v) is int for share in bs.stored_shares.values()
                for v in (share.x, share.y))
+
+
+@pytest.mark.parametrize("senders", [[0], [ONE_STATION_DEVICES + 1], [5, 2**63], [2**64 - 1]])
+def test_a_standalone_station_registers_devices_1_to_its_limit(senders):
+    # a standalone station keys its shares by the devices 1..1024, the most
+    # the default codec decodes the sum of, and refuses any other sender
+    assert ONE_STATION_DEVICES == FixedPointCodec(16, 1.0).max_summands == 1024
+    bs = BaseStation(bs_id=2)
+    bs.stations.receive_shares(bs.row, station_block(2, [1, ONE_STATION_DEVICES]))
+    before = dict(bs.stored_shares)
+    with pytest.raises(ValueError, match=f"share from a sender outside 1..{ONE_STATION_DEVICES}"):
+        bs.stations.receive_shares(bs.row, station_block(2, senders))
+    with pytest.raises(ValueError, match="outside"):
+        bs.receive_share(station_block(2, senders[-1:])[0])
+    assert bs.stored_shares == before
 
 
 # -- masking ----------------------------------------------------------------
@@ -333,7 +349,7 @@ def test_a_view_row_is_an_int_in_range(row):
     with pytest.raises(ValueError, match="row"):
         Fleet([1, 2, 3], [1, 2, 3], CODEC, 4).device(row)
     with pytest.raises(ValueError, match="row"):
-        Stations([1, 2, 3]).station(row)
+        Stations([1, 2, 3], 4).station(row)
 
 
 # -- precomputing a fleet in one call -------------------------------------------
@@ -945,6 +961,28 @@ def test_recover_mask_rejects_a_bad_share(mode, case):
         return
     with pytest.raises(ProtocolError):
         af.recover_mask(forge(shares, old, case), mode)
+
+
+@pytest.mark.parametrize("mode", [1, 0, "compact", None])
+def test_a_mode_that_is_not_a_mask_share_mode_is_refused_at_every_entry(mode):
+    # 1 and 0 equal COMPACT and EVALUATED but are not modes: the server once
+    # raised AttributeError on the mode's name, and a station UnboundLocalError
+    match = f"mask_share_mode must be a MaskShareMode, got {mode!r}"
+    with pytest.raises(ValueError, match=match):
+        SimConfig(mask_share_mode=mode)
+    ues, bss, af, *_ = make_fleet(seed=1)
+    af.begin_round(0)
+    for ue in ues.values():
+        af.collect_update(ue.masked_update([0.25] * 12, 0))
+    online = af.finalize_online_list()
+    with pytest.raises(ValueError, match=match):
+        bss[1].mask_share(online, 0, mode, 12)
+    with pytest.raises(ValueError, match=match):
+        bss[1].stations.mask_shares([0], online, 0, mode, 12)
+    shares = {j: bss[j].mask_share(online, 0, MaskShareMode.EVALUATED, 12) for j in bss}
+    for offered in (shares, {}):
+        with pytest.raises(ValueError, match=match):
+            af.recover_mask(offered, mode)
 
 
 def test_mode_equivalence_bitwise():

@@ -47,11 +47,13 @@ def answer_plain(held, ids, bs_id, t, mode, d):
     return MaskShareMsg(bs_id, t, vector=u64([summed * c % P for c in coeffs]))
 
 
-# small ids keep the direct layout (column s is device s), ids near 2^64 or
-# a device 0 switch it to the sorted one
-device_ids = st.one_of(st.integers(1, 40), st.integers(0, 2**64 - 1),
-                       st.integers(2**64 - 8, 2**64 - 1), st.integers(2**63 - 2, 2**63 + 2))
 share_values = st.one_of(st.integers(0, P - 1), st.integers(P - 4, P - 1))
+
+
+def unregistered(n):
+    """Ids outside 1..n: the two empty columns, and ids that wrap to a
+    negative index on their way to numpy."""
+    return st.sampled_from([0, n + 1, 2**64 - 1]) | st.integers(2**63 - 2, 2**63 + 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -60,8 +62,9 @@ def test_one_pass_answers_equal_each_station_alone(data):
     k = data.draw(st.integers(1, 7), label="k")
     bs_ids = data.draw(st.lists(st.integers(1, 2**64 - 1), min_size=k, max_size=k, unique=True),
                        label="station ids")
-    devices = data.draw(st.lists(device_ids, min_size=1, max_size=30, unique=True), label="devices")
-    stations = Stations(bs_ids)
+    n = data.draw(st.integers(1, 40), label="registered_n")
+    devices = list(range(1, n + 1))
+    stations = Stations(bs_ids, n)
     held = []
     for row, bs_id in enumerate(bs_ids):
         # most stations hold every share; some lack a few, and receive their
@@ -78,9 +81,9 @@ def test_one_pass_answers_equal_each_station_alone(data):
         held.append(shares)
         stored = stations.stored_shares(row)
         assert stored == {ue: SecretShare(bs_id, y) for ue, y in shares.items()}
-        assert list(stored) == mine  # in arrival order
-    listed = data.draw(st.lists(st.sampled_from(devices) | device_ids, max_size=35, unique=True),
-                       label="online list")
+        assert list(stored) == sorted(mine)  # in id order
+    listed = data.draw(st.lists(st.sampled_from(devices) | unregistered(n), max_size=35,
+                                unique=True), label="online list")
     online = OnlineListMsg(0, 5, u64(sorted(listed)))
     rows = data.draw(st.permutations(range(k)), label="rows")
     rows = rows[:data.draw(st.integers(0, k), label="answering")]
@@ -98,7 +101,7 @@ def test_one_pass_answers_equal_each_station_alone(data):
 
 
 def test_a_station_missing_one_share_abstains_alone():
-    stations = Stations([1, 2, 3])
+    stations = Stations([1, 2, 3], 8)
     for row in range(3):
         shares = {ue: 100 * row + ue for ue in range(1, 9) if (row, ue) != (1, 6)}
         stations.receive_shares(row, block_for(row + 1, shares))
@@ -120,8 +123,7 @@ def test_a_station_missing_one_share_abstains_alone():
 
 
 def state(stations):
-    return (stations._ys.tobytes(), stations._ys.shape, stations._direct,
-            stations._senders.tobytes(), [r.tobytes() for r in stations._received])
+    return stations._ys.tobytes(), stations._ys.shape
 
 
 @pytest.mark.parametrize("case, shares, match", [
@@ -129,11 +131,16 @@ def state(stations):
     ("wrong_point", {7: 1, 8: 2}, "share point x=1 does not match BS index 2"),
     ("repeated_in_block", {7: 1, 8: 2}, "already stores a share for UE 7"),
     ("stored_before", {7: 1, 2: 2}, "already stores a share for UE 2"),
-    ("stored_before_large", {2**64 - 1: 1}, f"already stores a share for UE {2**64 - 1}"),
+    ("stored_before_large", {9: 1}, "already stores a share for UE 9"),
+    # a sender outside 1..9 is refused before any share is stored
+    ("outside_0", {7: 1, 0: 2}, "share from a sender outside 1..9"),
+    ("outside_n_plus_1", {7: 1, 10: 2}, "share from a sender outside 1..9"),
+    ("outside_2_63", {7: 1, 2**63: 2}, "share from a sender outside 1..9"),
+    ("outside_2_64_minus_1", {7: 1, 2**64 - 1: 2}, "share from a sender outside 1..9"),
 ])
 def test_refused_share_blocks_leave_the_matrix_unchanged(case, shares, match):
-    stations = Stations([1, 2, 3])
-    stations.receive_shares(1, block_for(2, {1: 10, 2: 20, 2**64 - 1: 30}))
+    stations = Stations([1, 2, 3], 9)
+    stations.receive_shares(1, block_for(2, {1: 10, 2: 20, 9: 30}))
     stations.receive_shares(0, block_for(1, {5: 50}))
     n = len(shares)
     block = block_for(2, shares)
@@ -146,39 +153,25 @@ def test_refused_share_blocks_leave_the_matrix_unchanged(case, shares, match):
         block = SetupShareBlock(u64([7, 8, 7]), u64([0] * 3), u64([2] * 3), u64([2] * 3),
                                 u64([1, 2, 3]))
     before = state(stations)
-    with pytest.raises(ProtocolError, match=match):
+    with pytest.raises(ValueError if case.startswith("outside") else ProtocolError, match=match):
         stations.receive_shares(1, block)
     assert state(stations) == before
     # station 2 still holds exactly its first block
     assert stations.stored_shares(1) == {1: SecretShare(2, 10), 2: SecretShare(2, 20),
-                                         2**64 - 1: SecretShare(2, 30)}
+                                         9: SecretShare(2, 30)}
 
 
-def test_layouts_hold_the_same_shares():
-    # small ids from 1 keep column s for device s; a device 0 or a large id
-    # moves every column into id order, and the shares move with them
-    stations = Stations([4, 9])
-    stations.receive_shares(0, block_for(4, {3: 30, 1: 10}))
-    assert stations._direct and stations._ys.shape == (2, 5)
-    assert stations._ys[0].tolist() == [MISSING, 10, MISSING, 30, MISSING]
-    stations.receive_shares(1, block_for(9, {2**64 - 2: 7, 3: 31}))
-    assert not stations._direct and stations._ys.shape == (2, 4)
-    assert stations._ys.tolist() == [[10, 30, MISSING, MISSING], [MISSING, 31, 7, MISSING]]
-    assert list(stations.stored_shares(0).items()) == [(3, SecretShare(4, 30)),
-                                                       (1, SecretShare(4, 10))]
-    online = OnlineListMsg(0, 0, u64([3, 2**64 - 2]))
-    first, second = stations.mask_shares([0, 1], online, 0, MaskShareMode.COMPACT, 1)
-    assert isinstance(first, MissingShareError) and second.scalar == 38
-
-
-@pytest.mark.parametrize("devices", [[1, 2], [0, 1, 2]])
+@pytest.mark.parametrize("devices", [[1, 2], [1, 2, 3]])
 def test_a_listed_id_past_the_columns_is_missing(devices):
-    # ids of 2^63 and more become negative indices on their way to numpy;
-    # they must land on a column no device has, never on device 0 or 1
-    stations = Stations([1])
+    # an id past n clips onto column n + 1, and ids of 2^63 and more become
+    # negative indices on their way to numpy; each must land on a column no
+    # device has, never on device 1 or n
+    n = len(devices)
+    stations = Stations([1], n)
     stations.receive_shares(0, block_for(1, {ue: 5 + ue for ue in devices}))
-    for far in (3, 4, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1):
-        [answer] = stations.mask_shares([0], OnlineListMsg(0, 0, u64([1, far])), 0,
+    assert stations._ys[0, [0, n + 1]].tolist() == [MISSING, MISSING]
+    for far in (0, n + 1, n + 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1):
+        [answer] = stations.mask_shares([0], OnlineListMsg(0, 0, u64(sorted({1, n, far}))), 0,
                                         MaskShareMode.COMPACT, 1)
         assert str(answer) == f"BS 1 holds no share for UEs [{far}]"
 
@@ -189,7 +182,7 @@ def test_small_and_large_gathers_sum_alike(k, listed, mode):
     # up to 96 shares in all are summed as Python ints, more as 32-bit halves
     rng = np.random.default_rng(listed)
     devices = rng.permutation(np.arange(1, 257, dtype=np.uint64)).tolist()
-    stations, held = Stations(range(1, k + 1)), []
+    stations, held = Stations(range(1, k + 1), 256), []
     for row in range(k):
         shares = dict(zip(devices, (P - 1 - rng.integers(0, 2**40, 256)).tolist()))
         stations.receive_shares(row, block_for(row + 1, shares))
@@ -202,9 +195,13 @@ def test_small_and_large_gathers_sum_alike(k, listed, mode):
 
 @pytest.mark.parametrize("rows, error", [
     ([0, 0], ProtocolError), ([3], ValueError), ([-1], ValueError), ([1.0], ValueError),
-    ([True], ValueError), (["0"], ValueError)])
+    ([True], ValueError), (["0"], ValueError),
+    # each row is checked before the duplicate test, which would otherwise
+    # hash a list or a set, or take True for 1 and 0.0 for 0
+    ([[0]], ValueError), ([{0}], ValueError), ([True, 1], ValueError),
+    ([np.int64(0), 0.0], ValueError)])
 def test_answering_rows_must_be_distinct_rows(rows, error):
-    stations = Stations([1, 2, 3])
+    stations = Stations([1, 2, 3], 1)
     for row in range(3):
         stations.receive_shares(row, block_for(row + 1, {1: 1}))
     with pytest.raises(error):
@@ -214,11 +211,17 @@ def test_answering_rows_must_be_distinct_rows(rows, error):
 @pytest.mark.parametrize("ids", [[1, 1], [0, 2**64], [1.0], [True], [-1]])
 def test_stations_refuse_ids_they_cannot_send_under(ids):
     with pytest.raises(ValueError, match="bs_id"):
-        Stations(ids)
+        Stations(ids, 4)
+
+
+@pytest.mark.parametrize("registered_n", [0, -1, True, 2.0, None])
+def test_stations_register_at_least_one_device(registered_n):
+    with pytest.raises(ValueError, match="registered_n"):
+        Stations([1, 2], registered_n)
 
 
 def test_a_station_is_a_view_of_one_row():
-    stations = Stations([5, 6])
+    stations = Stations([5, 6], 3)
     view = stations.station(1)
     assert isinstance(view, BaseStation) and view.bs_id == 6
     stations.receive_shares(1, block_for(6, {3: 33}))
