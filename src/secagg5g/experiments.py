@@ -148,9 +148,7 @@ class ExperimentSpec:
         """Largest dropout count on the active axis, leaving two entities."""
         if self.sweep_axis == "ue_dropout":
             return max(self.sim.n_ues - 2, 0)
-        if self.sweep_axis == "bs_dropout":
-            return max(self.sim.n_bss - 2, 0)
-        return 0
+        return max(self.sim.n_bss - 2, 0)
 
     def sweep_values(self) -> list[int]:
         if self.sweep_axis == "none":
@@ -181,12 +179,13 @@ class ExperimentSpec:
 
     def metadata(self) -> dict:
         """Flat config keys and values of the knobs that took effect, then
-        ``model_dim``: no sweep bounds without a sweep, and no fixed count
-        for the axis being swept."""
+        ``model_dim``: no sweep bounds without a sweep, no fixed count for
+        the axis being swept, and no ``output``, which does not shape the
+        rows."""
         unused = ("sweep_min", "sweep_max") if self.sweep_axis == "none" else (self.sweep_axis,)
         out = {k: getattr(self.sim, k) for k in SIM_KEYS}
         out["mask_share_mode"] = self.sim.mask_share_mode.name.lower()
-        out.update((k, v) for k, v in asdict(self).items() if k != "sim" and k not in unused)
+        out.update((k, v) for k, v in asdict(self).items() if k not in ("sim", "output", *unused))
         out["model_dim"] = self.sim.model_dim
         return out
 

@@ -40,7 +40,6 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import lru_cache
 
 import numpy as np
 
@@ -218,8 +217,6 @@ Message = SetupShareMsg | MaskedUpdateMsg | OnlineListMsg | MaskShareMsg | Globa
 _UPDATE_HEAD = HEADER_LEN + _COUNT.size
 
 
-# bounded: the decoder takes d from outside input
-@lru_cache(maxsize=8)
 def _update_frame(d: int) -> np.dtype:
     """One masked-update frame of d elements as a packed structured dtype."""
     return np.dtype([("type", "u1"), ("sender", "<u8"), ("iteration", "<u8"),

@@ -95,10 +95,11 @@ def require_online_fraction(value) -> None:
 
 
 def _require_ids(name: str, ids: list, parties: str) -> None:
-    """Refuse an id that is not an int in [0, 2^64), the sender of every
-    message its party sends, or one that two ``parties`` share."""
+    """Refuse an id that is not an int in [1, 2^64), the sender of every
+    message its party sends (0 is the server's sender id and no station's
+    share point), or one that two ``parties`` share."""
     for i in ids:
-        field.require_int(name, i, end=1 << 64)
+        field.require_int(name, i, 1, 1 << 64)
     if len(set(ids)) < len(ids):
         raise ValueError(f"two {parties} with one {name} are indistinguishable to the server")
 
@@ -112,7 +113,7 @@ class Fleet:
     ``mask`` masks any set of rows in one pass, and ``device(r)`` is row r
     as a ``UserEquipment``.
 
-    Raises ValueError for an id that is not an int in [0, 2^64), two
+    Raises ValueError for an id that is not an int in [1, 2^64), two
     devices with one id (the server could not tell them apart), a key that
     is not an int in [0, p), or a ``dim`` that is not an int >= 1.
     """
@@ -317,10 +318,6 @@ def route_setup_shares(
 # a share no station holds: outside Z_p, so that one max finds every gap
 MISSING = np.uint64((1 << 64) - 1)
 _LO32 = np.uint64((1 << 32) - 1)
-# up to this many shares in all, Python's max and sum over them beat the
-# fixed cost of numpy's three reductions; on a 2-vCPU Xeon the two cross
-# between 72 and 128 shares at k = 3 and 4
-_PLAIN_SUM_ELEMENTS = 96
 # the devices a standalone ``BaseStation`` registers, 1..1024: as many as
 # the default codec lets the server decode the sum of
 ONE_STATION_DEVICES = FixedPointCodec.max_summands
@@ -338,7 +335,7 @@ class Stations:
     online list for any set of rows in one pass, and ``station(r)`` is row
     r as a ``BaseStation``.
 
-    Raises ValueError for a station id that is not an int in [0, 2^64), two
+    Raises ValueError for a station id that is not an int in [1, 2^64), two
     stations with one id, or a ``registered_n`` that is not an int >= 1.
     """
 
@@ -404,13 +401,13 @@ class Stations:
         rather than emit a wrong share; the other stations still answer.
 
         One gather takes every listed share of every station. A station's
-        share sum is exact, as Python ints, summed directly over a small
-        gather and from the sums of the low and high 32 bits over a large
-        one, then reduced mod p, so each answer is bit-identical to summing
-        that station's shares alone. EVALUATED ships the mask vector for the
-        summed share, every station's from one ``khprf.evaluate`` of the
-        sums; COMPACT ships the summed share itself, leaving expansion to
-        the server. Both carry the same information by key-homomorphism.
+        share sum is exact, as the Python int made from the sums of the low
+        and high 32 bits of its shares, then reduced mod p, so each answer
+        is bit-identical to summing that station's shares alone. EVALUATED
+        ships the mask vector for the summed share, every station's from
+        one ``khprf.evaluate`` of the sums; COMPACT ships the summed share
+        itself, leaving expansion to the server. Both carry the same
+        information by key-homomorphism.
 
         Raises ProtocolError if the list is stamped for a round other than
         t (its devices masked for that round, not this one) or a row is
@@ -433,21 +430,11 @@ class Stations:
         # column n + 1, and one of 2^63 or more, cast to a negative index,
         # onto column 0; neither holds a share
         ys = self._ys.take(ids, axis=1, mode="clip")  # every row's listed shares
-        # a small gather is summed as Python ints, a large one as 32-bit halves
-        small = 0 < ys.size <= _PLAIN_SUM_ELEMENTS
-        if small:
-            plain = ys.tolist()
-        else:
-            tops = ys.max(axis=1, initial=0).tolist()
-            lo = (ys & _LO32).sum(axis=1).tolist()
-            hi = (ys >> 32).sum(axis=1).tolist()
-        totals = []  # each row's exact share sum, None if it lacks one
-        for r in rows:
-            if small:
-                v = plain[r]
-                totals.append(sum(v) if max(v) < P else None)
-            else:
-                totals.append((hi[r] << 32) + lo[r] if tops[r] < P else None)
+        tops = ys.max(axis=1, initial=0).tolist()
+        lo = (ys & _LO32).sum(axis=1).tolist()
+        hi = (ys >> 32).sum(axis=1).tolist()
+        # each row's exact share sum, None if it lacks one
+        totals = [(hi[r] << 32) + lo[r] if tops[r] < P else None for r in rows]
         if mode is MaskShareMode.EVALUATED:
             keys = [total % P for total in totals if total is not None]
             vectors = iter(khprf.evaluate(np.array(keys, dtype=np.uint64), t, d))

@@ -49,9 +49,11 @@ def split(secret: int, acc: AccessStructure, rng) -> list[SecretShare]:
 
     The polynomial has constant term ``secret`` and uniformly random higher
     coefficients drawn from the injected rng, so runs are reproducible.
-    ``split_many`` of the one secret.
+    ``split_many`` of the one secret, reduced mod p. Raises ValueError for
+    a secret that is not an int >= 0.
     """
-    row = split_many([secret % P], acc, rng)[0].tolist()
+    field.require_int("secret", secret)
+    row = split_many(np.array([secret % P], dtype=np.uint64), acc, rng)[0].tolist()
     return [SecretShare(x, y) for x, y in enumerate(row, start=1)]
 
 
@@ -63,9 +65,10 @@ def split_many(secrets, acc: AccessStructure, rng) -> np.ndarray:
     The rng draws ``threshold - 1`` coefficients per secret, secret after
     secret and nothing else, so that each row is the ``split`` of its
     secret on the same rng. The shares are evaluated by Horner for every
-    secret and point at once. Raises ValueError for a secret >= p.
+    secret and point at once. Raises ValueError unless ``secrets`` is a 1-d
+    uint64 array of elements below p.
     """
-    secrets = np.asarray(secrets, dtype=np.uint64)
+    field.require_array("secrets", secrets, np.uint64)
     field.require_canonical(secrets)
     n, t, k = len(secrets), acc.threshold, acc.total
     draws = np.array([rng.randrange(P) for _ in range(n * (t - 1))], dtype=np.uint64)
@@ -85,21 +88,27 @@ def split_many(secrets, acc: AccessStructure, rng) -> np.ndarray:
 def lagrange_coeffs_at_zero(xs: Sequence[int]) -> list[int]:
     """Coefficients lambda_j with sum(lambda_j * f(x_j)) = f(0) for deg f < len(xs).
 
-    Points must be distinct nonzero ints; anything else raises ValueError.
-    Each tuple of points is computed once and cached, since every
-    aggregated round asks again for the same chosen stations; the list
-    returned is fresh, so that a caller's edit cannot reach the cache.
+    Points must be ints, distinct and nonzero mod p; anything else raises
+    ValueError. Each tuple of points is computed once and cached, since
+    every aggregated round asks again for the same chosen stations; the
+    list returned is fresh, so that a caller's edit cannot reach the cache.
     """
-    for x in xs:
-        # checked before the lookup: 1.0 or True would hit the entry of 1
-        field.require_int("share point x", x)
+    # checked before the lookup: 1.0 or True would hit the entry of 1
+    _require_points(xs)
     return list(_lagrange_coeffs_at_zero(tuple(map(int, xs))))
+
+
+def _require_points(xs) -> None:
+    """Refuse a share point that is not an int >= 0, or two equal mod p:
+    they are one element of Z_p."""
+    for x in xs:
+        field.require_int("share point x", x)
+    if len({x % P for x in xs}) != len(xs):
+        raise ValueError("duplicate share points")
 
 
 @lru_cache(maxsize=256)
 def _lagrange_coeffs_at_zero(xs: tuple[int, ...]) -> tuple[int, ...]:
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate evaluation points")
     if any(x % P == 0 for x in xs):
         raise ValueError("x = 0 is not a valid share point")
     coeffs = []
@@ -115,11 +124,14 @@ def _lagrange_coeffs_at_zero(xs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def recover(shares: Iterable[SecretShare], acc: AccessStructure) -> int | None:
-    """Interpolate the secret at x = 0, or None when below threshold."""
+    """Interpolate the secret at x = 0, or None when below threshold.
+
+    Raises ValueError, also below threshold, for a share point that is not
+    an int >= 0 or two points equal mod p.
+    """
     shares = list(shares)
     xs = [s.x for s in shares]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate share x values")
+    _require_points(xs)
     if len(shares) < acc.threshold:
         return None
     coeffs = lagrange_coeffs_at_zero(xs)

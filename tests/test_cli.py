@@ -190,7 +190,7 @@ def test_output_deterministic_modulo_timings(tmp_path):
     meta1, rows1 = read_csv(out1)
     meta2, rows2 = read_csv(out2)
     drop = lambda r: {k: v for k, v in r.items() if not k.startswith("time_")}
-    assert [m for m in meta1 if "output" not in m] == [m for m in meta2 if "output" not in m]
+    assert meta1 == meta2
     assert [drop(r) for r in rows1] == [drop(r) for r in rows2]
 
 
@@ -199,14 +199,13 @@ def test_output_deterministic_modulo_timings(tmp_path):
 ])
 def test_committed_results_reproduce(tmp_path, name, command):
     # results/*.csv are the reproduced figures: everything but wall-clock
-    # timings and the output path must come out the same from the config
+    # timings must come out the same from the config
     out = tmp_path / f"{name}.csv"
     assert main([command, str(ROOT / "configs" / f"{name}.json"), "-o", str(out)]) == 0
     meta, rows = read_csv(out)
     golden_meta, golden_rows = read_csv(ROOT / "results" / f"{name}.csv")
     drop = lambda r: {k: v for k, v in r.items() if not k.startswith("time_")}
-    keep = lambda m: [line for line in m if not line.startswith("# output=")]
-    assert keep(meta) == keep(golden_meta)
+    assert meta == golden_meta
     assert [drop(r) for r in rows] == [drop(r) for r in golden_rows]
 
 
@@ -314,11 +313,12 @@ def test_compare_modes_takes_no_mode(tmp_path):
 
 
 @pytest.mark.parametrize("command, absent, present", [
-    ("run", {"sweep_min", "sweep_max"}, {"ue_dropout", "bs_dropout"}),
-    ("sweep", {"bs_dropout"}, {"sweep_min", "sweep_max", "ue_dropout"}),
+    ("run", {"sweep_min", "sweep_max", "output"}, {"ue_dropout", "bs_dropout"}),
+    ("sweep", {"bs_dropout", "output"}, {"sweep_min", "sweep_max", "ue_dropout"}),
 ], ids=["run", "sweep"])
 def test_metadata_records_only_knobs_that_took_effect(tmp_path, command, absent, present):
-    # run ignores the sweep bounds; a sweep over bs_dropout overrides its fixed count
+    # run ignores the sweep bounds; a sweep over bs_dropout overrides its fixed
+    # count; the output path shapes no row
     out = tmp_path / "meta.csv"
     argv = [command, str(ROOT / "configs" / "bs_sweep.json"), "-o", str(out),
             "--seeds", "0", "--iterations", "1"]

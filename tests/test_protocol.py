@@ -506,9 +506,10 @@ def test_fleet_masking_gives_one_checked_block():
     assert [msg.payload.tolist() for msg in block] == block.payloads.tolist()
 
 
-@pytest.mark.parametrize("ue_id", [-1, 2**64, 1.5, "1", None])
+@pytest.mark.parametrize("ue_id", [0, -1, 2**64, 1.5, "1", None])
 def test_device_id_must_fit_the_sender_field(ue_id):
-    # the id goes on the wire as the sender of the device's masked updates
+    # the id goes on the wire as the sender of the device's masked updates,
+    # and 0 is the server's
     with pytest.raises(ValueError, match="ue_id"):
         UserEquipment(ue_id=ue_id, key=1, codec=CODEC, dim=4)
 

@@ -114,6 +114,23 @@ def test_split_many_refuses_a_secret_outside_the_field():
     assert [s.y for s in split(P + 42, AccessStructure(1, 2), random.Random(0))] == [42, 42]
 
 
+@pytest.mark.parametrize("call", [
+    lambda acc, rng: split(2.5, acc, rng),
+    lambda acc, rng: split(True, acc, rng),
+    lambda acc, rng: split(np.float64(7.9), acc, rng),
+    lambda acc, rng: split_many([1.5], acc, rng),
+    lambda acc, rng: split_many([True], acc, rng),
+    lambda acc, rng: split_many(["3"], acc, rng),
+    lambda acc, rng: split_many([-1], acc, rng),
+], ids=["split_2.5", "split_True", "split_float64", "many_1.5", "many_True", "many_str",
+        "many_negative"])
+def test_a_secret_that_is_not_an_element_is_refused(call):
+    # a secret is an int: 2.5 cut to 2, or True read as 1, would share
+    # another secret than the one asked for
+    with pytest.raises(ValueError, match="secret"):
+        call(AccessStructure(2, 3), random.Random(0))
+
+
 def test_recover_known_shares():
     acc = AccessStructure(2, 3)
     assert recover([SecretShare(1, 49), SecretShare(3, 63)], acc) == 42
@@ -126,8 +143,10 @@ def test_lagrange_known_values():
 
 
 def test_lagrange_rejects_bad_points():
-    with pytest.raises(ValueError):
-        lagrange_coeffs_at_zero([1, 1])
+    # points are elements of Z_p: 1 and p + 1 are one point twice
+    for xs in ([1, 1], [1, P + 1], [2, P + 2]):
+        with pytest.raises(ValueError, match="duplicate"):
+            lagrange_coeffs_at_zero(xs)
     with pytest.raises(ValueError):
         lagrange_coeffs_at_zero([0, 2])
 
@@ -174,9 +193,20 @@ def test_recover_below_threshold_fails():
 
 
 def test_recover_duplicate_x_rejected():
-    acc = AccessStructure(2, 3)
-    with pytest.raises(ValueError):
-        recover([SecretShare(1, 3), SecretShare(1, 4)], acc)
+    # points equal mod p would zero a Lagrange denominator; refused at the
+    # threshold and below it
+    for x1, x2 in ((1, 1), (1, P + 1), (2, P + 2)):
+        for acc in (AccessStructure(2, 3), AccessStructure(3, 3)):
+            with pytest.raises(ValueError, match="duplicate"):
+                recover([SecretShare(x1, 5), SecretShare(x2, 7)], acc)
+
+
+def test_recover_refuses_a_point_that_is_not_an_int():
+    # checked with the duplicates, so below the threshold too
+    for x in (None, "a", 1.0, True, -1):
+        for acc in (AccessStructure(2, 3), AccessStructure(3, 3)):
+            with pytest.raises(ValueError, match="share point x"):
+                recover([SecretShare(x, 5), SecretShare(2, 7)], acc)
 
 
 def test_round_trip_all_threshold_subsets():

@@ -179,7 +179,8 @@ def test_a_listed_id_past_the_columns_is_missing(devices):
 @pytest.mark.parametrize("k, listed", [(4, 24), (4, 25), (3, 33), (7, 205), (1, 96), (1, 97)])
 @pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
 def test_small_and_large_gathers_sum_alike(k, listed, mode):
-    # up to 96 shares in all are summed as Python ints, more as 32-bit halves
+    # every gather, 96 to 1,435 shares in all, is summed as its low and high
+    # 32 bits; shares near p make both sums outgrow 32 bits
     rng = np.random.default_rng(listed)
     devices = rng.permutation(np.arange(1, 257, dtype=np.uint64)).tolist()
     stations, held = Stations(range(1, k + 1), 256), []
@@ -208,8 +209,9 @@ def test_answering_rows_must_be_distinct_rows(rows, error):
         stations.mask_shares(rows, OnlineListMsg(0, 0, u64([1])), 0, MaskShareMode.COMPACT, 1)
 
 
-@pytest.mark.parametrize("ids", [[1, 1], [0, 2**64], [1.0], [True], [-1]])
+@pytest.mark.parametrize("ids", [[1, 1], [0, 2**64], [1.0], [True], [-1], [0], [2, 0]])
 def test_stations_refuse_ids_they_cannot_send_under(ids):
+    # station j's share point is x = j, and x = 0 is the secret's
     with pytest.raises(ValueError, match="bs_id"):
         Stations(ids, 4)
 
