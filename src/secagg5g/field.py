@@ -143,17 +143,40 @@ def vec_sub(a, b) -> np.ndarray:
     return np.minimum(s, s + P)
 
 
-def mulmod(a, b) -> np.ndarray:
-    """Componentwise a * b mod p of canonical values, with numpy broadcasting."""
+def mulmod(a, b, out=None) -> np.ndarray:
+    """Componentwise a * b mod p of canonical values, with numpy broadcasting.
+
+    At least one operand has a dimension. The result is written into
+    ``out`` when one is given, a uint64 array of the broadcast shape (a
+    strided view will do), and returned. The sum is built in place, with
+    ufunc ``out=`` arguments: besides ``out`` and the operands' 32-bit limbs
+    it needs two temporaries of the full shape, and it never writes the
+    inputs.
+    """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     a0, a1 = a & _LO32, a >> 32
-    b0, b1 = b & _LO32, b >> 32
-    mid = a1 * b0 + a0 * b1  # < 2^62, weight 2^32
-    low = a0 * b0  # < 2^64
+    b0, b1 = b & _LO32, b >> 32  # taken before out is written, so out may alias b
     # a1*b1*2^64 = 8*a1*b1; mid*2^32 = (mid >> 29)*2^61 + (mid mod 2^29)*2^32
-    s = ((a1 * b1) << 3) + (mid >> 29) + ((mid & _LO29) << 32) + (low & P) + (low >> 61)
-    return fold(s)  # s < 2^63
+    out = np.multiply(a1, b1, out=out)
+    out <<= 3
+    tmp = a0 * b1
+    del b1
+    mid = a1 * b0
+    mid += tmp  # < 2^62, weight 2^32
+    out += np.right_shift(mid, 29, out=tmp)
+    mid &= _LO29
+    mid <<= 32
+    out += mid
+    low = np.multiply(a0, b0, out=mid)  # < 2^64
+    out += np.bitwise_and(low, P, out=tmp)
+    low >>= 61
+    out += low  # < 2^63
+    # fold in place: (out mod 2^61) + (out >> 61) <= p + 3, then one min
+    np.right_shift(out, 61, out=tmp)
+    out &= P
+    out += tmp
+    return np.minimum(out, np.subtract(out, P, out=tmp), out=out)
 
 
 def vec_sum(rows) -> np.ndarray:

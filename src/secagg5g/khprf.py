@@ -19,9 +19,12 @@ many coefficients are asked for.
 Precomputation covers a whole fleet in one pass: one temporary
 (iterations, d) table of these coefficients, stacked from the cached rows,
 is multiplied by every device's key into one preallocated (n, iterations, d)
-array, block by block, so the public part of set-up is paid once rather than
-once per device and each block's temporaries stay in cache. The rows' cache
-is the one copy of the coefficients a process keeps.
+array, block by block, each block written in place into its slice of that
+array, so the public part of set-up is paid once rather than once per
+device and each block's few temporaries stay in cache. The rows' cache is
+the one copy of the coefficients a process keeps. The table's first miss
+derives every row it still lacks in one pass, reading and reducing the XOF
+output a chunk at a time, rather than one row per miss.
 
 SECURITY WARNING: this default backend is NOT a PRF. The coefficients
 H(t, i) are public, so a single output component reveals the key by
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -49,17 +53,35 @@ _COEFF_BYTES = 16
 
 _TAGGED = hashlib.shake_256(DOMAIN_TAG)  # XOF state after the tag, copied per block
 _BLOCK_INDEX = struct.Struct("<QQ")
-# elements per mulmod block of the fleet precompute, so that the few of
-# mulmod's 256 KiB temporaries alive at once stay in a 2 MiB L2. Measured on
-# a 2-vCPU Xeon over the benchmark's three fleet shapes: 2^14 to 2^16 within
-# 15% of each other, 2^11 up to 3x slower, and one block per device (no
-# blocking) 2.2x slower at d = 2048
+# elements per mulmod block of the fleet precompute, and at most as many
+# coefficients per derivation chunk, so that the few 256 KiB temporaries
+# alive at once stay in a 2 MiB L2. Measured on a 2-vCPU Xeon at the
+# benchmark's three fleet shapes (n = 8, d = 2048; n = 256, d = 10, both 100
+# rounds; n = 16, d = 1000, 10 rounds), for 2^13, 2^14, 2^15 and 2^16:
+# - warm, best of 5: 22, 18, 14, 16 ms; 4.5, 3.8, 3.8, 3.8 ms; 2.7, 2.1,
+#   1.5, 1.3 ms. 2^11 reads 48, 5.1 and 4.9 ms, and one block per device
+#   (no blocking) was 2.2x slower at d = 2048 in an earlier layout;
+# - the first call in a fresh process, from a cold coefficient cache, as
+#   every benchmark pass and CLI run starts (median of 3): 61, 54, 52,
+#   45 ms; 8.3, 7.8, 9.7, 10.2 ms; 6.0, 5.5, 5.9, 6.1 ms. 2^11 reads 89,
+#   9.7 and 8.8 ms
 _BLOCK_ELEMENTS = 1 << 15
 
 
 def require_round(t) -> None:
     """Refuse a round that is not an int in [0, 2^64), the range H hashes."""
     field.require_int("round t", t, end=1 << 64)
+
+
+# While _coefficient_table stacks a table of rounds 0..T-1 at dimension d,
+# _table_ends[d] = T, and a miss at round t derives in one pass every round
+# of t..T-1 that no live row holds, parking the rows after t in _parked for
+# the lookups that follow; the table clears both when it is done.
+_table_ends: dict[int, int] = {}
+_parked: dict[tuple[int, int], np.ndarray] = {}
+# every derived row still alive, by (t, d); the cached rows are among them,
+# so a row the cache holds is never derived again
+_live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # typed, so that a float round or a bool dimension never hits the entry of
@@ -69,24 +91,76 @@ def coefficient_vector(t: int, d: int) -> np.ndarray:
     """Public coefficients (H(t, 0), ..., H(t, d-1)) as a read-only uint64 array.
 
     Cached, since every key evaluated at iteration t shares them; read-only,
-    since a write would corrupt every later mask of that iteration. One XOF
-    call per block of BLOCK coefficients; the last block asks only for the
-    bytes it needs. Each 16-byte word lo + 2^64 * hi is reduced as
-    lo + 8 * (hi mod p), since 2^64 = 8 (mod p). Raises ValueError for a
-    round that is not an int in [0, 2^64) or a d that is not an int >= 1.
+    since a write would corrupt every later mask of that iteration. A miss
+    takes the row parked for it, or derives it with ``_derive_rows``, together
+    with the rest of the table being stacked. Raises ValueError for a round
+    that is not an int in [0, 2^64) or a d that is not an int >= 1.
     """
     require_round(t)
     field.require_int("mask dimension d", d, 1)
-    stream = bytearray()
-    for block, start in enumerate(range(0, d, BLOCK)):
-        xof = _TAGGED.copy()
-        xof.update(_BLOCK_INDEX.pack(t, block))
-        stream += xof.digest(_COEFF_BYTES * min(BLOCK, d - start))
-    words = np.frombuffer(stream, dtype="<u8").reshape(d, 2)
-    lo, hi = field.fold(words[:, 0]), field.fold(words[:, 1])
-    coeffs = field.vec_add(lo, field.fold(hi << 3))
-    coeffs.setflags(write=False)
-    return coeffs
+    row = _parked.pop((t, d), None)
+    if row is None:
+        ahead = range(t, _table_ends.get(d, 0))[1:]
+        rounds = [t, *(u for u in ahead if (u, d) not in _live)]
+        row, *rest = _derive_rows(rounds, d)
+        _parked.update(zip([(u, d) for u in rounds[1:]], rest))
+    return row
+
+
+def _derive_rows(rounds, d: int) -> list[np.ndarray]:
+    """Read-only rows coefficient_vector(t, d) for t in ``rounds``, derived in
+    one pass, each row its own array.
+
+    One XOF call per block of BLOCK coefficients; a row's last block asks
+    only for the bytes it needs. The bytes are gathered and reduced chunk by
+    chunk, at most ``_BLOCK_ELEMENTS`` coefficients at a time: whole rows, or
+    slices of one row when d is larger.
+    """
+    span = min(d, _BLOCK_ELEMENTS)  # a multiple of BLOCK, or all of d
+    rows = [np.empty(d, dtype=np.uint64) for _ in rounds]
+    pieces = [(row, t, start, min(start + span, d))
+              for row, t in zip(rows, rounds) for start in range(0, d, span)]
+    per_chunk = _BLOCK_ELEMENTS // span
+    stream = bytearray(_COEFF_BYTES * span * min(per_chunk, len(pieces)))
+    for first in range(0, len(pieces), per_chunk):
+        chunk = pieces[first:first + per_chunk]
+        size = 0
+        for _, t, start, stop in chunk:
+            for block in range(start // BLOCK, -(-stop // BLOCK)):
+                xof = _TAGGED.copy()
+                xof.update(_BLOCK_INDEX.pack(t, block))
+                n = _COEFF_BYTES * (min(stop, (block + 1) * BLOCK) - block * BLOCK)
+                stream[size:size + n] = xof.digest(n)
+                size += n
+        coeffs = _reduce_words(memoryview(stream)[:size])
+        at = 0
+        for row, _, start, stop in chunk:
+            row[start:stop] = coeffs[at:at + stop - start]
+            at += stop - start
+    for row, t in zip(rows, rounds):
+        row.setflags(write=False)
+        _live[t, d] = row
+    return rows
+
+
+def _reduce_words(stream) -> np.ndarray:
+    """H of each 16-byte little-endian word lo + 2^64 * hi in ``stream``:
+    lo + 8 * hi mod p, since 2^64 = 8 (mod p), folded in place with one
+    temporary."""
+    words = np.frombuffer(stream, dtype="<u8").reshape(-1, 2)
+    lo, hi = words[:, 0], words[:, 1]
+    out = hi & field.P
+    out <<= 3  # 8 * (hi mod 2^61) < 2^64
+    tmp = out >> 61
+    out &= field.P
+    out += tmp  # <= p + 7
+    out += np.left_shift(np.right_shift(hi, 61, out=tmp), 3, out=tmp)  # 8 * (hi >> 61) <= 56
+    out += np.right_shift(lo, 61, out=tmp)
+    out += np.bitwise_and(lo, field.P, out=tmp)  # < 2^62 + 70
+    np.right_shift(out, 61, out=tmp)
+    out &= field.P
+    out += tmp  # <= p + 1
+    return np.minimum(out, np.subtract(out, field.P, out=tmp), out=out)
 
 
 def require_key(key) -> None:
@@ -116,9 +190,15 @@ def _coefficient_table(num_iterations: int, d: int) -> np.ndarray:
 
     Stacked on each call from ``coefficient_vector``'s cached rows, so the
     coefficients are held once, in that cache, and the table lives only as
-    long as its caller holds it.
+    long as its caller holds it. The first miss derives the missing rows
+    from there to the end in one pass (``coefficient_vector``).
     """
-    table = np.stack([coefficient_vector(t, d) for t in range(num_iterations)])
+    _table_ends[d] = num_iterations
+    try:
+        table = np.stack([coefficient_vector(t, d) for t in range(num_iterations)])
+    finally:
+        _table_ends.clear()
+        _parked.clear()
     table.setflags(write=False)
     return table
 
@@ -132,7 +212,8 @@ def precompute_fleet(keys, num_iterations: int, d: int) -> np.ndarray:
     int in [0, p), or a count that is not an int >= 1, raises ValueError.
     The array is fresh; only the public coefficients are shared. It is
     filled in blocks of about ``_BLOCK_ELEMENTS`` elements, a run of whole
-    devices over a slice of the flattened coefficient table.
+    devices over a slice of the flattened coefficient table, each ``mulmod``
+    writing straight into its block.
     """
     for key in keys:
         require_key(key)
@@ -144,8 +225,8 @@ def precompute_fleet(keys, num_iterations: int, d: int) -> np.ndarray:
     out = np.empty((len(key_column), coeffs.size), dtype=np.uint64)
     for i in range(0, len(key_column), rows):
         for j in range(0, coeffs.size, cols):
-            out[i:i + rows, j:j + cols] = field.mulmod(
-                key_column[i:i + rows], coeffs[j:j + cols])
+            field.mulmod(key_column[i:i + rows], coeffs[j:j + cols],
+                         out=out[i:i + rows, j:j + cols])
     out = out.reshape(-1, num_iterations, d)
     out.setflags(write=False)
     return out

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from secagg5g import khprf
 from secagg5g.cli import main
 from secagg5g.experiments import ExperimentSpec, compare_modes, run_experiment
 
@@ -282,6 +283,24 @@ def test_rows_ordered_deterministically():
     _, rows = run_experiment(spec)
     keys = [(r["sweep_value"], r["seed"], r["iteration"]) for r in rows]
     assert keys == sorted(keys)
+
+
+def test_a_sweep_derives_its_coefficients_once(monkeypatch):
+    # the first simulation's set-up derives every round's coefficients in
+    # one pass; the later simulations and all rounds only look them up
+    derived = []
+    derive = khprf._derive_rows
+
+    def spy(rounds, d):
+        derived.append(list(rounds))
+        return derive(rounds, d)
+
+    monkeypatch.setattr(khprf, "_derive_rows", spy)
+    khprf.coefficient_vector.cache_clear()
+    spec = ExperimentSpec.from_dict({**FAST, "sweep_axis": "bs_dropout", "sweep_max": 1})
+    _, rows = run_experiment(spec)
+    assert len({(r["sweep_value"], r["seed"]) for r in rows}) == 4
+    assert derived == [[0, 1, 2]]
 
 
 def test_compare_modes_ratio_metadata():

@@ -206,6 +206,76 @@ def test_mulmod_every_edge_pair():
     assert field.mulmod(a, b).tolist() == [x * y % P for x, y in grid]
 
 
+NOT_WRITTEN = 2**64 - 1  # no canonical product equals it
+
+
+def strided_out(shape):
+    """A view of ``shape`` that takes every other element of a larger array
+    filled with NOT_WRITTEN, and that array."""
+    rows, d = shape if len(shape) == 2 else (None, shape[0])
+    big = np.full((2 * (rows or 1), 2 * d + 1), NOT_WRITTEN, dtype=np.uint64)
+    view = big[::2, 1::2] if rows else big[0, 1::2]
+    return view, big
+
+
+def products(a, b):
+    """Plain-int a * b mod p, with a an int, a list of ints or a column of
+    one-int lists, and b a list."""
+    if isinstance(a, int):
+        return [a * y % P for y in b]
+    if isinstance(a[0], list):
+        return [[x * y % P for y in b] for [x] in a]
+    return [x * y % P for x, y in zip(a, b)]
+
+
+def check_mulmod_out(a, b):
+    left = np.array(a, dtype=np.uint64)
+    right = u64(b)
+    left.setflags(write=False)
+    right.setflags(write=False)
+    want = products(a, b)
+    out, big = strided_out(np.broadcast(left, right).shape)
+    assert field.mulmod(left, right, out=out) is out
+    assert out.tolist() == want
+    # every element outside the view is untouched, and so are the inputs
+    assert int((big != NOT_WRITTEN).sum()) == out.size
+    assert left.tolist() == a and right.tolist() == b
+
+
+@pytest.mark.parametrize("shape", ["column", "vector", "0-d key"])
+def test_mulmod_out_every_edge_pair(shape):
+    edges = list(EDGE_ELEMENTS)
+    if shape == "column":
+        check_mulmod_out([[x] for x in edges], edges)
+    elif shape == "vector":
+        grid = [(x, y) for x in edges for y in edges]
+        check_mulmod_out([x for x, _ in grid], [y for _, y in grid])
+    else:
+        for key in edges:
+            check_mulmod_out(key, edges)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_mulmod_out_matches_plain_ints(data):
+    # (m, 1) x (d,), (d,) x (d,) and a 0-d key x (d,), written into a
+    # strided view, from read-only inputs
+    d = data.draw(st.integers(min_value=1, max_value=12))
+    b = data.draw(st.lists(kernel_elements, min_size=d, max_size=d))
+    a = data.draw(st.one_of(
+        st.lists(st.lists(kernel_elements, min_size=1, max_size=1), min_size=1, max_size=5),
+        st.lists(kernel_elements, min_size=d, max_size=d),
+        kernel_elements))
+    check_mulmod_out(a, b)
+
+
+def test_mulmod_out_may_be_an_input():
+    a, b = u64([3, P - 1, 2**32]), u64([P - 1, 2**32 - 1, 2**32])
+    want = [x * y % P for x, y in zip(a.tolist(), b.tolist())]
+    assert field.mulmod(a, b, out=b) is b
+    assert b.tolist() == want
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_vec_sum_matches_plain_ints(data):

@@ -3,6 +3,7 @@ exact key-homomorphism, and share-compatibility."""
 
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -335,3 +336,111 @@ def test_a_bad_key_anywhere_refuses_the_fleet(where, key):
 
 def test_fleet_of_no_keys_is_empty():
     assert khprf.precompute_fleet([], 3, 4).shape == (0, 3, 4)
+
+
+# -- one derivation pass per table -----------------------------------------------
+
+
+def assert_rows_equal_hash_to_field(table, rounds, d):
+    for t in rounds:
+        assert table[t].tolist() == [hash_to_field(khprf.DOMAIN_TAG, t, i) for i in range(d)]
+
+
+@pytest.mark.parametrize("iterations,d", [
+    # the table one coefficient short of, exactly at, and one past a chunk,
+    # as whole rows and as slices of one row
+    (7, 4681), (8, 4096), (3, 10923), (1, BLOCK_ELEMENTS + 1),
+    # about the 64-coefficient XOF blocks, over two chunks
+    (521, 63), (521, 64), (521, 65),
+])
+def test_table_rows_equal_hash_to_field(iterations, d):
+    clear_coefficient_caches()
+    table = khprf._coefficient_table(iterations, d)
+    assert table.shape == (iterations, d)
+    assert_rows_equal_hash_to_field(table, range(iterations), d)
+    assert len(khprf._parked) == 0
+
+
+def test_a_table_longer_than_the_cache_is_exact():
+    clear_coefficient_caches()
+    first = khprf._coefficient_table(300, 3)
+    assert_rows_equal_hash_to_field(first, range(300), 3)
+    again = khprf._coefficient_table(300, 3)  # its first rows were evicted
+    assert again.tolist() == first.tolist()
+    assert len(khprf._parked) == 0
+
+
+@pytest.fixture
+def derived_rounds(monkeypatch):
+    """The rounds each call of the derivation function was asked for."""
+    calls = []
+    derive = khprf._derive_rows
+
+    def spy(rounds, d):
+        calls.append(list(rounds))
+        return derive(rounds, d)
+
+    monkeypatch.setattr(khprf, "_derive_rows", spy)
+    return calls
+
+
+def test_a_table_derives_each_row_once_in_one_pass(derived_rounds):
+    clear_coefficient_caches()
+    khprf._coefficient_table(40, 9)
+    assert derived_rounds == [list(range(40))]
+    assert khprf.coefficient_vector.cache_info().misses == 40
+    # a second table and every round's evaluation derive nothing
+    khprf.precompute_fleet([5, 6], 40, 9)
+    for t in range(40):
+        khprf.evaluate(7, t, 9)
+        khprf.evaluate(np.array([1, 2], dtype=np.uint64), t, 9)
+    assert derived_rounds == [list(range(40))]
+    assert khprf.coefficient_vector.cache_info().misses == 40
+
+
+def test_a_table_never_derives_a_cached_row(derived_rounds):
+    clear_coefficient_caches()
+    for t in (3, 4, 7):
+        khprf.coefficient_vector(t, 9)
+    khprf._coefficient_table(10, 9)
+    assert derived_rounds == [[3], [4], [7], [0, 1, 2, 5, 6, 8, 9]]
+    assert khprf.coefficient_vector.cache_info().misses == 10
+
+
+def test_a_refused_table_parks_nothing():
+    with pytest.raises(ValueError, match="mask dimension d"):
+        khprf._coefficient_table(4, 0)
+    assert len(khprf._parked) == 0 and len(khprf._table_ends) == 0
+
+
+def test_no_two_cached_rows_share_memory():
+    clear_coefficient_caches()
+    khprf._coefficient_table(30, 7)
+    rows = [khprf.coefficient_vector(t, 7) for t in range(30)]
+    for r, row in enumerate(rows):
+        assert row.base is None and not row.flags.writeable
+        for other in rows[:r]:
+            assert not np.shares_memory(row, other)
+
+
+# -- set-up's transient memory ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n,iterations,d", [(8, 100, 2048), (256, 100, 10)],
+                         ids=["wide_model", "many_devices"])
+def test_precompute_holds_a_few_blocks_beyond_its_arrays(n, iterations, d):
+    # the benchmark's fleet shapes, from a cold cache: besides the output,
+    # the stacked table and the cached rows, set-up holds about three blocks
+    # (the in-place mulmod's temporaries, or one XOF chunk of 16-byte words)
+    rng = random.Random(5)
+    keys = [rng.randrange(P) for _ in range(n)]
+    clear_coefficient_caches()
+    tracemalloc.start()
+    try:
+        fleet = khprf.precompute_fleet(keys, iterations, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = iterations * d * 8
+    surplus = peak - fleet.nbytes - rows - rows
+    assert surplus <= 4 * BLOCK_ELEMENTS * 8
