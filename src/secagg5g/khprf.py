@@ -22,9 +22,9 @@ is multiplied by every device's key into one preallocated (n, iterations, d)
 array, block by block, each block written in place into its slice of that
 array, so the public part of set-up is paid once rather than once per
 device and each block's few temporaries stay in cache. The rows' cache is
-the one copy of the coefficients a process keeps. The table's first miss
-derives every row it still lacks in one pass, reading and reducing the XOF
-output a chunk at a time, rather than one row per miss.
+the one copy of the coefficients a process keeps. The table derives every
+row no live array holds in one pass, reading and reducing the XOF output a
+chunk at a time, rather than one row per miss.
 
 SECURITY WARNING: this default backend is NOT a PRF. The coefficients
 H(t, i) are public, so a single output component reveals the key by
@@ -73,12 +73,6 @@ def require_round(t) -> None:
     field.require_int("round t", t, end=1 << 64)
 
 
-# While _coefficient_table stacks a table of rounds 0..T-1 at dimension d,
-# _table_ends[d] = T, and a miss at round t derives in one pass every round
-# of t..T-1 that no live row holds, parking the rows after t in _parked for
-# the lookups that follow; the table clears both when it is done.
-_table_ends: dict[int, int] = {}
-_parked: dict[tuple[int, int], np.ndarray] = {}
 # every derived row still alive, by (t, d); the cached rows are among them,
 # so a row the cache holds is never derived again
 _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -92,18 +86,15 @@ def coefficient_vector(t: int, d: int) -> np.ndarray:
 
     Cached, since every key evaluated at iteration t shares them; read-only,
     since a write would corrupt every later mask of that iteration. A miss
-    takes the row parked for it, or derives it with ``_derive_rows``, together
-    with the rest of the table being stacked. Raises ValueError for a round
+    returns the row a live array holds (one a table has just derived), or
+    derives that one row with ``_derive_rows``. Raises ValueError for a round
     that is not an int in [0, 2^64) or a d that is not an int >= 1.
     """
     require_round(t)
     field.require_int("mask dimension d", d, 1)
-    row = _parked.pop((t, d), None)
+    row = _live.get((t, d))
     if row is None:
-        ahead = range(t, _table_ends.get(d, 0))[1:]
-        rounds = [t, *(u for u in ahead if (u, d) not in _live)]
-        row, *rest = _derive_rows(rounds, d)
-        _parked.update(zip([(u, d) for u in rounds[1:]], rest))
+        row, = _derive_rows([t], d)
     return row
 
 
@@ -190,15 +181,16 @@ def _coefficient_table(num_iterations: int, d: int) -> np.ndarray:
 
     Stacked on each call from ``coefficient_vector``'s cached rows, so the
     coefficients are held once, in that cache, and the table lives only as
-    long as its caller holds it. The first miss derives the missing rows
-    from there to the end in one pass (``coefficient_vector``).
+    long as its caller holds it. Every row no live array holds is derived
+    first, in one ``_derive_rows`` pass. Each row is held here until the
+    stack is built, so that a row the stacking evicts from the cache is not
+    derived again. Raises ValueError for a d that is not an int >= 1.
     """
-    _table_ends[d] = num_iterations
-    try:
-        table = np.stack([coefficient_vector(t, d) for t in range(num_iterations)])
-    finally:
-        _table_ends.clear()
-        _parked.clear()
+    field.require_int("mask dimension d", d, 1)
+    held = [_live.get((t, d)) for t in range(num_iterations)]
+    missing = [t for t, row in enumerate(held) if row is None]
+    held += _derive_rows(missing, d) if missing else []
+    table = np.stack([coefficient_vector(t, d) for t in range(num_iterations)])
     table.setflags(write=False)
     return table
 

@@ -30,6 +30,7 @@ class SecretShare:
     y: int
 
     def __post_init__(self):
+        field.require_int("share point x", self.x)
         if self.x == 0:
             raise ValueError("share point x = 0 is reserved for the secret")
 

@@ -487,7 +487,7 @@ class _Simulation:
         # the model (the previous one on FALLBACK) is one frame, decoded
         # once and written into every online device's row at once
         metrics.outcome = FALLBACK if agg_mask is None else AGGREGATED
-        model_msg = self.af.fallback() if agg_mask is None else self.af.global_model_message()
+        model_msg = self.af.global_model_message()
         metrics.accuracy = self.task.accuracy(self.af.global_model)
         self.models[t] = self.af.global_model
         if not online_ues:

@@ -97,6 +97,9 @@ NEVER_CALLED = {
     # the online stations answer each list in one Stations.mask_shares call,
     # of which BaseStation.mask_share is the one-row case
     "protocol.bs.mask_share",
+    # the simulator takes a fallback round's model from global_model_message,
+    # of which fallback is a second name
+    "protocol.af.fallback",
 }
 
 

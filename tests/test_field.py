@@ -179,6 +179,13 @@ def test_codec_headroom_invariant_enforced():
             FixedPointCodec(**{name: value})
 
 
+def test_codec_refuses_one_summand_past_the_overflow_boundary():
+    # the largest count whose headroom m * (2^16 + 1) stays below p/2
+    FixedPointCodec(16, 1.0, 17_591_917_613_055)
+    with pytest.raises(ValueError, match="overflows the field"):
+        FixedPointCodec(16, 1.0, 17_591_917_613_056)
+
+
 # -- uint64 kernels against the plain-int reference ----------------------------
 
 

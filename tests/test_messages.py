@@ -146,7 +146,7 @@ def test_array_field_in_another_form_is_refused(build):
     (lambda: OnlineListMsg(0, False, u64([1])), "iteration"),
     (lambda: GlobalModelMsg(0, True, f64([0.5])), "iteration"),
     (lambda: SetupShareMsg(1, 0, True, SecretShare(2, 5)), "target_bs"),
-    (lambda: SetupShareMsg(1, 0, 2, SecretShare(True, 5)), "share x"),
+    (lambda: SetupShareMsg(1, 0, 2, SecretShare(True, 5)), "share point x"),
     (lambda: SetupShareMsg(1, 0, 2, SecretShare(2, True)), "share y"),
     (lambda: MaskShareMsg(1, 0, scalar=True), "scalar share"),
 ], ids=["update_sender", "update_sender_and_round", "list_round", "model_round",
