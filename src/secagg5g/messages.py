@@ -6,23 +6,28 @@ the unit of bandwidth accounting, so nothing here may be approximate.
 
     SETUP_SHARE   target BS id(8) || share x(8) || share y(8)
     MASKED_UPDATE dim(4) || field elements(8 each)
-    ONLINE_LIST   count(4) || strictly increasing UE ids(8 each)
+    ONLINE_LIST   n(4) || ceil(n/8) bytes, bit (i - 1) set for listed device i
     MASK_SHARE    mode(1) || dim(4) + elements   (EVALUATED)
                   mode(1) || scalar(8)           (COMPACT)
     GLOBAL_MODEL  dim(4) || float64 weights(8 each)
 
 A message holds exactly what ``from_bytes`` gives back. Field vectors and
 online ids are 1-d ``<u8`` numpy arrays, model weights a 1-d ``<f8`` one,
-each stored as given, uncopied, and put on the wire as its little-endian
-bytes; any other value for an array field (a list, a tuple, another dtype
-or shape) raises ValueError and is not converted. A mask share carries
-exactly one payload, a vector or a scalar, and its ``mode`` is the one that
-payload names. Each message type checks its own fields when built, in
-process or by ``from_bytes``: every integer it carries is an int in
-[0, 2^64), every field element lies in [0, p), online ids strictly
-increase and model weights are finite, else ValueError. Decoding adds only
-the length rule: a message must have exactly the length its type and count
-imply, which ``wire_length`` computes without packing.
+each stored as given, uncopied; any other value for an array field (a
+list, a tuple, another dtype or shape) raises ValueError and is not
+converted. Vectors and weights go on the wire as their little-endian
+bytes. The online ids go as a bitmap over the registry 1..n that the
+server and the stations share, in little-endian bit order with the
+padding bits zero, so a station receives ceil(n/8) bytes however many
+devices are listed. A mask share carries exactly one payload, a vector or
+a scalar, and its ``mode`` is the one that payload names. Each message
+type checks its own fields when built, in process or by ``from_bytes``:
+every integer it carries is an int in [0, 2^64), every field element lies
+in [0, p), online ids strictly increase within 1..n for a registry of
+n < 2^32 devices and model weights are finite, else ValueError. Decoding
+adds the length rule, a message must have exactly the length its type and
+count imply, which ``wire_length`` computes without packing, and refuses a
+set padding bit, so that every message has exactly one frame.
 
 Masked updates also travel as blocks: ``MaskedUpdateBlock.to_bytes`` writes
 m frames end to end, frame r byte-identical to row r's ``to_bytes``, and
@@ -61,6 +66,7 @@ _SETUP = struct.Struct("<QQQ")
 _U64 = np.dtype("<u8")
 _F64 = np.dtype("<f8")
 _WORD_END = 1 << 64
+_COUNT_END = 1 << 32
 
 
 class MaskShareMode(IntEnum):
@@ -146,21 +152,36 @@ class MaskedUpdateMsg(_Message):
 
 @dataclass(frozen=True, eq=False)
 class OnlineListMsg(_Message):
+    """The devices online in a round, out of the registry 1..registered_n
+    that the server and the stations share; ``registered_n`` None stands
+    for the list's largest id (0 for an empty list)."""
+
     sender: int
     iteration: int
-    ue_ids: np.ndarray  # uint64, strictly increasing
+    ue_ids: np.ndarray  # uint64, strictly increasing, each in 1..registered_n
+    registered_n: int | None = None
 
     def __post_init__(self):
         _require_header(self)
         require_array("ue_ids", self.ue_ids, _U64)
+        ids = self.ue_ids
         # a duplicate id would add that device's key share twice at a station
-        if (self.ue_ids[1:] <= self.ue_ids[:-1]).any():
+        if (ids[1:] <= ids[:-1]).any():
             raise ValueError("online list ids are not strictly increasing")
+        n = self.registered_n
+        if n is None:
+            n = int(ids[-1]) if len(ids) else 0
+        require_int("registered_n", n, end=_COUNT_END)
+        object.__setattr__(self, "registered_n", int(n))  # so wire_length is an int too
+        if len(ids) and not (ids[0] >= 1 and ids[-1] <= n):
+            raise ValueError(f"online list ids are not all in 1..{n}")
 
     def to_bytes(self) -> bytes:
-        return _HEADER.pack(ONLINE_LIST, self.sender, self.iteration) + _pack_array(
-            self.ue_ids
-        )
+        bits = np.zeros(self.registered_n + 1, dtype=bool)  # index i: device i
+        bits[self.ue_ids.view(np.int64)] = True  # ids < 2^32 view as themselves
+        return (_HEADER.pack(ONLINE_LIST, self.sender, self.iteration)
+                + _COUNT.pack(self.registered_n)
+                + np.packbits(bits[1:], bitorder="little").tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +234,9 @@ class GlobalModelMsg(_Message):
 
 Message = SetupShareMsg | MaskedUpdateMsg | OnlineListMsg | MaskShareMsg | GlobalModelMsg
 
-# bytes of a masked-update frame before its elements: header and count
-_UPDATE_HEAD = HEADER_LEN + _COUNT.size
+# bytes of a masked-update frame before its elements, and of an online
+# list before its bitmap: header and count
+_UPDATE_HEAD = _LIST_HEAD = HEADER_LEN + _COUNT.size
 
 
 def _update_frame(d: int) -> np.dtype:
@@ -367,10 +389,11 @@ def from_bytes(data: bytes) -> Message:
     """Decode a serialized message; inverse of ``to_bytes`` bit for bit.
 
     Raises ValueError for an unknown type or mode, a length other than the
-    one the type and count imply, or any field the message type itself
-    refuses (an element >= p, online ids not strictly increasing). Every
+    one the type and count imply, a set padding bit of an online list, or
+    any field the message type itself refuses (an element >= p). Every
     field is read at its offset in ``data``, which is never copied: arrays
-    in the result are read-only views of the received bytes.
+    in the result are read-only, and views of the received bytes except
+    the online ids, which are unpacked from the bitmap.
     """
     if len(data) < HEADER_LEN:
         raise ValueError("truncated header")
@@ -382,7 +405,7 @@ def from_bytes(data: bytes) -> Message:
     if msg_type == MASKED_UPDATE:
         return MaskedUpdateMsg(sender, iteration, _counted(data, HEADER_LEN, _U64))
     if msg_type == ONLINE_LIST:
-        return OnlineListMsg(sender, iteration, _counted(data, HEADER_LEN, _U64))
+        return _online_list(data, sender, iteration)
     if msg_type == MASK_SHARE:
         if len(data) == HEADER_LEN:
             raise ValueError("truncated mask share mode")
@@ -394,6 +417,23 @@ def from_bytes(data: bytes) -> Message:
     if msg_type == GLOBAL_MODEL:
         return GlobalModelMsg(sender, iteration, _counted(data, HEADER_LEN, _F64))
     raise ValueError(f"unknown message type {msg_type}")
+
+
+def _online_list(data, sender: int, iteration: int) -> OnlineListMsg:
+    """The online list frame ``data``: the registry size n, then its bitmap."""
+    if len(data) < _LIST_HEAD:
+        raise ValueError("truncated registry size")
+    (n,) = _COUNT.unpack_from(data, HEADER_LEN)
+    _expect_length(data, _LIST_HEAD + (n + 7) // 8)
+    if n % 8 and data[-1] >> n % 8:
+        raise ValueError(f"padding bits past device {n} are set")
+    bits = np.unpackbits(np.frombuffer(data, np.uint8, offset=_LIST_HEAD), count=n,
+                         bitorder="little")
+    (at,) = bits.nonzero()  # device i at i - 1
+    at += 1
+    ids = at.view(_U64)  # ids < 2^32 view as themselves
+    ids.flags.writeable = False
+    return OnlineListMsg(sender, iteration, ids, n)
 
 
 def updates_from_bytes(data, frames: int) -> MaskedUpdateBlock:
@@ -447,7 +487,7 @@ def wire_length(msg: Message) -> int:
     if isinstance(msg, MaskedUpdateMsg):
         return HEADER_LEN + _COUNT.size + msg.payload.nbytes
     if isinstance(msg, OnlineListMsg):
-        return HEADER_LEN + _COUNT.size + msg.ue_ids.nbytes
+        return _LIST_HEAD + (msg.registered_n + 7) // 8
     if isinstance(msg, MaskShareMsg):
         if msg.scalar is not None:
             return HEADER_LEN + 1 + _WORD.size

@@ -426,9 +426,8 @@ class Stations:
         if len(set(rows)) < len(rows):
             raise ProtocolError("a station listed twice would answer twice")
         ids = online.ue_ids
-        # a list is its own column index: an id past the columns clips onto
-        # column n + 1, and one of 2^63 or more, cast to a negative index,
-        # onto column 0; neither holds a share
+        # a list is its own column index: its ids lie in 1..2^32 - 1, and
+        # one past the columns clips onto column n + 1, which holds no share
         ys = self._ys.take(ids, axis=1, mode="clip")  # every row's listed shares
         tops = ys.max(axis=1, initial=0).tolist()
         lo = (ys & _LO32).sum(axis=1).tolist()
@@ -584,9 +583,8 @@ class Aggregator:
         self.online_ids = (np.flatnonzero(self._arrived) + 1).astype(np.uint64)
         if len(self.online_ids) < self.min_online_count():
             return None
-        return OnlineListMsg(
-            sender=AF_SENDER_ID, iteration=self.iteration, ue_ids=self.online_ids
-        )
+        return OnlineListMsg(sender=AF_SENDER_ID, iteration=self.iteration,
+                             ue_ids=self.online_ids, registered_n=self.registered_n)
 
     def recover_mask(
         self, shares: dict[int, MaskShareMsg], mode: MaskShareMode

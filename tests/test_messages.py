@@ -57,25 +57,108 @@ def test_masked_update_d1000_length():
     assert wire_length(msg) == 17 + 4 + 8000
 
 
-@given(ids, st.lists(ids, min_size=0, max_size=20, unique=True))
-def test_online_list_round_trip(iteration, ue_ids):
-    msg = OnlineListMsg(0, iteration, u64(sorted(ue_ids)))
-    assert from_bytes(msg.to_bytes()) == msg
-    assert wire_length(msg) == 17 + 4 + 8 * len(ue_ids)
+# -- online lists: a bitmap of the registered devices 1..n ----------------------
 
 
-def online_list_bytes(ue_ids):
-    return bytes([messages.ONLINE_LIST]) + struct.pack(
-        f"<QQI{len(ue_ids)}Q", 0, 0, len(ue_ids), *ue_ids)
+@st.composite
+def online_lists(draw):
+    """(registered_n, sorted ids): any subset of 1..n, n up to 300."""
+    n = draw(st.integers(min_value=0, max_value=300), label="registered_n")
+    listed = draw(st.sets(st.integers(min_value=1, max_value=n)) if n else st.just(set()),
+                  label="ids")
+    return n, sorted(listed)
+
+
+def online_list_bytes(ue_ids, n, iteration=0):
+    """The frame from plain ints: n, then bit i - 1 of the little-endian
+    integer the bitmap's bytes spell set for each listed device i."""
+    bitmap = sum(1 << (i - 1) for i in ue_ids).to_bytes((n + 7) // 8, "little")
+    return bytes([messages.ONLINE_LIST]) + struct.pack("<QQI", 0, iteration, n) + bitmap
+
+
+@given(ids, online_lists())
+def test_online_list_round_trip(iteration, case):
+    n, listed = case
+    msg = OnlineListMsg(0, iteration, u64(listed), n)
+    raw = msg.to_bytes()
+    assert raw == online_list_bytes(listed, n, iteration)
+    assert from_bytes(raw) == msg
+    assert wire_length(msg) == len(raw) == 17 + 4 + (n + 7) // 8
+
+
+@given(ids, st.integers(min_value=0, max_value=300), st.data())
+def test_every_canonical_list_frame_decodes_and_packs_back(iteration, n, data):
+    # bytes -> message -> bytes: any bitmap of n bits with its padding zero
+    bits = data.draw(st.integers(min_value=0, max_value=2**n - 1), label="bitmap")
+    raw = (bytes([messages.ONLINE_LIST]) + struct.pack("<QQI", 0, iteration, n)
+           + bits.to_bytes((n + 7) // 8, "little"))
+    msg = from_bytes(raw)
+    assert msg.registered_n == n
+    assert msg.ue_ids.tolist() == [i + 1 for i in range(n) if bits >> i & 1]
+    assert msg.to_bytes() == raw
+    assert not msg.ue_ids.flags.writeable
+
+
+def test_online_list_known_answer():
+    msg = OnlineListMsg(0, 0, u64([1, 3, 10]), 10)
+    assert msg.to_bytes()[17:] == bytes.fromhex("0a000000 0502")
+    assert wire_length(msg) == 23
+    # without a registry size, the list's largest id stands for it
+    assert OnlineListMsg(0, 0, u64([1, 3, 10])) == msg
+    assert OnlineListMsg(0, 0, u64([])).registered_n == 0
 
 
 @pytest.mark.parametrize("forged", [(1, 1, 2, 3), (2, 1, 3)])
 def test_repeated_or_unsorted_online_list_rejected(forged):
+    # a bitmap can carry neither, so the message refuses them when built
     with pytest.raises(ValueError, match="strictly increasing"):
-        from_bytes(online_list_bytes(forged))
+        OnlineListMsg(0, 0, u64(forged), 8)
     honest = sorted(set(forged))
-    assert OnlineListMsg(0, 0, u64(honest)).to_bytes() == online_list_bytes(honest)
-    assert from_bytes(online_list_bytes(honest)) == OnlineListMsg(0, 0, u64(honest))
+    assert OnlineListMsg(0, 0, u64(honest), 8).to_bytes() == online_list_bytes(honest, 8)
+    assert from_bytes(online_list_bytes(honest, 8)) == OnlineListMsg(0, 0, u64(honest), 8)
+
+
+@pytest.mark.parametrize("ue_ids, n, match", [
+    ([0, 2], 4, r"not all in 1\.\.4"),
+    ([2, 5], 4, r"not all in 1\.\.4"),
+    ([1], 2**32, r"registered_n = 4294967296 is not an int in \[0, 2\^32\)"),
+    ([1, 2**32], None, r"registered_n = 4294967296"),
+    ([1, 5, 2**64 - 1], None, "registered_n"),
+    ([1], -1, "registered_n"),
+    ([1], True, "registered_n"),
+    ([1], 4.0, "registered_n"),
+], ids=["id_0", "id_above_n", "n_2^32", "id_2^32", "id_2^64-1", "n_negative", "n_bool",
+        "n_float"])
+def test_list_outside_its_registry_is_refused(ue_ids, n, match):
+    with pytest.raises(ValueError, match=match):
+        OnlineListMsg(0, 0, u64(ue_ids), n)
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 10, 15])
+def test_list_frame_with_a_padding_bit_set_is_refused(n):
+    raw = bytearray(online_list_bytes(sorted({1, n}), n))
+    for bit in range(n % 8, 8):
+        raw[-1] |= 1 << bit
+        with pytest.raises(ValueError, match=f"padding bits past device {n} are set"):
+            from_bytes(bytes(raw))
+        raw[-1] &= ~(1 << bit)
+    assert from_bytes(bytes(raw)).ue_ids.tolist() == sorted({1, n})
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 10, 296])
+def test_list_frame_whose_count_is_one_off_is_refused(n):
+    # every device listed: one count lower, the last bit falls in the padding
+    # or past the frame; one higher, the bitmap is a byte short when its byte
+    # count grows, and is otherwise the frame of another list, over n + 1
+    raw = online_list_bytes(range(1, n + 1), n)
+    with pytest.raises(ValueError, match="trailing bytes|padding bits"):
+        from_bytes(raw[:17] + struct.pack("<I", n - 1) + raw[21:])
+    up = raw[:17] + struct.pack("<I", n + 1) + raw[21:]
+    if n % 8 == 0:
+        with pytest.raises(ValueError, match="truncated body"):
+            from_bytes(up)
+    else:
+        assert from_bytes(up) == OnlineListMsg(0, 0, u64(range(1, n + 1)), n + 1)
 
 
 @given(ids, st.lists(elements, min_size=1, max_size=30))
@@ -204,8 +287,7 @@ messages_st = st.one_of(
               ids, ids, st.integers(min_value=1, max_value=100), elements),
     st.builds(lambda s, t, v: MaskedUpdateMsg(s, t, u64(v)), ids, ids,
               st.lists(elements, min_size=0, max_size=20)),
-    st.builds(lambda t, v: OnlineListMsg(0, t, u64(sorted(v))), ids,
-              st.lists(ids, max_size=10, unique=True)),
+    st.builds(lambda t, case: OnlineListMsg(0, t, u64(case[1]), case[0]), ids, online_lists()),
     st.builds(lambda s, v: MaskShareMsg(s, 1, vector=u64(v)), ids,
               st.lists(elements, min_size=0, max_size=20)),
     st.builds(lambda s, k: MaskShareMsg(s, 1, scalar=k), ids, elements),
@@ -280,9 +362,9 @@ def test_vectors_decode_as_arrays():
     model = from_bytes(GlobalModelMsg(0, 0, f64([0.5, -0.0])).to_bytes())
     assert model.weights.dtype == np.float64
     assert model.weights.tobytes() == struct.pack("<2d", 0.5, -0.0)
-    online = from_bytes(OnlineListMsg(0, 0, u64([1, 5, 2**64 - 1])).to_bytes())
+    online = from_bytes(OnlineListMsg(0, 0, u64([1, 5, 4099])).to_bytes())
     assert online.ue_ids.dtype == np.uint64
-    assert online.ue_ids.tolist() == [1, 5, 2**64 - 1]
+    assert online.ue_ids.tolist() == [1, 5, 4099]
 
 
 def test_array_fields_compare_exactly():

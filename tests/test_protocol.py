@@ -1169,7 +1169,7 @@ def test_int_field_refused_where_the_message_is_built(build):
 def test_int_fields_of_any_int_type_still_build():
     payload = u64([1, 2])
     assert MaskedUpdateMsg(1, 0, payload).payload is payload  # kept, not copied
-    assert OnlineListMsg(0, 0, u64([0, 2**64 - 1])).to_bytes()
+    assert OnlineListMsg(0, 0, u64([1, 2]), np.uint16(300)).to_bytes()
     assert SetupShareMsg(np.int64(1), 0, 2, SecretShare(2, 5)).to_bytes()
 
 

@@ -360,7 +360,9 @@ def test_zero_messages_zero_bytes():
 # Every integer counter and outcome of three scenarios per mode, recorded when
 # message counts were charged where each message was sent. Totals name the
 # counter that moved; the digest covers every round's values. No float enters,
-# so these hold across BLAS builds.
+# so these hold across BLAS builds. When the online list became a bitmap of
+# the registered devices, bytes_af_sent and bytes_bs_recv were restated, each
+# 8L - ceil(n/8) bytes lower per list sent, and nothing else moved.
 GOLDEN_SCENARIOS = {
     "late": (dict(latency_base_ms=5.0, latency_jitter_ms=200.0, deadline_ms=30.0),
              DropoutSchedule.none()),
@@ -373,45 +375,45 @@ GOLDEN_SETUP = {"bytes_ue_sent": 1312, "bytes_bs_recv": 1312, "msgs_ue_to_bs": 3
 GOLDEN_ROUNDS = {
     ("EVALUATED", "late"): (
         dict(online_ues=80, online_bss=40, online_list_size=5, bytes_ue_sent=8080,
-             bytes_ue_recv=8080, bytes_bs_sent=408, bytes_bs_recv=180, bytes_af_sent=8260,
+             bytes_ue_recv=8080, bytes_bs_sent=408, bytes_bs_recv=88, bytes_af_sent=8168,
              bytes_af_recv=8488, msgs_ue_to_af=80, msgs_af_to_bs=4, msgs_bs_to_af=4,
              msgs_af_to_ue=80, late_drops=75, outcome="FFFAFFFFFF"),
-        "19cb04c4e726f78cf6e75240993350b249ac21873a4cb1461f4cc82b1c45a546",
+        "23cabf6153538bdd6ce4808343d888677a60d77b9a8253dd0ef136e70f094a9f",
     ),
     ("EVALUATED", "bernoulli"): (
         dict(online_ues=50, online_bss=25, online_list_size=50, bytes_ue_sent=5050,
-             bytes_ue_recv=5050, bytes_bs_sent=2346, bytes_bs_recv=1451, bytes_af_sent=6501,
+             bytes_ue_recv=5050, bytes_bs_sent=2346, bytes_bs_recv=506, bytes_af_sent=5556,
              bytes_af_recv=7396, msgs_ue_to_af=50, msgs_af_to_bs=23, msgs_bs_to_af=23,
              msgs_af_to_ue=50, late_drops=0, outcome="FAFAAAFFFA"),
-        "c9c90defab4d1459db5b749b24ad09c6afea609f56a92677117b7aaf07576f91",
+        "f6ba2a41269020a0131ac5b12976d6a7e59c7d46175cd62e90eb96585fbe4a58",
     ),
     ("EVALUATED", "bs_3_4_off"): (
         dict(online_ues=80, online_bss=20, online_list_size=80, bytes_ue_sent=8080,
-             bytes_ue_recv=8080, bytes_bs_sent=2040, bytes_bs_recv=1700, bytes_af_sent=9780,
+             bytes_ue_recv=8080, bytes_bs_sent=2040, bytes_bs_recv=440, bytes_af_sent=8520,
              bytes_af_recv=10120, msgs_ue_to_af=80, msgs_af_to_bs=20, msgs_bs_to_af=20,
              msgs_af_to_ue=80, late_drops=0, outcome="FFFFFFFFFF"),
-        "8c277269a8b3e3d594116b20e339a52625f41c580b782ea582013ee514bbc87b",
+        "93165f369337a69f5dd90451c2db0cbe83039b74a153c7197230227642b6e40c",
     ),
     ("COMPACT", "late"): (
         dict(online_ues=80, online_bss=40, online_list_size=5, bytes_ue_sent=8080,
-             bytes_ue_recv=8080, bytes_bs_sent=104, bytes_bs_recv=180, bytes_af_sent=8260,
+             bytes_ue_recv=8080, bytes_bs_sent=104, bytes_bs_recv=88, bytes_af_sent=8168,
              bytes_af_recv=8184, msgs_ue_to_af=80, msgs_af_to_bs=4, msgs_bs_to_af=4,
              msgs_af_to_ue=80, late_drops=75, outcome="FFFAFFFFFF"),
-        "6b2fdce188da0cc25c229d589c4940627e3dc3a1b11ca205487a4e9be16f9ab2",
+        "c779586b6b3b68bf28f446256b31706c95a791731bf68f9fde7beb9e3c8f9b97",
     ),
     ("COMPACT", "bernoulli"): (
         dict(online_ues=50, online_bss=25, online_list_size=50, bytes_ue_sent=5050,
-             bytes_ue_recv=5050, bytes_bs_sent=598, bytes_bs_recv=1451, bytes_af_sent=6501,
+             bytes_ue_recv=5050, bytes_bs_sent=598, bytes_bs_recv=506, bytes_af_sent=5556,
              bytes_af_recv=5648, msgs_ue_to_af=50, msgs_af_to_bs=23, msgs_bs_to_af=23,
              msgs_af_to_ue=50, late_drops=0, outcome="FAFAAAFFFA"),
-        "659e61c8ecab8d123f06c1f696ebeb78dc7d20ccba3ef77e5a3a51f0deb4db14",
+        "153e433ac715955571f2fcd421f7740be2e33146b6ab7b0654048ccf57c173de",
     ),
     ("COMPACT", "bs_3_4_off"): (
         dict(online_ues=80, online_bss=20, online_list_size=80, bytes_ue_sent=8080,
-             bytes_ue_recv=8080, bytes_bs_sent=520, bytes_bs_recv=1700, bytes_af_sent=9780,
+             bytes_ue_recv=8080, bytes_bs_sent=520, bytes_bs_recv=440, bytes_af_sent=8520,
              bytes_af_recv=8600, msgs_ue_to_af=80, msgs_af_to_bs=20, msgs_bs_to_af=20,
              msgs_af_to_ue=80, late_drops=0, outcome="FFFFFFFFFF"),
-        "ccf8a6b19fda646a9fbc2f8be1b73b5683169dab02f80e679355e87ddc3810e4",
+        "66ed08bd34585c835e7f284d248900572d1e706d4a1d33a5a75abc2d7efa7a62",
     ),
 }
 
@@ -487,7 +489,7 @@ def test_every_counter_follows_the_traffic_model(scenario):
         answered = rm.online_bss if listed >= floor else 0
         ue_bytes = rm.online_ues * (8 * d + 21)
         bs_sent = answered * share_bytes
-        bs_recv = answered * (8 * listed + 21)
+        bs_recv = answered * (21 + math.ceil(n / 8))  # a bitmap of the registered devices
         assert {name: v for name, v in strip_times(rm).items()
                 if name not in ("iteration", "outcome", "accuracy")} == dict(
             online_ues=rm.online_ues, online_bss=rm.online_bss, online_list_size=listed,

