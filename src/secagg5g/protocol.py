@@ -317,7 +317,7 @@ def route_setup_shares(
 
 # a share no station holds: outside Z_p, so that one max finds every gap
 MISSING = np.uint64((1 << 64) - 1)
-_LO32 = np.uint64((1 << 32) - 1)
+_LO32, _32 = field.word((1 << 32) - 1), field.word(32)
 # the devices a standalone ``BaseStation`` registers, 1..1024: as many as
 # the default codec lets the server decode the sum of
 ONE_STATION_DEVICES = FixedPointCodec.max_summands
@@ -431,7 +431,7 @@ class Stations:
         ys = self._ys.take(ids, axis=1, mode="clip")  # every row's listed shares
         tops = ys.max(axis=1, initial=0).tolist()
         lo = (ys & _LO32).sum(axis=1).tolist()
-        hi = (ys >> 32).sum(axis=1).tolist()
+        hi = (ys >> _32).sum(axis=1).tolist()
         # each row's exact share sum, None if it lacks one
         totals = [(hi[r] << 32) + lo[r] if tops[r] < P else None for r in rows]
         if mode is MaskShareMode.EVALUATED:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import local_train_one, logistic_loss
+from oracles import _sigmoid_masked, local_train_one, logistic_loss
 from secagg5g import fltask
 
 
@@ -166,3 +166,51 @@ def test_stacked_training_is_bit_identical_to_one_shard_at_a_time(
     assert [row.tobytes() for row in part] == want[lo:hi]
     for i in range(n):
         assert task.local_update(i, models[i].tolist()).tobytes() == want[i]
+
+
+@pytest.mark.parametrize("seed, log_scale", [(0, -1.0), (1, 0.5), (2, 3.0)])
+def test_training_in_blocks_of_shards_is_bit_identical_to_one_shard_at_a_time(
+        monkeypatch, seed, log_scale):
+    # the property above trains every stack in one block except at its two
+    # widest dims; here ten shards run in blocks of 3, 3, 3 and 1
+    task = fltask.generate_data(seed=seed, n_ues=10, feature_dim=6, samples_per_shard=5,
+                                test_samples=2, local_epochs=3)
+    shard_bytes = task.train_xb[0].nbytes
+    monkeypatch.setattr(fltask, "_BLOCK_BYTES", 4 * shard_bytes - 1)
+    models = np.random.default_rng(seed).normal(size=(10, task.dim)) * 10.0**log_scale
+    want = [
+        local_train_one(models[i], task.train_xb[i], task.train_y[i], task.learning_rate,
+                        task.local_epochs, task.clip_bound).tobytes()
+        for i in range(10)
+    ]
+    for lo, hi in [(0, 10), (1, 10), (2, 9), (3, 6), (4, 5), (7, 7)]:
+        part = task.local_update(slice(lo, hi), models[lo:hi])
+        assert part.shape == (hi - lo, task.dim)
+        assert [row.tobytes() for row in part] == want[lo:hi]
+    for i in range(10):
+        assert task.local_update(i, models[i]).tobytes() == want[i]
+
+
+def test_logistic_step_matches_the_piecewise_sigmoid_at_its_edges():
+    # shard i is one sample (x_i, 1) with label y_i, trained one epoch from
+    # (1, 0) at lr 1: its logit is v_i = -y_i * x_i, and the bias weight's
+    # delta is y_i * sigmoid(v_i), exact up to the sign of a zero
+    x = np.array([0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 5e-324, 2.2250738585072014e-308,
+                  1.0, -3.5, 36.7, 710.0])
+    xs = np.concatenate([x, x])
+    ys = np.repeat([1.0, -1.0], len(x))
+    v = -ys * xs
+    assert {0.0, np.inf, -np.inf, 745.2, -745.2, 5e-324, -5e-324} <= set(v[~np.isnan(v)].tolist())
+    assert np.signbit(v[v == 0.0]).tolist() == [True, False]
+    xb = np.stack([xs, np.ones_like(xs)], axis=1)[:, None, :]
+    models = np.tile([1.0, 0.0], (len(xs), 1))
+    with np.errstate(invalid="ignore"):  # the inf and NaN logits
+        delta = fltask.local_train(models, xb, ys[:, None], 1.0, 1, 1.0)
+        want = _sigmoid_masked(v)
+        np.testing.assert_array_equal(
+            delta, [local_train_one(models[i], xb[i], ys[i:i + 1], 1.0, 1, 1.0)
+                    for i in range(len(xs))])
+    nan = np.isnan(want)
+    got = np.abs(delta[:, 1])
+    assert nan.tolist() == np.isnan(got).tolist()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
