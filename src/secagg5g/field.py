@@ -114,11 +114,6 @@ def inv(a: int) -> int:
     return pow(a, P - 2, P)
 
 
-def rand_element(rng) -> int:
-    """Uniform element of Z_p from a seeded random.Random."""
-    return rng.randrange(P)
-
-
 def require_canonical(v: np.ndarray) -> None:
     """Raise ValueError unless every element of the uint64 array v is < p."""
     top = v.max(initial=0)

@@ -15,8 +15,8 @@ Roles:
     column per registered device (column i is device i, as row i - 1 of
     the server's matrix is), whose ``receive_shares`` stores a block of
     shares in a row and whose ``mask_shares`` answers a list for any set of
-    rows with one gather and one exact share sum per station, each answer
-    bit-identical to that station's alone.
+    rows with one gather and one ``field.vec_sum`` of the stations' shares,
+    each answer bit-identical to that station's alone.
   * ``Aggregator`` (the untrusted server) collects masked updates, one or a
     block at a time, fixes the online list, reconstructs the sum of online
     masks from any threshold-many base-station shares, and unmasks only the
@@ -30,7 +30,8 @@ Field vectors (masked updates, masks) are canonical uint64 arrays
 (``field``); the server's model is a float64 array. Each message type checks
 its own fields when it is built (``messages``), so the roles check only what
 depends on their own state: round, sender and station ids, dimension, mode,
-registered devices and one-use masks.
+registered devices and one-use masks. ``Fleet.setup``, ``Fleet.mask`` and
+``Stations.mask_shares`` take their rows by one rule, ``_rows``.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ _STATUSES = np.array(
 
 
 def generate_key(rng) -> int:
-    """Fresh uniform masking key in Z_p."""
-    return field.rand_element(rng)
+    """Fresh uniform masking key in Z_p from a seeded ``random.Random``."""
+    return rng.randrange(P)
 
 
 def require_online_fraction(value) -> None:
@@ -102,6 +103,40 @@ def _require_ids(name: str, ids: list, parties: str) -> None:
         field.require_int(name, i, 1, 1 << 64)
     if len(set(ids)) < len(ids):
         raise ValueError(f"two {parties} with one {name} are indistinguishable to the server")
+
+
+def _listed_once(rows: np.ndarray, n: int) -> bool:
+    """Whether no index of the intp array ``rows``, each in 0..n-1, repeats:
+    a scatter into n flags, not ``np.unique``, which sorts and whose first
+    call grows the resident set by ~1.5 MB."""
+    listed = np.zeros(n, dtype=bool)
+    listed[rows] = True
+    return np.count_nonzero(listed) == len(rows)
+
+
+def _rows(rows, n: int, party: str, twice: str) -> np.ndarray:
+    """``rows`` as an intp array of row indices into n ``party`` rows.
+
+    Raises ValueError unless ``rows`` is a 1-d int array, or a list, tuple
+    or range of ints (``field.require_int``, so never a bool, which numpy
+    would take for 1), each in 0..n-1, and ProtocolError if a row is listed
+    twice, saying that its ``party`` would then ``twice``.
+    """
+    if isinstance(rows, (list, tuple, range)):
+        for r in rows:
+            field.require_int(f"{party} row", r, end=n)
+        rows = np.array(rows, dtype=np.intp)
+    elif not (isinstance(rows, np.ndarray) and rows.ndim == 1
+              and (rows.size == 0 or rows.dtype.kind in "iu")):
+        raise ValueError(f"{party} rows must be a 1-d sequence of ints")
+    else:
+        rows = rows.astype(np.intp, copy=False)  # a uint64 >= 2^63 turns negative
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            # numpy would wrap -1 to the last row
+            raise ValueError(f"a {party} row outside 0..{n - 1}")
+    if not _listed_once(rows, n):
+        raise ProtocolError(f"a {party} listed twice would {twice}")
+    return rows
 
 
 class Fleet:
@@ -148,24 +183,6 @@ class Fleet:
         ue.fleet, ue.row = self, row
         return ue
 
-    def _rows(self, rows, twice: str) -> np.ndarray:
-        """``rows`` as an intp array. Raises ValueError unless it is a 1-d
-        sequence of ints in 0..n-1, and ProtocolError if a row is listed
-        twice, saying that its device would then ``twice``."""
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-            raise ValueError("rows must be a 1-d sequence of ints")
-        rows = rows.astype(np.intp, copy=False)  # a uint64 >= 2^63 turns negative
-        if rows.size and (rows.min() < 0 or rows.max() >= len(self)):
-            # numpy would wrap -1 to the last device
-            raise ValueError(f"a row outside 0..{len(self) - 1}")
-        # not np.unique: its first call grows the resident set by ~1.5 MB
-        listed = np.zeros(len(self), dtype=bool)
-        listed[rows] = True
-        if np.count_nonzero(listed) < len(rows):
-            raise ProtocolError(f"a device listed twice would {twice}")
-        return rows
-
     def setup(self, acc: AccessStructure, rng, rows=None) -> list[SetupShareBlock]:
         """Split the keys of ``rows`` (every device when None) into one share
         per base station, in one ``shamir.split_many`` pass: block j - 1 is
@@ -176,7 +193,8 @@ class Fleet:
         and draws nothing, if a row is listed twice or its device has
         already completed set-up; ValueError for rows as ``mask``.
         """
-        rows = np.arange(len(self)) if rows is None else self._rows(rows, "share its key twice")
+        rows = (np.arange(len(self)) if rows is None
+                else _rows(rows, len(self), "device", "share its key twice"))
         done = np.flatnonzero(self._setup_done[rows])
         if len(done):
             raise ProtocolError(f"UE {self.ids[rows[done[0]]]} already completed setup")
@@ -210,13 +228,14 @@ class Fleet:
         cancel masks across rounds and open individual updates. All or
         nothing: raises ProtocolError, and advances no device, if a row is
         listed twice or its device has already masked round t or a later
-        one. Raises ValueError if t is not an int in [0, 2^64), a row is not
-        an int in 0..n-1, or an update has the wrong dimension or exceeds
-        the magnitude bound.
+        one. Raises ValueError if t is not an int in [0, 2^64), ``rows`` is
+        not a 1-d int array, or a list, tuple or range of ints, never a
+        bool, each in 0..n-1, or an update has the wrong dimension or
+        exceeds the magnitude bound.
         """
         khprf.require_round(t)
         t = int(t)  # a uint64 compared with an int64 would be a float compare
-        rows = self._rows(rows, "use its round mask twice")
+        rows = _rows(rows, len(self), "device", "use its round mask twice")
         spent = np.flatnonzero(self._masked[rows] & (self._last[rows] >= t))
         if len(spent):
             r = rows[spent[0]]
@@ -317,7 +336,6 @@ def route_setup_shares(
 
 # a share no station holds: outside Z_p, so that one max finds every gap
 MISSING = np.uint64((1 << 64) - 1)
-_LO32, _32 = field.word((1 << 32) - 1), field.word(32)
 # the devices a standalone ``BaseStation`` registers, 1..1024: as many as
 # the default codec lets the server decode the sum of
 ONE_STATION_DEVICES = FixedPointCodec.max_summands
@@ -400,53 +418,48 @@ class Stations:
         station that holds no share for some listed device and so abstains
         rather than emit a wrong share; the other stations still answer.
 
-        One gather takes every listed share of every station. A station's
-        share sum is exact, as the Python int made from the sums of the low
-        and high 32 bits of its shares, then reduced mod p, so each answer
-        is bit-identical to summing that station's shares alone. EVALUATED
-        ships the mask vector for the summed share, every station's from
-        one ``khprf.evaluate`` of the sums; COMPACT ships the summed share
-        itself, leaving expansion to the server. Both carry the same
-        information by key-homomorphism.
+        One gather takes every listed share of every listed station. The
+        rows that hold a ``MISSING`` share are dropped, and one
+        ``field.vec_sum`` takes the exact share sum mod p of each of the
+        others, so each answer is bit-identical to summing that station's
+        shares alone. EVALUATED ships the mask vector for the summed share,
+        every station's from one ``khprf.evaluate`` of the sums; COMPACT
+        ships the summed share itself, leaving expansion to the server.
+        Both carry the same information by key-homomorphism.
 
         Raises ProtocolError if the list is stamped for a round other than
         t (its devices masked for that round, not this one) or a row is
         listed twice, and ValueError if ``mode`` is not a ``MaskShareMode``
-        or a row is not an int in 0..k-1. The list's ids are strictly
-        increasing, because ``OnlineListMsg`` refuses any other.
+        or ``rows`` breaks the row rule ``Fleet.mask`` keeps: a 1-d int
+        array, or a list, tuple or range of ints, never a bool, each in
+        0..k-1. The list's ids are strictly increasing, because
+        ``OnlineListMsg`` refuses any other.
         """
         if online.iteration != t:
             raise ProtocolError(
                 f"online list for round {online.iteration} asked to answer round {t}"
             )
         require_mode(mode)
-        k = len(self.ids)
-        for r in rows:
-            field.require_int("station row", r, end=k)
-        if len(set(rows)) < len(rows):
-            raise ProtocolError("a station listed twice would answer twice")
+        rows = _rows(rows, len(self), "station", "answer twice")
         ids = online.ue_ids
         # a list is its own column index: its ids lie in 1..2^32 - 1, and
         # one past the columns clips onto column n + 1, which holds no share
-        ys = self._ys.take(ids, axis=1, mode="clip")  # every row's listed shares
-        tops = ys.max(axis=1, initial=0).tolist()
-        lo = (ys & _LO32).sum(axis=1).tolist()
-        hi = (ys >> _32).sum(axis=1).tolist()
-        # each row's exact share sum, None if it lacks one
-        totals = [(hi[r] << 32) + lo[r] if tops[r] < P else None for r in rows]
-        if mode is MaskShareMode.EVALUATED:
-            keys = [total % P for total in totals if total is not None]
-            vectors = iter(khprf.evaluate(np.array(keys, dtype=np.uint64), t, d))
+        ys = self._ys.take(ids, axis=1, mode="clip")[rows]  # each row's listed shares
+        # a MISSING share lies above p, and its station abstains
+        held = ys.max(axis=1, initial=0) < field.P_WORD
+        sums = field.vec_sum(ys[held].T)  # each holding row's exact share sum mod p
+        compact = mode is MaskShareMode.COMPACT
+        payloads = iter(sums.tolist() if compact else khprf.evaluate(sums, t, d))
         answers = []
-        for r, total in zip(rows, totals):
-            if total is None:  # a MISSING share: the station abstains
-                missing = ids[ys[r] == MISSING].tolist()
+        for r, holds, listed in zip(rows.tolist(), held.tolist(), ys):
+            if not holds:
+                missing = ids[listed == MISSING].tolist()
                 answers.append(MissingShareError(
                     f"BS {self.ids[r]} holds no share for UEs {missing}"))
-            elif mode is MaskShareMode.COMPACT:
-                answers.append(MaskShareMsg(self.ids[r], t, scalar=total % P))
+            elif compact:
+                answers.append(MaskShareMsg(self.ids[r], t, scalar=next(payloads)))
             else:
-                answers.append(MaskShareMsg(self.ids[r], t, vector=next(vectors)))
+                answers.append(MaskShareMsg(self.ids[r], t, vector=next(payloads)))
         return answers
 
 
@@ -552,11 +565,8 @@ class Aggregator:
                 raise ValueError(f"update from a sender outside 1..{self.registered_n}")
             rows = rows.astype(np.intp)  # intp indexes faster than uint64
             # each sender's first row: every row, unless a sender repeats;
-            # not np.unique unless one does: it sorts, and its first call
-            # grows the resident set
-            listed = np.zeros(self.registered_n, dtype=bool)
-            listed[rows] = True
-            if np.count_nonzero(listed) == len(rows):
+            # np.unique only if one does
+            if _listed_once(rows, self.registered_n):
                 fresh = np.flatnonzero(~self._arrived[rows])
             else:
                 first = np.unique(rows, return_index=True)[1]

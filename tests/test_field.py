@@ -6,6 +6,7 @@ ints never overflow, so an independent computation path is one expression.
 
 import ast
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -93,13 +94,6 @@ def test_inverse():
         assert field.mul(a, field.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         field.inv(0)
-
-
-def test_rand_element_in_range():
-    rng = random.Random(9)
-    samples = [field.rand_element(rng) for _ in range(1000)]
-    assert all(0 <= s < P for s in samples)
-    assert len(set(samples)) > 990  # collisions in Z_p would be astronomical
 
 
 # -- fixed-point codec ------------------------------------------------------
@@ -435,9 +429,54 @@ def _compares_an_array_layout(node) -> bool:
 
 def test_only_field_decides_what_is_an_array():
     # every array check calls field.require_array, which converts nothing;
-    # Fleet._rows alone converts, since a list of row indices is any int
-    # sequence, not a wire field
+    # protocol._rows alone converts, since a list of row indices is any int
+    # array or sequence, not a wire field
     assert _checks_outside_field(_compares_an_array_layout) == {("protocol.py", "_rows")}
+
+
+_FOLDS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+          ast.Pow: operator.pow, ast.LShift: operator.lshift}
+
+
+def _spelled_int(node) -> int | None:
+    """The int that ``node`` writes out in literals, such as ``(1 << 32) - 1``
+    or ``2**32 - 1``, else None."""
+    if isinstance(node, ast.Constant):
+        return node.value if type(node.value) is int else None
+    if isinstance(node, ast.BinOp) and type(node.op) in _FOLDS:
+        left, right = _spelled_int(node.left), _spelled_int(node.right)
+        if left is not None and right is not None:
+            return _FOLDS[type(node.op)](left, right)
+    return None
+
+
+def _splits_32_bit_limbs(node) -> bool:
+    """Whether ``node`` is a right shift by 32 or a mask of 2^32 - 1, written
+    out (``x >> 32``, ``x >>= 32``, ``0xFFFFFFFF``, ``(1 << 32) - 1``) or made
+    a kernel constant by ``field.word(32)`` or ``field.word((1 << 32) - 1)``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift):
+        return _spelled_int(node.right if isinstance(node, ast.BinOp) else node.value) == 32
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name == "word" and any(_spelled_int(arg) in (32, 2**32 - 1) for arg in node.args)
+    return _spelled_int(node) == 2**32 - 1
+
+
+def test_only_field_splits_words_into_32_bit_limbs():
+    # the exact mod-p sums (vec_sum) and products (mulmod) split each word
+    # into 32-bit limbs; a second split elsewhere is a second exact sum to
+    # keep in step with the first
+    assert _checks_outside_field(_splits_32_bit_limbs) == set()
+
+
+@pytest.mark.parametrize("source, splits", [
+    ("x >> 32", True), ("x >>= 32", True), ("x & 0xFFFFFFFF", True),
+    ("x & ((1 << 32) - 1)", True), ("x & (2**32 - 1)", True), ("field.word(32)", True),
+    ("word((1 << 32) - 1)", True), ("x >> 31", False), ("x << 32", False),
+    ("1 << 32", False), ("x & P", False), ("field.word(61)", False)])
+def test_the_limb_guard_sees_each_spelling_of_a_split(source, splits):
+    assert any(_splits_32_bit_limbs(node) for node in ast.walk(ast.parse(source))) == splits
 
 
 @pytest.mark.parametrize("value, dtype, ndim", [

@@ -85,6 +85,13 @@ def run_round(ues, bss, af, t, online_ue_ids, online_bs_ids, mode, d, updates):
 # -- setup ------------------------------------------------------------------
 
 
+def test_generate_key_in_range():
+    rng = random.Random(9)
+    samples = [generate_key(rng) for _ in range(1000)]
+    assert all(0 <= s < P for s in samples)
+    assert len(set(samples)) > 990  # collisions in Z_p would be astronomical
+
+
 def test_setup_emits_one_share_per_bs():
     rng = random.Random(0)
     ue = UserEquipment(ue_id=1, key=generate_key(rng), codec=CODEC, dim=4)

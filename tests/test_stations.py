@@ -6,22 +6,25 @@ devices, expanded by ``khprf.evaluate`` in EVALUATED mode, or its
 abstention when it lacks one of them.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import hash_to_field
 from secagg5g import khprf
-from secagg5g.field import P
+from secagg5g.field import P, FixedPointCodec
 from secagg5g.messages import MaskShareMode, MaskShareMsg, OnlineListMsg, SetupShareBlock
 from secagg5g.protocol import (
     MISSING,
     BaseStation,
+    Fleet,
     MissingShareError,
     ProtocolError,
     Stations,
 )
-from secagg5g.shamir import SecretShare
+from secagg5g.shamir import AccessStructure, SecretShare
 
 
 def u64(values):
@@ -179,8 +182,8 @@ def test_a_listed_id_past_the_columns_is_missing(devices):
 @pytest.mark.parametrize("k, listed", [(4, 24), (4, 25), (3, 33), (7, 205), (1, 96), (1, 97)])
 @pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
 def test_small_and_large_gathers_sum_alike(k, listed, mode):
-    # every gather, 96 to 1,435 shares in all, is summed as its low and high
-    # 32 bits; shares near p make both sums outgrow 32 bits
+    # every gather, 96 to 1,435 shares in all, is summed by field.vec_sum;
+    # shares near p make both of its limb sums outgrow 32 bits
     rng = np.random.default_rng(listed)
     devices = rng.permutation(np.arange(1, 257, dtype=np.uint64)).tolist()
     stations, held = Stations(range(1, k + 1), 256), []
@@ -200,13 +203,29 @@ def test_small_and_large_gathers_sum_alike(k, listed, mode):
     # each row is checked before the duplicate test, which would otherwise
     # hash a list or a set, or take True for 1 and 0.0 for 0
     ([[0]], ValueError), ([{0}], ValueError), ([True, 1], ValueError),
-    ([np.int64(0), 0.0], ValueError)])
+    ([np.int64(0), 0.0], ValueError),
+    # numpy would read this list as rows 1 and 0, and a set has no order
+    ([True, 0], ValueError), ({0, 1}, ValueError),
+    (np.array([True, False]), ValueError), (np.array([[0]]), ValueError),
+    (np.array([0.0]), ValueError), (np.array([0, 2**63], dtype=np.uint64), ValueError)])
 def test_answering_rows_must_be_distinct_rows(rows, error):
+    # the stations' answers, the devices' set-up and their masking take rows
+    # by one rule: each refuses every case alike and changes no state
     stations = Stations([1, 2, 3], 1)
     for row in range(3):
         stations.receive_shares(row, block_for(row + 1, {1: 1}))
+    held = stations._ys.copy()
     with pytest.raises(error):
         stations.mask_shares(rows, OnlineListMsg(0, 0, u64([1])), 0, MaskShareMode.COMPACT, 1)
+    assert np.array_equal(stations._ys, held)
+    fleet, rng = Fleet([1, 2, 3], [4, 5, 6], FixedPointCodec(), 2), random.Random(0)
+    drawn = rng.getstate()
+    with pytest.raises(error):
+        fleet.setup(AccessStructure(2, 3), rng, rows)
+    with pytest.raises(error):
+        fleet.mask(rows, np.zeros((len(rows), 2)), 0)
+    assert rng.getstate() == drawn
+    assert not fleet._setup_done.any() and not fleet._masked.any()
 
 
 @pytest.mark.parametrize("ids", [[1, 1], [0, 2**64], [1.0], [True], [-1], [0], [2, 0]])
