@@ -14,8 +14,11 @@ one wraparound and a min. A 61x61-bit product needs 122 bits, so
 a1 < 2^29: then a0*b0 < 2^64, each cross term is below 2^61 and
 a1*b1 < 2^58, and the pieces fold back into 64 bits with 2^61 = 1 and
 2^64 = 8 (mod p) (Crandall & Pomerance, *Prime Numbers: A Computational
-Perspective*, 9.2). The kernels assume canonical inputs; values from
-outside the program are checked with ``require_canonical`` where they enter.
+Perspective*, 9.2). One Mersenne fold, ``fold``, takes any word into [0, p):
+``mulmod``, ``vec_sum`` and ``fold_wide``, which reduces the 128-bit words
+of the mask coefficients, all end in it. The kernels assume canonical
+inputs; values from outside the program are checked with
+``require_canonical`` where they enter.
 """
 
 from __future__ import annotations
@@ -121,10 +124,34 @@ def require_canonical(v: np.ndarray) -> None:
         raise ValueError(f"field element {int(top)} is not below p = {P}")
 
 
-def fold(x: np.ndarray) -> np.ndarray:
-    """Reduce any uint64 values into [0, p): x = (x mod 2^61) + (x >> 61)."""
-    r = (x & P_WORD) + (x >> _61)  # <= p + 7
-    return np.minimum(r, r - P_WORD)  # r - P wraps past r exactly when r < p
+def fold(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Reduce any uint64 values into [0, p) in place, and return x.
+
+    x = (x mod 2^61) + (x >> 61) <= p + 7, then one min. ``tmp``, a uint64
+    scratch array of x's shape, saves the one temporary.
+    """
+    tmp = np.right_shift(x, _61, out=tmp)
+    x &= P_WORD
+    x += tmp  # <= p + 7; x - p wraps past x exactly when x < p
+    return np.minimum(x, np.subtract(x, P_WORD, out=tmp), out=x)
+
+
+def fold_wide(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(lo + 2^64 * hi) mod p of uint64 word pairs, as a fresh array.
+
+    2^64 = 8 (mod p), so this is lo + 8 * hi. A partial fold of
+    8 * (hi mod 2^61) < 2^64, without the min, keeps the sum of the parts
+    below 2^63, and ``fold`` ends it.
+    """
+    out = hi & P_WORD
+    out <<= _3
+    tmp = out >> _61
+    out &= P_WORD
+    out += tmp  # <= p + 7
+    out += np.left_shift(np.right_shift(hi, _61, out=tmp), _3, out=tmp)  # 8 * (hi >> 61) <= 56
+    out += np.right_shift(lo, _61, out=tmp)
+    out += np.bitwise_and(lo, P_WORD, out=tmp)  # < 2^62 + 70
+    return fold(out, tmp)
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -178,11 +205,7 @@ def mulmod(a, b, out=None) -> np.ndarray:
     out += np.bitwise_and(low, P_WORD, out=tmp)
     low >>= _61
     out += low  # < 2^63
-    # fold in place: (out mod 2^61) + (out >> 61) <= p + 3, then one min
-    np.right_shift(out, _61, out=tmp)
-    out &= P_WORD
-    out += tmp
-    return np.minimum(out, np.subtract(out, P_WORD, out=tmp), out=out)
+    return fold(out, tmp)
 
 
 def vec_sum(rows) -> np.ndarray:

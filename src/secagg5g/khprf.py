@@ -12,9 +12,9 @@ output bytes at offset 16 * (i mod 64) of
 
     SHAKE-256(DOMAIN_TAG || t_le64 || (i // 64)_le64)
 
-as a little-endian integer lo + 2^64 * hi, reduced mod p. An XOF's shorter
-output is a prefix of its longer output, so H(t, i) does not depend on how
-many coefficients are asked for.
+as a little-endian integer lo + 2^64 * hi, reduced mod p by
+``field.fold_wide``. An XOF's shorter output is a prefix of its longer
+output, so H(t, i) does not depend on how many coefficients are asked for.
 
 Precomputation covers a whole fleet in one pass: one temporary
 (iterations, d) table of these coefficients, stacked from the cached rows,
@@ -53,7 +53,6 @@ _COEFF_BYTES = 16
 
 _TAGGED = hashlib.shake_256(DOMAIN_TAG)  # XOF state after the tag, copied per block
 _BLOCK_INDEX = struct.Struct("<QQ")
-_3, _61 = field.word(3), field.word(61)
 # elements per mulmod block of the fleet precompute, and at most as many
 # coefficients per derivation chunk, so that the few 256 KiB temporaries
 # alive at once stay in a 2 MiB L2. Measured on a 2-vCPU Xeon at the
@@ -124,7 +123,8 @@ def _derive_rows(rounds, d: int) -> list[np.ndarray]:
                 n = _COEFF_BYTES * (min(stop, (block + 1) * BLOCK) - block * BLOCK)
                 stream[size:size + n] = xof.digest(n)
                 size += n
-        coeffs = _reduce_words(memoryview(stream)[:size])
+        words = np.frombuffer(stream, dtype="<u8", count=size // 8).reshape(-1, 2)
+        coeffs = field.fold_wide(words[:, 0], words[:, 1])
         at = 0
         for row, _, start, stop in chunk:
             row[start:stop] = coeffs[at:at + stop - start]
@@ -133,27 +133,6 @@ def _derive_rows(rounds, d: int) -> list[np.ndarray]:
         row.setflags(write=False)
         _live[t, d] = row
     return rows
-
-
-def _reduce_words(stream) -> np.ndarray:
-    """H of each 16-byte little-endian word lo + 2^64 * hi in ``stream``:
-    lo + 8 * hi mod p, since 2^64 = 8 (mod p), folded in place with one
-    temporary."""
-    words = np.frombuffer(stream, dtype="<u8").reshape(-1, 2)
-    lo, hi = words[:, 0], words[:, 1]
-    p = field.P_WORD
-    out = hi & p
-    out <<= _3  # 8 * (hi mod 2^61) < 2^64
-    tmp = out >> _61
-    out &= p
-    out += tmp  # <= p + 7
-    out += np.left_shift(np.right_shift(hi, _61, out=tmp), _3, out=tmp)  # 8 * (hi >> 61) <= 56
-    out += np.right_shift(lo, _61, out=tmp)
-    out += np.bitwise_and(lo, p, out=tmp)  # < 2^62 + 70
-    np.right_shift(out, _61, out=tmp)
-    out &= p
-    out += tmp  # <= p + 1
-    return np.minimum(out, np.subtract(out, p, out=tmp), out=out)
 
 
 def require_key(key) -> None:

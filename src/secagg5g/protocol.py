@@ -376,7 +376,9 @@ class Stations:
         return bs
 
     def stored_shares(self, row: int) -> dict[int, SecretShare]:
-        """Row ``row``'s shares by sender as Python ints, in id order."""
+        """Row ``row``'s shares by sender as Python ints, in id order. Raises
+        ValueError for a row that is not an int in 0..k-1."""
+        field.require_int("row", row, end=len(self))
         senders = np.flatnonzero(self._ys[row] != MISSING)
         x, ys = self.ids[row], self._ys[row, senders]
         return {ue: SecretShare(x, y) for ue, y in zip(senders.tolist(), ys.tolist())}
@@ -387,9 +389,10 @@ class Stations:
         All or nothing: raises ProtocolError, and stores no share, if a row
         of the block is for another station, its share point x is not this
         station's index, or its sender already has a share here, from an
-        earlier block or an earlier row of this one; ValueError if a sender
-        is outside 1..registered_n.
+        earlier block or an earlier row of this one; ValueError if ``row``
+        is not an int in 0..k-1 or a sender is outside 1..registered_n.
         """
+        field.require_int("row", row, end=len(self))
         bs_id = self.ids[row]
         wrong = np.flatnonzero(block.targets != bs_id)
         if len(wrong):
@@ -652,9 +655,10 @@ class Aggregator:
         """Subtract the mask sum, decode, average, and fold into the model.
 
         Returns the global update (uniform average over the online list).
-        Only the sum ever exists in decoded form. Raises ProtocolError, and
-        leaves the model unchanged, unless the online list is fixed and
-        meets the participation floor.
+        Only the sum ever exists in decoded form. Raises ProtocolError unless
+        the online list is fixed and meets the participation floor, and
+        ValueError unless ``agg_mask`` is a 1-d uint64 array of ``dim``
+        elements below p; either leaves the model unchanged.
         """
         if self.online_ids is None:
             raise ProtocolError("online list not finalized")
@@ -663,6 +667,8 @@ class Aggregator:
             raise ProtocolError(
                 f"{len(self.online_ids)} online devices, below the floor of {floor}"
             )
+        field.require_array("mask sum", agg_mask, np.uint64)
+        field.require_canonical(agg_mask)  # vec_sub refuses any other length
         encoded_sum = field.vec_sub(field.vec_sum(self._rows[self._arrived]), agg_mask)
         count = len(self.online_ids)
         update = field.decode_sum(encoded_sum, self.codec, count) / count

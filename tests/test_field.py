@@ -298,6 +298,40 @@ def test_fold_reduces_any_uint64(values):
     assert field.fold(u64(values)).tolist() == [x % P for x in values]
 
 
+# the words where a fold's bounds are tight, with p and 2^61 among them
+WORD_EDGES = [0, 1, P - 1, P, 2**61, 2**63, 2**64 - 1]
+words = st.sampled_from(WORD_EDGES) | st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@pytest.mark.parametrize("scratch", [False, True])
+def test_fold_works_in_place_on_a_strided_view(scratch):
+    x, big = strided_out((len(WORD_EDGES),))
+    x[:] = WORD_EDGES
+    tmp = np.empty(len(WORD_EDGES), dtype=np.uint64) if scratch else None
+    assert field.fold(x, tmp) is x
+    assert x.tolist() == [v % P for v in WORD_EDGES]
+    assert int((big != NOT_WRITTEN).sum()) == x.size  # nothing outside the view
+
+
+def check_fold_wide(pairs):
+    # lo and hi as the strided columns of one read-only (m, 2) array, as
+    # the coefficient derivation reads them from the XOF stream
+    stream = u64(pairs)
+    stream.setflags(write=False)
+    got = field.fold_wide(stream[:, 0], stream[:, 1])
+    assert got.tolist() == [(lo + 2**64 * hi) % P for lo, hi in pairs]
+
+
+def test_fold_wide_every_edge_pair():
+    check_fold_wide([(lo, hi) for lo in WORD_EDGES for hi in WORD_EDGES])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(words, words), min_size=1, max_size=20))
+def test_fold_wide_matches_plain_ints(pairs):
+    check_fold_wide(pairs)
+
+
 def test_require_canonical():
     field.require_canonical(u64(EDGE_ELEMENTS))
     field.require_canonical(u64([]))
@@ -450,6 +484,11 @@ def _spelled_int(node) -> int | None:
     return None
 
 
+def _name(node) -> str | None:
+    """The name ``node`` reads, plain (``P``) or as an attribute (``field.P``)."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def _splits_32_bit_limbs(node) -> bool:
     """Whether ``node`` is a right shift by 32 or a mask of 2^32 - 1, written
     out (``x >> 32``, ``x >>= 32``, ``0xFFFFFFFF``, ``(1 << 32) - 1``) or made
@@ -457,9 +496,8 @@ def _splits_32_bit_limbs(node) -> bool:
     if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift):
         return _spelled_int(node.right if isinstance(node, ast.BinOp) else node.value) == 32
     if isinstance(node, ast.Call):
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        return name == "word" and any(_spelled_int(arg) in (32, 2**32 - 1) for arg in node.args)
+        return _name(node.func) == "word" and any(
+            _spelled_int(arg) in (32, 2**32 - 1) for arg in node.args)
     return _spelled_int(node) == 2**32 - 1
 
 
@@ -477,6 +515,49 @@ def test_only_field_splits_words_into_32_bit_limbs():
     ("1 << 32", False), ("x & P", False), ("field.word(61)", False)])
 def test_the_limb_guard_sees_each_spelling_of_a_split(source, splits):
     assert any(_splits_32_bit_limbs(node) for node in ast.walk(ast.parse(source))) == splits
+
+
+def _folds_words_mod_p(node) -> bool:
+    """Whether ``node`` is a right shift by 61 or an ``&`` with p: written out
+    (``x >> 61``, ``x >>= 61``, ``x & P``, ``x &= field.P_WORD``,
+    ``x & ((1 << 61) - 1)``), as the ufunc (``np.right_shift(x, 61)``,
+    ``np.bitwise_and(x, P_WORD)``) or made a kernel constant by
+    ``field.word(61)``."""
+    if isinstance(node, ast.Call):
+        if _name(node.func) == "word":
+            return any(_spelled_int(arg) == 61 for arg in node.args)
+        op = {"right_shift": ast.RShift, "bitwise_and": ast.BitAnd}.get(_name(node.func))
+        operands = node.args[:2]
+    elif isinstance(node, ast.BinOp):
+        op, operands = type(node.op), [node.left, node.right]
+    elif isinstance(node, ast.AugAssign):
+        op, operands = type(node.op), [node.target, node.value]
+    else:
+        return False
+    if op is ast.RShift:
+        return len(operands) == 2 and _spelled_int(operands[1]) == 61
+    return op is ast.BitAnd and any(
+        _name(x) in ("P", "P_WORD") or _spelled_int(x) == P for x in operands)
+
+
+def test_only_field_folds_words_mod_p():
+    # fold is the one Mersenne fold, and mulmod, vec_sum and fold_wide end
+    # in it; a second fold elsewhere is a second reduction to keep exact
+    assert _checks_outside_field(_folds_words_mod_p) == set()
+
+
+@pytest.mark.parametrize("source, folds", [
+    ("x >> 61", True), ("x >>= 61", True), ("field.word(61)", True), ("word(61)", True),
+    ("x & P", True), ("P_WORD & x", True), ("x & field.P", True), ("x &= field.P_WORD", True),
+    ("x & ((1 << 61) - 1)", True), ("x & (2**61 - 1)", True), ("np.right_shift(x, 61)", True),
+    ("np.bitwise_and(x, field.P_WORD, out=t)", True),
+    # the stations' test for a MISSING share compares with p, and folds nothing
+    ("ys.max(axis=1, initial=0) < field.P_WORD", False), ("x >> 32", False),
+    ("x << 61", False), ("x >> 60", False), ("61 >> x", False), ("x & 7", False),
+    ("x % P", False), ("x - P_WORD", False), ("field.word(3)", False),
+    ("require_int('key', key, end=field.P)", False), ("np.right_shift(x, 29)", False)])
+def test_the_fold_guard_sees_each_spelling_of_a_fold(source, folds):
+    assert any(_folds_words_mod_p(node) for node in ast.walk(ast.parse(source))) == folds
 
 
 @pytest.mark.parametrize("value, dtype, ndim", [

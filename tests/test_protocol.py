@@ -1063,6 +1063,26 @@ def test_unmask_is_bit_identical_to_plain_float_ops():
     assert af.global_model.tolist() == [m + u for m, u in zip(model, want)]
 
 
+@pytest.mark.parametrize("bad", ["float list", "int list", "float64", "int64", "p's",
+                                 "2-d", "short", "long"])
+def test_unmask_takes_only_a_canonical_mask_sum_of_dim_words(bad):
+    # each of the first five was converted silently and opened the round; a
+    # float rounds the mask sum, and p's put an update of order 10^12 in
+    ues, bss, af, *_ = make_fleet(seed=51)
+    updates = {i: [0.25] * 12 for i in ues}
+    _, mask = run_round(ues, bss, af, 0, list(ues), list(bss),
+                        MaskShareMode.EVALUATED, 12, updates)
+    given = {"float list": [float(x) for x in mask], "int list": mask.tolist(),
+             "float64": mask.astype(np.float64), "int64": mask.astype(np.int64),
+             "p's": np.full(12, P, dtype=np.uint64), "2-d": mask[None],
+             "short": mask[:-1], "long": np.append(mask, mask[:1])}[bad]
+    with pytest.raises(ValueError):
+        af.unmask_and_aggregate(given)
+    assert af.global_model.tolist() == [0.0] * 12
+    update = af.unmask_and_aggregate(mask)
+    assert max(abs(u - 0.25) for u in update) <= 2.0**-17
+
+
 def test_unmask_identical_updates_is_fixed_point():
     ues, bss, af, *_ = make_fleet(seed=46)
     w = [(-1) ** c * 0.125 for c in range(12)]

@@ -7,6 +7,7 @@ abstention when it lacks one of them.
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -253,3 +254,19 @@ def test_a_station_is_a_view_of_one_row():
     for row in (2, -1):
         with pytest.raises(ValueError):
             stations.station(row)
+
+
+@pytest.mark.parametrize("row", [-1, 3, True, 1.0, np.float64(2.0), "0", None])
+def test_storing_and_reading_shares_take_only_a_row_index(row):
+    # the row rule of station(row): -1 stored into the last station's row,
+    # and a bool, a float or k raised IndexError or TypeError
+    stations = Stations([1, 2, 3], 4)
+    stations.receive_shares(2, block_for(3, {1: 10}))
+    before = state(stations)
+    refused = f"^{re.escape(f'row = {row!r} is not an int in [0, 3)')}$"
+    for bs_id in (2, 3):
+        with pytest.raises(ValueError, match=refused):
+            stations.receive_shares(row, block_for(bs_id, {2: 20}))
+    with pytest.raises(ValueError, match=refused):
+        stations.stored_shares(row)
+    assert state(stations) == before
