@@ -234,7 +234,8 @@ class FixedPointCodec:
     max_summands: int = 1024
 
     def __post_init__(self):
-        require_int("frac_bits", self.frac_bits)
+        # 2^frac_bits must be a finite float: the headroom and _quantize use it
+        require_int("frac_bits", self.frac_bits, end=1024)
         require_real("magnitude_bound", self.magnitude_bound, 0, lo_open=True)
         require_int("max_summands", self.max_summands, 1)
         headroom = self.max_summands * (self.magnitude_bound * self.scale + 1)

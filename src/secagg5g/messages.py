@@ -29,14 +29,17 @@ adds the length rule, a message must have exactly the length its type and
 count imply, which ``wire_length`` computes without packing, and refuses a
 set padding bit, so that every message has exactly one frame.
 
-Masked updates also travel as blocks: ``MaskedUpdateBlock.to_bytes`` writes
-m frames end to end, frame r byte-identical to row r's ``to_bytes``, and
-``updates_from_bytes`` parses such a join as one packed structured array,
-checking type, count, length and canonical elements once for the block.
-It refuses exactly the joins in which some frame would be refused by
-``from_bytes`` or decode to another message type. Set-up shares travel
-the same way, one ``SetupShareBlock`` per station, decoded by
-``setup_shares_from_bytes``.
+Masked updates and set-up shares have one codec, their block's:
+``MaskedUpdateBlock.to_bytes`` writes m frames end to end from one packed
+structured array, and ``updates_from_bytes`` views such a join as one,
+checking type, count, length and canonical elements once for the block;
+``SetupShareBlock`` and ``setup_shares_from_bytes`` do the same for a
+station's set-up shares. A single message of either type packs and
+decodes as a one-row block, so a block decoder refuses exactly the joins
+in which some frame would be refused by ``from_bytes`` or decode to
+another message type. The other three types, each packed one frame at a
+time, keep a ``struct`` codec: for a single frame it is about ten times
+faster than a one-row structured array.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ HEADER_LEN = 17
 _HEADER = struct.Struct("<BQQ")
 _COUNT = struct.Struct("<I")
 _WORD = struct.Struct("<Q")
-_SETUP = struct.Struct("<QQQ")
 
 _U64 = np.dtype("<u8")
 _F64 = np.dtype("<f8")
@@ -128,9 +130,7 @@ class SetupShareMsg(_Message):
         require_int("share y", self.share.y, end=P)
 
     def to_bytes(self) -> bytes:
-        return _HEADER.pack(SETUP_SHARE, self.sender, self.iteration) + _SETUP.pack(
-            self.target_bs, self.share.x, self.share.y
-        )
+        return SetupShareBlock.of([self]).to_bytes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +145,7 @@ class MaskedUpdateMsg(_Message):
         require_canonical(self.payload)
 
     def to_bytes(self) -> bytes:
-        return _HEADER.pack(MASKED_UPDATE, self.sender, self.iteration) + _pack_array(
-            self.payload
-        )
+        return MaskedUpdateBlock.of([self]).to_bytes()
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +259,31 @@ class _Block(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
+def _pack_frames(block, frame: np.dtype, msg_type: int, **body) -> bytes:
+    """The block's frames of the structured type ``frame``, end to end: the
+    header from ``msg_type`` and the block's senders and iterations, then
+    each named body field."""
+    rows = np.empty(len(block), frame)
+    rows["type"] = msg_type
+    rows["sender"] = block.senders
+    rows["iteration"] = block.iterations
+    for name, values in body.items():
+        rows[name] = values
+    return rows.tobytes()
+
+
+def _frames(data, frames: int, frame: np.dtype, msg_type: int, name: str) -> np.ndarray:
+    """``data`` viewed as ``frames`` frames of the structured type ``frame``,
+    each of which must be of ``msg_type``; the view is read-only when
+    ``data`` is bytes, which is never copied."""
+    if len(data) != frames * frame.itemsize:
+        raise ValueError(f"{len(data)} bytes are not {frames} {name} frames")
+    rows = np.frombuffer(data, dtype=frame, count=frames)
+    if (rows["type"] != msg_type).any():
+        raise ValueError(f"a frame of the block is not a {name}")
+    return rows
+
+
 def _require_words(block, names: dict[str, int]) -> None:
     """Refuse a block whose named fields are not ``<u8`` arrays of the given
     dimensions, one row per message."""
@@ -304,13 +327,8 @@ class MaskedUpdateBlock(_Block):
 
     def to_bytes(self) -> bytes:
         """Every row's frame, end to end, packed in one pass."""
-        rows = np.empty(len(self), _update_frame(self.payloads.shape[1]))
-        rows["type"] = MASKED_UPDATE
-        rows["sender"] = self.senders
-        rows["iteration"] = self.iterations
-        rows["count"] = self.payloads.shape[1]
-        rows["payload"] = self.payloads
-        return rows.tobytes()
+        d = self.payloads.shape[1]
+        return _pack_frames(self, _update_frame(d), MASKED_UPDATE, count=d, payload=self.payloads)
 
 
 # one set-up share frame: header, target station, share x and share y
@@ -356,14 +374,8 @@ class SetupShareBlock(_Block):
 
     def to_bytes(self) -> bytes:
         """Every row's frame, end to end, packed in one pass."""
-        rows = np.empty(len(self), _SETUP_FRAME)
-        rows["type"] = SETUP_SHARE
-        rows["sender"] = self.senders
-        rows["iteration"] = self.iterations
-        rows["target"] = self.targets
-        rows["x"] = self.xs
-        rows["y"] = self.ys
-        return rows.tobytes()
+        return _pack_frames(self, _SETUP_FRAME, SETUP_SHARE, target=self.targets, x=self.xs,
+                            y=self.ys)
 
 
 def _counted(data: bytes, offset: int, dtype: np.dtype) -> np.ndarray:
@@ -399,11 +411,9 @@ def from_bytes(data: bytes) -> Message:
         raise ValueError("truncated header")
     msg_type, sender, iteration = _HEADER.unpack_from(data)
     if msg_type == SETUP_SHARE:
-        _expect_length(data, HEADER_LEN + _SETUP.size)
-        target_bs, x, y = _SETUP.unpack_from(data, HEADER_LEN)
-        return SetupShareMsg(sender, iteration, target_bs, SecretShare(x, y))
+        return setup_shares_from_bytes(data, 1)[0]
     if msg_type == MASKED_UPDATE:
-        return MaskedUpdateMsg(sender, iteration, _counted(data, HEADER_LEN, _U64))
+        return updates_from_bytes(data, 1)[0]
     if msg_type == ONLINE_LIST:
         return _online_list(data, sender, iteration)
     if msg_type == MASK_SHARE:
@@ -451,13 +461,9 @@ def updates_from_bytes(data, frames: int) -> MaskedUpdateBlock:
         if len(data):
             raise ValueError(f"{len(data)} trailing bytes after an empty block")
         return MaskedUpdateBlock.of([])
-    size, rest = divmod(len(data), frames)
-    d, odd = divmod(size - _UPDATE_HEAD, 8)
-    if rest or odd or d < 0:
-        raise ValueError(f"{len(data)} bytes are not {frames} whole masked-update frames")
-    rows = np.frombuffer(data, dtype=_update_frame(d), count=frames)
-    if (rows["type"] != MASKED_UPDATE).any():
-        raise ValueError("a frame of the block is not a masked update")
+    # the dimension a join of whole frames implies; any other join is refused
+    d = max(0, (len(data) // frames - _UPDATE_HEAD) // 8)
+    rows = _frames(data, frames, _update_frame(d), MASKED_UPDATE, "masked update")
     if (rows["count"] != d).any():
         raise ValueError(f"an element count of the block is not the {d} its frame length implies")
     return MaskedUpdateBlock(rows["sender"], rows["iteration"], rows["payload"])
@@ -471,11 +477,7 @@ def setup_shares_from_bytes(data, frames: int) -> SetupShareBlock:
     which ``from_bytes`` decodes to a ``SetupShareMsg``. The arrays of the
     result are read-only views of ``data``, which is never copied.
     """
-    if len(data) != frames * _SETUP_FRAME.itemsize:
-        raise ValueError(f"{len(data)} bytes are not {frames} set-up share frames")
-    rows = np.frombuffer(data, dtype=_SETUP_FRAME, count=frames)
-    if (rows["type"] != SETUP_SHARE).any():
-        raise ValueError("a frame of the block is not a set-up share")
+    rows = _frames(data, frames, _SETUP_FRAME, SETUP_SHARE, "set-up share")
     return SetupShareBlock(rows["sender"], rows["iteration"], rows["target"], rows["x"], rows["y"])
 
 
@@ -483,9 +485,9 @@ def wire_length(msg: Message) -> int:
     """``len(msg.to_bytes())`` from the message's type and counts, packing
     nothing: the length ``from_bytes`` requires of the frame."""
     if isinstance(msg, SetupShareMsg):
-        return HEADER_LEN + _SETUP.size
+        return _SETUP_FRAME.itemsize
     if isinstance(msg, MaskedUpdateMsg):
-        return HEADER_LEN + _COUNT.size + msg.payload.nbytes
+        return _UPDATE_HEAD + msg.payload.nbytes
     if isinstance(msg, OnlineListMsg):
         return _LIST_HEAD + (msg.registered_n + 7) // 8
     if isinstance(msg, MaskShareMsg):

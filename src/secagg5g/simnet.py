@@ -147,11 +147,18 @@ class DropoutSchedule:
             require_real(f"{role}_prob", prob, 0, 1)
             if prob > 0.0 and not ids:
                 raise ValueError(f"{role}_prob={prob} needs prob_{role}_ids to drop from")
+            # a round's dropouts are the union of these sets, which a list
+            # or a bare id would break only mid-run
+            if not isinstance(rounds, dict):
+                raise ValueError(f"{role}_rounds must be a dict, got {rounds!r}")
+            groups = [(f"{role}_always", always),
+                      *((f"{role}_rounds[{t}]", g) for t, g in rounds.items())]
+            for name, group in groups:
+                if not isinstance(group, (set, frozenset)):
+                    raise ValueError(f"{name} must be a set or frozenset, got {group!r}")
             # the ids are compared as sets, where True and 2.0 would stand
             # for devices 1 and 2, and a round key True for round 1
-            for name, group in ((f"prob_{role}_ids", ids), (f"{role}_always", always),
-                                (f"{role}_rounds", rounds),  # its keys, the rounds
-                                *((f"{role}_rounds[{t}]", g) for t, g in rounds.items())):
+            for name, group in ((f"prob_{role}_ids", ids), (f"{role}_rounds", rounds), *groups):
                 for i in group:
                     require_int(name, i)
 
@@ -206,6 +213,8 @@ class SimConfig:
         # not as the codec's summand limit
         for name in ("n_ues", "n_bss", "bs_threshold", "model_dim", "iterations"):
             require_int(name, getattr(self, name), 1)
+        # random.Random seeds from the OS for None and takes -1, 1.0 and True as 1
+        require_int("rng_seed", self.rng_seed)
         require_online_fraction(self.min_online_fraction)
         require_real("latency_base_ms", self.latency_base_ms, 0)
         require_real("latency_jitter_ms", self.latency_jitter_ms, 0)

@@ -226,8 +226,9 @@ def test_bad_configs_exit_nonzero(tmp_path):
     not_json.write_text("{{{", encoding="utf-8")
     assert main(["run", str(not_json)]) == 1
 
-    # a non-string mode is a bad value; model_dim and rng_seed are not config keys
-    for bad in ({"mask_share_mode": 1}, {"model_dim": 12}, {"rng_seed": 1}):
+    # a non-string mode is a bad value; model_dim and rng_seed are not config
+    # keys; frac_bits 2000 died with an OverflowError traceback
+    for bad in ({"mask_share_mode": 1}, {"model_dim": 12}, {"rng_seed": 1}, {"frac_bits": 2000}):
         path = tmp_path / "bad_sim.json"
         path.write_text(json.dumps(bad), encoding="utf-8")
         assert main(["run", str(path)]) == 1

@@ -5,9 +5,11 @@ ints never overflow, so an independent computation path is one expression.
 """
 
 import ast
+import copy
 import math
 import operator
 import random
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +170,9 @@ def test_codec_headroom_invariant_enforced():
     # or infinite bound was refused only as a codec that overflows the field
     for name, value in [("frac_bits", 2.5), ("frac_bits", True), ("magnitude_bound", "1"),
                         ("magnitude_bound", None), ("max_summands", 2.5),
-                        ("magnitude_bound", math.nan), ("magnitude_bound", math.inf)]:
+                        ("magnitude_bound", math.nan), ("magnitude_bound", math.inf),
+                        # 2^frac_bits overflowed a float as OverflowError
+                        ("frac_bits", 1024), ("frac_bits", 1100)]:
         with pytest.raises(ValueError, match=f"{name} = "):
             FixedPointCodec(**{name: value})
 
@@ -429,12 +433,13 @@ def _tests_a_number_type(node) -> bool:
 
 def _checks_outside_field(is_check) -> set[tuple[str, str]]:
     """(file, innermost enclosing function) of every node of the package
-    outside ``field.py`` for which ``is_check`` holds."""
+    outside ``field.py`` for which ``is_check`` holds, with the constants
+    that names stand for inlined (``_inline_constants``)."""
     found = set()
     for path in sorted(Path(field.__file__).parent.glob("*.py")):
         if path.name == "field.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = _inline_constants(ast.parse(path.read_text(encoding="utf-8")))
         owner = {}  # node -> innermost enclosing function; ast.walk is outer-first
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -489,6 +494,74 @@ def _name(node) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
+def _is_constant(node) -> bool:
+    """Whether ``node`` is p by name (``P``, ``field.P_WORD``) or a kernel
+    constant (``field.word(61)``)."""
+    return _name(node) in ("P", "P_WORD") or (
+        isinstance(node, ast.Call) and _name(node.func) == "word")
+
+
+def _own_nodes(scope):
+    """The nodes of a module or function outside the functions nested in
+    it, in ``ast.walk`` order, so each block's statements in source order."""
+    todo = deque(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.popleft()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+class _InlineConstants(ast.NodeTransformer):
+    """Replaces each read of a name that a module-level or function-local
+    assignment binds to a constant (``_is_constant``), directly or through
+    another such name, with a copy of that constant; a name a function
+    binds otherwise, or takes as a parameter, is its own."""
+
+    def __init__(self, scope, outer: dict):
+        own = list(_own_nodes(scope))
+        local = {n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        if not isinstance(scope, ast.Module):
+            local |= {a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg)}
+        self.bound = {name: value for name, value in outer.items() if name not in local}
+        for node in own:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)  # a, b = c, d
+                for name, value in pairs:
+                    value = self.bound.get(getattr(value, "id", None), value)
+                    if isinstance(name, ast.Name) and _is_constant(value):
+                        self.bound[name.id] = value
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id in self.bound:
+            return copy.deepcopy(self.bound[node.id])
+        return node
+
+    def visit_FunctionDef(self, node):
+        inner = _InlineConstants(node, self.bound)
+        node.body = [inner.visit(stmt) for stmt in node.body]
+        return node
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+def _inline_constants(tree: ast.Module) -> ast.Module:
+    """``tree`` with its aliases of p and of kernel constants inlined, so
+    that the single-home guards see ``p = field.P_WORD; x & p`` as
+    ``x & field.P_WORD`` and ``_61 = field.word(61); x >> _61`` as a shift
+    by ``field.word(61)``."""
+    return _InlineConstants(tree, {}).visit(tree)
+
+
+def _sees(is_check, source: str) -> bool:
+    """Whether ``is_check`` holds for a node of the last statement of
+    ``source``, its aliases inlined."""
+    tree = _inline_constants(ast.parse(source))
+    return any(is_check(node) for node in ast.walk(tree.body[-1]))
+
+
 def _splits_32_bit_limbs(node) -> bool:
     """Whether ``node`` is a right shift by 32 or a mask of 2^32 - 1, written
     out (``x >> 32``, ``x >>= 32``, ``0xFFFFFFFF``, ``(1 << 32) - 1``) or made
@@ -512,9 +585,16 @@ def test_only_field_splits_words_into_32_bit_limbs():
     ("x >> 32", True), ("x >>= 32", True), ("x & 0xFFFFFFFF", True),
     ("x & ((1 << 32) - 1)", True), ("x & (2**32 - 1)", True), ("field.word(32)", True),
     ("word((1 << 32) - 1)", True), ("x >> 31", False), ("x << 32", False),
-    ("1 << 32", False), ("x & P", False), ("field.word(61)", False)])
+    ("1 << 32", False), ("x & P", False), ("field.word(61)", False),
+    # through an alias, a module-level or a function-local one
+    ("_32 = field.word(32)\ndef f(x):\n    return x >> _32", True),
+    ("lo = field.word((1 << 32) - 1)\nx & lo", True),
+    ("w = word(32)\ns = w\ndef f(x):\n    return x >> s", True),
+    ("_32 = field.word(32)\ndef f(x, _32):\n    return x >> _32", False),
+    ("_32 = field.word(32)\ndef f(x):\n    _32 = 3\n    return x >> _32", False),
+    ("_61 = field.word(61)\ndef f(x):\n    return x >> _61", False)])
 def test_the_limb_guard_sees_each_spelling_of_a_split(source, splits):
-    assert any(_splits_32_bit_limbs(node) for node in ast.walk(ast.parse(source))) == splits
+    assert _sees(_splits_32_bit_limbs, source) == splits
 
 
 def _folds_words_mod_p(node) -> bool:
@@ -555,9 +635,18 @@ def test_only_field_folds_words_mod_p():
     ("ys.max(axis=1, initial=0) < field.P_WORD", False), ("x >> 32", False),
     ("x << 61", False), ("x >> 60", False), ("61 >> x", False), ("x & 7", False),
     ("x % P", False), ("x - P_WORD", False), ("field.word(3)", False),
-    ("require_int('key', key, end=field.P)", False), ("np.right_shift(x, 29)", False)])
+    ("require_int('key', key, end=field.P)", False), ("np.right_shift(x, 29)", False),
+    # through an alias, a module-level or a function-local one
+    ("p = field.P_WORD\nx & p", True),
+    ("p = P\nq = p\nnp.bitwise_and(x, q, out=t)", True),
+    ("def f(hi):\n    p = field.P_WORD\n    return hi & p", True),
+    ("_61 = field.word(61)\ndef f(x):\n    return x >> _61", True),
+    ("_3, _61 = field.word(3), field.word(61)\ndef f(x):\n    return x >> _61", True),
+    ("p = field.P_WORD\ndef f(x, p):\n    return x & p", False),
+    ("p = field.P_WORD\ndef f(x):\n    p = 7\n    return x & p", False),
+    ("p = 7\nx & p", False), ("p = field.P_WORD\nys < p", False)])
 def test_the_fold_guard_sees_each_spelling_of_a_fold(source, folds):
-    assert any(_folds_words_mod_p(node) for node in ast.walk(ast.parse(source))) == folds
+    assert _sees(_folds_words_mod_p, source) == folds
 
 
 @pytest.mark.parametrize("value, dtype, ndim", [

@@ -597,3 +597,42 @@ def test_a_setup_block_is_read_with_its_frame_count():
 def test_setup_block_the_wire_cannot_carry_back_is_refused(fields):
     with pytest.raises(ValueError):
         SetupShareBlock(*fields)
+
+
+# -- a struct reference for the two block-framed types -------------------------
+# Masked updates and set-up shares have one codec, their block's, so a frame
+# built field by field with struct is the reference a wrong field order in
+# the block's structured dtype would fail.
+
+
+def update_frame_bytes(msg: MaskedUpdateMsg) -> bytes:
+    return (bytes([messages.MASKED_UPDATE])
+            + struct.pack("<QQI", msg.sender, msg.iteration, len(msg.payload))
+            + msg.payload.astype("<u8").tobytes())
+
+
+def setup_frame_bytes(msg: SetupShareMsg) -> bytes:
+    return bytes([messages.SETUP_SHARE]) + struct.pack(
+        "<QQQQQ", msg.sender, msg.iteration, msg.target_bs, msg.share.x, msg.share.y)
+
+
+@given(update_blocks())
+def test_update_frames_match_a_struct_reference(case):
+    msgs, block = case
+    raw = b"".join(map(update_frame_bytes, msgs))
+    assert block.to_bytes() == raw
+    assert updates_from_bytes(raw, len(msgs)) == msgs
+    for msg in msgs:
+        assert msg.to_bytes() == update_frame_bytes(msg)
+        assert from_bytes(update_frame_bytes(msg)) == msg
+
+
+@given(setup_blocks())
+def test_setup_frames_match_a_struct_reference(case):
+    msgs, block = case
+    raw = b"".join(map(setup_frame_bytes, msgs))
+    assert block.to_bytes() == raw
+    assert setup_shares_from_bytes(raw, len(msgs)) == msgs
+    for msg in msgs:
+        assert msg.to_bytes() == setup_frame_bytes(msg)
+        assert from_bytes(setup_frame_bytes(msg)) == msg

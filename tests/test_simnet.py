@@ -82,12 +82,19 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("name", ["n_ues", "n_bss", "bs_threshold", "model_dim", "iterations",
-                                  "frac_bits"])
+                                  "frac_bits", "rng_seed"])
 @pytest.mark.parametrize("value", [2.5, 4.0, "4", None, True])
 def test_config_refuses_counts_that_are_not_ints(name, value):
-    # before, a float count built a config that failed only once run
+    # before, a float count built a config that failed only once run, and
+    # an rng_seed of None seeded from the OS, 1.0 and True ran as seed 1
     with pytest.raises(ValueError, match=f"{name} = .* is not an int"):
         SimConfig(**{name: value})
+
+
+def test_config_refuses_a_negative_seed():
+    # random.Random seeds with |seed|, so -1 ran as seed 1
+    with pytest.raises(ValueError, match=r"rng_seed = -1 is not an int >= 0"):
+        SimConfig(rng_seed=-1)
 
 
 @pytest.mark.parametrize("name", ["min_online_fraction", "latency_base_ms", "latency_jitter_ms",
@@ -206,6 +213,24 @@ def test_schedule_refuses_ids_and_rounds_that_are_not_ints(make, name):
     # each was accepted: ids and rounds are compared as sets, where True and
     # 1.0 stand for device or round 1, and 2.0 for device 2
     with pytest.raises(ValueError, match=f"{name} = .* is not an int"):
+        make()
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: DropoutSchedule(ue_always=[1]), "ue_always must be a set"),
+    (lambda: DropoutSchedule(bs_always=(1,)), "bs_always must be a set"),
+    (lambda: DropoutSchedule(ue_rounds={0: [2]}), r"ue_rounds\[0\] must be a set"),
+    (lambda: DropoutSchedule(ue_rounds={0: 3}), r"ue_rounds\[0\] must be a set"),
+    (lambda: DropoutSchedule(bs_rounds={1: "2"}), r"bs_rounds\[1\] must be a set"),
+    (lambda: DropoutSchedule(ue_rounds=[(0, {1})]), "ue_rounds must be a dict"),
+    (lambda: DropoutSchedule(bs_rounds=None), "bs_rounds must be a dict"),
+], ids=["always_list", "always_tuple", "round_list", "round_int", "round_str", "rounds_list",
+        "rounds_none"])
+def test_schedule_refuses_groups_that_are_not_sets(make, match):
+    # a list or tuple passed every check and failed only in round 0's union
+    # of the dropouts, a bare id or a list of pairs raised TypeError or
+    # AttributeError when built
+    with pytest.raises(ValueError, match=match):
         make()
 
 
