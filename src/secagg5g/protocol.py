@@ -95,6 +95,14 @@ def require_online_fraction(value) -> None:
     field.require_real("min_online_fraction", value, 0, 1, lo_open=True)
 
 
+def _require_instance(name: str, value, kind: type) -> None:
+    """Refuse, with a ValueError naming ``name``, a collaborator that is not
+    a ``kind``, which would otherwise fail at its first use, as an
+    AttributeError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def _require_ids(name: str, ids: list, parties: str) -> None:
     """Refuse an id that is not an int in [1, 2^64), the sender of every
     message its party sends (0 is the server's sender id and no station's
@@ -150,7 +158,8 @@ class Fleet:
 
     Raises ValueError for an id that is not an int in [1, 2^64), two
     devices with one id (the server could not tell them apart), a key that
-    is not an int in [0, p), or a ``dim`` that is not an int >= 1.
+    is not an int in [0, p), a codec that is not a ``FixedPointCodec``, or
+    a ``dim`` that is not an int >= 1.
     """
 
     def __init__(self, ids, keys, codec: FixedPointCodec, dim: int):
@@ -160,6 +169,7 @@ class Fleet:
             raise ValueError(f"{len(keys)} keys for {len(ids)} devices")
         for key in keys:
             khprf.require_key(key)
+        _require_instance("codec", codec, FixedPointCodec)
         field.require_int("dim", dim, 1)
         self.ids = np.array(ids, dtype=np.uint64)
         self.keys = np.array(keys, dtype=np.uint64)
@@ -509,7 +519,13 @@ class BaseStation:
 
 @dataclass
 class Aggregator:
-    """The aggregation server; sees masked updates and aggregated shares only."""
+    """The aggregation server; sees masked updates and aggregated shares only.
+
+    Raises ValueError, naming the field, for a ``registered_n`` or ``dim``
+    that is not an int >= 1, a participation floor outside (0, 1], a
+    ``bs_threshold`` that is not an ``AccessStructure`` or a ``codec`` that
+    is not a ``FixedPointCodec``.
+    """
 
     registered_n: int
     min_online_fraction: float
@@ -527,6 +543,8 @@ class Aggregator:
         for name in ("registered_n", "dim"):
             field.require_int(name, getattr(self, name), 1)
         require_online_fraction(self.min_online_fraction)
+        _require_instance("bs_threshold", self.bs_threshold, AccessStructure)
+        _require_instance("codec", self.codec, FixedPointCodec)
         self.global_model = np.zeros(self.dim)
         self._rows = np.zeros((self.registered_n, self.dim), dtype=np.uint64)
         self._arrived = np.zeros(self.registered_n, dtype=bool)

@@ -23,23 +23,27 @@ latency per receiver:
   ``Stations.receive_shares`` call,
   and one latency is drawn per share; round 0 starts at the last share's
   arrival;
-- a round's update latencies are drawn first, so that the online rows are
-  masked on-time rows first, as one block packed once
-  (``MaskedUpdateBlock.to_bytes``). The rows that arrive by the deadline
-  are decoded in one ``updates_from_bytes`` call and collected in one
-  ``Aggregator.collect_block`` call; the server reads no update before the
-  deadline, so this changes nothing it sees;
+- a round's online devices and stations are intp row arrays taken
+  straight from the schedule's dropped ids, one boolean mask per role;
+- a round's update latencies are drawn first, and one boolean array marks
+  the rows that miss the deadline, so that the online rows are masked
+  on-time rows first and late rows after, each group in row order, as one
+  block packed once (``MaskedUpdateBlock.to_bytes``). The rows that arrive
+  by the deadline are decoded in one ``updates_from_bytes`` call and
+  collected in one ``Aggregator.collect_block`` call; the server reads no
+  update before the deadline, so this changes nothing it sees;
 - at the deadline the server fixes the online list. The late rows are then
   charged and handed to the server as a second block, which it refuses as
   STALE (a late drop), as it would wherever they landed: the list is fixed,
   and a later round refuses another round's update;
 - the online list is packed and decoded once, and the online stations
   answer it in one ``Stations.mask_shares`` call, in the order the list
-  reaches them; ``time_bs_ms`` times that one call. Each share is packed
-  and decoded once and draws its own latency, and a station that holds no
-  share of a listed device abstains and sends nothing. The server reads no
-  share before it holds them all, so the round closes at the last share's
-  arrival (at the deadline when it falls back before the stations' phase);
+  reaches them, ties in row order; ``time_bs_ms`` times that one call.
+  Each share is packed and decoded once and draws its own latency, and a
+  station that holds no share of a listed device abstains and sends
+  nothing. The server reads no share before it holds them all, so the
+  round closes at the last share's arrival (at the deadline when it falls
+  back before the stations' phase);
 - the model is one frame, decoded once, which writes every online device's
   model row at once; the next round starts at its last arrival, or at the
   close when no device is online.
@@ -115,7 +119,13 @@ class DropoutSchedule:
 
     Explicit per-round sets, always-offline sets, and seeded per-round
     Bernoulli dropouts combine by union. ``dropped_*`` are pure functions of
-    (schedule, t).
+    (schedule, t): the schedule keeps frozen copies of the sets and of the
+    rounds map, and reads ``prob_*_ids`` once, as a tuple.
+
+    Raises ValueError naming the field for a probability outside [0, 1], a
+    positive one over no ids, ``prob_*_ids`` that are not iterable, a rounds
+    map that is not a dict, a group that is not a set or frozenset, an id
+    or round that is not an int, and an id that ``prob_*_ids`` lists twice.
     """
 
     ue_rounds: dict[int, frozenset[int]] = dc_field(default_factory=dict)
@@ -145,6 +155,11 @@ class DropoutSchedule:
                 ("ue", self.ue_prob, self.prob_ue_ids, self.ue_always, self.ue_rounds),
                 ("bs", self.bs_prob, self.prob_bs_ids, self.bs_always, self.bs_rounds)):
             require_real(f"{role}_prob", prob, 0, 1)
+            if not hasattr(ids, "__iter__"):
+                raise ValueError(f"prob_{role}_ids must be an iterable of ids, got {ids!r}")
+            # read once, as the draws read it: a generator would pass every
+            # check below and be empty by the first round
+            ids = tuple(ids)
             if prob > 0.0 and not ids:
                 raise ValueError(f"{role}_prob={prob} needs prob_{role}_ids to drop from")
             # a round's dropouts are the union of these sets, which a list
@@ -161,6 +176,13 @@ class DropoutSchedule:
             for name, group in ((f"prob_{role}_ids", ids), (f"{role}_rounds", rounds), *groups):
                 for i in group:
                     require_int(name, i)
+            # each listed id draws once, so a repeat would draw its entity twice
+            if len(set(ids)) < len(ids):
+                raise ValueError(f"prob_{role}_ids lists an id twice: {ids!r}")
+            # frozen copies: changing the caller's sets later changes no round
+            # (written to the instance dict, past the frozen __setattr__)
+            vars(self).update({f"prob_{role}_ids": ids, f"{role}_always": frozenset(always),
+                               f"{role}_rounds": {t: frozenset(g) for t, g in rounds.items()}})
 
     def _sampled(self, prefix: str, prob: float, ids, t: int) -> frozenset[int]:
         if prob == 0.0:
@@ -181,15 +203,6 @@ class DropoutSchedule:
             | self.bs_rounds.get(t, frozenset())
             | self._sampled("bs", self.bs_prob, self.prob_bs_ids, t)
         )
-
-
-def apply_dropout(
-    schedule: DropoutSchedule, t: int, ue_ids, bs_ids
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Online entity ids for round t: configured minus scheduled-off."""
-    online_ues = tuple(sorted(set(ue_ids) - schedule.dropped_ues(t)))
-    online_bss = tuple(sorted(set(bs_ids) - schedule.dropped_bss(t)))
-    return online_ues, online_bss
 
 
 @dataclass
@@ -308,6 +321,14 @@ class SimResult:
         return self.models.tolist()
 
 
+def _online_rows(n: int, dropped) -> np.ndarray:
+    """The increasing intp rows of the ids 1..n (id i in row i - 1) that
+    the round's ``dropped`` ids leave online."""
+    online = np.ones(n, dtype=bool)
+    online[[i - 1 for i in dropped]] = False
+    return np.flatnonzero(online)
+
+
 class _Timer:
     """Accumulates wall-clock milliseconds onto a metrics attribute."""
 
@@ -370,7 +391,7 @@ class _Simulation:
 
     def _check_schedule(self):
         """Refuse a schedule that names an id outside the population. Draws
-        nothing: each round's dropout is drawn once, by ``apply_dropout``."""
+        nothing: each round's dropout is drawn once, by ``_run_round``."""
         s = self.schedule
         ues = set(s.ue_always).union(s.prob_ue_ids, *s.ue_rounds.values())
         bss = set(s.bs_always).union(s.prob_bs_ids, *s.bs_rounds.values())
@@ -413,7 +434,10 @@ class _Simulation:
 
     def _collect(self, metrics: RoundMetrics, raw, frames: int) -> None:
         """Decode ``frames`` update rows, charge them to ``metrics`` and
-        hand them to the server, which alone decides which rows are late."""
+        hand them to the server, which alone decides which rows are late.
+        A run of no rows is no message, so it is neither decoded nor charged."""
+        if not frames:
+            return
         block = updates_from_bytes(raw, frames)
         account_message(metrics, block[0], frames)
         # each device sends one update per round, so nothing is repeated
@@ -428,65 +452,59 @@ class _Simulation:
         rows, run the stations' phase, recover, close and send the model.
         Returns the round's metrics and the next round's start: the model's
         last arrival, or the close when no device is online."""
-        online_ues, online_bss = apply_dropout(self.schedule, t, self.ue_ids, self.bs_ids)
-        metrics = RoundMetrics(iteration=t, online_ues=len(online_ues),
-                               online_bss=len(online_bss))
+        rows = _online_rows(self.cfg.n_ues, self.schedule.dropped_ues(t))  # fleet rows
+        bs_rows = _online_rows(self.cfg.n_bss, self.schedule.dropped_bss(t))  # station rows
+        metrics = RoundMetrics(iteration=t, online_ues=len(rows), online_bss=len(bs_rows))
         self.af.begin_round(t)
         # offline devices' rows are trained too and left unread: gathering
         # the online shards would copy them every round
         updates = self.task.local_update(slice(0, self.cfg.n_ues), self.ue_models)
-        rows = np.array(online_ues, dtype=np.intp) - 1  # the online devices' fleet rows
         # the updates are masked and packed once, on-time rows first, so that
         # the rows due by the deadline and the late ones are one run of the
         # block each; masking draws no randomness, so its latencies go first
         deadline = start + self.cfg.deadline_ms
-        arrivals = [start + lat for lat in self._latencies(len(rows))]
-        on_time = [r for r, when in enumerate(arrivals) if when <= deadline]
-        late = [r for r, when in enumerate(arrivals) if when > deadline]
-        if late:
-            rows = rows[on_time + late]
+        late = start + np.array(self._latencies(len(rows))) > deadline
+        rows = np.concatenate((rows[~late], rows[late]))
+        on_time = int(np.count_nonzero(~late))  # an int, as every count it enters
         with _Timer(metrics, "time_ue_ms"):
             block = self.fleet.mask(rows, updates[rows], t)
-        raw, split = b"", 0
-        if arrivals:
-            raw = memoryview(block.to_bytes())
-            split = len(on_time) * (len(raw) // len(block))
+        raw = memoryview(block.to_bytes())
+        # the frames are of one length, and an empty block packs to no bytes
+        split = on_time * len(raw) // max(len(rows), 1)
         # the training output and the unpacked block are not read again;
         # freed here, they add nothing to the stations' phase's peak memory
         del updates, block
-        if on_time:
-            self._collect(metrics, raw[:split], len(on_time))
+        self._collect(metrics, raw[:split], on_time)
         with _Timer(metrics, "time_af_ms"):
             online_list = self.af.finalize_online_list()
         metrics.online_list_size = len(self.af.online_ids)
         # the list is fixed, so the server refuses a late row whenever it
         # lands: in this round, or in a later one as another round's update
-        if late:
-            self._collect(metrics, raw[split:], len(late))
+        self._collect(metrics, raw[split:], len(rows) - on_time)
 
         # the list is one frame, decoded once; the online stations answer it
-        # in one call, in the order it reaches them, ties in station order,
-        # and each share draws its own latency; the server reads no share
-        # before it holds them all, so the round closes at the last share's
-        # arrival
+        # in one call, in the order it reaches them, ties in row order, and
+        # each share draws its own latency; the server reads no share before
+        # it holds them all, so the round closes at the last share's arrival
         close, agg_mask = deadline, None
-        if online_list is not None and online_bss:
-            k = len(online_bss)
+        if online_list is not None and len(bs_rows):
             online_list = from_bytes(online_list.to_bytes())
-            account_message(metrics, online_list, k)
-            reached = sorted(zip([deadline + lat for lat in self._latencies(k)], online_bss))
-            station_rows = [j - 1 for _, j in reached]
+            account_message(metrics, online_list, len(bs_rows))
+            reached = deadline + np.array(self._latencies(len(bs_rows)))
+            order = np.argsort(reached, kind="stable")  # a stable sort keeps ties in row order
+            bs_rows = bs_rows[order]
             with _Timer(metrics, "time_bs_ms"):
                 answers = self.stations.mask_shares(
-                    station_rows, online_list, t, self.cfg.mask_share_mode, self.cfg.model_dim)
+                    bs_rows, online_list, t, self.cfg.mask_share_mode, self.cfg.model_dim)
             shares = {}
-            for (when, j), lat, share in zip(reached, self._latencies(k), answers):
+            for when, r, lat, share in zip(reached[order].tolist(), bs_rows.tolist(),
+                                           self._latencies(len(bs_rows)), answers):
                 # set-up gives every station a share of every device's key,
                 # so a station abstains, sending nothing, only if one is lost
                 if isinstance(share, MissingShareError):
                     continue
-                shares[j] = from_bytes(share.to_bytes())
-                account_message(metrics, shares[j])
+                shares[r + 1] = from_bytes(share.to_bytes())  # station r + 1's share
+                account_message(metrics, shares[r + 1])
                 close = max(close, when + lat)
             with _Timer(metrics, "time_af_ms"):
                 agg_mask = self.af.recover_mask(shares, self.cfg.mask_share_mode)
@@ -496,16 +514,14 @@ class _Simulation:
         # the model (the previous one on FALLBACK) is one frame, decoded
         # once and written into every online device's row at once
         metrics.outcome = FALLBACK if agg_mask is None else AGGREGATED
-        model_msg = self.af.global_model_message()
         metrics.accuracy = self.task.accuracy(self.af.global_model)
         self.models[t] = self.af.global_model
-        if not online_ues:
+        if not len(rows):
             return metrics, close
-        model_arrival = close + max(self._latencies(len(online_ues)))
-        msg = from_bytes(model_msg.to_bytes())
-        account_message(metrics, msg, len(online_ues))
+        msg = from_bytes(self.af.global_model_message().to_bytes())
+        account_message(metrics, msg, len(rows))
         self.ue_models[rows] = msg.weights
-        return metrics, model_arrival
+        return metrics, close + max(self._latencies(len(rows)))
 
     def run(self) -> SimResult:
         start = self._run_setup()

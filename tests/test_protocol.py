@@ -323,8 +323,11 @@ def test_precomputed_masks_bitwise_equal_on_the_fly():
     (dict(dim=0), "dim"),
     (dict(dim=True), "dim"),
     (dict(dim=4.0), "dim"),
+    (dict(codec="x"), "codec must be a FixedPointCodec, got 'x'"),
+    (dict(codec=None), "codec must be a FixedPointCodec"),
 ], ids=["id_negative", "id_2^64", "id_float", "id_bool", "id_repeated", "id_repeated_uint64",
-        "key_p", "key_negative", "key_float", "keys_short", "dim_zero", "dim_bool", "dim_float"])
+        "key_p", "key_negative", "key_float", "keys_short", "dim_zero", "dim_bool", "dim_float",
+        "codec_str", "codec_none"])
 def test_fleet_refuses_what_it_cannot_hold(change, match):
     # a repeated id is new: the server could not tell the two devices apart
     args = dict(ids=[1, 2, 3], keys=[1, 2, 3], codec=CODEC, dim=4)
@@ -612,6 +615,27 @@ def test_aggregator_refuses_a_size_that_is_not_a_positive_int(name, value):
                 codec=CODEC, dim=12)
     with pytest.raises(ValueError, match=f"{name} = .* is not an int >= 1"):
         Aggregator(**{**args, name: value})
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("bs_threshold", 3, "AccessStructure"),
+    ("bs_threshold", (3, 4), "AccessStructure"),
+    ("codec", "x", "FixedPointCodec"),
+    ("codec", None, "FixedPointCodec"),
+])
+def test_aggregator_refuses_a_collaborator_of_the_wrong_type(name, value, kind):
+    # a threshold of 3 was accepted and raised AttributeError at the first
+    # recover_mask, a codec "x" at the first unmask_and_aggregate
+    args = dict(registered_n=3, min_online_fraction=1.0, bs_threshold=AccessStructure(3, 4),
+                codec=CODEC, dim=12)
+    with pytest.raises(ValueError, match=f"{name} must be a {kind}, got "):
+        Aggregator(**{**args, name: value})
+
+
+def test_a_device_refuses_a_codec_that_is_not_a_fixed_point_codec():
+    # it was accepted and raised AttributeError at the first masked_update
+    with pytest.raises(ValueError, match="codec must be a FixedPointCodec"):
+        UserEquipment(1, 5, "x", 3)
 
 
 @pytest.mark.parametrize("t", [2**64, -1, 1.5, True, "3", None])

@@ -10,7 +10,7 @@ import math
 import random
 import re
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ from secagg5g.simnet import (
     SimConfig,
     _Simulation,
     account_message,
-    apply_dropout,
     run_simulation,
 )
 
@@ -255,24 +254,78 @@ def test_schedule_accepts_the_unit_interval_ends():
     assert sched.dropped_bss(0) == frozenset()
 
 
-def test_apply_dropout_empty_schedule():
-    online_ues, online_bss = apply_dropout(DropoutSchedule.none(), 0, range(1, 9), range(1, 5))
-    assert online_ues == tuple(range(1, 9))
-    assert online_bss == tuple(range(1, 5))
+def test_dropped_ids_empty_schedule():
+    sched = DropoutSchedule.none()
+    for t in range(3):
+        assert sched.dropped_ues(t) == frozenset() and sched.dropped_bss(t) == frozenset()
 
 
-def test_apply_dropout_explicit_round():
+def test_dropped_ids_explicit_round():
     sched = DropoutSchedule(ue_rounds={2: frozenset({3})})
-    assert 3 not in apply_dropout(sched, 2, range(1, 9), range(1, 5))[0]
-    assert 3 in apply_dropout(sched, 3, range(1, 9), range(1, 5))[0]
+    assert 3 in sched.dropped_ues(2)
+    assert 3 not in sched.dropped_ues(3)
+    assert sched.dropped_bss(2) == frozenset()
 
 
-def test_apply_dropout_probability_zero():
+def test_dropped_ids_probability_zero():
     sched = DropoutSchedule(ue_prob=0.0, bs_prob=0.0, prob_seed=4,
                             prob_ue_ids=tuple(range(1, 9)), prob_bs_ids=(1, 2, 3, 4))
     for t in range(5):
-        ues, bss = apply_dropout(sched, t, range(1, 9), range(1, 5))
-        assert len(ues) == 8 and len(bss) == 4
+        assert sched.dropped_ues(t) == frozenset() and sched.dropped_bss(t) == frozenset()
+
+
+@pytest.mark.parametrize("role", ["ue", "bs"])
+def test_schedule_reads_the_bernoulli_ids_once(role):
+    # a generator passed every check, which emptied it, and then dropped no one
+    sched = DropoutSchedule(**{f"{role}_prob": 1.0, f"prob_{role}_ids": (i for i in range(1, 5))})
+    assert getattr(sched, f"prob_{role}_ids") == (1, 2, 3, 4)
+    assert getattr(sched, f"dropped_{role}s")(0) == {1, 2, 3, 4}
+
+
+@settings(max_examples=50, deadline=None)
+@given(ids=st.lists(st.integers(1, 20), unique=True, min_size=1, max_size=20),
+       prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**64), t=st.integers(0, 100))
+def test_bernoulli_ids_draw_the_same_in_any_iterable(ids, prob, seed, t):
+    # one draw per listed id, in the listed order, seeded by role, seed and round
+    rng = random.Random(f"ue:{seed}:{t}")
+    expected = {i for i in ids if rng.random() < prob} if prob > 0.0 else set()
+    for given_ids in (tuple(ids), list(ids), iter(ids)):
+        sched = DropoutSchedule(ue_prob=prob, prob_seed=seed, prob_ue_ids=given_ids)
+        assert sched.dropped_ues(t) == expected
+
+
+@pytest.mark.parametrize("role", ["ue", "bs"])
+@pytest.mark.parametrize("prob", [0.0, 0.5])
+@pytest.mark.parametrize("ids", [5, None, 2.0])
+def test_schedule_refuses_bernoulli_ids_that_are_not_iterable(role, prob, ids):
+    # 5 raised TypeError as it was checked, and None did unless a positive
+    # rate refused it first
+    with pytest.raises(ValueError, match=f"prob_{role}_ids must be an iterable of ids"):
+        DropoutSchedule(**{f"{role}_prob": prob, f"prob_{role}_ids": ids})
+
+
+@pytest.mark.parametrize("role", ["ue", "bs"])
+@pytest.mark.parametrize("ids", [(1, 1), (1, 2, 3, 2), [4, 4], (1, np.int64(1))])
+def test_schedule_refuses_a_bernoulli_id_listed_twice(role, ids):
+    # (1, 1) drew device 1 twice: at probability 0.5 it dropped in 0.76 of
+    # seeds, not 0.5
+    with pytest.raises(ValueError, match=f"prob_{role}_ids lists an id twice"):
+        DropoutSchedule(**{f"{role}_prob": 0.5, f"prob_{role}_ids": ids})
+
+
+@pytest.mark.parametrize("role", ["ue", "bs"])
+def test_schedule_keeps_frozen_copies_of_its_sets(role):
+    # the schedule held the caller's sets, so changing one later changed
+    # which entities a round drops
+    always, rounds = {1}, {0: {3}}
+    sched = DropoutSchedule(**{f"{role}_always": always, f"{role}_rounds": rounds})
+    dropped = getattr(sched, f"dropped_{role}s")
+    always.add(2)
+    rounds[0].add(4)
+    rounds[1] = {5}
+    assert dropped(0) == {1, 3} and dropped(1) == {1}
+    assert type(getattr(sched, f"{role}_always")) is frozenset
+    assert all(type(g) is frozenset for g in getattr(sched, f"{role}_rounds").values())
 
 
 def test_probabilistic_schedule_is_pure_in_t():
@@ -527,6 +580,60 @@ def test_every_counter_follows_the_traffic_model(scenario):
         )
 
 
+@st.composite
+def late_scenarios(draw):
+    cfg, sched = draw(traffic_scenarios())
+    # a jitter past the deadline, so that a round's updates are late or not
+    return replace(cfg, latency_jitter_ms=2 * cfg.deadline_ms), sched
+
+
+@settings(max_examples=40, deadline=None)
+@given(late_scenarios())
+def test_masked_rows_are_the_online_rows_on_time_first(scenario):
+    # the rows handed to Fleet.mask are the rows of the ids the schedule
+    # leaves online, those whose update meets the deadline first and the
+    # late ones after, each group in row order; the server refuses each
+    # late row, so the late drops count them
+    cfg, sched = scenario
+    events = []
+    run_round, latencies = _Simulation._run_round, _Simulation._latencies
+    mask = protocol.Fleet.mask
+
+    def logged_round(sim, t, start):
+        events.append(("round", start))
+        return run_round(sim, t, start)
+
+    def logged_latencies(sim, m):
+        draws = latencies(sim, m)
+        events.append(("latencies", draws))
+        return draws
+
+    def logged_mask(fleet, rows, updates, t):
+        events.append(("mask", rows.tolist()))
+        return mask(fleet, rows, updates, t)
+
+    task = fltask.generate_data(seed=cfg.rng_seed, n_ues=cfg.n_ues,
+                                feature_dim=cfg.model_dim - 1, samples_per_shard=4,
+                                test_samples=4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Simulation, "_run_round", logged_round)
+        patch.setattr(_Simulation, "_latencies", logged_latencies)
+        patch.setattr(protocol.Fleet, "mask", logged_mask)
+        result = run_simulation(cfg, sched, task)
+    masks = [i for i, (kind, _) in enumerate(events) if kind == "mask"]
+    assert len(masks) == cfg.iterations
+    for t, (i, rm) in enumerate(zip(masks, result.rounds)):
+        # the round's start, then the update latencies, drawn just before masking
+        (round_, start), (drawn, draws), (_, masked) = events[i - 2:i + 1]
+        assert (round_, drawn) == ("round", "latencies")
+        online = [ue - 1 for ue in range(1, cfg.n_ues + 1) if ue not in sched.dropped_ues(t)]
+        late = [start + lat > start + cfg.deadline_ms for lat in draws]
+        assert len(draws) == len(online) == rm.online_ues
+        assert masked == ([r for r, is_late in zip(online, late) if not is_late]
+                          + [r for r, is_late in zip(online, late) if is_late])
+        assert rm.late_drops == sum(late)
+
+
 # -- full runs -------------------------------------------------------------------
 
 
@@ -584,8 +691,8 @@ def test_each_round_masks_the_fleet_in_one_call(monkeypatch):
     run_simulation(small_cfg(), sched, small_task())
     assert [t for t, *_ in calls] == list(range(10))
     for t, ids, rows in calls:
-        online, _ = apply_dropout(sched, t, range(1, 9), range(1, 5))
-        assert ids == list(online) and rows == len(ids)
+        # no update is late at these latencies, so the rows are in id order
+        assert ids == sorted(set(range(1, 9)) - sched.dropped_ues(t)) and rows == len(ids)
     assert any(len(ids) < 8 for _, ids, _ in calls)
 
 
