@@ -28,52 +28,37 @@ from .experiments import (
 )
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("config", help="path to a JSON experiment config")
-    sub.add_argument("-o", "--output", help="output file (overrides config)")
-    sub.add_argument("--format", choices=["csv", "json"], help="output format")
-    sub.add_argument("--seeds", type=int, nargs="+", help="run seeds")
-    sub.add_argument("--iterations", type=int, help="training iterations per run")
-
-
-def _add_mode_flag(sub: argparse.ArgumentParser) -> None:
-    # compare-modes always runs both modes, so only run and sweep take one
-    sub.add_argument(
-        "--mode", choices=["evaluated", "compact"], dest="mask_share_mode",
-        help="mask share mode",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secagg5g",
         description="Dropout-resilient secure aggregation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     run_p = sub.add_parser("run", help="single configuration, no sweep")
-    _add_common_flags(run_p)
-    _add_mode_flag(run_p)
+    sweep_p = sub.add_parser("sweep", help="sweep a dropout axis")
+    cmp_p = sub.add_parser("compare-modes", help="bandwidth: evaluated vs compact")
+    for sub_p in (run_p, sweep_p, cmp_p):
+        sub_p.add_argument("config", help="path to a JSON experiment config")
+        sub_p.add_argument("-o", "--output", help="output file (overrides config)")
+        sub_p.add_argument("--format", choices=["csv", "json"], help="output format")
+        sub_p.add_argument("--seeds", type=int, nargs="+", help="run seeds")
+        sub_p.add_argument("--iterations", type=int, help="training iterations per run")
+    # compare-modes always runs both modes, so only run and sweep take one
+    for sub_p in (run_p, sweep_p):
+        sub_p.add_argument(
+            "--mode", choices=["evaluated", "compact"], dest="mask_share_mode",
+            help="mask share mode",
+        )
+
     run_p.add_argument("--ue-dropout", type=int, dest="ue_dropout")
     run_p.add_argument("--bs-dropout", type=int, dest="bs_dropout")
 
-    sweep_p = sub.add_parser("sweep", help="sweep a dropout axis")
-    _add_common_flags(sweep_p)
-    _add_mode_flag(sweep_p)
     sweep_p.add_argument(
         "--axis", choices=["ue_dropout", "bs_dropout"], dest="sweep_axis"
     )
     sweep_p.add_argument("--sweep-min", type=int, dest="sweep_min")
     sweep_p.add_argument("--sweep-max", type=int, dest="sweep_max")
-
-    cmp_p = sub.add_parser("compare-modes", help="bandwidth: evaluated vs compact")
-    _add_common_flags(cmp_p)
     return parser
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    skip = {"command", "config"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
 def main(argv=None) -> int:
@@ -81,22 +66,18 @@ def main(argv=None) -> int:
         level=os.environ.get("SECAGG5G_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    args = build_parser().parse_args(argv)
+    # every other flag overrides its config key; from_json drops the unset ones
+    overrides = vars(build_parser().parse_args(argv))
+    command, config = overrides.pop("command"), overrides.pop("config")
     try:
-        spec = ExperimentSpec.from_json(args.config, _overrides(args))
-        if args.command == "run":
+        spec = ExperimentSpec.from_json(config, overrides)
+        if command == "run":
             spec = replace(spec, sweep_axis="none")
-            metadata, rows = run_experiment(spec)
-            columns = RESULT_COLUMNS
-        elif args.command == "sweep":
-            if spec.sweep_axis == "none":
-                raise ValueError("sweep requires sweep_axis (config key or --axis)")
-            metadata, rows = run_experiment(spec)
-            columns = RESULT_COLUMNS
-        else:
-            metadata, rows = compare_modes(spec)
-            columns = COMPARE_COLUMNS
-        write_results(spec, metadata, rows, columns)
+        elif command == "sweep" and spec.sweep_axis == "none":
+            raise ValueError("sweep requires sweep_axis (config key or --axis)")
+        compare = command == "compare-modes"
+        metadata, rows = (compare_modes if compare else run_experiment)(spec)
+        write_results(spec, metadata, rows, COMPARE_COLUMNS if compare else RESULT_COLUMNS)
     except (ValueError, OSError, json.JSONDecodeError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

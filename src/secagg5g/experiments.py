@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
@@ -86,7 +87,7 @@ class ExperimentSpec:
     sweep_max: int | None = None
     ue_dropout: int = 0
     bs_dropout: int = 0
-    output: str = "results.csv"
+    output: str | os.PathLike = "results.csv"
     format: str = "csv"
     sim: SimConfig = dc_field(default_factory=SimConfig)
 
@@ -135,6 +136,9 @@ class ExperimentSpec:
             raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        # open() would take an int for a file descriptor, and stdout's is 1
+        if not isinstance(self.output, (str, os.PathLike)) or not os.fspath(self.output):
+            raise ValueError(f"output must be a non-empty path, got {self.output!r}")
         require_int("ue_dropout", self.ue_dropout, 0, self.sim.n_ues + 1)
         require_int("bs_dropout", self.bs_dropout, 0, self.sim.n_bss + 1)
         if self.sweep_axis != "none":
@@ -259,24 +263,18 @@ def compare_modes(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     return meta, sorted(runs["EVALUATED"] + runs["COMPACT"], key=lambda r: r["mode"])
 
 
-def write_csv(path, metadata: dict, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key in sorted(metadata):
-            fh.write(f"# {key}={metadata[key]}\n")
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def write_json(path, metadata: dict, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"metadata": metadata, "rows": rows}, fh, indent=2)
-        fh.write("\n")
-
-
 def write_results(spec: ExperimentSpec, metadata: dict, rows: list[dict], columns) -> None:
+    """Write the rows' ``columns`` to ``spec.output`` in ``spec.format``:
+    for CSV, one ``# key=value`` line per metadata key in key order, then
+    the header and the rows; for JSON, one object of the metadata and the
+    rows, indented by 2."""
     rows = [{c: row[c] for c in columns} for row in rows]
-    if spec.format == "csv":
-        write_csv(spec.output, metadata, rows, columns)
-    else:
-        write_json(spec.output, metadata, rows)
+    with open(spec.output, "w", encoding="utf-8", newline="") as fh:
+        if spec.format == "json":
+            json.dump({"metadata": metadata, "rows": rows}, fh, indent=2)
+            fh.write("\n")
+        else:
+            fh.writelines(f"# {key}={metadata[key]}\n" for key in sorted(metadata))
+            writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)

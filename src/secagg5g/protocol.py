@@ -30,8 +30,10 @@ Field vectors (masked updates, masks) are canonical uint64 arrays
 (``field``); the server's model is a float64 array. Each message type checks
 its own fields when it is built (``messages``), so the roles check only what
 depends on their own state: round, sender and station ids, dimension, mode,
-registered devices and one-use masks. ``Fleet.setup``, ``Fleet.mask`` and
-``Stations.mask_shares`` take their rows by one rule, ``_rows``.
+registered devices, one-use masks and one answered list per round, and
+that each message or collaborator is of its type. ``Fleet.setup``,
+``Fleet.mask`` and ``Stations.mask_shares`` take their rows by one rule,
+``_rows``.
 """
 
 from __future__ import annotations
@@ -201,8 +203,10 @@ class Fleet:
         One-shot: a key is shared once; sharing it again would hand out a
         second, inconsistent share set. All or nothing: raises ProtocolError,
         and draws nothing, if a row is listed twice or its device has
-        already completed set-up; ValueError for rows as ``mask``.
+        already completed set-up; ValueError for rows as ``mask``, or an
+        ``acc`` that is not an ``AccessStructure``.
         """
+        _require_instance("acc", acc, AccessStructure)
         rows = (np.arange(len(self)) if rows is None
                 else _rows(rows, len(self), "device", "share its key twice"))
         done = np.flatnonzero(self._setup_done[rows])
@@ -360,8 +364,8 @@ class Stations:
     The registered devices are the server's, 1..n, so a list of ids is its
     own column index; columns 0 and n + 1 never hold a share, so an id
     outside 1..n lands on a ``MISSING`` one. ``mask_shares`` answers an
-    online list for any set of rows in one pass, and ``station(r)`` is row
-    r as a ``BaseStation``.
+    online list for any set of rows in one pass, one list per round for
+    each row, and ``station(r)`` is row r as a ``BaseStation``.
 
     Raises ValueError for a station id that is not an int in [1, 2^64), two
     stations with one id, or a ``registered_n`` that is not an int >= 1.
@@ -374,6 +378,8 @@ class Stations:
         self.ids = [int(bs_id) for bs_id in ids]
         self.registered_n = registered_n
         self._ys = np.full((len(ids), registered_n + 2), MISSING)
+        # row r's last answer: its round and the list's ids, as bytes
+        self._answered: dict[int, tuple[int, bytes]] = {}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -400,9 +406,11 @@ class Stations:
         of the block is for another station, its share point x is not this
         station's index, or its sender already has a share here, from an
         earlier block or an earlier row of this one; ValueError if ``row``
-        is not an int in 0..k-1 or a sender is outside 1..registered_n.
+        is not an int in 0..k-1, ``block`` is not a ``SetupShareBlock`` or a
+        sender is outside 1..registered_n.
         """
         field.require_int("row", row, end=len(self))
+        _require_instance("block", block, SetupShareBlock)
         bs_id = self.ids[row]
         wrong = np.flatnonzero(block.targets != bs_id)
         if len(wrong):
@@ -440,14 +448,27 @@ class Stations:
         ships the summed share itself, leaving expansion to the server.
         Both carry the same information by key-homomorphism.
 
-        Raises ProtocolError if the list is stamped for a round other than
-        t (its devices masked for that round, not this one) or a row is
-        listed twice, and ValueError if ``mode`` is not a ``MaskShareMode``
-        or ``rows`` breaks the row rule ``Fleet.mask`` keeps: a 1-d int
-        array, or a list, tuple or range of ints, never a bool, each in
-        0..k-1. The list's ids are strictly increasing, because
-        ``OnlineListMsg`` refuses any other.
+        Each station answers one list per round: the ids of a list it
+        answered for round t again, but no other list for t and no list for
+        an earlier round. Two mask sums whose lists differ by one device
+        would give that device's mask, and when the threshold is more than
+        k/2 any two threshold sets share a station, so at most one list per
+        round can be opened.
+        Only the stations that answer record the list.
+
+        Raises ProtocolError, and answers none, if the list is stamped for
+        a round other than t (its devices masked for that round, not this
+        one), a row is listed twice, or a row answered another list for t
+        or a list for a later round; ValueError if ``online`` is not an
+        ``OnlineListMsg``, t is not an int in [0, 2^64), ``mode`` is not a
+        ``MaskShareMode`` or ``rows``
+        breaks the row rule ``Fleet.mask`` keeps: a 1-d int array, or a
+        list, tuple or range of ints, never a bool, each in 0..k-1. The
+        list's ids are strictly increasing, because ``OnlineListMsg``
+        refuses any other.
         """
+        _require_instance("online", online, OnlineListMsg)
+        field.require_int("round t", t, end=1 << 64)
         if online.iteration != t:
             raise ProtocolError(
                 f"online list for round {online.iteration} asked to answer round {t}"
@@ -455,6 +476,14 @@ class Stations:
         require_mode(mode)
         rows = _rows(rows, len(self), "station", "answer twice")
         ids = online.ue_ids
+        answer = (t, ids.tobytes())  # the ids as bytes, which no caller can edit
+        for r in rows.tolist():
+            last, listed = self._answered.get(r, answer)
+            if last > t:
+                raise ProtocolError(
+                    f"BS {self.ids[r]} answered round {last}; round {t} is earlier")
+            if last == t and listed != answer[1]:
+                raise ProtocolError(f"BS {self.ids[r]} answered another list for round {t}")
         # a list is its own column index: its ids lie in 1..2^32 - 1, and
         # one past the columns clips onto column n + 1, which holds no share
         ys = self._ys.take(ids, axis=1, mode="clip")[rows]  # each row's listed shares
@@ -469,7 +498,9 @@ class Stations:
                 missing = ids[listed == MISSING].tolist()
                 answers.append(MissingShareError(
                     f"BS {self.ids[r]} holds no share for UEs {missing}"))
-            elif compact:
+                continue
+            self._answered[r] = answer
+            if compact:
                 answers.append(MaskShareMsg(self.ids[r], t, scalar=next(payloads)))
             else:
                 answers.append(MaskShareMsg(self.ids[r], t, vector=next(payloads)))
@@ -502,7 +533,9 @@ class BaseStation:
         return self.stations.stored_shares(self.row)
 
     def receive_share(self, msg: SetupShareMsg) -> None:
-        """``Stations.receive_shares`` of the one-row block ``msg`` in this row."""
+        """``Stations.receive_shares`` of the one-row block ``msg`` in this
+        row; ValueError if ``msg`` is not a ``SetupShareMsg``."""
+        _require_instance("msg", msg, SetupShareMsg)
         self.stations.receive_shares(self.row, SetupShareBlock.of([msg]))
 
     def mask_share(
@@ -563,7 +596,9 @@ class Aggregator:
         self.online_ids = None
 
     def collect_update(self, msg: MaskedUpdateMsg) -> CollectStatus:
-        """``collect_block`` of the one-row block ``msg``."""
+        """``collect_block`` of the one-row block ``msg``; ValueError if
+        ``msg`` is not a ``MaskedUpdateMsg``."""
+        _require_instance("msg", msg, MaskedUpdateMsg)
         return self.collect_block(MaskedUpdateBlock.of([msg]))[0]
 
     def collect_block(self, block: MaskedUpdateBlock) -> list[CollectStatus]:
@@ -573,11 +608,13 @@ class Aggregator:
         for another round or one that comes after the list is fixed.
         Returns each row's status; an accepted row is copied into the matrix.
 
-        Raises ValueError, and logs no row, if a row for this round is from a
-        sender outside 1..registered_n, or would be accepted but the block's
+        Raises ValueError, and logs no row, if ``block`` is not a
+        ``MaskedUpdateBlock``, a row for this round is from a sender outside
+        1..registered_n, or a row would be accepted but the block's
         dimension is not the model's; its elements are in [0, p), because
         ``MaskedUpdateBlock`` refuses any other.
         """
+        _require_instance("block", block, MaskedUpdateBlock)
         codes = np.zeros(len(block), np.intp)  # indexes _STATUSES
         if self.online_ids is None:
             current = np.flatnonzero(block.iterations == self.iteration)
@@ -627,14 +664,17 @@ class Aggregator:
         below threshold the mask sum is information-theoretically out of
         reach, which is exactly the privacy guarantee.
 
-        Raises ValueError if ``mode`` is not a ``MaskShareMode``, and
-        ProtocolError unless every share comes from a known station, under
-        that station's key, for this round, in ``mode``, and an EVALUATED
-        share has length ``dim``. Payload elements are in [0, p), because
-        ``MaskShareMsg`` refuses any other.
+        Raises ValueError if ``mode`` is not a ``MaskShareMode`` or
+        ``shares`` is not a dict of ``MaskShareMsg``s, and ProtocolError
+        unless every share comes from a known station, under that station's
+        key, for this round, in ``mode``, and an EVALUATED share has length
+        ``dim``. Payload elements are in [0, p), because ``MaskShareMsg``
+        refuses any other.
         """
         require_mode(mode)
+        _require_instance("shares", shares, dict)
         for j, msg in shares.items():
+            _require_instance("share", msg, MaskShareMsg)
             self._check_share(j, msg, mode)
         t_needed = self.bs_threshold.threshold
         if len(shares) < t_needed:

@@ -1,14 +1,25 @@
 """CLI and experiment-orchestration tests (fast configs, tmp outputs)."""
 
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from secagg5g import khprf
 from secagg5g.cli import main
-from secagg5g.experiments import ExperimentSpec, compare_modes, run_experiment
+from secagg5g.experiments import (
+    COMPARE_COLUMNS,
+    RESULT_COLUMNS,
+    ExperimentSpec,
+    compare_modes,
+    run_experiment,
+    write_results,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -347,3 +358,54 @@ def test_metadata_records_only_knobs_that_took_effect(tmp_path, command, absent,
     keys = {line[2:].split("=", 1)[0] for line in meta}
     assert not keys & absent
     assert present <= keys
+
+
+@pytest.mark.parametrize("output", [1, True, 3.5, "", ["a.csv"], None, b"a.csv"])
+def test_spec_refuses_an_output_that_is_not_a_path(output):
+    with pytest.raises(ValueError, match="^output must be a non-empty path, got "):
+        ExperimentSpec.from_dict({**FAST, "output": output})
+
+
+@pytest.mark.parametrize("output", [1, True])
+def test_cli_refuses_an_output_that_is_not_a_path(tmp_path, output):
+    # the config's output 1 (or true) was taken for stdout's file descriptor:
+    # the CSV went to stdout, which was then closed, and main's last print
+    # died with a traceback. No -o, which would override the key
+    cfg = write_config(tmp_path, output=output)
+    run = "import sys; from secagg5g.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", run, "run", str(cfg)], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: output must be a non-empty path, got {output!r}\n"
+
+
+# every column of both column sets, with a comma, a quote, a non-ASCII
+# letter, a float and an empty cell among the values
+PINNED_METADATA = {"n_ues": 8, "seeds": [0, 1], "sweep_max": None, "learning_rate": 0.5,
+                   "bs_payload_ratio": 56.888888888888886, "mask_share_mode": "compact"}
+PINNED_ROWS = [
+    {**{c: i for i, c in enumerate(RESULT_COLUMNS + COMPARE_COLUMNS)},
+     "outcome": "AGGREGATED", "accuracy": 0.8125, "mode": "COMPACT", "bs_payload_bytes": 9.0},
+    {**{c: -i for i, c in enumerate(RESULT_COLUMNS + COMPARE_COLUMNS)},
+     "outcome": 'a,"b"', "accuracy": 1 / 3, "mode": "évaluée", "bs_payload_bytes": ""},
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("columns", [RESULT_COLUMNS, COMPARE_COLUMNS], ids=["result", "compare"])
+def test_the_written_bytes_are_pinned(tmp_path, fmt, columns):
+    out = tmp_path / f"pinned.{fmt}"
+    spec = ExperimentSpec.from_dict({**FAST, "output": out, "format": fmt})
+    write_results(spec, PINNED_METADATA, PINNED_ROWS, columns)
+    kept = [{c: row[c] for c in columns} for row in PINNED_ROWS]
+    if fmt == "json":
+        want = json.dumps({"metadata": PINNED_METADATA, "rows": kept}, indent=2) + "\n"
+    else:
+        text = io.StringIO()
+        text.writelines(f"# {key}={PINNED_METADATA[key]}\n" for key in sorted(PINNED_METADATA))
+        writer = csv.DictWriter(text, fieldnames=columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(kept)
+        want = text.getvalue()
+    assert out.read_bytes() == want.encode("utf-8")

@@ -9,6 +9,7 @@ import math
 import random
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -636,6 +637,54 @@ def test_a_device_refuses_a_codec_that_is_not_a_fixed_point_codec():
     # it was accepted and raised AttributeError at the first masked_update
     with pytest.raises(ValueError, match="codec must be a FixedPointCodec"):
         UserEquipment(1, 5, "x", 3)
+
+
+# each role entry point handed a message or collaborator of the wrong type;
+# each raised AttributeError, some after the first check had passed
+WRONG_TYPED_CALLS = {
+    "collect_block": (lambda w: w.af.collect_block([w.msg]), "block must be a MaskedUpdateBlock"),
+    "collect_update": (lambda w: w.af.collect_update(None), "msg must be a MaskedUpdateMsg"),
+    "recover_mask_list": (lambda w: w.af.recover_mask([1], w.mode), "shares must be a dict"),
+    "recover_mask_int": (lambda w: w.af.recover_mask({1: 5}, w.mode),
+                         "share must be a MaskShareMsg"),
+    "receive_shares": (lambda w: w.bss[2].stations.receive_shares(0, [1]),
+                       "block must be a SetupShareBlock"),
+    "receive_share": (lambda w: w.bss[2].receive_share(None), "msg must be a SetupShareMsg"),
+    "mask_shares": (lambda w: w.bss[2].stations.mask_shares([0], [1, 2], 0, w.mode, 2),
+                    "online must be a OnlineListMsg"),
+    "mask_share": (lambda w: w.bss[2].mask_share(None, 0, w.mode, 2),
+                   "online must be a OnlineListMsg"),
+    "fleet_setup": (lambda w: w.fresh.setup(3, w.rng), "acc must be a AccessStructure"),
+    "device_setup": (lambda w: w.fresh.device(0).setup(3, w.rng),
+                     "acc must be a AccessStructure"),
+}
+
+
+def role_state(w):
+    """Everything a refused entry point must leave as it was."""
+    stations = [bs.stations for bs in w.bss.values()]
+    fleet = w.ues[1].fleet
+    return (fleet._last.tolist(), fleet._masked.tolist(), w.fresh._setup_done.tolist(),
+            [(s._ys.tolist(), dict(s._answered)) for s in stations],
+            w.af.iteration, w.af._arrived.tolist(), w.af._rows.tolist(),
+            w.af.online_ids.tolist(), w.af._warned_compact, w.rng.getstate())
+
+
+@pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
+@pytest.mark.parametrize("case", list(WRONG_TYPED_CALLS))
+def test_role_entry_points_refuse_a_wrong_typed_argument(case, mode):
+    ues, bss, af, _, rng = make_fleet(seed=41)
+    af.begin_round(0)
+    af.collect_block(ues[1].fleet.mask([0, 1, 2], np.zeros((3, 12)), 0))
+    msg = ues[4].masked_update([0.0] * 12, 0)
+    bss[2].mask_share(af.finalize_online_list(), 0, mode, 12)
+    w = SimpleNamespace(ues=ues, bss=bss, af=af, rng=rng, mode=mode, msg=msg,
+                        fresh=Fleet([1, 2], [3, 4], CODEC, 12))
+    before = role_state(w)
+    call, match = WRONG_TYPED_CALLS[case]
+    with pytest.raises(ValueError, match=match):
+        call(w)
+    assert role_state(w) == before
 
 
 @pytest.mark.parametrize("t", [2**64, -1, 1.5, True, "3", None])

@@ -120,14 +120,69 @@ def test_a_station_missing_one_share_abstains_alone():
         assert (first.scalar if mode is MaskShareMode.COMPACT else first.vector.tolist()) == want
         with pytest.raises(MissingShareError, match=r"holds no share for UEs \[6\]"):
             stations.station(1).mask_share(online, 0, mode, 4)
-    # a list without device 6 is answered by all three
+    # a list without device 6 is answered by all three; stations 1 and 3
+    # answered another list in round 0, so it is round 1's
     assert all(isinstance(a, MaskShareMsg) for a in
-               stations.mask_shares([0, 1, 2], OnlineListMsg(0, 0, u64([2, 7])), 0,
+               stations.mask_shares([0, 1, 2], OnlineListMsg(0, 1, u64([2, 7])), 1,
                                     MaskShareMode.COMPACT, 4))
 
 
 def state(stations):
     return stations._ys.tobytes(), stations._ys.shape
+
+
+def test_each_station_answers_one_list_per_round():
+    # stations 1 and 2 hold every share, station 3 lacks device 4's
+    stations = Stations([1, 2, 3], 4)
+    for row in range(3):
+        stations.receive_shares(row, block_for(row + 1, {ue: 10 * row + ue for ue in range(1, 5)
+                                                         if (row, ue) != (2, 4)}))
+    full = OnlineListMsg(0, 2, u64([1, 2, 3, 4]))
+    first = stations.mask_shares([0, 1, 2], full, 2, MaskShareMode.COMPACT, 1)
+    assert isinstance(first[2], MissingShareError)
+    # the same ids again, through a second message and in either mode
+    again = OnlineListMsg(0, 2, u64([1, 2, 3, 4]), registered_n=4)
+    assert stations.mask_shares([1, 0], again, 2, MaskShareMode.COMPACT, 1) == first[1::-1]
+    stations.mask_shares([0], again, 2, MaskShareMode.EVALUATED, 1)
+    # another list for round 2, or a list for round 1: all or nothing
+    before = state(stations), dict(stations._answered)
+    refused = [
+        ([2, 1], OnlineListMsg(0, 2, u64([1, 2, 3])), 2,
+         "BS 2 answered another list for round 2"),
+        ([2, 0], OnlineListMsg(0, 1, u64([1, 2, 3, 4])), 1,
+         "BS 1 answered round 2; round 1 is earlier"),
+    ]
+    for rows, online, t, match in refused:
+        for mode in MaskShareMode:
+            with pytest.raises(ProtocolError, match=f"^{match}$"):
+                stations.mask_shares(rows, online, t, mode, 1)
+        assert (state(stations), dict(stations._answered)) == before
+    # station 3 abstained, so it sent nothing and recorded nothing: it
+    # answers another list for round 2
+    [answer] = stations.mask_shares([2], OnlineListMsg(0, 2, u64([1, 2, 3])), 2,
+                                    MaskShareMode.COMPACT, 1)
+    assert answer == MaskShareMsg(3, 2, scalar=21 + 22 + 23)
+    # a station keeps its own copy of the ids it answered: editing the
+    # list's array in place makes another list
+    ids = u64([1, 3])
+    listed = OnlineListMsg(0, 3, ids)
+    stations.mask_shares([0, 1, 2], listed, 3, MaskShareMode.COMPACT, 1)
+    ids[1] = 2
+    with pytest.raises(ProtocolError, match="another list for round 3"):
+        stations.mask_shares([0], listed, 3, MaskShareMode.COMPACT, 1)
+
+
+@pytest.mark.parametrize("t", [True, 1.0])
+@pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
+def test_a_round_that_is_not_an_int_is_refused_before_a_station_records_it(t, mode):
+    # a bool or float equals the list's round 1; COMPACT refused it only
+    # when the first answer was built, after that row had recorded the list
+    stations = Stations([1, 2], 3)
+    for row in range(2):
+        stations.receive_shares(row, block_for(row + 1, {1: 5, 2: 6, 3: 7}))
+    with pytest.raises(ValueError, match=rf"^round t = {t} is not an int in \[0, 2\^64\)$"):
+        stations.mask_shares([0, 1], OnlineListMsg(0, 1, u64([1, 2])), t, mode, 2)
+    assert stations._answered == {}
 
 
 @pytest.mark.parametrize("case, shares, match", [

@@ -25,10 +25,12 @@ import pytest
 
 from secagg5g import field, khprf
 from secagg5g.field import P, FixedPointCodec, decode_sum, encode_update
-from secagg5g.messages import MaskShareMode
+from secagg5g.messages import MaskShareMode, OnlineListMsg
 from secagg5g.protocol import (
+    AF_SENDER_ID,
     Aggregator,
     BaseStation,
+    ProtocolError,
     UserEquipment,
     generate_key,
     route_setup_shares,
@@ -114,6 +116,46 @@ def test_lists_differing_by_one_device_give_its_key_and_open_its_updates(mode):
     opened = field.vec_sub(payload, khprf.evaluate(key_5, 5, D))
     assert opened.tolist() == encode_update(w, CODEC).tolist()
     assert decode_sum(opened, CODEC, 1).tolist() == w
+
+
+def online_list(t, ids):
+    return OnlineListMsg(AF_SENDER_ID, t, np.array(ids, dtype=np.uint64), registered_n=N)
+
+
+@pytest.mark.parametrize("mode", list(MaskShareMode))
+def test_a_second_list_for_one_round_is_refused(mode):
+    # the two mask sums of one round's full list and of that list without
+    # device 3 differ by device 3's mask; stations 1-3 answered the first,
+    # and 2t > k, so no threshold set is left to answer the second
+    ues, bss, af, rng = make_fleet(seed=4)
+    af.begin_round(0)
+    for i in range(1, N + 1):
+        af.collect_update(ues[i].masked_update([0.25] * D, 0))
+    full = af.finalize_online_list()
+    first = {j: bss[j].mask_share(full, 0, mode, D) for j in (1, 2, 3)}
+    second = {}
+    for j, bs in bss.items():
+        try:
+            second[j] = bs.mask_share(online_list(0, [1, 2, 4, 5, 6]), 0, mode, D)
+        except ProtocolError as exc:
+            assert str(exc) == f"BS {j} answered another list for round 0"
+    assert list(second) == [4]
+    assert af.recover_mask(second, mode) is None
+    # the refusals changed nothing: the round's own ids, in a second
+    # message, are answered as before
+    assert {j: bss[j].mask_share(online_list(0, range(1, N + 1)), 0, mode, D)
+            for j in (1, 2, 3)} == first
+    assert af.recover_mask(first, mode) is not None
+
+
+@pytest.mark.parametrize("mode", list(MaskShareMode))
+def test_a_list_replayed_from_an_earlier_round_is_refused(mode):
+    ues, bss, af, rng = make_fleet(seed=5)
+    play_round(ues, bss, af, 0, [1, 2, 3, 4, 5, 6], mode, rng)
+    play_round(ues, bss, af, 1, [1, 2, 4, 5, 6], mode, rng)
+    for j, bs in bss.items():
+        with pytest.raises(ProtocolError, match=f"^BS {j} answered round 1; round 0 is earlier$"):
+            bs.mask_share(online_list(0, [1, 2, 3, 4, 5, 6]), 0, mode, D)
 
 
 def test_one_masked_update_gives_its_key():
