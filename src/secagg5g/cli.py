@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .experiments import (
     COMPARE_COLUMNS,
@@ -75,6 +76,12 @@ def main(argv=None) -> int:
             spec = replace(spec, sweep_axis="none")
         elif command == "sweep" and spec.sweep_axis == "none":
             raise ValueError("sweep requires sweep_axis (config key or --axis)")
+        # refused before the first simulation, and without touching the file
+        out = Path(spec.output)
+        if out.is_dir():
+            raise ValueError(f"output {out} is a directory")
+        if not out.parent.is_dir():
+            raise ValueError(f"output directory {out.parent} does not exist")
         compare = command == "compare-modes"
         metadata, rows = (compare_modes if compare else run_experiment)(spec)
         write_results(spec, metadata, rows, COMPARE_COLUMNS if compare else RESULT_COLUMNS)

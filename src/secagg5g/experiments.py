@@ -7,6 +7,11 @@ echoing every knob that took effect, and are written as CSV (.-decimal,
 comma-separated, metadata as leading ``# key=value`` lines) or JSON. Row
 order is deterministic; only the wall-clock timing columns vary between
 identical runs.
+
+A command runs seed-major: for each seed, every point (sweep value or mask
+share mode) in turn. A seed's task depends on the seed alone, so it is drawn
+once and shared, read-only, by that seed's simulations; it is dropped before
+the next seed's is drawn and when the command returns.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
 from .field import require_int, require_real
-from .fltask import TASK_FLOORS, generate_data
+from . import fltask
+from .fltask import TASK_FLOORS
 from .messages import HEADER_LEN, MaskShareMode
 from .simnet import DropoutSchedule, SimConfig, SimResult, run_simulation
 
@@ -57,6 +63,25 @@ COMPARE_COLUMNS = [
 # Protocol knobs a config file sets directly. model_dim follows feature_dim and
 # rng_seed is each run's seed, so neither is a config key.
 SIM_KEYS = tuple(f.name for f in fields(SimConfig) if f.name not in ("model_dim", "rng_seed"))
+
+
+# the one task kept, under its arguments; see generate_data
+_held: dict[tuple, fltask.FlTask] = {}
+
+
+def generate_data(**kwargs) -> fltask.FlTask:
+    """``fltask.generate_data``, remembering the last task drawn: the same
+    arguments again return the same task. Its arrays are read-only, so that
+    no simulation changes another's data, and the task held is dropped
+    before another is drawn, so that two are never alive at once."""
+    key = tuple(sorted(kwargs.items()))
+    if key not in _held:
+        _held.clear()
+        task = fltask.generate_data(**kwargs)
+        for array in (task.train_xb, task.train_y, task.test_xb, task.test_y):
+            array.flags.writeable = False
+        _held[key] = task
+    return _held[key]
 
 
 # ExperimentSpec fields that count something or seed a generator, and the
@@ -221,17 +246,30 @@ def _result_rows(result: SimResult, sweep_value: int, seed: int) -> list[dict]:
     return rows
 
 
+def _simulate(spec: ExperimentSpec, points) -> list[dict]:
+    """Rows of one simulation per seed and ``(sweep_value, sim, schedule)``
+    point, seeds outer, so that each seed's task is drawn once; it is
+    released on return."""
+    rows: list[dict] = []
+    try:
+        for seed in spec.seeds:
+            for value, sim, schedule in points:
+                logger.info("sweep=%s value=%d seed=%d", spec.sweep_axis, value, seed)
+                result = run_simulation(replace(sim, rng_seed=seed), schedule, spec.task(seed))
+                rows.extend(_result_rows(result, value, seed))
+    finally:
+        _held.clear()
+    return rows
+
+
 def run_experiment(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     """One row per (sweep point, seed, iteration), deterministically ordered."""
-    rows: list[dict] = []
+    points = []
     for value in spec.sweep_values():
         ue_drop = value if spec.sweep_axis == "ue_dropout" else spec.ue_dropout
         bs_drop = value if spec.sweep_axis == "bs_dropout" else spec.bs_dropout
-        schedule = spec.schedule(ue_drop, bs_drop)
-        for seed in spec.seeds:
-            logger.info("sweep=%s value=%d seed=%d", spec.sweep_axis, value, seed)
-            result = run_simulation(replace(spec.sim, rng_seed=seed), schedule, spec.task(seed))
-            rows.extend(_result_rows(result, value, seed))
+        points.append((value, spec.sim, spec.schedule(ue_drop, bs_drop)))
+    rows = _simulate(spec, points)
     rows.sort(key=lambda r: (r["sweep_value"], r["seed"], r["iteration"]))
     return spec.metadata(), rows
 
@@ -239,15 +277,17 @@ def run_experiment(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
 def compare_modes(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
     """Run identical seeds under both mask-share modes, without a sweep.
 
+    Rows come COMPACT then EVALUATED, each in (seed, iteration) order.
     Accuracies must agree exactly between modes (the recovered masks are
     identical field vectors); a mismatch means the protocol is broken, so it
     raises rather than reporting.
     """
     spec = replace(spec, sweep_axis="none")
-    runs = {
-        mode.name: run_experiment(replace(spec, sim=replace(spec.sim, mask_share_mode=mode)))[1]
-        for mode in MaskShareMode
-    }
+    schedule = spec.schedule(spec.ue_dropout, spec.bs_dropout)
+    rows = _simulate(spec, [(0, replace(spec.sim, mask_share_mode=mode), schedule)
+                            for mode in MaskShareMode])
+    rows.sort(key=lambda r: (r["mode"], r["seed"], r["iteration"]))
+    runs = {mode.name: [r for r in rows if r["mode"] == mode.name] for mode in MaskShareMode}
     for ev, cp in zip(runs["EVALUATED"], runs["COMPACT"]):
         if ev["accuracy"] != cp["accuracy"]:
             key = (ev["seed"], ev["iteration"])
@@ -260,7 +300,7 @@ def compare_modes(spec: ExperimentSpec) -> tuple[dict, list[dict]]:
         meta["bs_payload_ratio"] = (sum(evaluated) / len(evaluated)) / (
             sum(compact) / len(compact)
         )
-    return meta, sorted(runs["EVALUATED"] + runs["COMPACT"], key=lambda r: r["mode"])
+    return meta, rows
 
 
 def write_results(spec: ExperimentSpec, metadata: dict, rows: list[dict], columns) -> None:

@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from secagg5g import khprf
+from secagg5g import experiments, fltask, khprf
 from secagg5g.cli import main
 from secagg5g.experiments import (
     COMPARE_COLUMNS,
@@ -315,6 +316,70 @@ def test_a_sweep_derives_its_coefficients_once(monkeypatch):
     assert derived == [[0, 1, 2]]
 
 
+# a 3-point sweep and a mode comparison, each over two seeds
+COMMANDS = [
+    (run_experiment, {"sweep_axis": "bs_dropout", "sweep_max": 2}),
+    (compare_modes, {}),
+]
+COMMAND_IDS = ["sweep", "compare-modes"]
+
+
+def non_timing(rows):
+    return [{k: v for k, v in r.items() if not k.startswith("time_")} for r in rows]
+
+
+@pytest.mark.parametrize("command, keys", COMMANDS, ids=COMMAND_IDS)
+def test_each_seed_draws_one_task_freed_before_the_next(monkeypatch, command, keys):
+    # the task depends on the seed alone, and the sweep drew it once per
+    # point; each task is freed before the next is drawn, and the last one
+    # when the command returns
+    drawn, tasks, alive_at_draw = [], [], []
+    draw = fltask.generate_data
+
+    def spy(**kwargs):
+        drawn.append(kwargs["seed"])
+        alive_at_draw.append([ref() is not None for ref in tasks])
+        task = draw(**kwargs)
+        tasks.append(weakref.ref(task))
+        return task
+
+    monkeypatch.setattr(fltask, "generate_data", spy)
+    spec = ExperimentSpec.from_dict({**FAST, **keys})
+    command(spec)
+    assert drawn == [spec.data_seed * 1_000_003 + seed for seed in spec.seeds]
+    assert alive_at_draw == [[], [False]]
+    assert [ref() for ref in tasks] == [None, None]
+
+
+def test_every_simulation_gets_a_read_only_task(monkeypatch):
+    # the simulations of one seed share its task, so none may change it
+    tasks = []
+    simulate = experiments.run_simulation
+
+    def spy(cfg, schedule, task):
+        tasks.append(task)
+        return simulate(cfg, schedule, task)
+
+    monkeypatch.setattr(experiments, "run_simulation", spy)
+    run_experiment(ExperimentSpec.from_dict({**FAST, "sweep_axis": "bs_dropout",
+                                             "sweep_max": 1}))
+    assert len(tasks) == 4
+    for task in tasks:
+        for array in (task.train_xb, task.train_y, task.test_xb, task.test_y):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+@pytest.mark.parametrize("command, keys", COMMANDS, ids=COMMAND_IDS)
+def test_a_shared_task_writes_the_rows_a_fresh_one_does(monkeypatch, command, keys):
+    spec = ExperimentSpec.from_dict({**FAST, **keys})
+    shared_meta, shared = command(spec)
+    monkeypatch.setattr(experiments, "generate_data", fltask.generate_data)
+    fresh_meta, fresh = command(spec)
+    assert shared_meta == fresh_meta
+    assert non_timing(shared) == non_timing(fresh)
+
+
 def test_compare_modes_ratio_metadata():
     spec = ExperimentSpec.from_dict({**FAST, "feature_dim": 999, "seeds": [0],
                                      "iterations": 1, "samples_per_shard": 6,
@@ -358,6 +423,25 @@ def test_metadata_records_only_knobs_that_took_effect(tmp_path, command, absent,
     keys = {line[2:].split("=", 1)[0] for line in meta}
     assert not keys & absent
     assert present <= keys
+
+
+@pytest.mark.parametrize("output", ["missing/out.csv", "."], ids=["missing-dir", "a-dir"])
+def test_an_unwritable_output_is_refused_before_any_simulation(tmp_path, monkeypatch, output):
+    # a sweep into a missing directory ran all its simulations and then
+    # failed to open the file; a directory as output failed the same way
+    simulations = []
+    simulate = experiments.run_simulation
+
+    def counted(*args):
+        simulations.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(experiments, "run_simulation", counted)
+    cfg = write_config(tmp_path, sweep_axis="bs_dropout", sweep_max=1)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["sweep", str(cfg), "-o", str(tmp_path / output)]) == 1
+    assert simulations == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("output", [1, True, 3.5, "", ["a.csv"], None, b"a.csv"])
