@@ -84,6 +84,17 @@ def generate_data(**kwargs) -> fltask.FlTask:
     return _held[key]
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a key named twice, of which
+    ``json.loads`` would keep the last value silently."""
+    raw = {}
+    for key, value in pairs:
+        if key in raw:
+            raise ValueError(f"config key {key!r} is named twice")
+        raw[key] = value
+    return raw
+
+
 # ExperimentSpec fields that count something or seed a generator, and the
 # least value each takes; the task's counts take generate_data's floors
 _COUNT_FLOORS = {**TASK_FLOORS, "data_seed": 0, "sweep_min": 0}
@@ -133,7 +144,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path, overrides: dict | None = None) -> "ExperimentSpec":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
         if overrides:

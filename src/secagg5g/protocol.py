@@ -1,22 +1,21 @@
 """The three aggregation-protocol roles and their single-round message flow.
 
 Roles:
-  * ``UserEquipment`` holds a private masking key, splits it into per-base-
-    station shares once at setup, and thereafter sends exactly one masked
-    update per round. The devices' state lives in one ``Fleet``, as arrays
-    with one row per device (ids, keys, mask table, last round masked), and
-    a ``UserEquipment`` is a view of one row; ``Fleet.setup`` splits any set
-    of rows' keys in one pass, into one share block per station, and
-    ``Fleet.mask`` masks any set of rows with one index, as the server's
-    (n, d) matrix collects them.
-  * ``BaseStation`` stores one key share per registered device and answers
-    each round's online list with one aggregated mask share. It is a view
-    of one row of the ``Stations`` matrix, one row per station and one
-    column per registered device (column i is device i, as row i - 1 of
-    the server's matrix is), whose ``receive_shares`` stores a block of
-    shares in a row and whose ``mask_shares`` answers a list for any set of
-    rows with one gather and one ``field.vec_sum`` of the stations' shares,
-    each answer bit-identical to that station's alone.
+  * A device holds a private masking key, splits it into per-base-station
+    shares once at setup, and thereafter sends exactly one masked update
+    per round. A device is a row of one ``Fleet``, whose arrays hold one
+    row per device (ids, keys, mask table, last round masked);
+    ``Fleet.setup`` splits every key in one pass, into one share block per
+    station, and ``Fleet.mask`` masks any set of rows with one index, as
+    the server's (n, d) matrix collects them.
+  * A base station stores one key share per registered device and answers
+    each round's online list with one aggregated mask share. A station is
+    a row of the ``Stations`` matrix, one row per station and one column
+    per registered device (column i is device i, as row i - 1 of the
+    server's matrix is), whose ``receive_shares`` stores a block of shares
+    in a row and whose ``mask_shares`` answers a list for any set of rows
+    with one gather and one ``field.vec_sum`` of the stations' shares, each
+    answer bit-identical to that station's alone.
   * ``Aggregator`` (the untrusted server) collects masked updates, one or a
     block at a time, fixes the online list, reconstructs the sum of online
     masks from any threshold-many base-station shares, and unmasks only the
@@ -24,20 +23,22 @@ Roles:
 
 Entities are passive state machines: a message in causes a state change and
 zero or more messages out. The round loop in ``simnet`` drives the holders
-and the server, never a view; tests may also drive the views directly.
+and the server. ``UserEquipment`` and ``BaseStation`` are a standalone
+device and station, each the one row of its own holder, whose entry points
+take and give one message.
 
 Field vectors (masked updates, masks) are canonical uint64 arrays
 (``field``); the server's model is a float64 array. Each message type checks
 its own fields when it is built (``messages``), so the roles check only what
 depends on their own state: round, sender and station ids, dimension, mode,
 registered devices, one-use masks and one answered list per round, and
-that each message or collaborator is of its type. ``Fleet.setup``,
-``Fleet.mask`` and ``Stations.mask_shares`` take their rows by one rule,
-``_rows``.
+that each message or collaborator is of its type. ``Fleet.mask`` and
+``Stations.mask_shares`` take their rows by one rule, ``_rows``.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field as dc_field
@@ -86,6 +87,18 @@ _STATUSES = np.array(
 def generate_key(rng) -> int:
     """Fresh uniform masking key in Z_p from a seeded ``random.Random``."""
     return rng.randrange(P)
+
+
+@functools.cache
+def _warn_compact() -> None:
+    """Say, once per process, what COMPACT shares give the server."""
+    logger.warning(
+        "COMPACT mask shares hand the server the key sum of the online "
+        "set; EVALUATED shares reveal the same sum, since the mask "
+        "coefficients are public. Against an honest-but-curious server "
+        "neither mode hides a device's key: two rounds whose online "
+        "lists differ by one device give it (README, Security caveat)."
+    )
 
 
 def require_online_fraction(value) -> None:
@@ -155,8 +168,7 @@ class Fleet:
     Holds the devices' sender ids (uint64), keys (uint64, in [0, p)), their
     one codec and model dimension, the (n, iterations, dim) mask table once
     ``precompute`` has run, and the last round each device masked.
-    ``mask`` masks any set of rows in one pass, and ``device(r)`` is row r
-    as a ``UserEquipment``.
+    ``mask`` masks any set of rows in one pass.
 
     Raises ValueError for an id that is not an int in [1, 2^64), two
     devices with one id (the server could not tell them apart), a key that
@@ -183,42 +195,31 @@ class Fleet:
         # a round is any uint64, so "never masked" needs its own flag
         self._last = np.zeros(len(ids), dtype=np.uint64)  # last round masked
         self._masked = np.zeros(len(ids), dtype=bool)
-        self._setup_done = np.zeros(len(ids), dtype=bool)
+        self._setup_done = False
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def device(self, row: int) -> UserEquipment:
-        """Row ``row``, an int in 0..n-1, as a device; every view of one row shares its state."""
-        field.require_int("row", row, end=len(self))
-        ue = object.__new__(UserEquipment)
-        ue.fleet, ue.row = self, row
-        return ue
-
-    def setup(self, acc: AccessStructure, rng, rows=None) -> list[SetupShareBlock]:
-        """Split the keys of ``rows`` (every device when None) into one share
-        per base station, in one ``shamir.split_many`` pass: block j - 1 is
-        station j's, with share x = j, and its row r is device ``rows[r]``'s.
+    def setup(self, acc: AccessStructure, rng) -> list[SetupShareBlock]:
+        """Split every device's key into one share per base station, in one
+        ``shamir.split_many`` pass: block j - 1 is station j's, with share
+        x = j, and its row r is device ``ids[r]``'s.
 
         One-shot: a key is shared once; sharing it again would hand out a
-        second, inconsistent share set. All or nothing: raises ProtocolError,
-        and draws nothing, if a row is listed twice or its device has
-        already completed set-up; ValueError for rows as ``mask``, or an
+        second, inconsistent share set. Raises ProtocolError, and draws
+        nothing, once the fleet has completed set-up, and ValueError for an
         ``acc`` that is not an ``AccessStructure``.
         """
         _require_instance("acc", acc, AccessStructure)
-        rows = (np.arange(len(self)) if rows is None
-                else _rows(rows, len(self), "device", "share its key twice"))
-        done = np.flatnonzero(self._setup_done[rows])
-        if len(done):
-            raise ProtocolError(f"UE {self.ids[rows[done[0]]]} already completed setup")
-        shares = shamir.split_many(self.keys[rows], acc, rng)
-        self._setup_done[rows] = True
-        senders, rounds = self.ids[rows], np.zeros(len(rows), dtype=np.uint64)
+        if self._setup_done:
+            raise ProtocolError("the fleet already completed setup")
+        shares = shamir.split_many(self.keys, acc, rng)
+        self._setup_done = True
+        rounds = np.zeros(len(self), dtype=np.uint64)
         blocks = []
         for j in range(1, acc.total + 1):
-            points = np.full(len(rows), j, dtype=np.uint64)
-            blocks.append(SetupShareBlock(senders, rounds, points, points, shares[:, j - 1]))
+            points = np.full(len(self), j, dtype=np.uint64)
+            blocks.append(SetupShareBlock(self.ids, rounds, points, points, shares[:, j - 1]))
         return blocks
 
     def precompute(self, num_iterations: int) -> None:
@@ -270,64 +271,27 @@ class Fleet:
 
 
 class UserEquipment:
-    """A device: one row of a ``Fleet``, which holds its id, key, codec,
-    dim, precomputed masks and one-use-mask state.
-
-    ``UserEquipment(ue_id, key, codec, dim)`` builds a standalone device,
-    the one row of its own fleet; ``Fleet.device`` gives a row of a larger
-    one. Raises ValueError as ``Fleet`` does.
+    """A standalone device: the one row of its own ``Fleet``, which holds
+    its id, key, codec, dim, precomputed masks and one-use-mask state.
+    Raises ValueError as ``Fleet`` does.
     """
 
-    fleet: Fleet
-    row: int
-
     def __init__(self, ue_id: int, key: int, codec: FixedPointCodec, dim: int):
-        self.fleet, self.row = Fleet([ue_id], [key], codec, dim), 0
-
-    @property
-    def ue_id(self) -> int:
-        return int(self.fleet.ids[self.row])
-
-    @property
-    def key(self) -> int:
-        return int(self.fleet.keys[self.row])
-
-    @property
-    def codec(self) -> FixedPointCodec:
-        return self.fleet.codec
-
-    @property
-    def dim(self) -> int:
-        return self.fleet.dim
-
-    @property
-    def precomputed_masks(self) -> np.ndarray | None:
-        """This device's read-only (iterations, dim) mask table, if precomputed."""
-        masks = self.fleet.masks
-        return None if masks is None else masks[self.row]
-
-    @property
-    def _setup_done(self) -> bool:
-        return bool(self.fleet._setup_done[self.row])
-
-    @property
-    def _last_iteration(self) -> int:
-        """The highest round masked so far, -1 before the first."""
-        return int(self.fleet._last[self.row]) if self.fleet._masked[self.row] else -1
+        self.fleet = Fleet([ue_id], [key], codec, dim)
 
     def setup(self, acc: AccessStructure, rng) -> list[SetupShareMsg]:
-        """``Fleet.setup`` of this device's row alone: one share per base
-        station (share x = BS index), in station order. One-shot."""
-        return [block[0] for block in self.fleet.setup(acc, rng, [self.row])]
+        """``Fleet.setup`` of the one row: one share per base station
+        (share x = BS index), in station order. One-shot."""
+        return [block[0] for block in self.fleet.setup(acc, rng)]
 
     def precompute(self, num_iterations: int) -> None:
-        """``Fleet.precompute`` of this device's fleet."""
+        """``Fleet.precompute`` of the one row."""
         self.fleet.precompute(num_iterations)
 
     def masked_update(self, w, t: int) -> MaskedUpdateMsg:
-        """``Fleet.mask`` of this device's row alone: encode the local update
-        and add this round's mask. Rounds must strictly increase."""
-        return self.fleet.mask([self.row], [w], t)[0]
+        """``Fleet.mask`` of the one row: encode the local update and add
+        this round's mask. Rounds must strictly increase."""
+        return self.fleet.mask([0], [w], t)[0]
 
 
 def route_setup_shares(
@@ -365,7 +329,7 @@ class Stations:
     own column index; columns 0 and n + 1 never hold a share, so an id
     outside 1..n lands on a ``MISSING`` one. ``mask_shares`` answers an
     online list for any set of rows in one pass, one list per round for
-    each row, and ``station(r)`` is row r as a ``BaseStation``.
+    each row.
 
     Raises ValueError for a station id that is not an int in [1, 2^64), two
     stations with one id, or a ``registered_n`` that is not an int >= 1.
@@ -383,13 +347,6 @@ class Stations:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def station(self, row: int) -> BaseStation:
-        """Row ``row``, an int in 0..k-1, as a station; every view of one row shares its state."""
-        field.require_int("row", row, end=len(self))
-        bs = object.__new__(BaseStation)
-        bs.stations, bs.row = self, row
-        return bs
 
     def stored_shares(self, row: int) -> dict[int, SecretShare]:
         """Row ``row``'s shares by sender as Python ints, in id order. Raises
@@ -508,43 +465,28 @@ class Stations:
 
 
 class BaseStation:
-    """A regional relay: one row of a ``Stations``, which holds its id and
-    its one key share per registered device.
-
-    ``BaseStation(bs_id)`` builds a standalone station, the one row of its
-    own holder, whose registered devices are 1..``ONE_STATION_DEVICES``;
-    ``Stations.station`` gives a row of a larger one. Raises ValueError as
-    ``Stations`` does.
+    """A standalone regional relay: the one row of its own ``Stations``,
+    which holds its id and its one key share per registered device, the
+    devices 1..``ONE_STATION_DEVICES``. Raises ValueError as ``Stations``
+    does.
     """
 
-    stations: Stations
-    row: int
-
     def __init__(self, bs_id: int):
-        self.stations, self.row = Stations([bs_id], ONE_STATION_DEVICES), 0
-
-    @property
-    def bs_id(self) -> int:
-        return self.stations.ids[self.row]
-
-    @property
-    def stored_shares(self) -> dict[int, SecretShare]:
-        """A fresh copy of this station's shares by sender, as Python ints, in id order."""
-        return self.stations.stored_shares(self.row)
+        self.stations = Stations([bs_id], ONE_STATION_DEVICES)
 
     def receive_share(self, msg: SetupShareMsg) -> None:
-        """``Stations.receive_shares`` of the one-row block ``msg`` in this
-        row; ValueError if ``msg`` is not a ``SetupShareMsg``."""
+        """``Stations.receive_shares`` of the one-row block ``msg`` in the
+        one row; ValueError if ``msg`` is not a ``SetupShareMsg``."""
         _require_instance("msg", msg, SetupShareMsg)
-        self.stations.receive_shares(self.row, SetupShareBlock.of([msg]))
+        self.stations.receive_shares(0, SetupShareBlock.of([msg]))
 
     def mask_share(
         self, online: OnlineListMsg, t: int, mode: MaskShareMode, d: int
     ) -> MaskShareMsg:
-        """``Stations.mask_shares`` of this station's row alone. Raises its
+        """``Stations.mask_shares`` of the one row. Raises its
         ProtocolError, and MissingShareError if any listed device never
         registered here: the station abstains rather than emit a wrong share."""
-        [answer] = self.stations.mask_shares([self.row], online, t, mode, d)
+        [answer] = self.stations.mask_shares([0], online, t, mode, d)
         if isinstance(answer, MissingShareError):
             raise answer
         return answer
@@ -570,7 +512,6 @@ class Aggregator:
     online_ids: np.ndarray | None = dc_field(default=None, init=False)  # uint64, sorted
     _rows: np.ndarray = dc_field(init=False, repr=False)  # (registered_n, dim); device i: row i-1
     _arrived: np.ndarray = dc_field(init=False, repr=False)  # bool, this round's accepted rows
-    _warned_compact: bool = dc_field(default=False, init=False)
 
     def __post_init__(self):
         for name in ("registered_n", "dim"):
@@ -681,15 +622,7 @@ class Aggregator:
             return None
         chosen = sorted(shares)[:t_needed]
         if mode is MaskShareMode.COMPACT:
-            if not self._warned_compact:
-                logger.warning(
-                    "COMPACT mask shares hand the server the key sum of the online "
-                    "set; EVALUATED shares reveal the same sum, since the mask "
-                    "coefficients are public. Against an honest-but-curious server "
-                    "neither mode hides a device's key: two rounds whose online "
-                    "lists differ by one device give it (README, Security caveat)."
-                )
-                self._warned_compact = True
+            _warn_compact()
             summed_key = shamir.recover(
                 [SecretShare(j, shares[j].scalar) for j in chosen], self.bs_threshold
             )

@@ -61,9 +61,10 @@ m deliveries in one step.
 The devices' state is one ``protocol.Fleet`` whose row i - 1 is device
 i, and the stations' one ``protocol.Stations`` whose row j - 1 is station
 j and whose column i is device i, for the server's registered devices
-1..n; the simulator drives these two holders and never a one-row view. Set-up
-splits every device's key in one ``Fleet.setup`` call and stores each base
-station's block in its row, then precomputes every device's masks in one
+1..n; the simulator drives these two holders, never a standalone device or
+station. Set-up splits every device's key in one ``Fleet.setup`` call and
+stores each base station's block in its row, then precomputes every
+device's masks in one
 ``Fleet.precompute`` call; ``SetupMetrics.time_setup_ms`` times the
 devices' side alone. Each round trains every device in one
 ``task.local_update`` call over the stacked shards and models, and masks

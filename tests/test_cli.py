@@ -258,6 +258,16 @@ def test_bad_configs_exit_nonzero(tmp_path):
     assert not out.exists()
 
 
+def test_a_config_that_names_a_key_twice_is_refused(tmp_path, capsys):
+    # json.loads keeps the last value: {"n_ues": 8, "n_ues": 5} ran with 5 devices
+    path = tmp_path / "twice.json"
+    path.write_text('{"n_ues": 8, "iterations": 1, "n_ues": 5}', encoding="utf-8")
+    out = tmp_path / "twice.csv"
+    assert main(["run", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config key 'n_ues' is named twice\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ['{"deadline_ms": NaN}', '{"latency_jitter_ms": Infinity}'])
 def test_non_finite_timings_exit_nonzero(tmp_path, text):
     # json.loads accepts NaN and Infinity; the simulator must not

@@ -5,8 +5,10 @@ keys and sum them in plain big-int arithmetic, then check the protocol's
 share-mediated path lands on exactly the same field vectors.
 """
 
+import logging
 import math
 import random
+import re
 from dataclasses import replace
 from itertools import combinations
 from types import SimpleNamespace
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secagg5g import field, khprf
+from secagg5g import field, khprf, protocol
 from secagg5g.field import P, FixedPointCodec, decode_sum, encode_update
 from secagg5g.messages import (
     GlobalModelMsg,
@@ -53,29 +55,44 @@ def u64(values):
     return np.array(values, dtype=np.uint64)
 
 
+# the device ids of a make_fleet of the default size
+DEVICES = list(range(1, 9))
+
+
 def make_fleet(seed, n=8, k=4, t=3, d=12, alpha=1.0 / 3.0):
     """Fully set-up population: every BS holds every device's share. The
-    devices are the rows of one ``Fleet``, ``ues[i].fleet``; device i is
-    row i - 1."""
+    devices are the rows of one ``Fleet``; device i is row i - 1."""
     rng = random.Random(seed)
     acc = AccessStructure(t, k)
     fleet = Fleet(range(1, n + 1), [generate_key(rng) for _ in range(n)], CODEC, d)
-    ues = {i: fleet.device(i - 1) for i in range(1, n + 1)}
     bss = {j: BaseStation(bs_id=j) for j in range(1, k + 1)}
-    for ue in ues.values():
-        delivery = route_setup_shares(ue.setup(acc, rng), set(bss))
-        for j, msg in delivery.items():
-            bss[j].receive_share(msg)
+    for j, block in enumerate(fleet.setup(acc, rng), start=1):
+        bss[j].stations.receive_shares(0, block)
     af = Aggregator(registered_n=n, min_online_fraction=alpha, bs_threshold=acc,
                     codec=CODEC, dim=d)
-    return ues, bss, af, acc, rng
+    return fleet, bss, af, acc, rng
 
 
-def run_round(ues, bss, af, t, online_ue_ids, online_bs_ids, mode, d, updates):
+def masked(fleet, i, w, t):
+    """Device i's masked update of ``w`` for round t: its row of the fleet alone."""
+    return fleet.mask([i - 1], [w], t)[0]
+
+
+def key(fleet, i):
+    """Device i's key as a Python int."""
+    return int(fleet.keys[i - 1])
+
+
+def last_rounds(fleet):
+    """Each device's last round masked, -1 before its first."""
+    return [t if done else -1 for t, done in zip(fleet._last.tolist(), fleet._masked.tolist())]
+
+
+def run_round(fleet, bss, af, t, online_ue_ids, online_bs_ids, mode, d, updates):
     """One aggregation round outside the simulator; returns (list, mask)."""
     af.begin_round(t)
     for i in online_ue_ids:
-        af.collect_update(ues[i].masked_update(updates[i], t))
+        af.collect_update(masked(fleet, i, updates[i], t))
     online = af.finalize_online_list()
     if online is None:
         return None, None
@@ -104,22 +121,22 @@ def test_setup_emits_one_share_per_bs():
 
 def test_setup_shares_recover_the_key():
     rng = random.Random(1)
-    ue = UserEquipment(ue_id=1, key=generate_key(rng), codec=CODEC, dim=4)
-    msgs = ue.setup(AccessStructure(3, 4), rng)
+    secret = generate_key(rng)
+    msgs = UserEquipment(ue_id=1, key=secret, codec=CODEC, dim=4).setup(AccessStructure(3, 4), rng)
     from secagg5g.shamir import recover
 
     for subset in combinations([m.share for m in msgs], 3):
-        assert recover(subset, AccessStructure(3, 4)) == ue.key
+        assert recover(subset, AccessStructure(3, 4)) == secret
 
 
 def test_setup_threshold_equal_to_total():
     rng = random.Random(2)
-    ue = UserEquipment(ue_id=1, key=generate_key(rng), codec=CODEC, dim=4)
-    msgs = ue.setup(AccessStructure(4, 4), rng)
+    secret = generate_key(rng)
+    msgs = UserEquipment(ue_id=1, key=secret, codec=CODEC, dim=4).setup(AccessStructure(4, 4), rng)
     from secagg5g.shamir import recover
 
     shares = [m.share for m in msgs]
-    assert recover(shares, AccessStructure(4, 4)) == ue.key
+    assert recover(shares, AccessStructure(4, 4)) == secret
     assert recover(shares[:3], AccessStructure(4, 4)) is None
 
 
@@ -138,7 +155,7 @@ def test_route_shares_delivers_each_bs_one_share():
     assert sorted(delivery) == [1, 2, 3, 4]
     bs = BaseStation(bs_id=2)
     bs.receive_share(delivery[2])
-    assert bs.stored_shares[1].x == 2
+    assert bs.stations.stored_shares(0)[1].x == 2
 
 
 def test_route_shares_rejects_duplicates_and_unknown_bs():
@@ -182,23 +199,20 @@ def test_fleet_setup_shares_every_key_as_its_devices_would_one_by_one():
 
 
 def test_fleet_setup_is_all_or_nothing():
+    # set-up is one-shot for the whole fleet, and a refused set-up draws nothing
     rng = random.Random(10)
     fleet = Fleet(range(1, 5), [generate_key(rng) for _ in range(4)], CODEC, 4)
     acc = AccessStructure(2, 3)
-    fleet.device(2).setup(acc, rng)
     state = rng.getstate()
-    with pytest.raises(ProtocolError, match="UE 3 already completed setup"):
+    with pytest.raises(ValueError, match="acc must be a AccessStructure"):
+        fleet.setup((2, 3), rng)
+    assert rng.getstate() == state and not fleet._setup_done
+    assert [len(block) for block in fleet.setup(acc, rng)] == [4, 4, 4]
+    assert fleet._setup_done
+    state = rng.getstate()
+    with pytest.raises(ProtocolError, match="^the fleet already completed setup$"):
         fleet.setup(acc, rng)
-    with pytest.raises(ProtocolError, match="listed twice"):
-        fleet.setup(acc, rng, [0, 1, 0])
-    for rows in ([4], [-1], [[0]], [0.0]):
-        with pytest.raises(ValueError):
-            fleet.setup(acc, rng, rows)
-    # a refused set-up draws nothing and sets no device up
     assert rng.getstate() == state
-    assert fleet._setup_done.tolist() == [False, False, True, False]
-    assert [len(block) for block in fleet.setup(acc, rng, [3, 0, 1])] == [3, 3, 3]
-    assert fleet._setup_done.all()
 
 
 def station_block(bs_id, senders, x=None, target=None):
@@ -214,22 +228,22 @@ def station_block(bs_id, senders, x=None, target=None):
     (station_block(2, [4, 1]), "already stores a share for UE 1"),
 ], ids=["misrouted", "wrong_point", "repeated_in_block", "stored_before"])
 def test_station_refuses_a_share_block_all_or_nothing(block, match):
-    bs = BaseStation(bs_id=2)
-    bs.stations.receive_shares(bs.row, station_block(2, [1, 2]))
-    before = dict(bs.stored_shares)
+    stations = Stations([2], ONE_STATION_DEVICES)
+    stations.receive_shares(0, station_block(2, [1, 2]))
+    before = stations.stored_shares(0)
     with pytest.raises(ProtocolError, match=match):
-        bs.stations.receive_shares(bs.row, block)
-    assert bs.stored_shares == before
+        stations.receive_shares(0, block)
+    assert stations.stored_shares(0) == before
 
 
 def test_station_stores_a_block_as_python_int_shares_in_id_order():
-    bs = BaseStation(bs_id=3)
-    bs.stations.receive_shares(bs.row, station_block(3, [7, 2, 9]))
-    bs.stations.receive_shares(bs.row, station_block(3, []))
-    assert list(bs.stored_shares) == [2, 7, 9]
-    assert bs.stored_shares[2] == SecretShare(3, 101)
-    assert all(type(v) is int for share in bs.stored_shares.values()
-               for v in (share.x, share.y))
+    stations = Stations([3], ONE_STATION_DEVICES)
+    stations.receive_shares(0, station_block(3, [7, 2, 9]))
+    stations.receive_shares(0, station_block(3, []))
+    stored = stations.stored_shares(0)
+    assert list(stored) == [2, 7, 9]
+    assert stored[2] == SecretShare(3, 101)
+    assert all(type(v) is int for share in stored.values() for v in (share.x, share.y))
 
 
 @pytest.mark.parametrize("senders", [[0], [ONE_STATION_DEVICES + 1], [5, 2**63], [2**64 - 1]])
@@ -238,70 +252,68 @@ def test_a_standalone_station_registers_devices_1_to_its_limit(senders):
     # the default codec decodes the sum of, and refuses any other sender
     assert ONE_STATION_DEVICES == FixedPointCodec(16, 1.0).max_summands == 1024
     bs = BaseStation(bs_id=2)
-    bs.stations.receive_shares(bs.row, station_block(2, [1, ONE_STATION_DEVICES]))
-    before = dict(bs.stored_shares)
+    bs.stations.receive_shares(0, station_block(2, [1, ONE_STATION_DEVICES]))
+    before = bs.stations.stored_shares(0)
     with pytest.raises(ValueError, match=f"share from a sender outside 1..{ONE_STATION_DEVICES}"):
-        bs.stations.receive_shares(bs.row, station_block(2, senders))
+        bs.stations.receive_shares(0, station_block(2, senders))
     with pytest.raises(ValueError, match="outside"):
         bs.receive_share(station_block(2, senders[-1:])[0])
-    assert bs.stored_shares == before
+    assert bs.stations.stored_shares(0) == before
 
 
 # -- masking ----------------------------------------------------------------
 
 
 def test_zero_update_payload_is_the_mask():
-    ues, *_ = make_fleet(seed=10)
-    ue = ues[1]
-    msg = ue.masked_update([0.0] * ue.dim, t=0)
-    assert msg.payload.tolist() == khprf.evaluate(ue.key, 0, ue.dim).tolist()
+    fleet, *_ = make_fleet(seed=10)
+    msg = masked(fleet, 1, [0.0] * 12, t=0)
+    assert msg.payload.tolist() == khprf.evaluate(key(fleet, 1), 0, 12).tolist()
 
 
 def test_unmasking_recovers_the_update():
-    ues, *_ = make_fleet(seed=11)
-    ue = ues[2]
+    fleet, *_ = make_fleet(seed=11)
     rng = random.Random(0)
-    w = [rng.uniform(-1, 1) for _ in range(ue.dim)]
-    msg = ue.masked_update(w, t=3)
-    bare = field.vec_sub(list(msg.payload), khprf.evaluate(ue.key, 3, ue.dim))
+    w = [rng.uniform(-1, 1) for _ in range(12)]
+    msg = masked(fleet, 2, w, t=3)
+    bare = field.vec_sub(list(msg.payload), khprf.evaluate(key(fleet, 2), 3, 12))
     decoded = decode_sum(bare, CODEC, 1)
     assert max(abs(a - b) for a, b in zip(decoded, w)) <= 2.0**-17
 
 
 def test_distinct_keys_give_distinct_masks():
-    ues, *_ = make_fleet(seed=12)
-    m1 = ues[1].masked_update([0.0] * 12, t=0)
-    m2 = ues[2].masked_update([0.0] * 12, t=0)
+    fleet, *_ = make_fleet(seed=12)
+    m1 = masked(fleet, 1, [0.0] * 12, t=0)
+    m2 = masked(fleet, 2, [0.0] * 12, t=0)
     assert m1.payload.tolist() != m2.payload.tolist()
 
 
 def test_mask_reuse_rejected():
-    ues, *_ = make_fleet(seed=13)
-    ues[1].masked_update([0.0] * 12, t=0)
+    fleet, *_ = make_fleet(seed=13)
+    masked(fleet, 1, [0.0] * 12, t=0)
     with pytest.raises(ProtocolError):
-        ues[1].masked_update([0.1] * 12, t=0)
+        masked(fleet, 1, [0.1] * 12, t=0)
 
 
 def test_mask_for_an_earlier_round_rejected():
     # masks are used in increasing round order; going back could reuse one
-    ues, *_ = make_fleet(seed=13)
-    ues[1].masked_update([0.0] * 12, t=7)
+    fleet, *_ = make_fleet(seed=13)
+    masked(fleet, 1, [0.0] * 12, t=7)
     with pytest.raises(ProtocolError):
-        ues[1].masked_update([0.1] * 12, t=5)
-    assert ues[1].masked_update([0.1] * 12, t=8).iteration == 8
+        masked(fleet, 1, [0.1] * 12, t=5)
+    assert masked(fleet, 1, [0.1] * 12, t=8).iteration == 8
 
 
 def test_masking_bound_violation_rejected():
-    ues, *_ = make_fleet(seed=14)
+    fleet, *_ = make_fleet(seed=14)
     with pytest.raises(ValueError):
-        ues[1].masked_update([2.0] * 12, t=0)
+        masked(fleet, 1, [2.0] * 12, t=0)
 
 
 def test_precomputed_masks_bitwise_equal_on_the_fly():
-    ues, *_ = make_fleet(seed=15)
+    fleet, *_ = make_fleet(seed=15)
     w = [0.25] * 12
-    spontaneous = ues[1].masked_update(w, t=5)
-    twin = UserEquipment(ue_id=1, key=ues[1].key, codec=CODEC, dim=12)  # precomputed path
+    spontaneous = masked(fleet, 1, w, t=5)
+    twin = UserEquipment(ue_id=1, key=key(fleet, 1), codec=CODEC, dim=12)  # precomputed path
     twin.precompute(10)
     precomputed = twin.masked_update(w, t=5)
     assert spontaneous.payload.tolist() == precomputed.payload.tolist()
@@ -336,55 +348,26 @@ def test_fleet_refuses_what_it_cannot_hold(change, match):
         Fleet(**{**args, **change})
 
 
-def test_views_of_one_row_share_its_state():
-    ues, _, _, acc, rng = make_fleet(seed=43)
-    fleet = ues[1].fleet
-    other = fleet.device(2)
-    assert (other.ue_id, other.key, other.codec, other.dim) == (3, ues[3].key, CODEC, 12)
-    assert other._setup_done  # make_fleet set every device up through its own view
-    with pytest.raises(ProtocolError):
-        other.setup(acc, rng)
-    ues[3].masked_update([0.0] * 12, 4)
-    assert other._last_iteration == 4
-    with pytest.raises(ProtocolError):
-        other.masked_update([0.0] * 12, 4)
-    for row in (-1, 8):
-        with pytest.raises(ValueError, match="row"):
-            fleet.device(row)
-
-
-@pytest.mark.parametrize("row", [-1, 3, True, 1.0, np.float64(2.0), "0", None])
-def test_a_view_row_is_an_int_in_range(row):
-    # a bool or float row once built a view whose ids raised TypeError, and
-    # station(True) silently stood for row 1
-    with pytest.raises(ValueError, match="row"):
-        Fleet([1, 2, 3], [1, 2, 3], CODEC, 4).device(row)
-    with pytest.raises(ValueError, match="row"):
-        Stations([1, 2, 3], 4).station(row)
-
-
 # -- precomputing a fleet in one call -------------------------------------------
 
 
 def test_fleet_precompute_gives_each_device_its_row():
-    ues, *_ = make_fleet(seed=40)
-    fleet = ues[1].fleet
-    assert all(ue.precomputed_masks is None for ue in ues.values())
+    fleet, *_ = make_fleet(seed=40)
+    assert fleet.masks is None
     fleet.precompute(5)
     assert fleet.masks.shape == (8, 5, 12) and not fleet.masks.flags.writeable
-    for ue in ues.values():
-        assert np.array_equal(ue.precomputed_masks, khprf.precompute_masks(ue.key, 5, 12))
+    for i in DEVICES:
+        assert np.array_equal(fleet.masks[i - 1], khprf.precompute_masks(key(fleet, i), 5, 12))
     # a device precomputed alone gets the same table
-    twin = UserEquipment(ue_id=3, key=ues[3].key, codec=CODEC, dim=12)
+    twin = UserEquipment(ue_id=3, key=key(fleet, 3), codec=CODEC, dim=12)
     twin.precompute(5)
-    assert np.array_equal(twin.precomputed_masks, ues[3].precomputed_masks)
+    assert np.array_equal(twin.fleet.masks[0], fleet.masks[2])
 
 
 @pytest.mark.parametrize("fault", ["iterations", "iterations_after_a_table"])
 def test_fleet_precompute_is_all_or_nothing(fault):
     # keys and dim are checked when the fleet is built, so only the count is left
-    ues, *_ = make_fleet(seed=41)
-    fleet = ues[1].fleet
+    fleet, *_ = make_fleet(seed=41)
     table = None
     if fault == "iterations_after_a_table":
         fleet.precompute(3)
@@ -421,46 +404,92 @@ def test_fleet_masking_matches_each_device_and_plain_ints(data):
     row = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=d, max_size=d)
     w = data.draw(st.lists(row, min_size=len(rows), max_size=len(rows)), label="w")
 
-    def fleet():
-        f = Fleet(range(1, n + 1), fleet_keys, CODEC, d)
+    def precomputed(holder):
         if table is not None:
-            f.precompute(table)
-        return f
+            holder.precompute(table)
+        return holder
 
-    block = fleet().mask(rows, np.array(w).reshape(len(rows), d), t)
-    # masks are one-use, so each device alone is a row of a fresh twin fleet
-    alone = [fleet().device(r).masked_update(w_r, t) for r, w_r in zip(rows, w)]
+    block = precomputed(Fleet(range(1, n + 1), fleet_keys, CODEC, d)).mask(
+        rows, np.array(w).reshape(len(rows), d), t)
+    # masks are one-use, so each device alone is a fresh device with its row's key
+    alone = [precomputed(UserEquipment(r + 1, fleet_keys[r], CODEC, d)).masked_update(w_r, t)
+             for r, w_r in zip(rows, w)]
     assert [(msg.sender, msg.iteration) for msg in block] == [(r + 1, t) for r in rows]
     for msg, own, r, w_r in zip(block, alone, rows, w):
         want = masked_update_plain(khprf.DOMAIN_TAG, fleet_keys[r], t, w_r, CODEC.frac_bits)
         assert msg.payload.tolist() == own.payload.tolist() == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_one_row_forms_are_the_holders_rows(data):
+    # a standalone UserEquipment or BaseStation is the one row of its own
+    # holder: each row of a holder's answer is what that row's device or
+    # station gives alone, round after round
+    n = data.draw(st.integers(1, 8), label="n")
+    d = data.draw(st.integers(1, 9), label="d")
+    ids = data.draw(st.lists(st.integers(1, 2**64 - 1), min_size=n, max_size=n, unique=True),
+                    label="ids")
+    fleet_keys = data.draw(st.lists(keys, min_size=n, max_size=n), label="keys")
+    fleet = Fleet(ids, fleet_keys, CODEC, d)
+    devices = [UserEquipment(i, k, CODEC, d) for i, k in zip(ids, fleet_keys)]
+    # stations 1..k over the devices 1..n; some lack a share and abstain
+    k = data.draw(st.integers(1, 4), label="k")
+    stations, alone = Stations(range(1, k + 1), n), [BaseStation(j) for j in range(1, k + 1)]
+    for j in range(1, k + 1):
+        held = data.draw(st.just(list(range(1, n + 1))) | st.lists(st.integers(1, n), unique=True),
+                         label=f"station {j} holds")
+        ys = data.draw(st.lists(keys, min_size=len(held), max_size=len(held)), label=f"ys {j}")
+        block = SetupShareBlock(u64(held), u64([0] * len(held)), u64([j] * len(held)),
+                                u64([j] * len(held)), u64(ys))
+        stations.receive_shares(j - 1, block)
+        for msg in block:
+            alone[j - 1].receive_share(msg)
+    rounds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3, unique=True),
+                       label="rounds")
+    for t in sorted(rounds):
+        rows = data.draw(st.permutations(range(n)), label=f"order {t}")
+        rows = rows[:data.draw(st.integers(0, n), label=f"masking {t}")]
+        w = data.draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
+                               min_size=len(rows), max_size=len(rows)), label=f"w {t}")
+        block = fleet.mask(rows, np.array(w).reshape(len(rows), d), t)
+        assert list(block) == [devices[r].masked_update(w_r, t) for r, w_r in zip(rows, w)]
+        listed = data.draw(st.sets(st.integers(1, n), min_size=1), label=f"list {t}")
+        online = OnlineListMsg(0, t, u64(sorted(listed)))
+        rows = data.draw(st.permutations(range(k)), label=f"answering {t}")
+        for mode in MaskShareMode:
+            for r, answer in zip(rows, stations.mask_shares(rows, online, t, mode, d)):
+                if isinstance(answer, MissingShareError):
+                    with pytest.raises(MissingShareError, match=f"^{re.escape(str(answer))}$"):
+                        alone[r].mask_share(online, t, mode, d)
+                else:
+                    assert alone[r].mask_share(online, t, mode, d) == answer
+
+
 def test_fleet_masking_is_all_or_nothing():
-    ues, *_ = make_fleet(seed=17)
-    fleet = ues[1].fleet
-    ues[3].masked_update([0.0] * 12, t=2)
+    fleet, *_ = make_fleet(seed=17)
+    masked(fleet, 3, [0.0] * 12, t=2)
     with pytest.raises(ProtocolError):
         fleet.mask([0, 1, 2, 3], np.zeros((4, 12)), 2)
-    assert [ue._last_iteration for ue in ues.values()] == [-1, -1, 2] + [-1] * 5
+    assert last_rounds(fleet) == [-1, -1, 2] + [-1] * 5
     # an update beyond the magnitude bound spends no device's round either
     bad = np.zeros((3, 12))
     bad[2, 5] = 1.5
     with pytest.raises(ValueError):
         fleet.mask([0, 1, 3], bad, 2)
-    assert [ue._last_iteration for ue in ues.values()] == [-1, -1, 2] + [-1] * 5
+    assert last_rounds(fleet) == [-1, -1, 2] + [-1] * 5
     msgs = fleet.mask([0, 1, 3], np.zeros((3, 12)), 2)
     assert [msg.sender for msg in msgs] == [1, 2, 4]
-    assert [ue._last_iteration for ue in ues.values()] == [2, 2, 2, 2] + [-1] * 4
+    assert last_rounds(fleet) == [2, 2, 2, 2] + [-1] * 4
 
 
 def test_fleet_masking_refuses_a_device_listed_twice():
     # both rows would carry the same round mask, and their difference would
     # open the two updates' difference
-    ues, *_ = make_fleet(seed=18)
+    fleet, *_ = make_fleet(seed=18)
     with pytest.raises(ProtocolError):
-        ues[1].fleet.mask([0, 1, 0], np.zeros((3, 12)), 0)
-    assert ues[1]._last_iteration == ues[2]._last_iteration == -1
+        fleet.mask([0, 1, 0], np.zeros((3, 12)), 0)
+    assert last_rounds(fleet) == [-1] * 8
 
 
 # each refused call names rows 0 and 1 of an 8-device fleet whose row 2
@@ -487,30 +516,29 @@ REFUSED_MASKINGS = {
 @pytest.mark.parametrize("case", list(REFUSED_MASKINGS))
 def test_refused_fleet_masking_advances_no_device(case, precompute):
     error, change = REFUSED_MASKINGS[case]
-    ues, *_ = make_fleet(seed=44)
-    fleet = ues[1].fleet
+    fleet, *_ = make_fleet(seed=44)
     if precompute:
         fleet.precompute(4)
     fleet.mask([2], np.zeros((1, 12)), 2)
-    before = [ue._last_iteration for ue in ues.values()]
+    before = last_rounds(fleet)
     call = {"rows": [0, 1], "updates": np.zeros((2, 12)), "t": 3, **change}
     with pytest.raises(error):
         fleet.mask(**call)
-    assert [ue._last_iteration for ue in ues.values()] == before
+    assert last_rounds(fleet) == before
     # the refusal spent nothing: the two rows still mask round 3
     assert len(fleet.mask([0, 1], np.zeros((2, 12)), 3)) == 2
 
 
 def test_fleet_masking_of_no_devices_is_empty():
-    ues, *_ = make_fleet(seed=19)
-    assert ues[1].fleet.mask([], np.zeros((0, 12)), 0) == []
-    assert ues[1].fleet.mask(np.array([], dtype=np.intp), np.zeros((0, 12)), 0) == []
+    fleet, *_ = make_fleet(seed=19)
+    assert fleet.mask([], np.zeros((0, 12)), 0) == []
+    assert fleet.mask(np.array([], dtype=np.intp), np.zeros((0, 12)), 0) == []
 
 
 def test_fleet_masking_gives_one_checked_block():
-    ues, *_ = make_fleet(seed=27)
+    fleet, *_ = make_fleet(seed=27)
     w = np.linspace(-0.5, 0.5, 36).reshape(3, 12)
-    block = ues[1].fleet.mask([1, 4, 6], w, 4)
+    block = fleet.mask([1, 4, 6], w, 4)
     assert type(block) is MaskedUpdateBlock
     assert block.senders.tolist() == [2, 5, 7] and block.iterations.tolist() == [4, 4, 4]
     assert block.payloads.shape == (3, 12)
@@ -529,37 +557,37 @@ def test_device_id_must_fit_the_sender_field(ue_id):
 @pytest.mark.parametrize("precompute", [False, True], ids=["on_the_fly", "precomputed"])
 def test_round_outside_the_word_range_is_refused(precompute, t):
     # once a ValueError, not struct.error or IndexError, and no device advances
-    ues, *_ = make_fleet(seed=26)
+    fleet, *_ = make_fleet(seed=26)
     if precompute:
-        ues[1].fleet.precompute(4)
+        fleet.precompute(4)
     with pytest.raises(ValueError, match="round t = .* is not an int in"):
-        ues[1].fleet.mask([0, 1], np.zeros((2, 12)), t)
+        fleet.mask([0, 1], np.zeros((2, 12)), t)
     with pytest.raises(ValueError, match="round t = .* is not an int in"):
-        ues[3].masked_update([0.0] * 12, t)
-    assert all(ue._last_iteration == -1 for ue in ues.values())
-    assert ues[1].masked_update([0.0] * 12, 2**64 - 1).iteration == 2**64 - 1
+        masked(fleet, 3, [0.0] * 12, t)
+    assert last_rounds(fleet) == [-1] * 8
+    assert masked(fleet, 1, [0.0] * 12, 2**64 - 1).iteration == 2**64 - 1
     # the last round masked is held in full: no round is later
-    assert ues[1]._last_iteration == 2**64 - 1
+    assert last_rounds(fleet)[0] == 2**64 - 1
     with pytest.raises(ProtocolError):
-        ues[1].fleet.mask([1, 0], np.zeros((2, 12)), 2**64 - 1)
+        fleet.mask([1, 0], np.zeros((2, 12)), 2**64 - 1)
 
 
 # -- collection and the online list ------------------------------------------
 
 
 def test_collect_eight_devices():
-    ues, bss, af, acc, _ = make_fleet(seed=20)
+    fleet, bss, af, acc, _ = make_fleet(seed=20)
     af.begin_round(0)
     for i in range(1, 9):
-        assert af.collect_update(ues[i].masked_update([0.0] * 12, 0)) is CollectStatus.ACCEPTED
+        assert af.collect_update(masked(fleet, i, [0.0] * 12, 0)) is CollectStatus.ACCEPTED
     online = af.finalize_online_list()
     assert online.ue_ids.tolist() == list(range(1, 9))
 
 
 def test_duplicate_update_rejected():
-    ues, bss, af, *_ = make_fleet(seed=21)
+    fleet, bss, af, *_ = make_fleet(seed=21)
     af.begin_round(0)
-    msg = ues[1].masked_update([0.0] * 12, 0)
+    msg = masked(fleet, 1, [0.0] * 12, 0)
     assert af.collect_update(msg) is CollectStatus.ACCEPTED
     assert af.collect_update(msg) is CollectStatus.DUPLICATE
     assert len(af.masked_updates) == 1
@@ -567,9 +595,9 @@ def test_duplicate_update_rejected():
 
 def test_out_of_field_update_rejected():
     # a uint64 >= p would wrap mod 2^64 inside the kernels, not mod p
-    ues, bss, af, *_ = make_fleet(seed=25)
+    fleet, bss, af, *_ = make_fleet(seed=25)
     af.begin_round(0)
-    good = ues[1].masked_update([0.0] * 12, 0).payload.tolist()
+    good = masked(fleet, 1, [0.0] * 12, 0).payload.tolist()
     for bad in (P, 2**64 - 1):
         with pytest.raises(ValueError):
             af.collect_update(MaskedUpdateMsg(2, 0, u64(good[:5] + [bad] + good[6:])))
@@ -579,16 +607,16 @@ def test_out_of_field_update_rejected():
 @pytest.mark.parametrize("sender", [0, 4, 999, 2**63, 2**64 - 1])
 def test_update_from_an_unregistered_sender_is_refused(sender):
     # registered devices are 1..registered_n; 0 is the server's own id
-    ues, _, af, *_ = make_fleet(seed=27, n=3)
+    fleet, _, af, *_ = make_fleet(seed=27, n=3)
     af.begin_round(0)
-    af.collect_update(ues[1].masked_update([0.0] * 12, 0))
+    af.collect_update(masked(fleet, 1, [0.0] * 12, 0))
     before = af.masked_updates
     forged = MaskedUpdateMsg(sender, 0, u64([0] * 12))
     with pytest.raises(ValueError, match="outside 1..3"):
         af.collect_update(forged)
     # all or nothing: the registered row in the same block is not logged either
     with pytest.raises(ValueError, match="outside 1..3"):
-        af.collect_block(MaskedUpdateBlock.of([ues[2].masked_update([0.0] * 12, 0), forged]))
+        af.collect_block(MaskedUpdateBlock.of([masked(fleet, 2, [0.0] * 12, 0), forged]))
     assert af.masked_updates.keys() == before.keys()
     assert np.array_equal(af.masked_updates[1], before[1])
     assert af.finalize_online_list().ue_ids.tolist() == [1]
@@ -655,7 +683,7 @@ WRONG_TYPED_CALLS = {
     "mask_share": (lambda w: w.bss[2].mask_share(None, 0, w.mode, 2),
                    "online must be a OnlineListMsg"),
     "fleet_setup": (lambda w: w.fresh.setup(3, w.rng), "acc must be a AccessStructure"),
-    "device_setup": (lambda w: w.fresh.device(0).setup(3, w.rng),
+    "device_setup": (lambda w: UserEquipment(1, 3, CODEC, 12).setup(3, w.rng),
                      "acc must be a AccessStructure"),
 }
 
@@ -663,22 +691,21 @@ WRONG_TYPED_CALLS = {
 def role_state(w):
     """Everything a refused entry point must leave as it was."""
     stations = [bs.stations for bs in w.bss.values()]
-    fleet = w.ues[1].fleet
-    return (fleet._last.tolist(), fleet._masked.tolist(), w.fresh._setup_done.tolist(),
+    return (w.fleet._last.tolist(), w.fleet._masked.tolist(), w.fresh._setup_done,
             [(s._ys.tolist(), dict(s._answered)) for s in stations],
             w.af.iteration, w.af._arrived.tolist(), w.af._rows.tolist(),
-            w.af.online_ids.tolist(), w.af._warned_compact, w.rng.getstate())
+            w.af.online_ids.tolist(), w.rng.getstate())
 
 
 @pytest.mark.parametrize("mode", list(MaskShareMode), ids=lambda m: m.name)
 @pytest.mark.parametrize("case", list(WRONG_TYPED_CALLS))
 def test_role_entry_points_refuse_a_wrong_typed_argument(case, mode):
-    ues, bss, af, _, rng = make_fleet(seed=41)
+    fleet, bss, af, _, rng = make_fleet(seed=41)
     af.begin_round(0)
-    af.collect_block(ues[1].fleet.mask([0, 1, 2], np.zeros((3, 12)), 0))
-    msg = ues[4].masked_update([0.0] * 12, 0)
+    af.collect_block(fleet.mask([0, 1, 2], np.zeros((3, 12)), 0))
+    msg = masked(fleet, 4, [0.0] * 12, 0)
     bss[2].mask_share(af.finalize_online_list(), 0, mode, 12)
-    w = SimpleNamespace(ues=ues, bss=bss, af=af, rng=rng, mode=mode, msg=msg,
+    w = SimpleNamespace(fleet=fleet, bss=bss, af=af, rng=rng, mode=mode, msg=msg,
                         fresh=Fleet([1, 2], [3, 4], CODEC, 12))
     before = role_state(w)
     call, match = WRONG_TYPED_CALLS[case]
@@ -691,9 +718,9 @@ def test_role_entry_points_refuse_a_wrong_typed_argument(case, mode):
 def test_a_round_that_is_not_a_word_is_refused_before_it_opens(t):
     # a bool or float round once passed for round 1 in collect_block, and
     # 1.5 or "3" refused every update as STALE, with no error
-    ues, _, af, *_ = make_fleet(seed=28)
+    fleet, _, af, *_ = make_fleet(seed=28)
     af.begin_round(1)
-    af.collect_block(ues[1].fleet.mask([0, 1], np.zeros((2, 12)), 1))
+    af.collect_block(fleet.mask([0, 1], np.zeros((2, 12)), 1))
     before = (af.iteration, af.masked_updates.keys(), af.online_ids)
     with pytest.raises(ValueError, match="round t = .* is not an int in"):
         af.begin_round(t)
@@ -704,13 +731,13 @@ def test_a_round_that_is_not_a_word_is_refused_before_it_opens(t):
 
 def test_masked_updates_is_a_snapshot_of_its_round():
     # the next round overwrites the server's rows, not what was read before
-    ues, _, af, *_ = make_fleet(seed=24)
+    fleet, _, af, *_ = make_fleet(seed=24)
     af.begin_round(0)
-    af.collect_block(ues[1].fleet.mask([0, 1], np.full((2, 12), 0.25), 0))
+    af.collect_block(fleet.mask([0, 1], np.full((2, 12), 0.25), 0))
     round_0 = af.masked_updates
     kept = {i: row.copy() for i, row in round_0.items()}
     af.begin_round(1)
-    af.collect_block(ues[1].fleet.mask([0, 2], np.full((2, 12), -0.5), 1))
+    af.collect_block(fleet.mask([0, 2], np.full((2, 12), -0.5), 1))
     assert round_0.keys() == kept.keys() == {1, 2}
     assert all(np.array_equal(round_0[i], kept[i]) for i in kept)
     assert af.masked_updates.keys() == {1, 3}
@@ -800,36 +827,35 @@ def test_a_run_of_blocks_fills_the_matrix_as_rows_one_by_one(data):
 
 
 def test_one_update_is_the_one_row_case_of_a_block():
-    ues, bss, af, *_ = make_fleet(seed=29)
+    fleet, bss, af, *_ = make_fleet(seed=29)
     af.begin_round(0)
-    block = ues[1].fleet.mask([0, 1, 2], np.zeros((3, 12)), 0)
+    block = fleet.mask([0, 1, 2], np.zeros((3, 12)), 0)
     assert af.collect_block(block) == [CollectStatus.ACCEPTED] * 3
     assert af.collect_update(block[1]) is CollectStatus.DUPLICATE
-    assert af.collect_update(ues[4].masked_update([0.0] * 12, 0)) is CollectStatus.ACCEPTED
+    assert af.collect_update(masked(fleet, 4, [0.0] * 12, 0)) is CollectStatus.ACCEPTED
     assert sorted(af.masked_updates) == [1, 2, 3, 4]
     af.finalize_online_list()
     assert af.collect_block(block) == [CollectStatus.STALE] * 3
 
 
 def test_masked_update_matches_plain_ints():
-    ues, *_ = make_fleet(seed=16)
-    ue = ues[3]
+    fleet, *_ = make_fleet(seed=16)
     rng = random.Random(4)
     w = [rng.uniform(-1, 1) for _ in range(10)] + [1.0, -1.0]
-    mask = [ue.key * hash_to_field(khprf.DOMAIN_TAG, 6, i) % P for i in range(12)]
+    mask = [key(fleet, 3) * hash_to_field(khprf.DOMAIN_TAG, 6, i) % P for i in range(12)]
     want = [(round(x * 2**16) + m) % P for x, m in zip(w, mask)]
-    assert ue.masked_update(w, 6).payload.tolist() == want
-    # round 6's mask is spent on ue, so the precomputed path needs a fresh
-    # device with the same key
-    twin = UserEquipment(ue_id=ue.ue_id, key=ue.key, codec=CODEC, dim=ue.dim)
+    assert masked(fleet, 3, w, 6).payload.tolist() == want
+    # round 6's mask is spent on device 3, so the precomputed path needs a
+    # fresh device with the same key
+    twin = UserEquipment(ue_id=3, key=key(fleet, 3), codec=CODEC, dim=12)
     twin.precompute(8)
     assert twin.masked_update(w, 6).payload.tolist() == want
 
 
 def test_stale_update_dropped():
-    ues, bss, af, *_ = make_fleet(seed=22)
+    fleet, bss, af, *_ = make_fleet(seed=22)
     af.begin_round(0)
-    old = ues[1].masked_update([0.0] * 12, 0)
+    old = masked(fleet, 1, [0.0] * 12, 0)
     af.begin_round(1)
     assert af.collect_update(old) is CollectStatus.STALE
     assert not af.masked_updates
@@ -838,12 +864,12 @@ def test_stale_update_dropped():
 def test_update_after_the_list_is_fixed_is_stale():
     # the stations answer the fixed list, so a later update must not join the
     # sum: its unmatched mask would turn the decoded average into noise
-    ues, bss, af, *_ = make_fleet(seed=20)
+    fleet, bss, af, *_ = make_fleet(seed=20)
     af.begin_round(0)
     for i in range(1, 6):
-        af.collect_update(ues[i].masked_update([0.25] * 12, 0))
+        af.collect_update(masked(fleet, i, [0.25] * 12, 0))
     online = af.finalize_online_list()
-    assert af.collect_update(ues[6].masked_update([0.25] * 12, 0)) is CollectStatus.STALE
+    assert af.collect_update(masked(fleet, 6, [0.25] * 12, 0)) is CollectStatus.STALE
     assert sorted(af.masked_updates) == [1, 2, 3, 4, 5]
     assert af.finalize_online_list().ue_ids.tolist() == [1, 2, 3, 4, 5]
     shares = {j: bss[j].mask_share(online, 0, MaskShareMode.EVALUATED, 12) for j in bss}
@@ -853,23 +879,23 @@ def test_update_after_the_list_is_fixed_is_stale():
 
 def test_finalize_thresholds():
     # n=8, fraction 1/3: need ceil(8/3) = 3 online
-    ues, bss, af, *_ = make_fleet(seed=23)
+    fleet, bss, af, *_ = make_fleet(seed=23)
     af.begin_round(0)
     for i in (1, 2, 3):
-        af.collect_update(ues[i].masked_update([0.0] * 12, 0))
+        af.collect_update(masked(fleet, i, [0.0] * 12, 0))
     assert af.finalize_online_list() is not None
 
     af.begin_round(1)
     for i in (1, 2):
-        af.collect_update(ues[i].masked_update([0.0] * 12, 1))
+        af.collect_update(masked(fleet, i, [0.0] * 12, 1))
     assert af.finalize_online_list() is None
 
 
 def test_finalize_all_online():
-    ues, bss, af, *_ = make_fleet(seed=24)
+    fleet, bss, af, *_ = make_fleet(seed=24)
     af.begin_round(0)
     for i in range(1, 9):
-        af.collect_update(ues[i].masked_update([0.0] * 12, 0))
+        af.collect_update(masked(fleet, i, [0.0] * 12, 0))
     assert af.finalize_online_list() is not None
 
 
@@ -877,10 +903,11 @@ def test_finalize_all_online():
 
 
 def test_single_ue_list_share_is_plain_evaluation():
-    ues, bss, af, *_ = make_fleet(seed=30)
+    fleet, bss, af, *_ = make_fleet(seed=30)
     online = OnlineListMsg(0, 2, u64([5]))
     share = bss[1].mask_share(online, 2, MaskShareMode.EVALUATED, 12)
-    assert share.vector.tolist() == khprf.evaluate(bss[1].stored_shares[5].y, 2, 12).tolist()
+    y = bss[1].stations.stored_shares(0)[5].y
+    assert share.vector.tolist() == khprf.evaluate(y, 2, 12).tolist()
 
 
 @pytest.mark.parametrize("mode", list(MaskShareMode))
@@ -900,19 +927,19 @@ def test_share_sum_is_exact_for_word_typed_shares(mode):
 
 
 def test_evaluated_share_equals_sum_of_per_ue_evaluations():
-    ues, bss, af, *_ = make_fleet(seed=31)
+    fleet, bss, af, *_ = make_fleet(seed=31)
     listed = (1, 3, 4, 7)
     online = OnlineListMsg(0, 1, u64(listed))
     share = bss[2].mask_share(online, 1, MaskShareMode.EVALUATED, 12)
     oracle = [0] * 12
     for i in listed:
-        vec = khprf.evaluate(bss[2].stored_shares[i].y, 1, 12)
+        vec = khprf.evaluate(bss[2].stations.stored_shares(0)[i].y, 1, 12)
         oracle = [(a + b) % P for a, b in zip(oracle, vec)]
     assert list(share.vector) == oracle
 
 
 def test_compact_share_is_nine_payload_bytes():
-    ues, bss, af, *_ = make_fleet(seed=32)
+    fleet, bss, af, *_ = make_fleet(seed=32)
     online = OnlineListMsg(0, 0, u64([1, 2]))
     compact = bss[1].mask_share(online, 0, MaskShareMode.COMPACT, 1000)
     evaluated = bss[1].mask_share(online, 0, MaskShareMode.EVALUATED, 1000)
@@ -921,7 +948,7 @@ def test_compact_share_is_nine_payload_bytes():
 
 
 def test_missing_share_forces_abstention():
-    ues, bss, af, *_ = make_fleet(seed=33)
+    fleet, bss, af, *_ = make_fleet(seed=33)
     online = OnlineListMsg(0, 0, u64([1, 99]))
     with pytest.raises(MissingShareError):
         bss[1].mask_share(online, 0, MaskShareMode.EVALUATED, 12)
@@ -933,7 +960,7 @@ def test_repeated_or_unsorted_online_list_is_refused(forged, mode):
     # a repeated id would add that device's key share twice and the round
     # would unmask to garbage; such a list cannot be built, so no station
     # is ever handed one
-    ues, bss, af, *_ = make_fleet(seed=34)
+    fleet, bss, af, *_ = make_fleet(seed=34)
     with pytest.raises(ValueError, match="strictly increasing"):
         bss[1].mask_share(OnlineListMsg(0, 0, u64(forged)), 0, mode, 12)
 
@@ -942,7 +969,7 @@ def test_repeated_or_unsorted_online_list_is_refused(forged, mode):
 def test_online_list_for_another_round_is_refused(mode):
     # a round-1 share answering a round-0 list would unmask round 1 with the
     # wrong online set; the station refuses instead of abstaining
-    ues, bss, af, *_ = make_fleet(seed=35)
+    fleet, bss, af, *_ = make_fleet(seed=35)
     with pytest.raises(ProtocolError, match="round 0 asked to answer round 1") as err:
         bss[1].mask_share(OnlineListMsg(0, 0, u64([1, 2, 3])), 1, mode, 12)
     assert not isinstance(err.value, MissingShareError)
@@ -951,37 +978,37 @@ def test_online_list_for_another_round_is_refused(mode):
 # -- recovery and unmasking ---------------------------------------------------
 
 
-def per_ue_mask_sum_oracle(ues, online_ids, t, d):
+def per_ue_mask_sum_oracle(fleet, online_ids, t, d):
     total = [0] * d
     for i in online_ids:
-        total = [(a + b) % P for a, b in zip(total, khprf.evaluate(ues[i].key, t, d))]
+        total = [(a + b) % P for a, b in zip(total, khprf.evaluate(key(fleet, i), t, d))]
     return total
 
 
 @pytest.mark.parametrize("mode", [MaskShareMode.EVALUATED, MaskShareMode.COMPACT])
 def test_recovery_with_all_stations(mode):
-    ues, bss, af, *_ = make_fleet(seed=40)
+    fleet, bss, af, *_ = make_fleet(seed=40)
     rng = random.Random(1)
-    updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in ues}
-    online, mask = run_round(ues, bss, af, 0, list(ues), list(bss), mode, 12, updates)
-    assert mask.tolist() == per_ue_mask_sum_oracle(ues, online.ue_ids, 0, 12)
+    updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in DEVICES}
+    online, mask = run_round(fleet, bss, af, 0, DEVICES, list(bss), mode, 12, updates)
+    assert mask.tolist() == per_ue_mask_sum_oracle(fleet, online.ue_ids, 0, 12)
 
 
 def test_recovery_with_exactly_three_stations_identical():
-    ues, bss, af, *_ = make_fleet(seed=41)
-    updates = {i: [0.5] * 12 for i in ues}
-    _, mask_all = run_round(ues, bss, af, 0, list(ues), [1, 2, 3, 4],
+    fleet, bss, af, *_ = make_fleet(seed=41)
+    updates = {i: [0.5] * 12 for i in DEVICES}
+    _, mask_all = run_round(fleet, bss, af, 0, DEVICES, [1, 2, 3, 4],
                             MaskShareMode.EVALUATED, 12, updates)
-    ues2, bss2, af2, *_ = make_fleet(seed=41)
-    _, mask_three = run_round(ues2, bss2, af2, 0, list(ues2), [2, 3, 4],
+    fleet2, bss2, af2, *_ = make_fleet(seed=41)
+    _, mask_three = run_round(fleet2, bss2, af2, 0, DEVICES, [2, 3, 4],
                               MaskShareMode.EVALUATED, 12, updates)
     assert mask_all.tolist() == mask_three.tolist()
 
 
 def test_recovery_fails_with_two_stations():
-    ues, bss, af, *_ = make_fleet(seed=42)
-    updates = {i: [0.0] * 12 for i in ues}
-    _, mask = run_round(ues, bss, af, 0, list(ues), [1, 4],
+    fleet, bss, af, *_ = make_fleet(seed=42)
+    updates = {i: [0.0] * 12 for i in DEVICES}
+    _, mask = run_round(fleet, bss, af, 0, DEVICES, [1, 4],
                         MaskShareMode.EVALUATED, 12, updates)
     assert mask is None
 
@@ -989,11 +1016,11 @@ def test_recovery_fails_with_two_stations():
 def round_one_shares(mode, d=12):
     """Honest shares of all four stations for round 1, after a round 0; the
     aggregator has recovered round 1 from them."""
-    ues, bss, af, *_ = make_fleet(seed=44)
-    updates = {i: [0.25] * d for i in ues}
-    run_round(ues, bss, af, 0, list(ues), list(bss), mode, d, updates)
-    old = {j: bss[j].mask_share(OnlineListMsg(0, 0, u64(list(ues))), 0, mode, d) for j in bss}
-    online, mask = run_round(ues, bss, af, 1, list(ues), list(bss), mode, d, updates)
+    fleet, bss, af, *_ = make_fleet(seed=44)
+    updates = {i: [0.25] * d for i in DEVICES}
+    run_round(fleet, bss, af, 0, DEVICES, list(bss), mode, d, updates)
+    old = {j: bss[j].mask_share(OnlineListMsg(0, 0, u64(DEVICES)), 0, mode, d) for j in bss}
+    online, mask = run_round(fleet, bss, af, 1, DEVICES, list(bss), mode, d, updates)
     assert mask is not None
     shares = {j: bss[j].mask_share(online, 1, mode, d) for j in bss}
     return af, shares, old
@@ -1044,6 +1071,22 @@ def test_recover_mask_rejects_a_bad_share(mode, case):
         af.recover_mask(forge(shares, old, case), mode)
 
 
+def test_the_compact_warning_is_logged_once_per_process(caplog):
+    # it was logged once per server, so a COMPACT sweep logged it once per
+    # simulation
+    protocol._warn_compact.cache_clear()
+    with caplog.at_level(logging.WARNING, logger=protocol.__name__):
+        for seed in (60, 61):
+            fleet, bss, af, *_ = make_fleet(seed=seed)
+            updates = {i: [0.25] * 12 for i in DEVICES}
+            for mode in (MaskShareMode.COMPACT, MaskShareMode.EVALUATED):
+                t = 0 if mode is MaskShareMode.COMPACT else 1
+                _, mask = run_round(fleet, bss, af, t, DEVICES, list(bss), mode, 12, updates)
+                assert mask is not None
+    warned = [r for r in caplog.records if "COMPACT mask shares" in r.getMessage()]
+    assert len(warned) == 1 and warned[0].levelno == logging.WARNING
+
+
 @pytest.mark.parametrize("mode", [1, 0, "compact", None])
 def test_a_mode_that_is_not_a_mask_share_mode_is_refused_at_every_entry(mode):
     # 1 and 0 equal COMPACT and EVALUATED but are not modes: the server once
@@ -1051,10 +1094,10 @@ def test_a_mode_that_is_not_a_mask_share_mode_is_refused_at_every_entry(mode):
     match = f"mask_share_mode must be a MaskShareMode, got {mode!r}"
     with pytest.raises(ValueError, match=match):
         SimConfig(mask_share_mode=mode)
-    ues, bss, af, *_ = make_fleet(seed=1)
+    fleet, bss, af, *_ = make_fleet(seed=1)
     af.begin_round(0)
-    for ue in ues.values():
-        af.collect_update(ue.masked_update([0.25] * 12, 0))
+    for i in DEVICES:
+        af.collect_update(masked(fleet, i, [0.25] * 12, 0))
     online = af.finalize_online_list()
     with pytest.raises(ValueError, match=match):
         bss[1].mask_share(online, 0, mode, 12)
@@ -1070,19 +1113,19 @@ def test_mode_equivalence_bitwise():
     updates = None
     results = []
     for mode in (MaskShareMode.EVALUATED, MaskShareMode.COMPACT):
-        ues, bss, af, *_ = make_fleet(seed=43)
+        fleet, bss, af, *_ = make_fleet(seed=43)
         rng = random.Random(7)
-        updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in ues}
-        _, mask = run_round(ues, bss, af, 0, list(ues), [1, 2, 3], mode, 12, updates)
+        updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in DEVICES}
+        _, mask = run_round(fleet, bss, af, 0, DEVICES, [1, 2, 3], mode, 12, updates)
         results.append(mask)
     assert results[0].tolist() == results[1].tolist()
 
 
 def test_unmask_average_of_one():
     # participation floor lowered so a single device clears it
-    ues, bss, af, *_ = make_fleet(seed=44, alpha=0.1)
-    updates = {i: [0.5] * 12 for i in ues}
-    _, mask = run_round(ues, bss, af, 0, [3], list(bss),
+    fleet, bss, af, *_ = make_fleet(seed=44, alpha=0.1)
+    updates = {i: [0.5] * 12 for i in DEVICES}
+    _, mask = run_round(fleet, bss, af, 0, [3], list(bss),
                         MaskShareMode.EVALUATED, 12, updates)
     update = af.unmask_and_aggregate(mask)
     assert max(abs(u - 0.5) for u in update) <= 2.0**-17
@@ -1091,10 +1134,10 @@ def test_unmask_average_of_one():
 def test_unmask_below_the_participation_floor_is_refused():
     # n=8, fraction 1/3: two updates fix a list that halts the round, so its
     # mask sum, though recoverable from a hand-built list, must not open it
-    ues, bss, af, *_ = make_fleet(seed=1)
+    fleet, bss, af, *_ = make_fleet(seed=1)
     af.begin_round(0)
     for i in (1, 2):
-        af.collect_update(ues[i].masked_update([0.25] * 12, 0))
+        af.collect_update(masked(fleet, i, [0.25] * 12, 0))
     assert af.finalize_online_list() is None
     listed = OnlineListMsg(0, 0, af.online_ids)
     shares = {j: bss[j].mask_share(listed, 0, MaskShareMode.EVALUATED, 12) for j in bss}
@@ -1105,26 +1148,26 @@ def test_unmask_below_the_participation_floor_is_refused():
 
 
 def test_unmask_matches_plaintext_average_oracle():
-    ues, bss, af, *_ = make_fleet(seed=45)
+    fleet, bss, af, *_ = make_fleet(seed=45)
     rng = random.Random(2)
-    updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in ues}
-    _, mask = run_round(ues, bss, af, 0, list(ues), list(bss),
+    updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in DEVICES}
+    _, mask = run_round(fleet, bss, af, 0, DEVICES, list(bss),
                         MaskShareMode.EVALUATED, 12, updates)
     update = af.unmask_and_aggregate(mask)
-    oracle = [sum(updates[i][c] for i in ues) / len(ues) for c in range(12)]
+    oracle = [sum(updates[i][c] for i in DEVICES) / len(DEVICES) for c in range(12)]
     assert max(abs(u - o) for u, o in zip(update, oracle)) <= 2.0**-17
 
 
 def test_unmask_is_bit_identical_to_plain_float_ops():
     # plain ints for the field, then the same float64 operations in the same
     # order: decode each sum component, divide by the count, add to the model
-    ues, bss, af, *_ = make_fleet(seed=50)
+    fleet, bss, af, *_ = make_fleet(seed=50)
     rng = random.Random(5)
     af.global_model = [rng.uniform(-4, 4) for _ in range(12)]
     model = list(af.global_model)
     online_ids = [1, 2, 4, 6, 7]
-    updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in ues}
-    online, mask = run_round(ues, bss, af, 0, online_ids, list(bss),
+    updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in DEVICES}
+    online, mask = run_round(fleet, bss, af, 0, online_ids, list(bss),
                              MaskShareMode.EVALUATED, 12, updates)
     encoded_sum = [
         (sum(int(af.masked_updates[i][c]) for i in online_ids) - int(mask[c])) % P
@@ -1141,9 +1184,9 @@ def test_unmask_is_bit_identical_to_plain_float_ops():
 def test_unmask_takes_only_a_canonical_mask_sum_of_dim_words(bad):
     # each of the first five was converted silently and opened the round; a
     # float rounds the mask sum, and p's put an update of order 10^12 in
-    ues, bss, af, *_ = make_fleet(seed=51)
-    updates = {i: [0.25] * 12 for i in ues}
-    _, mask = run_round(ues, bss, af, 0, list(ues), list(bss),
+    fleet, bss, af, *_ = make_fleet(seed=51)
+    updates = {i: [0.25] * 12 for i in DEVICES}
+    _, mask = run_round(fleet, bss, af, 0, DEVICES, list(bss),
                         MaskShareMode.EVALUATED, 12, updates)
     given = {"float list": [float(x) for x in mask], "int list": mask.tolist(),
              "float64": mask.astype(np.float64), "int64": mask.astype(np.int64),
@@ -1157,10 +1200,10 @@ def test_unmask_takes_only_a_canonical_mask_sum_of_dim_words(bad):
 
 
 def test_unmask_identical_updates_is_fixed_point():
-    ues, bss, af, *_ = make_fleet(seed=46)
+    fleet, bss, af, *_ = make_fleet(seed=46)
     w = [(-1) ** c * 0.125 for c in range(12)]
-    updates = {i: list(w) for i in ues}
-    _, mask = run_round(ues, bss, af, 0, list(ues), list(bss),
+    updates = {i: list(w) for i in DEVICES}
+    _, mask = run_round(fleet, bss, af, 0, DEVICES, list(bss),
                         MaskShareMode.EVALUATED, 12, updates)
     update = af.unmask_and_aggregate(mask)
     assert max(abs(u - x) for u, x in zip(update, w)) <= 2.0**-17
@@ -1168,19 +1211,19 @@ def test_unmask_identical_updates_is_fixed_point():
 
 def test_dropped_ue_contributes_nothing():
     # devices outside the list are absent from both the sum and the mask
-    ues, bss, af, *_ = make_fleet(seed=47)
+    fleet, bss, af, *_ = make_fleet(seed=47)
     online_ids = [1, 2, 3, 5, 8]
-    updates = {i: [0.25] * 12 for i in ues}
-    online, mask = run_round(ues, bss, af, 0, online_ids, list(bss),
+    updates = {i: [0.25] * 12 for i in DEVICES}
+    online, mask = run_round(fleet, bss, af, 0, online_ids, list(bss),
                              MaskShareMode.EVALUATED, 12, updates)
     assert online.ue_ids.tolist() == online_ids
-    assert mask.tolist() == per_ue_mask_sum_oracle(ues, online_ids, 0, 12)
+    assert mask.tolist() == per_ue_mask_sum_oracle(fleet, online_ids, 0, 12)
     update = af.unmask_and_aggregate(mask)
     assert max(abs(u - 0.25) for u in update) <= 2.0**-17
 
 
 def test_fallback_keeps_model_bitwise():
-    ues, bss, af, *_ = make_fleet(seed=48)
+    fleet, bss, af, *_ = make_fleet(seed=48)
     af.global_model = np.array([0.125, -3.5] + [0.0] * 10)
     before = af.global_model.tolist()
     msg = af.fallback()
@@ -1191,12 +1234,12 @@ def test_fallback_keeps_model_bitwise():
 def test_threshold_privacy_surrogate():
     # two station payloads plus every masked update reveal neither the
     # aggregated mask nor any individual one
-    ues, bss, af, *_ = make_fleet(seed=49)
+    fleet, bss, af, *_ = make_fleet(seed=49)
     rng = random.Random(3)
-    updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in ues}
+    updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in DEVICES}
     af.begin_round(0)
-    for i in ues:
-        af.collect_update(ues[i].masked_update(updates[i], 0))
+    for i in DEVICES:
+        af.collect_update(masked(fleet, i, updates[i], 0))
     online = af.finalize_online_list()
     shares = {
         j: bss[j].mask_share(online, 0, MaskShareMode.EVALUATED, 12) for j in (1, 2)
@@ -1204,8 +1247,8 @@ def test_threshold_privacy_surrogate():
     assert af.recover_mask(shares, MaskShareMode.EVALUATED) is None
     # no pair of stations' payloads equals any device's individual mask
     for j in (1, 2):
-        for i in ues:
-            assert shares[j].vector.tolist() != khprf.evaluate(ues[i].key, 0, 12).tolist()
+        for i in DEVICES:
+            assert shares[j].vector.tolist() != khprf.evaluate(key(fleet, i), 0, 12).tolist()
 
 
 # -- message well-formedness -------------------------------------------------
@@ -1217,7 +1260,7 @@ def test_station_cannot_be_handed_an_out_of_field_share():
     bs = BaseStation(bs_id=1)
     with pytest.raises(ValueError):
         bs.receive_share(SetupShareMsg(3, 0, 1, SecretShare(1, P + 7)))
-    assert not bs.stored_shares
+    assert not bs.stations.stored_shares(0)
 
 
 @pytest.mark.parametrize("build", [
@@ -1300,12 +1343,10 @@ def test_role_state_is_not_a_constructor_option():
     af = dict(registered_n=8, min_online_fraction=0.5, bs_threshold=AccessStructure(3, 4),
               codec=CODEC, dim=4)
     state = [
-        *[(UserEquipment, ue, f) for f in ("precomputed_masks", "_setup_done",
-                                           "_last_iteration")],
-        (BaseStation, {"bs_id": 1}, "stored_shares"),
+        (UserEquipment, ue, "fleet"),
+        (BaseStation, {"bs_id": 1}, "stations"),
         *[(Aggregator, af, f) for f in ("iteration", "global_model", "masked_updates",
-                                        "online_ids", "_rows", "_arrived",
-                                        "_warned_compact")],
+                                        "online_ids", "_rows", "_arrived")],
     ]
     for role, args, name in state:
         with pytest.raises(TypeError, match=name):
@@ -1335,11 +1376,11 @@ def test_alpha_oracle_rejects_overlap():
 
 def test_protocol_output_matches_alpha_oracle():
     for seed in range(5):
-        ues, bss, af, *_ = make_fleet(seed=100 + seed)
+        fleet, bss, af, *_ = make_fleet(seed=100 + seed)
         rng = random.Random(seed)
         online_ids = sorted(rng.sample(range(1, 9), rng.randint(3, 8)))
-        updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in ues}
-        online, mask = run_round(ues, bss, af, 0, online_ids, list(bss),
+        updates = {i: [rng.uniform(-1, 1) for _ in range(12)] for i in DEVICES}
+        online, mask = run_round(fleet, bss, af, 0, online_ids, list(bss),
                                  MaskShareMode.EVALUATED, 12, updates)
         masked_sum = [0] * 12
         for i in online.ue_ids:

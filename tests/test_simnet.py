@@ -138,9 +138,9 @@ def test_config_checks_threshold_and_codec_through_their_types():
 
 def test_the_simulator_drives_only_the_holders():
     # one copy per job: the simulator reaches devices and stations through
-    # Fleet and Stations, never through a one-row view
+    # Fleet and Stations, never through a standalone one-row device or station
     source = Path(simnet.__file__).read_text(encoding="utf-8")
-    assert not re.findall(r"\.device\(|\.station\(|\bUserEquipment\b|\bBaseStation\b", source)
+    assert not re.findall(r"\bUserEquipment\b|\bBaseStation\b", source)
 
 
 @pytest.mark.parametrize("mode", list(MaskShareMode))
@@ -157,8 +157,8 @@ def test_simulation_precomputes_the_fleet_once(monkeypatch, mode):
     sim = _Simulation(cfg, DropoutSchedule.none(), small_task())
     sim.run()
     assert calls == [(8, 6, 10)]
-    for ue in map(sim.fleet.device, range(len(sim.fleet))):
-        assert np.array_equal(ue.precomputed_masks, khprf.precompute_masks(ue.key, 6, 10))
+    for r, key in enumerate(sim.fleet.keys.tolist()):
+        assert np.array_equal(sim.fleet.masks[r], khprf.precompute_masks(key, 6, 10))
 
 
 def test_closed_rounds_keep_no_shares(monkeypatch):

@@ -6,7 +6,6 @@ devices, expanded by ``khprf.evaluate`` in EVALUATED mode, or its
 abstention when it lacks one of them.
 """
 
-import random
 import re
 
 import numpy as np
@@ -19,13 +18,12 @@ from secagg5g.field import P, FixedPointCodec
 from secagg5g.messages import MaskShareMode, MaskShareMsg, OnlineListMsg, SetupShareBlock
 from secagg5g.protocol import (
     MISSING,
-    BaseStation,
     Fleet,
     MissingShareError,
     ProtocolError,
     Stations,
 )
-from secagg5g.shamir import AccessStructure, SecretShare
+from secagg5g.shamir import SecretShare
 
 
 def u64(values):
@@ -101,7 +99,7 @@ def test_one_pass_answers_equal_each_station_alone(data):
         else:
             assert answer == want
             # one station's row alone answers the same
-            assert stations.station(r).mask_share(online, 5, mode, 6) == want
+            assert stations.mask_shares([r], online, 5, mode, 6)[0] == want
 
 
 def test_a_station_missing_one_share_abstains_alone():
@@ -118,8 +116,8 @@ def test_a_station_missing_one_share_abstains_alone():
         summed = (200 + 2) + (200 + 6) + (200 + 7)
         want = summed if mode is MaskShareMode.COMPACT else khprf.evaluate(summed, 0, 4).tolist()
         assert (first.scalar if mode is MaskShareMode.COMPACT else first.vector.tolist()) == want
-        with pytest.raises(MissingShareError, match=r"holds no share for UEs \[6\]"):
-            stations.station(1).mask_share(online, 0, mode, 4)
+        [alone] = stations.mask_shares([1], online, 0, mode, 4)
+        assert isinstance(alone, MissingShareError) and str(alone) == str(second)
     # a list without device 6 is answered by all three; stations 1 and 3
     # answered another list in round 0, so it is round 1's
     assert all(isinstance(a, MaskShareMsg) for a in
@@ -265,8 +263,8 @@ def test_small_and_large_gathers_sum_alike(k, listed, mode):
     (np.array([True, False]), ValueError), (np.array([[0]]), ValueError),
     (np.array([0.0]), ValueError), (np.array([0, 2**63], dtype=np.uint64), ValueError)])
 def test_answering_rows_must_be_distinct_rows(rows, error):
-    # the stations' answers, the devices' set-up and their masking take rows
-    # by one rule: each refuses every case alike and changes no state
+    # the stations' answers and the devices' masking take rows by one rule:
+    # each refuses every case alike and changes no state
     stations = Stations([1, 2, 3], 1)
     for row in range(3):
         stations.receive_shares(row, block_for(row + 1, {1: 1}))
@@ -274,14 +272,10 @@ def test_answering_rows_must_be_distinct_rows(rows, error):
     with pytest.raises(error):
         stations.mask_shares(rows, OnlineListMsg(0, 0, u64([1])), 0, MaskShareMode.COMPACT, 1)
     assert np.array_equal(stations._ys, held)
-    fleet, rng = Fleet([1, 2, 3], [4, 5, 6], FixedPointCodec(), 2), random.Random(0)
-    drawn = rng.getstate()
-    with pytest.raises(error):
-        fleet.setup(AccessStructure(2, 3), rng, rows)
+    fleet = Fleet([1, 2, 3], [4, 5, 6], FixedPointCodec(), 2)
     with pytest.raises(error):
         fleet.mask(rows, np.zeros((len(rows), 2)), 0)
-    assert rng.getstate() == drawn
-    assert not fleet._setup_done.any() and not fleet._masked.any()
+    assert not fleet._masked.any()
 
 
 @pytest.mark.parametrize("ids", [[1, 1], [0, 2**64], [1.0], [True], [-1], [0], [2, 0]])
@@ -297,24 +291,10 @@ def test_stations_register_at_least_one_device(registered_n):
         Stations([1, 2], registered_n)
 
 
-def test_a_station_is_a_view_of_one_row():
-    stations = Stations([5, 6], 3)
-    view = stations.station(1)
-    assert isinstance(view, BaseStation) and view.bs_id == 6
-    stations.receive_shares(1, block_for(6, {3: 33}))
-    assert stations.stored_shares(1) == {3: SecretShare(6, 33)} == view.stored_shares
-    assert stations.stored_shares(0) == {}
-    with pytest.raises(AttributeError):
-        view.stored_shares = {}
-    for row in (2, -1):
-        with pytest.raises(ValueError):
-            stations.station(row)
-
-
 @pytest.mark.parametrize("row", [-1, 3, True, 1.0, np.float64(2.0), "0", None])
 def test_storing_and_reading_shares_take_only_a_row_index(row):
-    # the row rule of station(row): -1 stored into the last station's row,
-    # and a bool, a float or k raised IndexError or TypeError
+    # one int rule for a station's row: -1 stored into the last station's
+    # row, and a bool, a float or k raised IndexError or TypeError
     stations = Stations([1, 2, 3], 4)
     stations.receive_shares(2, block_for(3, {1: 10}))
     before = state(stations)

@@ -57,6 +57,11 @@ def make_fleet(seed):
     return ues, bss, af, rng
 
 
+def key(ue):
+    """A standalone device's key, row 0 of its own fleet, as a Python int."""
+    return int(ue.fleet.keys[0])
+
+
 def play_round(ues, bss, af, t, online, mode, rng):
     """One honest round; returns what the server received: the masked
     updates by device and the station shares by station."""
@@ -100,7 +105,7 @@ def test_server_learns_the_online_key_sum_every_round(mode):
     for t in range(6):
         online = sorted(rng.sample(range(1, N + 1), rng.randint(2, N)))
         _, shares = play_round(ues, bss, af, t, online, mode, rng)
-        assert key_sum_from_shares(shares, t, mode) == sum(ues[i].key for i in online) % P
+        assert key_sum_from_shares(shares, t, mode) == sum(key(ues[i]) for i in online) % P
 
 
 @pytest.mark.parametrize("mode", list(MaskShareMode))
@@ -109,7 +114,7 @@ def test_lists_differing_by_one_device_give_its_key_and_open_its_updates(mode):
     _, shares_0 = play_round(ues, bss, af, 0, [1, 2, 3, 4, 5, 6], mode, rng)
     _, shares_1 = play_round(ues, bss, af, 1, [1, 2, 3, 4, 6], mode, rng)
     key_5 = (key_sum_from_shares(shares_0, 0, mode) - key_sum_from_shares(shares_1, 1, mode)) % P
-    assert key_5 == ues[5].key
+    assert key_5 == key(ues[5])
     # round 5: device 5's update alone, opened with the derived key
     w = [0.25, -0.5, 1.0, -1.0, 0.0, 0.125]
     payload = ues[5].masked_update(w, 5).payload
@@ -162,4 +167,4 @@ def test_one_masked_update_gives_its_key():
     ues, bss, af, rng = make_fleet(seed=3)
     received, _ = play_round(ues, bss, af, 4, [2, 4, 5], MaskShareMode.EVALUATED, rng)
     for i, payload in received.items():
-        assert key_from_one_update(payload, 4) == [ues[i].key]
+        assert key_from_one_update(payload, 4) == [key(ues[i])]
